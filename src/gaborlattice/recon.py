@@ -10,8 +10,14 @@ round trip so the constant is pinned by the code, not by trust.  The
 exterior sum converges only for tau < pi, and the module refuses to
 run outside that regime.
 
-All accumulation happens in scaled arithmetic with a fixed summation
-order (m = 0, +1, -1, ...; k = 0, +1, -1, ...), so results are
+There is one evaluation path, :func:`reconstruct_point`, for a single
+point and for a grid alike.  It holds the used block of E_m gamma_{m,k}
+as a complex128 mantissa array times an exact integer power of 2**128
+per row: the interior sums are a matrix product with e^{ikx}, and the
+exterior sum is stabilised per point by an exact power-of-two shift.
+The exponents stay integers throughout (a rounded float logarithm of
+them would cost digits where the exterior sum cancels).  Points are
+processed in fixed chunks with a fixed reduction order, so results are
 bit-reproducible no matter how the caller parallelises.
 """
 
@@ -19,16 +25,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonConvergenceError, RegimeError
+from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E
-from .scaled import ScaledValue
+from .scaled import BASE_LOG2, ScaledValue, exp_pow2, ldexp_array
 from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
 from .signals import GAUSSIAN_FAMILY, gamma_closed_form, gamma_quadrature
 
@@ -38,6 +42,9 @@ RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
 MAX_M = 64
 MAX_K = 4096
 MAX_GRID_POINTS = 10**7
+#: points per evaluation chunk: bounds the engine's memory at
+#: O(POINT_CHUNK * (M + K)) whatever the grid size
+POINT_CHUNK = 256
 
 DIRECT = "direct"
 FOURIER_GRID = "fourier_grid"
@@ -116,42 +123,67 @@ def _require_subcritical(params: LatticeParams):
         )
 
 
-def inner_fourier_sum(row: Sequence[ScaledValue], x: float, K: int) -> ScaledValue:
-    """sum_{k=-K}^{K} gamma_{m,k} e^{ikx}, accumulated k = 0, +1, -1, ..."""
-    if len(row) != 2 * K + 1:
-        raise InvalidParameterError(
-            f"row must hold 2K+1 = {2 * K + 1} entries, got {len(row)}"
-        )
-    total = row[K]
-    for k in range(1, K + 1):
-        phase = complex(math.cos(k * x), math.sin(k * x))
-        total = total + row[K + k] * phase
-        total = total + row[K - k] * phase.conjugate()
-    return total
+def _block(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ScaledValue as mant[i, j] * B**exps[i] (B = 2**128).
 
-
-def _exterior_sum(x: float, tau: float, coeffs: Sequence[ScaledValue],
-                  inner, M: int) -> ScaledValue:
-    """sum_m E_m e^{m tau x} S_m(x), order m = 0, +1, -1, ...
-
-    ``inner(m)`` supplies the (possibly cached) interior Fourier sum.
+    Each row is rescaled to the exponent of its largest entry with exact
+    ldexp; an all-zero row gets exponent 0.
     """
-    total = coeffs[M] * inner(0)
-    for m in range(1, M + 1):
-        total = total + coeffs[M + m] * ScaledValue.from_ln(m * tau * x) * inner(m)
-        total = total + coeffs[M - m] * ScaledValue.from_ln(-m * tau * x) * inner(-m)
+    mant = np.array([[v.mantissa for v in row] for row in rows], dtype=complex)
+    exps = np.array([[v.exponent for v in row] for row in rows], dtype=np.int64)
+    top = _masked_max(exps, mant != 0, axis=1)
+    return ldexp_array(mant, (exps - top[:, None]) * BASE_LOG2), top
+
+
+def _masked_max(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+    """Max of values where mask holds along axis; 0 where it never holds."""
+    top = np.where(mask, values, np.iinfo(np.int64).min).max(axis=axis)
+    return np.where(mask.any(axis=axis), top, 0)
+
+
+def inner_fourier_sum(row, x, K: int):
+    """sum_{k=-K}^{K} gamma_{m,k} e^{ikx}.
+
+    With a sequence of 2K+1 ScaledValue and a float x the sum is a
+    ScaledValue.  With a complex (rows, 2K+1) mantissa array and an array
+    of points it is the (rows, points) array of sums: one matrix product
+    with the phases e^{ikx}.
+    """
+    scaled = not isinstance(row, np.ndarray)
+    width = len(row) if scaled else row.shape[-1]
+    if width != 2 * K + 1:
+        raise InvalidParameterError(
+            f"row must hold 2K+1 = {2 * K + 1} entries, got {width}"
+        )
+    if scaled:
+        row, exps = _block([row])
+    kx = np.multiply.outer(np.arange(-K, K + 1, dtype=float), x)
+    total = row @ (np.cos(kx) + 1j * np.sin(kx))
+    if scaled:
+        return ScaledValue(complex(total[0]), int(exps[0]))
     return total
 
 
 def reconstruct_point(
-    x: float,
+    x,
     table: GammaTable,
     params: LatticeParams,
     coeffs: Sequence[ScaledValue],
     M: int,
     K: int,
-) -> complex:
-    """Evaluate the reconstruction at a single point."""
+):
+    """Evaluate the reconstruction at a point (complex) or at an array of
+    points (complex array).
+
+    The used block of E_m * gamma_{m,k} is taken once as a complex
+    mantissa array times an integer power of 2**128 per row.  For each
+    chunk of POINT_CHUNK points the interior sums are one matrix product
+    (:func:`inner_fourier_sum`); the exterior sum weights row m by
+    e^{m tau x} and brings every term to a per-point power of two with
+    exact ldexp before summing m = -M..M, so nothing overflows and the
+    only rounded scale factors are e^{m tau x} and e^{x^2/4}.  Raises
+    SaturationError where the value itself leaves the double range.
+    """
     _require_subcritical(params)
     if M > table.M or K > table.K:
         raise InvalidParameterError(
@@ -161,15 +193,31 @@ def reconstruct_point(
     if len(coeffs) < 2 * M + 1:
         raise InvalidParameterError("coefficient sequence does not cover [-M, M]")
     offset = (len(coeffs) - 1) // 2
+    gamma, gamma_exps = _block(table.values[table.M - M: table.M + M + 1,
+                                            table.K - K: table.K + K + 1])
+    e_mant, e_exps = _block([[c] for c in coeffs[offset - M: offset + M + 1]])
+    block = gamma * e_mant
+    row_bits = ((gamma_exps + e_exps) * BASE_LOG2)[:, None]
+    m_tau = params.tau * np.arange(-M, M + 1, dtype=float)[:, None]
 
-    def inner(m: int) -> ScaledValue:
-        row = table.row(m)
-        lo = table.K - K
-        return inner_fourier_sum(row[lo: lo + 2 * K + 1], x, K)
-
-    shifted = [coeffs[offset - M + i] for i in range(2 * M + 1)]
-    total = _exterior_sum(x, params.tau, shifted, inner, M)
-    return (RECONSTRUCTION_CONSTANT * ScaledValue.from_ln(x * x / 4.0) * total).to_complex()
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    out = np.empty(len(flat), dtype=complex)
+    for start in range(0, len(flat), POINT_CHUNK):
+        xc = flat[start: start + POINT_CHUNK]
+        weight, weight_bits = exp_pow2(m_tau * xc)
+        terms = inner_fourier_sum(block, xc, K) * weight
+        bits = row_bits + weight_bits
+        # per-point shift: the largest term lands in [1/2, 1)
+        _, mag_bits = np.frexp(np.abs(terms))
+        shift = _masked_max(bits + mag_bits, terms != 0, axis=0)
+        total = ldexp_array(terms, bits - shift).sum(axis=0)
+        gauss, gauss_bits = exp_pow2(xc * xc / 4.0)
+        out[start: start + len(xc)] = ldexp_array(
+            RECONSTRUCTION_CONSTANT * gauss * total, shift + gauss_bits)
+    if not np.all(np.isfinite(out)):
+        raise SaturationError("reconstructed value exceeds double range")
+    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 # --------------------------------------------------------------- truncation
@@ -191,6 +239,86 @@ def _gamma_source(signal: SignalModel, tau: float, quad: QuadratureControl | Non
     return gamma
 
 
+class _Cells:
+    """Weighted cell magnitudes ln|E_m| + ln|gamma_{m,k}| of the inversion,
+    with the e^{|m| tau x_max} reach of the target grid on the rings."""
+
+    def __init__(self, gamma_ln, params: LatticeParams, x_max: float,
+                 ctrl: SeriesControl | None = None):
+        self.gamma_ln = gamma_ln
+        self.params = params
+        self.x_max = x_max
+        self.ctrl = ctrl or SeriesControl()
+        self._coeffs: dict[int, ScaledValue] = {}
+        self._cells: dict[tuple[int, int], float] = {}
+
+    def coeff(self, m: int) -> ScaledValue:
+        if m not in self._coeffs:
+            self._coeffs[m] = coeff_E(m, self.params, self.ctrl)
+        return self._coeffs[m]
+
+    def cell(self, m: int, k: int) -> float:
+        key = (m, k)
+        if key not in self._cells:
+            self._cells[key] = self.coeff(m).ln_abs() + self.gamma_ln(m, k)
+        return self._cells[key]
+
+    def ring(self, m: int, K: int) -> float:
+        best = max(self.cell(m, k) for k in range(-K, K + 1))
+        return best + abs(m) * self.params.tau * self.x_max
+
+    def col(self, k: int, M: int) -> float:
+        return max(self.cell(m, k) for m in range(-M, M + 1))
+
+    def scale(self, M: int, K: int) -> float:
+        return max(self.cell(m, k) for m in range(-M, M + 1) for k in range(-K, K + 1))
+
+    def tail_ln(self, M: int, K: int) -> float:
+        """ln of the weighted boundary of the (M, K) block relative to its
+        largest cell; -inf for an all-zero block."""
+        scale = self.scale(M, K)
+        if scale == -math.inf:
+            return -math.inf
+        boundary = max(self.ring(M, K), self.ring(-M, K), self.col(K, M), self.col(-K, M))
+        return boundary - scale
+
+
+def _truncate(cells: _Cells, tol: float, M_cap: int, K_cap: int) -> tuple[TruncationChoice, bool]:
+    """The truncation growth loop, within the caps on M and K.
+
+    The base estimate takes the subcritical decay rate eps = tau(pi - tau)
+    of the weighted terms and picks the smallest M with
+    exp(-eps M^2) < tol/10.  Because that rate is a worst-case envelope,
+    the estimate is then verified against the weighted boundary ring and
+    grown until the ring drops below tol; K is extended the same way
+    column-wise.  One guard ring is added at the end, clipped to the caps.
+    Returns the choice and whether the boundary met tol before the guard
+    ring (it cannot when the caps stop the growth).
+    """
+    tau = cells.params.tau
+    eps = tau * (math.pi - tau)
+    M = min(max(1, math.ceil(math.sqrt(math.log(10.0 / tol) / eps))), M_cap)
+    K = min(2, K_cap)
+    ln_tol = math.log(tol)
+    # terminates: every pass that does not break grows M or K, both capped
+    while True:
+        scale = cells.scale(M, K)
+        if scale == -math.inf:  # identically zero signal
+            return TruncationChoice(M, K, 0.0), True
+        grew = False
+        while K < K_cap and max(cells.col(K, M), cells.col(-K, M)) >= ln_tol + scale:
+            K += 1
+            grew = True
+        while M < M_cap and max(cells.ring(M, K), cells.ring(-M, K)) >= ln_tol + scale:
+            M += 1
+            grew = True
+        if not grew:
+            break
+    converged = cells.tail_ln(M, K) < ln_tol
+    M, K = min(M + 1, M_cap), min(K + 2, K_cap)
+    return TruncationChoice(M, K, math.exp(cells.tail_ln(M, K))), converged
+
+
 def auto_truncation(
     signal: SignalModel,
     params: LatticeParams,
@@ -201,151 +329,26 @@ def auto_truncation(
 ) -> TruncationChoice:
     """Choose truncation orders (M, K) for a target relative accuracy.
 
-    The base estimate takes the subcritical decay rate eps = tau(pi - tau)
-    of the weighted terms |E_m| * row-scale and picks the smallest M with
-    exp(-eps M^2) < tol/10.  Because that rate is a worst-case envelope,
-    the estimate is then verified against the actually computed weighted
-    boundary ring (including the e^{|m| tau x_max} reach of the target
-    grid) and grown until the ring drops below tol; K is extended the
-    same way column-wise.  One guard ring is added at the end.
+    Runs the growth loop of :func:`_truncate` over the signal's own
+    coefficients (computed on demand) up to the hard caps MAX_M, MAX_K,
+    and refuses when the weighted tail is still above tol there.
     """
     _require_subcritical(params)
     if not (0 < tol < 1):
         raise InvalidParameterError("tol must lie in (0, 1)")
-    ctrl = ctrl or SeriesControl()
-    tau = params.tau
-    eps = tau * (math.pi - tau)
-    M = max(1, math.ceil(math.sqrt(math.log(10.0 / tol) / eps)))
-    M = min(M, MAX_M)
-    K = 2
-    ln_tol = math.log(tol)
-
-    gamma = _gamma_source(signal, tau, quad)
-    coeff_cache: dict[int, float] = {}
-
-    def e_ln(m: int) -> float:
-        if m not in coeff_cache:
-            coeff_cache[m] = coeff_E(m, params, ctrl).ln_abs()
-        return coeff_cache[m]
-
-    def cell_ln(m: int, k: int) -> float:
-        return e_ln(m) + gamma(m, k).ln_abs()
-
-    def ring_ln(m: int, K_cur: int) -> float:
-        best = max(cell_ln(m, k) for k in range(-K_cur, K_cur + 1))
-        return best + abs(m) * tau * x_max
-
-    def col_ln(k: int, M_cur: int) -> float:
-        return max(cell_ln(m, k) for m in range(-M_cur, M_cur + 1))
-
-    def scale_ln(M_cur: int, K_cur: int) -> float:
-        return max(
-            cell_ln(m, k)
-            for m in range(-M_cur, M_cur + 1)
-            for k in range(-K_cur, K_cur + 1)
-        )
-
-    for _ in range(MAX_M + MAX_K):
-        scale = scale_ln(M, K)
-        if scale == -math.inf:  # identically zero signal
-            return TruncationChoice(M, K, 0.0)
-        grew = False
-        while max(col_ln(K, M), col_ln(-K, M)) >= ln_tol + scale and K < MAX_K:
-            K += 1
-            grew = True
-        while max(ring_ln(M, K), ring_ln(-M, K)) >= ln_tol + scale and M < MAX_M:
-            M += 1
-            grew = True
-        if not grew:
-            break
-    else:
-        raise NonConvergenceError(
-            "auto_truncation did not stabilise", diagnostics={"M": M, "K": K}
-        )
-
-    scale = scale_ln(M, K)
-    boundary = max(ring_ln(M, K), ring_ln(-M, K), col_ln(K, M), col_ln(-K, M))
-    if boundary >= ln_tol + scale:
+    gamma = _gamma_source(signal, params.tau, quad)
+    cells = _Cells(lambda m, k: gamma(m, k).ln_abs(), params, x_max, ctrl)
+    choice, converged = _truncate(cells, tol, MAX_M, MAX_K)
+    if not converged:
         raise NonConvergenceError(
             "auto_truncation: weighted tail still above tol at the hard caps",
-            diagnostics={"M": M, "K": K, "tail_ln": boundary - scale},
+            diagnostics={"M": choice.M, "K": choice.K,
+                         "tail_ln": math.log(choice.tail_estimate)},
         )
-    # guard ring ("verification margin")
-    M = min(M + 1, MAX_M)
-    K = min(K + 2, MAX_K)
-    tail = math.exp(
-        max(ring_ln(M, K), ring_ln(-M, K), col_ln(K, M), col_ln(-K, M)) - scale_ln(M, K)
-    )
-    return TruncationChoice(M, K, tail)
-
-
-def _auto_within_table(
-    table: GammaTable, params: LatticeParams, tol: float, x_max: float
-) -> TruncationChoice:
-    """auto_truncation against a prebuilt table: cannot exceed its extents,
-    so a table that is too small simply yields a larger tail_estimate."""
-    tau = params.tau
-    eps = tau * (math.pi - tau)
-    M = min(max(1, math.ceil(math.sqrt(math.log(10.0 / tol) / eps))), table.M)
-    K = min(2, table.K)
-    ln_tol = math.log(tol)
-    coeff_cache: dict[int, float] = {}
-
-    def e_ln(m: int) -> float:
-        if m not in coeff_cache:
-            coeff_cache[m] = coeff_E(m, params).ln_abs()
-        return coeff_cache[m]
-
-    def cell_ln(m: int, k: int) -> float:
-        return e_ln(m) + table.get(m, k).ln_abs()
-
-    def ring_ln(m: int, K_cur: int) -> float:
-        best = max(cell_ln(m, k) for k in range(-K_cur, K_cur + 1))
-        return best + abs(m) * tau * x_max
-
-    def col_ln(k: int, M_cur: int) -> float:
-        return max(cell_ln(m, k) for m in range(-M_cur, M_cur + 1))
-
-    def scale_ln(M_cur: int, K_cur: int) -> float:
-        return max(
-            cell_ln(m, k)
-            for m in range(-M_cur, M_cur + 1)
-            for k in range(-K_cur, K_cur + 1)
-        )
-
-    for _ in range(table.M + table.K + 2):
-        scale = scale_ln(M, K)
-        if scale == -math.inf:
-            return TruncationChoice(M, K, 0.0)
-        grew = False
-        while K < table.K and max(col_ln(K, M), col_ln(-K, M)) >= ln_tol + scale:
-            K += 1
-            grew = True
-        while M < table.M and max(ring_ln(M, K), ring_ln(-M, K)) >= ln_tol + scale:
-            M += 1
-            grew = True
-        if not grew:
-            break
-    scale = scale_ln(M, K)
-    if scale == -math.inf:
-        return TruncationChoice(M, K, 0.0)
-    boundary = max(ring_ln(M, K), ring_ln(-M, K), col_ln(K, M), col_ln(-K, M))
-    return TruncationChoice(M, K, math.exp(boundary - scale))
+    return choice
 
 
 # --------------------------------------------------------------- grid driver
-
-
-def _rational_residue_period(step: float) -> int | None:
-    """Number of grid steps after which x mod 2pi repeats, if step/2pi is
-    (numerically) rational with a small denominator."""
-    ratio = step / (2.0 * math.pi)
-    frac = Fraction(ratio).limit_denominator(8192)
-    if frac.numerator <= 0:
-        return None
-    if abs(frac.numerator / frac.denominator - ratio) <= 1e-12 * ratio:
-        return frac.denominator
-    return None
 
 
 def reconstruct_grid(
@@ -357,18 +360,22 @@ def reconstruct_grid(
 ) -> ReconReport:
     """Evaluate the reconstruction on a grid and report errors.
 
-    mode="fourier_grid" computes each interior sum once per residue
-    class of x mod 2pi (the interior sums are 2pi-periodic) and applies
-    the non-periodic prefactors per actual point; when the grid step
-    does not divide 2pi rationally this silently reduces to the direct
-    mode.  Both modes agree to ~1e-12 relative wherever the exterior
-    sum is well conditioned.
+    The whole grid goes through :func:`reconstruct_point` as one array.
+    Without an explicit truncation, (M, K) is chosen inside the table by
+    the growth loop of :func:`auto_truncation`, guard ring included,
+    clipped to the table's extents (a table that is too small yields a
+    larger tail_estimate, not an error); tail_estimate is always measured
+    at the (M, K) actually used.  ``threads`` and ``config.mode`` are
+    accepted for compatibility and change nothing: every mode runs the
+    same engine, whose fixed chunking and reduction order make the
+    result independent of any thread count.
 
-    Conditioning caveat: far beyond |x| ~ pi the exterior sum cancels
-    the aliased images g(x + 2 pi j) many digits deep (the weighted
-    terms are O(g(x mod 2pi)) while the result is O(g(x))), so the
-    pointwise relative accuracy degrades like g(x mod 2pi) / g(x) * eps
-    even though errors relative to sup|f| stay tiny.
+    Wide-grid caveat: far beyond |x| ~ pi the result is O(g(x)) while
+    the weighted terms are O(g(x mod 2pi)), so the exterior sum cancels
+    many digits deep and its truncation must reach far below the
+    largest cell, which tail_estimate does not measure.  For the unit
+    Gaussian at tau = 1 with automatic truncation the error relative to
+    sup|f| reaches ~1e3 at |x| = 12, with no sign in tail_estimate.
     """
     start = time.perf_counter()
     _require_subcritical(params)
@@ -379,63 +386,20 @@ def reconstruct_grid(
     xs = grid_points(config.grid)
     x_reach = float(np.max(np.abs(xs))) if len(xs) else 0.0
 
+    cells = _Cells(lambda m, k: table.get(m, k).ln_abs(), params, x_reach)
     if config.truncation is not None:
         M, K = config.truncation
         if M > table.M or K > table.K:
             raise InvalidParameterError(
                 f"explicit truncation (M={M}, K={K}) exceeds table extents"
             )
-        tail = _auto_within_table(table, params, config.tol, x_reach).tail_estimate
+        tail = math.exp(cells.tail_ln(M, K))
     else:
-        choice = _auto_within_table(table, params, config.tol, x_reach)
+        choice, _ = _truncate(cells, config.tol, table.M, table.K)
         M, K, tail = choice.M, choice.K, choice.tail_estimate
 
-    coeffs = [coeff_E(m, params) for m in range(-M, M + 1)]
-
-    period = None
-    if config.mode == FOURIER_GRID:
-        period = _rational_residue_period(config.grid[2])
-
-    rec = np.zeros(len(xs), dtype=complex)
-    if period is None:
-        def at_point(i: int) -> complex:
-            return reconstruct_point(float(xs[i]), table, params, coeffs, M, K)
-
-        indices = range(len(xs))
-        if threads > 1 and len(xs):
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for i, value in zip(indices, pool.map(at_point, indices)):
-                    rec[i] = value
-        else:
-            for i in indices:
-                rec[i] = at_point(i)
-    else:
-        # interior sums per (residue class, m), evaluated at the class
-        # representative; prefactors use the actual x
-        lo = table.K - K
-        classes = list(range(min(period, len(xs))))
-
-        def class_inners(c: int) -> list[ScaledValue]:
-            x_rep = float(xs[c])
-            return [
-                inner_fourier_sum(table.row(m)[lo: lo + 2 * K + 1], x_rep, K)
-                for m in range(-M, M + 1)
-            ]
-
-        if threads > 1 and classes:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                cached = list(pool.map(class_inners, classes))
-        else:
-            cached = [class_inners(c) for c in classes]
-        for i in range(len(xs)):
-            x = float(xs[i])
-            inners = cached[i % period]
-            total = _exterior_sum(
-                x, params.tau, coeffs, lambda m: inners[m + M], M
-            )
-            rec[i] = (
-                RECONSTRUCTION_CONSTANT * ScaledValue.from_ln(x * x / 4.0) * total
-            ).to_complex()
+    coeffs = [cells.coeff(m) for m in range(-M, M + 1)]
+    rec = reconstruct_point(xs, table, params, coeffs, M, K)
 
     ref_values = None
     sup_error = l2_error = None
@@ -508,15 +472,8 @@ def calibrate_constant(tau: float = 1.0, x: float = 0.0, M: int = 8, K: int = 16
     from .qtheta import nome_from_tau
 
     params = nome_from_tau(tau)
-    _require_subcritical(params)
     signal = SignalModel.gaussian([(1.0, 0.0, 0.0)])
     table = forward_table(signal, params.tau, M, K)
     coeffs = [coeff_E(m, params) for m in range(-M, M + 1)]
-
-    def inner(m: int) -> ScaledValue:
-        return inner_fourier_sum(table.row(m), x, K)
-
-    total = _exterior_sum(x, params.tau, coeffs, inner, M)
-    raw = (ScaledValue.from_ln(x * x / 4.0) * total).to_complex()
-    fitted = eval_signal(signal, x) / raw
-    return fitted.real
+    raw = reconstruct_point(x, table, params, coeffs, M, K) / RECONSTRUCTION_CONSTANT
+    return (eval_signal(signal, x) / raw).real

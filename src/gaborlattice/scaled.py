@@ -17,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import SaturationError
 
 BASE_LOG2 = 128
@@ -31,6 +33,32 @@ _LN2_LO = 1.90821492927058770002e-10
 
 def _ldexp_complex(value: complex, shift: int) -> complex:
     return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
+
+
+def ldexp_array(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """values * 2**shift for a complex array and integer shifts (exact barring
+    underflow into subnormals; overflow gives inf, for the caller to check)."""
+    out = np.empty(np.broadcast(values, shift).shape, dtype=complex)
+    with np.errstate(over="ignore"):
+        out.real = np.ldexp(values.real, shift)
+        out.imag = np.ldexp(values.imag, shift)
+    return out
+
+
+def exp_pow2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^t as (f, n) with e^t = f * 2**n, n an exact integer and f in [1, 2)
+    up to rounding.
+
+    Only f is rounded, from the same split ln 2 as :meth:`ScaledValue.from_ln`,
+    so it is accurate to ~1 ulp while |n| < 2**21.  Raises SaturationError
+    unless |t| < 2**52 (non-finite t included).
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.abs(t) < 2.0**52):
+        raise SaturationError("log magnitude non-finite or beyond 2**52")
+    n = np.floor(t / math.log(2.0))
+    f = np.exp((t - n * _LN2_HI) - n * _LN2_LO)
+    return f, n.astype(np.int64)
 
 
 class ScaledValue:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -406,9 +405,9 @@ def forward_table(
     rounding bound of the closed form, or the bound returned by
     :func:`gamma_quadrature`.
 
-    Entries are independent, so rows fan out across a thread pool when
-    ``threads > 1``; results are reassembled by index, making the table
-    identical for every thread count.
+    ``threads`` is accepted for compatibility and changes nothing: the
+    entries are pure-Python work that a thread pool cannot overlap under
+    the interpreter lock, so they are computed in one thread, row by row.
     """
     if M < 0 or K < 0:
         raise InvalidParameterError("M and K must be non-negative")
@@ -421,15 +420,7 @@ def forward_table(
     else:
         entry = lambda m, k: gamma_quadrature(m, k, signal, tau, quad)
 
-    def build_row(m: int) -> list[tuple[ScaledValue, ScaledValue]]:
-        return [entry(m, k) for k in range(-K, K + 1)]
-
-    ms = list(range(-M, M + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(build_row, ms))
-    else:
-        rows = [build_row(m) for m in ms]
+    rows = [[entry(m, k) for k in range(-K, K + 1)] for m in range(-M, M + 1)]
     values = [[value for value, _ in row] for row in rows]
     errors = [[err for _, err in row] for row in rows]
     return GammaTable(M, K, tau, values, errors)

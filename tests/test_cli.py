@@ -144,6 +144,27 @@ class TestReconstruct:
               "--output", str(ref)])
         assert out.read_bytes() == ref.read_bytes()
 
+    def test_auto_truncation_inside_table_meets_tol(self, tmp_path):
+        # a family on which choosing (M, K) inside the table without the
+        # guard ring missed tol=1e-8 on [-2 pi, 2 pi] (sup error 1.2e-7)
+        signal = {"kind": "gaussian_family", "components": [
+            {"amplitude": [0.648904, -0.489038], "center": 0.551371, "modulation": -0.824378},
+            {"amplitude": [0.455481, -0.463837], "center": -0.989469, "modulation": 0.963685},
+        ]}
+        fwd = write_json(tmp_path / "fwd.json", {"tau": 1.0, "signal": signal, "truncation": "auto",
+                                                 "tol": 1e-8, "x_max": 2 * math.pi})
+        table = tmp_path / "table.json"
+        assert main(["forward", "--config", fwd, "--output", str(table)]) == 0
+        rec = write_json(tmp_path / "rec.json", {
+            "tau": 1.0, "tol": 1e-8, "truncation": "auto", "signal": signal,
+            "grid": {"min": -2 * math.pi, "max": 2 * math.pi, "step": 2 * math.pi / 100}})
+        out = tmp_path / "pts.csv"
+        assert main(["reconstruct", "--config", rec, "--table", str(table),
+                     "--output", str(out)]) == 0
+        summary = json.loads((tmp_path / "pts.csv.summary.json").read_text())["summary"]
+        assert summary["points"] == 201
+        assert summary["sup_error"] <= 1e-8
+
 
 class TestCoeffs:
     def test_rows_against_oracle(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gaborlattice import (
     RECONSTRUCTION_CONSTANT,
     ReconConfig,
     RegimeError,
+    SaturationError,
     ScaledValue,
     SignalModel,
     auto_truncation,
@@ -89,6 +91,58 @@ class TestReconstructPoint:
             b = reconstruct_point(x, tg, params_tau1, coeffs, 5, 8)
             c = reconstruct_point(x, tfg, params_tau1, coeffs, 5, 8)
             assert abs(c - (a + b)) <= 1e-10 * max(abs(c), 1.0)
+
+
+class TestEngineAccuracy:
+    """The evaluation engine against a 40-digit evaluation of the same
+    truncated formula, with the same table and the same E_m."""
+
+    FAMILY = [(0.648904 - 0.489038j, 0.551371, -0.824378),
+              (0.455481 - 0.463837j, -0.989469, 0.963685)]
+
+    # amplitude 1e-200 moves the table's 2**128 exponents away from 0:
+    # rounding them through a float logarithm breaks the bound there
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-200])
+    @pytest.mark.parametrize("tau", [0.6, 1.0, 2.5])
+    def test_within_double_precision_of_mpmath(self, tau, amplitude):
+        mp = pytest.importorskip("mpmath")
+        eps = sys.float_info.epsilon
+        M, K = 5, 9
+        signal = SignalModel.gaussian([(amplitude * a, c, b) for a, c, b in self.FAMILY])
+        params = nome_from_tau(tau)
+        table = forward_table(signal, tau, M, K)
+        coeffs = [coeff_E(m, params) for m in range(-M, M + 1)]
+        xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 25)
+        got = list(reconstruct_point(xs, table, params, coeffs, M, K))
+        got[::6] = [reconstruct_point(float(x), table, params, coeffs, M, K) for x in xs[::6]]
+
+        def exact(sv):
+            return mp.mpc(sv.mantissa) * mp.mpf(2) ** (128 * sv.exponent)
+
+        with mp.workdps(40):
+            rows = [(m, exact(coeffs[m + M]), [exact(g) for g in table.row(m)])
+                    for m in range(-M, M + 1)]
+            for x, value in zip(xs, got):
+                X = mp.mpf(float(x))
+                phase = mp.exp(1j * X)
+                terms = [e * mp.exp(m * mp.mpf(tau) * X)
+                         * mp.fsum(g * phase ** k for k, g in zip(range(-K, K + 1), row))
+                         for m, e, row in rows]
+                prefactor = mp.exp(X * X / 4) / (2 * mp.pi)
+                err = abs(mp.mpc(value) - mp.fsum(terms) * prefactor)
+                assert err <= 64 * eps * mp.fsum(abs(t) for t in terms) * prefactor, x
+
+    def test_value_beyond_double_range_saturates(self, params_tau1):
+        coeffs = [coeff_E(m, params_tau1) for m in range(-5, 6)]
+        near_max = forward_table(SignalModel.gaussian([(1e308, 0.0, 0.0)]), 1.0, 5, 9)
+        value = reconstruct_point(0.0, near_max, params_tau1, coeffs, 5, 9)
+        assert value == pytest.approx(1e308, rel=1e-8)
+        beyond = forward_table(
+            SignalModel.gaussian([(1e308, 0.0, 0.0), (1e308, 0.0, 0.0)]), 1.0, 5, 9)
+        with pytest.raises(SaturationError):
+            reconstruct_point(0.0, beyond, params_tau1, coeffs, 5, 9)
+        with pytest.raises(SaturationError):
+            reconstruct_point(np.array([-0.5, 0.0, 0.5]), beyond, params_tau1, coeffs, 5, 9)
 
 
 class TestAutoTruncation:
@@ -212,6 +266,16 @@ class TestGridDriver:
         report = reconstruct_grid(cfg, table, params_tau1, reference=unit_gaussian)
         assert len(report.xs) == 0
         assert report.sup_error == 0.0
+
+    def test_tail_estimate_at_orders_used(self, two_component, params_tau1):
+        table = forward_table(two_component, 1.0, 5, 9)
+        grid = (-2.0, 2.0, 0.5)
+        auto = reconstruct_grid(ReconConfig(grid=grid), table, params_tau1)
+        full = reconstruct_grid(ReconConfig(grid=grid, truncation=(5, 9)), table, params_tau1)
+        small = reconstruct_grid(ReconConfig(grid=grid, truncation=(2, 4)), table, params_tau1)
+        assert (auto.M_used, auto.K_used) == (5, 9)
+        assert full.tail_estimate == auto.tail_estimate
+        assert small.tail_estimate > 1e3 * full.tail_estimate
 
     def test_tau_mismatch_rejected(self, unit_gaussian):
         table = forward_table(unit_gaussian, 1.0, 2, 2)
