@@ -27,8 +27,6 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConfigError,
@@ -40,8 +38,8 @@ from .errors import (
 )
 from .oracle import laurent_c0
 from .qtheta import SeriesControl, coeff_E, nome_from_tau
-from .recon import ReconConfig, reconstruct_grid, round_trip
-from .signals import GAUSSIAN_FAMILY, GammaTable, SignalModel, forward_table
+from .recon import ReconConfig, auto_truncation, reconstruct_grid, round_trip
+from .signals import GAUSSIAN_FAMILY, GammaSource, GammaTable, SignalModel, forward_table
 from .verify import SUITES, run_suite
 
 THREADS_ENV_VAR = "GABORLATTICE_THREADS"
@@ -288,7 +286,7 @@ def _table_from_document(doc: dict, where: str) -> GammaTable:
             _integer(meta["M"], "M"), _integer(meta["K"], "K"),
             _number(meta["tau"], "tau"), data,
         )
-    except (InvalidParameterError, IndexError, TypeError) as exc:
+    except InvalidParameterError as exc:
         raise ConfigError(f"{where}: malformed table payload: {exc}") from exc
 
 
@@ -301,16 +299,15 @@ def cmd_forward(args) -> int:
     tol = args.tol if args.tol is not None else _number(config.get("tol", 1e-8),
                                                         "config.tol")
     threads = _resolve_threads(args)
+    source = GammaSource(signal, tau)
     if truncation is None:
-        from .recon import auto_truncation
-
         params = nome_from_tau(tau)
         x_max = _number(config.get("x_max", 0.0), "config.x_max")
-        choice = auto_truncation(signal, params, tol, x_max=x_max)
+        choice = auto_truncation(signal, params, tol, x_max=x_max, source=source)
         M, K = choice.M, choice.K
     else:
         M, K = truncation
-    table = forward_table(signal, tau, M, K, threads=threads)
+    table = forward_table(signal, tau, M, K, threads=threads, source=source)
     _emit(args.output, _json_dumps(_table_document(table, signal_to_spec(signal))))
     return 0
 
@@ -321,14 +318,11 @@ def cmd_forward(args) -> int:
 def cmd_reconstruct(args) -> int:
     config = _load_config(args.config)
     _expect_keys(config, "config", {"tau", "grid"},
-                 {"tol", "truncation", "mode", "signal"})
+                 {"tol", "truncation", "signal"})
     tau = _number(config["tau"], "config.tau")
     grid = parse_grid(config["grid"])
     tol = args.tol if args.tol is not None else _number(config.get("tol", 1e-8),
                                                         "config.tol")
-    mode = config.get("mode", "direct")
-    if mode not in ("direct", "fourier_grid"):
-        raise ConfigError(f"config.mode: unknown mode {mode!r}")
     truncation = parse_truncation(config.get("truncation", "auto"))
     reference = parse_signal(config["signal"]) if "signal" in config else None
 
@@ -339,7 +333,7 @@ def cmd_reconstruct(args) -> int:
             f"tau mismatch: config says {tau!r}, table was built at {table.tau!r}"
         )
     params = nome_from_tau(tau)
-    recon_config = ReconConfig(tol=tol, grid=grid, mode=mode, truncation=truncation)
+    recon_config = ReconConfig(tol=tol, grid=grid, truncation=truncation)
     start = time.perf_counter()
     report = reconstruct_grid(recon_config, table, params,
                               reference=reference, threads=_resolve_threads(args))
@@ -365,7 +359,6 @@ def cmd_reconstruct(args) -> int:
             "tail_estimate": report.tail_estimate,
             "sup_error": report.sup_error,
             "l2_error": report.l2_error,
-            "mode": mode,
         },
         "meta": {"elapsed_seconds": elapsed, "tool_version": __version__},
     }

@@ -73,17 +73,16 @@ def balanced_contour(params: LatticeParams, nodes: int = 128) -> ContourSpec:
     return ContourSpec(radius=math.exp(-0.5 * params.ln_q), nodes=nodes)
 
 
-def _sum_aliased(signal: SignalModel, x: float, weight_ln, params: LatticeParams,
-                 ctrl: SeriesControl, label: str,
-                 weight_value=None) -> ScaledValue:
+def _sum_aliased(signal: SignalModel, x: float, weight_ln, weight_value,
+                 ctrl: SeriesControl, label: str) -> ScaledValue:
     """Two-sided sum over j of g(x + 2 pi j) * w^j in scaled arithmetic.
 
     ``weight_ln(j)`` is log|w^j|; ``weight_value(j)`` builds the scaled
-    weight (defaults to a pure magnitude).  Termination is driven by
-    the declared signal envelope: a side stops once its envelope bound
-    drops below abs_tol relative to the best bound seen and is past its
-    peak.  The envelope is log-concave in j per side, so that test is
-    safe for oscillating callbacks whose actual samples may vanish.
+    weight.  Termination is driven by the declared signal envelope: a
+    side stops once its envelope bound drops below abs_tol relative to
+    the best bound seen and is past its peak.  The envelope is
+    log-concave in j per side, so that test is safe for oscillating
+    callbacks whose actual samples may vanish.
     """
     ln_c, alpha = signal.envelope_ln()
     if ln_c == -math.inf:  # identically zero signal
@@ -93,9 +92,6 @@ def _sum_aliased(signal: SignalModel, x: float, weight_ln, params: LatticeParams
     def env_ln(j: int) -> float:
         X = x + 2.0 * math.pi * j
         return ln_c + alpha * abs(X) - X * X / 4.0 + weight_ln(j)
-
-    if weight_value is None:
-        weight_value = lambda j: ScaledValue.from_ln(weight_ln(j))
 
     def term(j: int) -> ScaledValue:
         return windowed_sample_scaled(signal, x + 2.0 * math.pi * j) * weight_value(j)
@@ -138,7 +134,7 @@ def spatial_A(m: int, x: float, signal: SignalModel, params: LatticeParams,
         signal, x,
         weight_ln=lambda j: m * j * ln_q,
         weight_value=lambda j: ScaledValue.from_pow(params.q, m * j),
-        params=params, ctrl=ctrl, label="spatial_A",
+        ctrl=ctrl, label="spatial_A",
     )
 
 
@@ -158,7 +154,7 @@ def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
         signal, x,
         weight_ln=lambda j: j * ln_abs_z,
         weight_value=lambda j: ScaledValue.from_pow(z, j),
-        params=params, ctrl=ctrl, label="G_series",
+        ctrl=ctrl, label="G_series",
     )
 
 
@@ -298,22 +294,16 @@ def mk_trace(
             if kind == G_OVER_THETA:
                 value = G_series(z, x, signal, params, ctrl) / \
                     theta_series_scaled(z, q, ctrl)
-            elif kind == GTILDE_OVER_THETA:
+            else:
                 total = ScaledValue.zero()
                 for n, a_n in samples:
                     denom = (ScaledValue.from_complex(z) - ScaledValue.from_pow(q, n)) \
                         * derivs[n]
                     total = total + a_n / denom
                 value = total
-            else:
-                g_val = G_series(z, x, signal, params, ctrl)
-                total = ScaledValue.zero()
-                for n, a_n in samples:
-                    denom = (ScaledValue.from_complex(z) - ScaledValue.from_pow(q, n)) \
-                        * derivs[n]
-                    total = total + a_n / denom
+            if kind == RESIDUAL_ALPHA:
                 theta_z = theta_series_scaled(z, q, ctrl)
-                value = (g_val - theta_z * total) / theta_z
+                value = (G_series(z, x, signal, params, ctrl) - theta_z * total) / theta_z
             best = max(best, value.ln_abs())
         trace.append((k, math.exp(best) if best > -math.inf else 0.0))
     return trace

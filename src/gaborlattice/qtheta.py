@@ -27,7 +27,6 @@ kept only as diagnostic candidates:
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -254,41 +253,20 @@ def theta_prime_lattice(n: int, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -
     """
     n = _check_lattice_index(n)
     q = _check_q_open(q)
+    # carry u_l apart from the factor l, which is not geometric;
+    # u_0 = q^{(0-1)(0+2n)/2} = q^{-n} on both sides
+    u = {+1: ScaledValue.from_pow(q, -n), -1: ScaledValue.from_pow(q, -n)}
 
-    # carry u_l and l separately; the l factor is not geometric
-    total = ScaledValue.zero()  # l = 0 term vanishes
-    ln_tol = math.log(ctrl.abs_tol)
-    u_up = ScaledValue.from_pow(q, -n)  # u_0 = q^{(0-1)(0+2n)/2} = q^{-n}
-    u_down = u_up
-    best_ln = -math.inf
-    l_up = 0
-    l_down = 0
-    up_active = down_active = True
-    while up_active or down_active:
-        if up_active:
-            u_up = u_up * (-ScaledValue.from_pow(q, l_up + n))
-            l_up += 1
-            term = u_up * float(l_up)
-            total = total + term
-            t_ln = term.ln_abs()
-            best_ln = max(best_ln, t_ln)
-            if l_up >= ctrl.min_terms and t_ln < ln_tol + best_ln:
-                up_active = False
-        if down_active:
-            u_down = u_down * (-ScaledValue.from_pow(q, -(l_down - 1 + n)))
-            l_down -= 1
-            term = u_down * float(l_down)
-            total = total + term
-            t_ln = term.ln_abs()
-            best_ln = max(best_ln, t_ln)
-            if -l_down >= ctrl.min_terms and t_ln < ln_tol + best_ln:
-                down_active = False
-        if l_up > ctrl.max_terms or -l_down > ctrl.max_terms:
-            raise NonConvergenceError(
-                "theta_prime_lattice: series stalled",
-                diagnostics={"n": n, "q": q},
-            )
-    return total
+    def step_up(j, _):  # u_{j+1} = u_j * (-q^{j+n}), term (j+1) u_{j+1}
+        u[+1] = u[+1] * (-ScaledValue.from_pow(q, j + n))
+        return u[+1] * float(j + 1)
+
+    def step_down(j, _):  # u_{-(j+1)} = u_{-j} * (-q^{j+1-n}), term -(j+1) u_{-(j+1)}
+        u[-1] = u[-1] * (-ScaledValue.from_pow(q, j + 1 - n))
+        return u[-1] * float(-(j + 1))
+
+    # the l = 0 term vanishes
+    return _two_sided_sum(ScaledValue.zero(), step_up, step_down, ctrl, "theta_prime_lattice")
 
 
 def lattice_derivative_candidate(

@@ -31,10 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
-from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E
-from .scaled import BASE_LOG2, ScaledValue, exp_pow2, ldexp_array
-from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
-from .signals import GAUSSIAN_FAMILY, gamma_closed_form, gamma_quadrature
+from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
+from .scaled import BASE_LOG2, ScaledValue, exp_pow2, ldexp_array, scaled_arrays
+from .signals import GammaSource, GammaTable, QuadratureControl, SignalModel, eval_signal
+from .signals import forward_table
 
 #: global normalisation of the reconstruction formula (see calibrate_constant)
 RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
@@ -46,9 +46,6 @@ MAX_GRID_POINTS = 10**7
 #: O(POINT_CHUNK * (M + K)) whatever the grid size
 POINT_CHUNK = 256
 
-DIRECT = "direct"
-FOURIER_GRID = "fourier_grid"
-
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -56,7 +53,6 @@ class ReconConfig:
 
     tol: float = 1e-8
     grid: tuple[float, float, float] = (-3.0, 3.0, 0.05)  # (x_min, x_max, step)
-    mode: str = DIRECT
     truncation: tuple[int, int] | None = None  # explicit (M, K) or None for automatic
 
     def __post_init__(self):
@@ -65,8 +61,6 @@ class ReconConfig:
         x_min, x_max, step = self.grid
         if not (math.isfinite(x_min) and math.isfinite(x_max) and step > 0):
             raise InvalidParameterError(f"bad grid {self.grid!r}")
-        if self.mode not in (DIRECT, FOURIER_GRID):
-            raise InvalidParameterError(f"unknown mode {self.mode!r}")
         if self.truncation is not None:
             M, K = self.truncation
             if M < 0 or K < 0:
@@ -123,14 +117,12 @@ def _require_subcritical(params: LatticeParams):
         )
 
 
-def _block(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ScaledValue as mant[i, j] * B**exps[i] (B = 2**128).
+def _block(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries mant[i, j] * B**exps[i, j] (B = 2**128) as mant'[i, j] * B**top[i].
 
     Each row is rescaled to the exponent of its largest entry with exact
     ldexp; an all-zero row gets exponent 0.
     """
-    mant = np.array([[v.mantissa for v in row] for row in rows], dtype=complex)
-    exps = np.array([[v.exponent for v in row] for row in rows], dtype=np.int64)
     top = _masked_max(exps, mant != 0, axis=1)
     return ldexp_array(mant, (exps - top[:, None]) * BASE_LOG2), top
 
@@ -156,7 +148,7 @@ def inner_fourier_sum(row, x, K: int):
             f"row must hold 2K+1 = {2 * K + 1} entries, got {width}"
         )
     if scaled:
-        row, exps = _block([row])
+        row, exps = _block(*scaled_arrays([row]))
     kx = np.multiply.outer(np.arange(-K, K + 1, dtype=float), x)
     total = row @ (np.cos(kx) + 1j * np.sin(kx))
     if scaled:
@@ -193,9 +185,9 @@ def reconstruct_point(
     if len(coeffs) < 2 * M + 1:
         raise InvalidParameterError("coefficient sequence does not cover [-M, M]")
     offset = (len(coeffs) - 1) // 2
-    gamma, gamma_exps = _block(table.values[table.M - M: table.M + M + 1,
-                                            table.K - K: table.K + K + 1])
-    e_mant, e_exps = _block([[c] for c in coeffs[offset - M: offset + M + 1]])
+    used = np.s_[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
+    gamma, gamma_exps = _block(table.mantissa[used], table.exponent[used])
+    e_mant, e_exps = _block(*scaled_arrays([[c] for c in coeffs[offset - M: offset + M + 1]]))
     block = gamma * e_mant
     row_bits = ((gamma_exps + e_exps) * BASE_LOG2)[:, None]
     m_tau = params.tau * np.arange(-M, M + 1, dtype=float)[:, None]
@@ -221,22 +213,6 @@ def reconstruct_point(
 
 
 # --------------------------------------------------------------- truncation
-
-
-def _gamma_source(signal: SignalModel, tau: float, quad: QuadratureControl | None):
-    quad = quad or QuadratureControl()
-    cache: dict[tuple[int, int], ScaledValue] = {}
-
-    def gamma(m: int, k: int) -> ScaledValue:
-        key = (m, k)
-        if key not in cache:
-            if signal.kind == GAUSSIAN_FAMILY:
-                cache[key] = gamma_closed_form(m, k, signal, tau)
-            else:
-                cache[key], _ = gamma_quadrature(m, k, signal, tau, quad)
-        return cache[key]
-
-    return gamma
 
 
 class _Cells:
@@ -326,18 +302,20 @@ def auto_truncation(
     x_max: float = 0.0,
     ctrl: SeriesControl | None = None,
     quad: QuadratureControl | None = None,
+    source: GammaSource | None = None,
 ) -> TruncationChoice:
     """Choose truncation orders (M, K) for a target relative accuracy.
 
     Runs the growth loop of :func:`_truncate` over the signal's own
-    coefficients (computed on demand) up to the hard caps MAX_M, MAX_K,
-    and refuses when the weighted tail is still above tol there.
+    coefficients, taken from ``source`` (see GammaSource.of), up to the
+    hard caps MAX_M, MAX_K, and refuses when the weighted tail is still
+    above tol there.
     """
     _require_subcritical(params)
     if not (0 < tol < 1):
         raise InvalidParameterError("tol must lie in (0, 1)")
-    gamma = _gamma_source(signal, params.tau, quad)
-    cells = _Cells(lambda m, k: gamma(m, k).ln_abs(), params, x_max, ctrl)
+    gamma = GammaSource.of(signal, params.tau, quad, source)
+    cells = _Cells(lambda m, k: gamma(m, k)[0].ln_abs(), params, x_max, ctrl)
     choice, converged = _truncate(cells, tol, MAX_M, MAX_K)
     if not converged:
         raise NonConvergenceError(
@@ -365,10 +343,9 @@ def reconstruct_grid(
     the growth loop of :func:`auto_truncation`, guard ring included,
     clipped to the table's extents (a table that is too small yields a
     larger tail_estimate, not an error); tail_estimate is always measured
-    at the (M, K) actually used.  ``threads`` and ``config.mode`` are
-    accepted for compatibility and change nothing: every mode runs the
-    same engine, whose fixed chunking and reduction order make the
-    result independent of any thread count.
+    at the (M, K) actually used.  ``threads`` is accepted for
+    compatibility and changes nothing: the fixed chunking and reduction
+    order make the result independent of any thread count.
 
     Wide-grid caveat: far beyond |x| ~ pi the result is O(g(x)) while
     the weighted terms are O(g(x mod 2pi)), so the exterior sum cancels
@@ -440,24 +417,22 @@ def round_trip(
 
     The primary end-to-end correctness check: truncation is chosen by
     :func:`auto_truncation` (unless the config pins it), the table is
-    built to exactly that size, and the report carries the errors
-    against the original signal.
+    built to exactly that size from the entries it computed, and the
+    report carries the errors against the original signal.
     """
-    from .qtheta import nome_from_tau
-
     params = tau if isinstance(tau, LatticeParams) else nome_from_tau(tau)
     config = config or ReconConfig()
     xs = grid_points(config.grid)
     x_reach = float(np.max(np.abs(xs))) if len(xs) else 0.0
+    source = GammaSource(signal, params.tau, quad)
     if config.truncation is not None:
         M, K = config.truncation
     else:
-        choice = auto_truncation(signal, params, config.tol, x_max=x_reach, quad=quad)
+        choice = auto_truncation(signal, params, config.tol, x_max=x_reach, quad=quad,
+                                 source=source)
         M, K = choice.M, choice.K
-    table = forward_table(signal, params.tau, M, K, quad=quad or QuadratureControl(),
-                          threads=threads)
-    pinned = ReconConfig(tol=config.tol, grid=config.grid, mode=config.mode,
-                         truncation=(M, K))
+    table = forward_table(signal, params.tau, M, K, quad=quad, threads=threads, source=source)
+    pinned = ReconConfig(tol=config.tol, grid=config.grid, truncation=(M, K))
     return reconstruct_grid(pinned, table, params, reference=signal, threads=threads)
 
 
@@ -469,8 +444,6 @@ def calibrate_constant(tau: float = 1.0, x: float = 0.0, M: int = 8, K: int = 16
     RECONSTRUCTION_CONSTANT must equal the fitted value (1/(2 pi)) to
     ~1e-8 relative; the acceptance suite asserts exactly that.
     """
-    from .qtheta import nome_from_tau
-
     params = nome_from_tau(tau)
     signal = SignalModel.gaussian([(1.0, 0.0, 0.0)])
     table = forward_table(signal, params.tau, M, K)

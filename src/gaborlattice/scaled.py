@@ -45,6 +45,24 @@ def ldexp_array(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
+def scaled_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ScaledValue as a complex mantissa array and an int64 exponent
+    array, entry for entry."""
+    mant = np.array([[v.mantissa for v in row] for row in rows], dtype=complex)
+    exps = np.array([[v.exponent for v in row] for row in rows], dtype=np.int64)
+    return mant, exps
+
+
+def normalise_array(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mant * B**exps (mant finite) with each entry normalised as ScaledValue
+    normalises it: |mantissa| in [1, B), and 0j with exponent 0 for a zero."""
+    _, e2 = np.frexp(np.abs(mant))
+    zero = mant == 0
+    shift = np.where(zero, 0, (e2 - 1) // BASE_LOG2)
+    return (np.where(zero, 0j, ldexp_array(mant, -shift * BASE_LOG2)),
+            np.where(zero, 0, exps + shift))
+
+
 def exp_pow2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e^t as (f, n) with e^t = f * 2**n, n an exact integer and f in [1, 2)
     up to rounding.

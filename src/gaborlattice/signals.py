@@ -12,7 +12,7 @@ The forward transform computed here is the rectangular table of
     gamma_{m,k} = integral exp(-i k x - tau m x) f(x) exp(-x^2/4) dx,
 
 whose entries grow like exp(tau^2 m^2) along m and are therefore
-stored as ScaledValue.
+stored as mantissa * (2**128)**exponent, entry by entry.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .scaled import LN_BASE, ScaledValue
+from .scaled import LN_BASE, ScaledValue, normalise_array, scaled_arrays
 
 LN_TWO_PI = math.log(2.0 * math.pi)
 EPS = sys.float_info.epsilon
@@ -315,66 +315,121 @@ def gamma_quadrature(
     )
 
 
-def _frozen_grid(M: int, K: int, rows) -> np.ndarray:
-    arr = np.empty((2 * M + 1, 2 * K + 1), dtype=object)
-    for i in range(2 * M + 1):
-        for j in range(2 * K + 1):
-            arr[i, j] = rows[i][j]
-    arr.setflags(write=False)
-    return arr
+class GammaSource:
+    """gamma_{m,k} of one signal at one tau, each entry computed once.
+
+    ``source(m, k)`` returns ``(value, abs_err)``: the closed form and its
+    rounding bound for a Gaussian family, :func:`gamma_quadrature`
+    otherwise.  Handing one source to ``recon.auto_truncation`` and to
+    :func:`forward_table` lets the table reuse the entries the truncation
+    probed.
+    """
+
+    def __init__(self, signal: SignalModel, tau: float, quad: QuadratureControl | None = None):
+        self.signal = signal
+        self.tau = tau
+        self.quad = quad or _DEFAULT_QUAD
+        self._entries: dict[tuple[int, int], tuple[ScaledValue, ScaledValue]] = {}
+
+    @classmethod
+    def of(cls, signal: SignalModel, tau: float, quad: QuadratureControl | None = None,
+           source: "GammaSource | None" = None) -> "GammaSource":
+        """``source`` if it was built for this signal, tau and quad; a new source if None."""
+        if source is not None and (source.signal, source.tau, source.quad) != (
+                signal, tau, quad or _DEFAULT_QUAD):
+            raise InvalidParameterError("gamma source was built for another signal, tau or quad")
+        return source or cls(signal, tau, quad)
+
+    def __call__(self, m: int, k: int) -> tuple[ScaledValue, ScaledValue]:
+        key = (m, k)
+        if key not in self._entries:
+            if self.signal.kind == GAUSSIAN_FAMILY:
+                self._entries[key] = (gamma_closed_form(m, k, self.signal, self.tau),
+                                      _closed_form_bound(m, k, self.signal, self.tau))
+            else:
+                self._entries[key] = gamma_quadrature(m, k, self.signal, self.tau, self.quad)
+        return self._entries[key]
+
+
+def _column(payload: dict, key: str, kinds: str, size: int) -> np.ndarray:
+    """One payload column as a 1-d array of ``size`` finite numbers of a
+    dtype kind in ``kinds``."""
+    try:
+        col = np.asarray(payload[key])
+    except ValueError:  # ragged nesting
+        col = None
+    if (col is None or col.ndim != 1 or col.dtype.kind not in kinds or len(col) != size
+            or not np.isfinite(col).all()):
+        raise InvalidParameterError(
+            f"payload column {key!r} must be a list of {size} "
+            f"{'integers' if kinds == 'iu' else 'finite numbers'}")
+    return col
 
 
 class GammaTable:
     """Immutable (2M+1) x (2K+1) table of scaled lattice coefficients.
 
-    ``errors`` holds each entry's absolute error bound when the table was
-    computed here (:func:`forward_table`), and is None for a table read
-    back from a payload, which carries the values only.
+    Entry (m, k) is ``mantissa[m + M, k + K] * B**exponent[m + M, k + K]``
+    (B = 2**128), normalised as ScaledValue normalises it: the columns of
+    the table file.  Every entry keeps its own exponent, because a single
+    row can span more than the double range.
+
+    ``errors`` is the GammaTable of each entry's absolute error bound when
+    the table was computed here (:func:`forward_table`), and None for a
+    table read back from a payload, which carries the values only.
     """
 
-    def __init__(self, M: int, K: int, tau: float, values, errors=None):
+    def __init__(self, M: int, K: int, tau: float, mantissa, exponent,
+                 errors: "GammaTable | None" = None):
         self.M = M
         self.K = K
         self.tau = tau
-        self.values = _frozen_grid(M, K, values)
-        self.errors = None if errors is None else _frozen_grid(M, K, errors)
+        self.mantissa = np.array(mantissa, dtype=complex).reshape(2 * M + 1, 2 * K + 1)
+        self.exponent = np.array(exponent, dtype=np.int64).reshape(2 * M + 1, 2 * K + 1)
+        self.mantissa.setflags(write=False)
+        self.exponent.setflags(write=False)
+        self.errors = errors
 
     def get(self, m: int, k: int) -> ScaledValue:
         if abs(m) > self.M or abs(k) > self.K:
             raise InvalidParameterError(
                 f"(m={m}, k={k}) outside table extents M={self.M}, K={self.K}"
             )
-        return self.values[m + self.M, k + self.K]
+        i, j = m + self.M, k + self.K
+        return ScaledValue(complex(self.mantissa[i, j]), int(self.exponent[i, j]))
 
     def row(self, m: int) -> list[ScaledValue]:
-        if abs(m) > self.M:
-            raise InvalidParameterError(f"m={m} outside table extent M={self.M}")
-        return list(self.values[m + self.M, :])
+        return [self.get(m, k) for k in range(-self.K, self.K + 1)]
 
     def to_payload(self) -> dict:
         """Columnar, JSON-ready form (bit-exact round trip)."""
-        ms, ks, re, im, ex = [], [], [], [], []
-        for m in range(-self.M, self.M + 1):
-            for k in range(-self.K, self.K + 1):
-                sv = self.get(m, k)
-                ms.append(m)
-                ks.append(k)
-                re.append(sv.mantissa.real)
-                im.append(sv.mantissa.imag)
-                ex.append(sv.exponent)
-        return {"m": ms, "k": ks, "mantissa_re": re, "mantissa_im": im, "exponent": ex}
+        width, height = 2 * self.K + 1, 2 * self.M + 1
+        return {
+            "m": np.repeat(np.arange(-self.M, self.M + 1), width).tolist(),
+            "k": np.tile(np.arange(-self.K, self.K + 1), height).tolist(),
+            "mantissa_re": self.mantissa.real.ravel().tolist(),
+            "mantissa_im": self.mantissa.imag.ravel().tolist(),
+            "exponent": self.exponent.ravel().tolist(),
+        }
 
     @classmethod
     def from_payload(cls, M: int, K: int, tau: float, payload: dict) -> "GammaTable":
-        rows = [[None] * (2 * K + 1) for _ in range(2 * M + 1)]
-        for m, k, re, im, ex in zip(
-            payload["m"], payload["k"], payload["mantissa_re"],
-            payload["mantissa_im"], payload["exponent"],
-        ):
-            rows[m + M][k + K] = ScaledValue(complex(re, im), ex)
-        if any(entry is None for row in rows for entry in row):
-            raise InvalidParameterError("payload does not cover the full index range")
-        return cls(M, K, tau, rows)
+        """Inverse of :meth:`to_payload`.  The entries may come in any order,
+        but every (m, k) of the table exactly once; anything else is refused."""
+        if M < 0 or K < 0:
+            raise InvalidParameterError("M and K must be non-negative")
+        width, size = 2 * K + 1, (2 * M + 1) * (2 * K + 1)
+        m, k, exps = (_column(payload, key, "iu", size) for key in ("m", "k", "exponent"))
+        re, im = (_column(payload, key, "iuf", size) for key in ("mantissa_re", "mantissa_im"))
+        flat = (m + M) * width + (k + K)
+        order = np.argsort(flat)  # row-major, as to_payload lists them
+        in_range = np.all((-M <= m) & (m <= M) & (-K <= k) & (k <= K))
+        if not (in_range and np.array_equal(flat[order], np.arange(size))):
+            raise InvalidParameterError(
+                f"payload must list every (m, k) with |m| <= {M}, |k| <= {K} exactly once")
+        mant = np.empty(size, dtype=complex)
+        mant.real, mant.imag = re[order], im[order]
+        return cls(M, K, tau, *normalise_array(mant, exps[order]))
 
     def __eq__(self, other):
         if not isinstance(other, GammaTable):
@@ -383,11 +438,8 @@ class GammaTable:
             self.M == other.M
             and self.K == other.K
             and self.tau == other.tau
-            and all(
-                self.values[i, j] == other.values[i, j]
-                for i in range(2 * self.M + 1)
-                for j in range(2 * self.K + 1)
-            )
+            and np.array_equal(self.mantissa, other.mantissa)
+            and np.array_equal(self.exponent, other.exponent)
         )
 
 
@@ -398,12 +450,14 @@ def forward_table(
     K: int,
     quad: QuadratureControl = _DEFAULT_QUAD,
     threads: int = 1,
+    source: GammaSource | None = None,
 ) -> GammaTable:
     """Fill the full coefficient table, closed form where available.
 
     Every entry's absolute error bound is kept in ``table.errors``: the
     rounding bound of the closed form, or the bound returned by
-    :func:`gamma_quadrature`.
+    :func:`gamma_quadrature`.  Entries already in ``source`` (see
+    :meth:`GammaSource.of`) are not computed again.
 
     ``threads`` is accepted for compatibility and changes nothing: the
     entries are pure-Python work that a thread pool cannot overlap under
@@ -413,14 +467,8 @@ def forward_table(
         raise InvalidParameterError("M and K must be non-negative")
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidParameterError(f"tau must be a finite positive real, got {tau!r}")
-
-    if signal.kind == GAUSSIAN_FAMILY:
-        entry = lambda m, k: (gamma_closed_form(m, k, signal, tau),
-                              _closed_form_bound(m, k, signal, tau))
-    else:
-        entry = lambda m, k: gamma_quadrature(m, k, signal, tau, quad)
-
-    rows = [[entry(m, k) for k in range(-K, K + 1)] for m in range(-M, M + 1)]
-    values = [[value for value, _ in row] for row in rows]
-    errors = [[err for _, err in row] for row in rows]
-    return GammaTable(M, K, tau, values, errors)
+    source = GammaSource.of(signal, tau, quad, source)
+    entries = [[source(m, k) for k in range(-K, K + 1)] for m in range(-M, M + 1)]
+    values = scaled_arrays([[value for value, _ in row] for row in entries])
+    errors = scaled_arrays([[err for _, err in row] for row in entries])
+    return GammaTable(M, K, tau, *values, errors=GammaTable(M, K, tau, *errors))

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .oracle import (
+    ContourSpec,
     G_OVER_THETA,
     GTILDE_OVER_THETA,
     RESIDUAL_ALPHA,
@@ -34,13 +35,15 @@ from .qtheta import (
     coeff_E,
     eta,
     lattice_derivative_candidate,
+    nome_from_tau,
     theta_prime_lattice,
+    theta_product,
     theta_series,
     theta_series_scaled,
 )
 from .scaled import ScaledValue
-from .signals import SignalModel
-from .recon import auto_truncation
+from .signals import SignalModel, forward_table
+from .recon import auto_truncation, inner_fourier_sum
 
 SUITES = ("theta", "coeffs", "poisson", "interpolation", "all")
 
@@ -92,8 +95,6 @@ def _is_zero_signal(signal: SignalModel) -> bool:
 
 def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
-    from .qtheta import theta_product
-
     # product vs series on the fixed (q, z) grid
     worst = 0.0
     for i in range(1, 19):
@@ -247,7 +248,6 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
     # can take part (for tiny nomes that limits the list to small m).
     worst = 0.0
     tested = []
-    from .oracle import ContourSpec
     for m in (0, 1, 2):
         conditioning = math.exp(-m * m / 2.0 * params.ln_q) * 5e-16
         if conditioning > 1e-11:
@@ -269,9 +269,6 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
 
 def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
                   ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
-    from .recon import inner_fourier_sum
-    from .signals import forward_table
-
     checks: list[CheckRecord] = []
     signal = signal or _default_signal()
     if _is_zero_signal(signal):
@@ -379,8 +376,6 @@ def run_suite(
     signal: SignalModel | None = None,
     ctrl: SeriesControl = _DEFAULT_CTRL,
 ) -> SuiteReport:
-    from .qtheta import nome_from_tau
-
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     params = nome_from_tau(tau)

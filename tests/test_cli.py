@@ -6,6 +6,7 @@ import pytest
 
 from gaborlattice.cli import main
 
+COLUMNS = ("m", "k", "mantissa_re", "mantissa_im", "exponent")
 GAUSSIAN = {"kind": "gaussian_family",
             "components": [{"amplitude": 1.0, "center": 0.0, "modulation": 0.0}]}
 
@@ -288,6 +289,33 @@ class TestValidation:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["forward", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        # an extra entry m=-2 on M=1 (it used to wrap onto row m=+1)
+        lambda d: [d[key].append(v) for key, v in zip(COLUMNS, (-2, 0, 123.0, 0.0, 0))],
+        lambda d: d["m"].__setitem__(0, -2),
+        # (0, 0) once more, at the end and in place of (-1, -1)
+        lambda d: [d[key].append(d[key][4]) for key in COLUMNS],
+        lambda d: [d[key].__setitem__(0, d[key][4]) for key in COLUMNS],
+        lambda d: d["mantissa_im"].pop(),
+        lambda d: d["mantissa_re"].__setitem__(0, "abc"),
+        lambda d: d["mantissa_im"].__setitem__(0, float("nan")),
+    ], ids=["extra_m", "m_out_of_range", "extra_duplicate", "duplicate",
+            "short_column", "non_numeric_mantissa", "nan_mantissa"])
+    def test_bad_table_exit_2_no_partial_output(self, tmp_path, corrupt):
+        cfg = write_json(tmp_path / "fwd.json",
+                         {"tau": 1.0, "signal": GAUSSIAN, "truncation": {"M": 1, "K": 1}})
+        table = tmp_path / "table.json"
+        assert main(["forward", "--config", cfg, "--output", str(table)]) == 0
+        doc = json.loads(table.read_text())
+        corrupt(doc["data"])
+        table.write_text(json.dumps(doc))
+        rec = write_json(tmp_path / "rec.json",
+                         {"tau": 1.0, "grid": {"min": -1.0, "max": 1.0, "step": 0.5}})
+        rc = main(["reconstruct", "--config", rec, "--table", str(table),
+                   "--output", str(tmp_path / "pts.csv")])
+        assert rc == 2
+        assert not any(p.name.startswith("pts.csv") for p in tmp_path.iterdir())
 
     def test_bad_signal_kind(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {

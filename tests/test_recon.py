@@ -191,6 +191,22 @@ class TestRoundTrip:
                 assert report.sup_error <= max(1e-6, 100.0 * report.tail_estimate), (
                     sig, tau, report.sup_error)
 
+    def test_callback_entries_computed_once(self, two_component, monkeypatch):
+        import gaborlattice.signals as signals
+
+        keys = []
+        quadrature = signals.gamma_quadrature
+
+        def counting(m, k, *args):
+            keys.append((m, k))
+            return quadrature(m, k, *args)
+
+        monkeypatch.setattr(signals, "gamma_quadrature", counting)
+        cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
+        report = round_trip(cb, 0.6, ReconConfig(tol=1e-4, grid=(-1.0, 1.0, 0.5)))
+        assert len(keys) == len(set(keys))
+        assert len(keys) >= (2 * report.M_used + 1) * (2 * report.K_used + 1)
+
     def test_monotone_truncation(self, unit_gaussian):
         errors = []
         for M in (3, 4, 5, 6):
@@ -236,27 +252,9 @@ class TestRoundTrip:
 
 
 class TestGridDriver:
-    def test_modes_agree_with_residue_reuse(self, unit_gaussian, params_tau1):
-        # span just over 2 pi: the residue classes genuinely repeat, and
-        # every grid point still sits where the exterior sum is well
-        # conditioned (far beyond |x| ~ pi the aliased images cancel many
-        # digits deep and pointwise roundoff, not the mode, dominates)
-        table = forward_table(unit_gaussian, 1.0, 5, 9)
-        step = 2.0 * math.pi / 32
-        base = dict(tol=1e-8, grid=(-math.pi - 0.3, math.pi + 0.3, step),
-                    truncation=(5, 9))
-        direct = reconstruct_grid(ReconConfig(mode="direct", **base), table, params_tau1)
-        fourier = reconstruct_grid(ReconConfig(mode="fourier_grid", **base), table,
-                                   params_tau1)
-        assert len(direct.xs) > 32  # wraps: reuse actually happened
-        scale = np.max(np.abs(direct.reconstructed))
-        gap = np.max(np.abs(direct.reconstructed - fourier.reconstructed))
-        assert gap <= 1e-10 * scale
-
-    def test_fourier_mode_falls_back_on_irrational_step(self, unit_gaussian, params_tau1):
+    def test_irrational_step_grid(self, unit_gaussian, params_tau1):
         table = forward_table(unit_gaussian, 1.0, 4, 8)
-        cfg = ReconConfig(grid=(-1.0, 1.0, 0.1 * math.sqrt(2.0)), mode="fourier_grid",
-                          truncation=(4, 8))
+        cfg = ReconConfig(grid=(-1.0, 1.0, 0.1 * math.sqrt(2.0)), truncation=(4, 8))
         report = reconstruct_grid(cfg, table, params_tau1, reference=unit_gaussian)
         assert report.sup_error <= 1e-8
 

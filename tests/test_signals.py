@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from gaborlattice import (
+    GammaSource,
     GammaTable,
     InvalidParameterError,
     QuadratureControl,
     SignalModel,
+    auto_truncation,
     eval_signal,
     forward_table,
     gamma_closed_form,
     gamma_quadrature,
+    nome_from_tau,
     windowed_sample_scaled,
 )
 
@@ -76,7 +79,7 @@ class TestClosedForm:
                             * mp.sqrt(2 * mp.pi) * mp.exp(s * s / 2))
                     exact += term
                     scale += abs(term)
-                sv, bound = table.get(m, k), table.errors[m + 14, k + 3]
+                sv, bound = table.get(m, k), table.errors.get(m, k)
                 err = abs(mp.mpc(sv.mantissa) * mp.mpf(2) ** (128 * sv.exponent) - exact)
                 ln_bound = bound.ln_abs()
                 assert mp.log(err) <= ln_bound, (m, k)
@@ -165,7 +168,7 @@ class TestQuadrature:
 class TestForwardTable:
     def test_single_entry(self, unit_gaussian):
         table = forward_table(unit_gaussian, 1.0, 0, 0)
-        assert table.values.shape == (1, 1)
+        assert table.mantissa.shape == (1, 1)
         assert table.get(0, 0).to_complex() == pytest.approx(SQRT_2PI, rel=1e-14)
 
     def test_zero_signal(self):
@@ -208,10 +211,53 @@ class TestForwardTable:
         t4 = forward_table(two_component, 0.8, 3, 4, threads=4)
         assert t1 == t4
 
-    def test_payload_roundtrip_bit_exact(self, two_component):
+    def test_payload_roundtrip_bit_exact(self, two_component, unit_gaussian):
         table = forward_table(two_component, 0.8, 2, 3)
         clone = GammaTable.from_payload(2, 3, 0.8, table.to_payload())
         assert clone == table
+        # row 0 spans e^{800}; scaled to one exponent per row its edge
+        # would fall below the smallest subnormal, e^{-745}: only
+        # per-entry exponents keep it exact
+        wide = forward_table(unit_gaussian, 1.0, 1, 40)
+        assert wide.get(0, 0).ln_abs() - wide.get(0, 40).ln_abs() > 745
+        payload = wide.to_payload()
+        clone = GammaTable.from_payload(1, 40, 1.0, payload)
+        assert clone == wide and clone.to_payload() == payload
+
+    def test_payload_in_any_order(self, two_component):
+        table = forward_table(two_component, 0.8, 1, 2)
+        payload = {key: column[::-1] for key, column in table.to_payload().items()}
+        assert GammaTable.from_payload(1, 2, 0.8, payload) == table
+
+    @pytest.mark.parametrize("column, index, value", [
+        ("m", 0, -2),            # outside the extents
+        ("k", 1, -2),            # (-1, -2) twice, (-1, -1) missing
+        ("exponent", 0, 0.5),    # not an integer
+        ("mantissa_re", 0, "x"),
+        ("mantissa_im", 0, math.nan),
+    ])
+    def test_bad_payload_refused(self, two_component, column, index, value):
+        payload = forward_table(two_component, 0.8, 1, 2).to_payload()
+        payload[column][index] = value
+        with pytest.raises(InvalidParameterError):
+            GammaTable.from_payload(1, 2, 0.8, payload)
+        payload = forward_table(two_component, 0.8, 1, 2).to_payload()
+        payload[column].append(payload[column][-1])
+        with pytest.raises(InvalidParameterError, match="list of 15"):
+            GammaTable.from_payload(1, 2, 0.8, payload)
+
+    def test_shared_source_changes_nothing(self, two_component):
+        quad = QuadratureControl(tol=1e-10)
+        cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
+        for signal in (two_component, cb):
+            source = GammaSource(signal, 0.6, quad)
+            choice = auto_truncation(signal, nome_from_tau(0.6), 1e-4, quad=quad, source=source)
+            shared = forward_table(signal, 0.6, choice.M, choice.K, quad, source=source)
+            alone = forward_table(signal, 0.6, choice.M, choice.K, quad)
+            assert shared == alone
+            assert shared.errors == alone.errors
+        with pytest.raises(InvalidParameterError, match="another signal"):
+            forward_table(two_component, 0.8, 1, 1, quad, source=source)
 
     def test_entries_keep_their_bounds(self, two_component):
         cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
@@ -220,9 +266,10 @@ class TestForwardTable:
             for k in range(-2, 3):
                 value, err = gamma_quadrature(m, k, cb, 0.8, QuadratureControl(tol=1e-8))
                 assert table.get(m, k) == value
-                assert table.errors[m + 1, k + 2] == err
+                assert table.errors.get(m, k) == err
         closed = forward_table(two_component, 0.8, 1, 2)
-        assert all(e.ln_abs() > -math.inf for e in closed.errors.flat)
+        assert all(closed.errors.get(m, k).ln_abs() > -math.inf
+                   for m in range(-1, 2) for k in range(-2, 3))
         clone = GammaTable.from_payload(1, 2, 0.8, closed.to_payload())
         assert clone == closed and clone.errors is None
 
