@@ -378,8 +378,10 @@ def cmd_verify(args) -> int:
         _expect_keys(config, "config", set(), {"signal"})
         if "signal" in config:
             signal = parse_signal(config["signal"])
+    start = time.perf_counter()
     report = run_suite(args.suite, args.tau, signal=signal)
-    _emit(args.output, _json_dumps(report.to_payload()))
+    meta = {"elapsed_seconds": time.perf_counter() - start, "tool_version": __version__}
+    _emit(args.output, _json_dumps({**report.to_payload(), "meta": meta}))
     return 0 if report.passed else 1
 
 

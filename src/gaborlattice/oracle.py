@@ -25,15 +25,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .qtheta import (
-    SUPERCRITICAL,
-    LatticeParams,
-    SeriesControl,
-    theta_prime_lattice,
-    theta_series_scaled,
-)
-from .scaled import ScaledValue
+from .qtheta import (SUPERCRITICAL, LatticeParams, SeriesControl, theta_prime_lattice,
+                     theta_series_scaled, z_array)
+from .recon import auto_truncation
+from .scaled import (BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, log2_split, normalise_array,
+                     pack, scaled_arrays, sub_arrays, sum_rows)
 from .signals import SignalModel, windowed_sample_scaled
 
 _DEFAULT_CTRL = SeriesControl()
@@ -73,89 +72,89 @@ def balanced_contour(params: LatticeParams, nodes: int = 128) -> ContourSpec:
     return ContourSpec(radius=math.exp(-0.5 * params.ln_q), nodes=nodes)
 
 
-def _sum_aliased(signal: SignalModel, x: float, weight_ln, weight_value,
-                 ctrl: SeriesControl, label: str) -> ScaledValue:
-    """Two-sided sum over j of g(x + 2 pi j) * w^j in scaled arithmetic.
+def _sum_aliased(signal: SignalModel, x: float, w_split: tuple, arg_w: np.ndarray,
+                 ctrl: SeriesControl, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j g(x + 2 pi j) w^j for each weight w, given by arg_w and
+    w_split = (e, ln r) with |w| = 2**e r (scaled.log2_split).
 
-    ``weight_ln(j)`` is log|w^j|; ``weight_value(j)`` builds the scaled
-    weight.  Termination is driven by the declared signal envelope: a
-    side stops once its envelope bound drops below abs_tol relative to
-    the best bound seen and is past its peak.  The envelope is
-    log-concave in j per side, so that test is safe for oscillating
-    callbacks whose actual samples may vanish.
+    Termination is driven by the declared signal envelope: for each w, j
+    runs at least min_terms per side and one term past the last whose
+    envelope bound is within abs_tol of that w's largest.  The envelope is
+    log-concave in j per side, so this is safe for oscillating callbacks
+    whose samples may vanish.  Each g(x + 2 pi j) is sampled once per call.
     """
     ln_c, alpha = signal.envelope_ln()
     if ln_c == -math.inf:  # identically zero signal
-        return ScaledValue.zero()
-    ln_tol = math.log(ctrl.abs_tol)
-
-    def env_ln(j: int) -> float:
+        return np.zeros(len(arg_w), dtype=complex), np.zeros(len(arg_w), dtype=np.int64)
+    e_w, lnr_w = w_split[0][:, None], w_split[1][:, None]
+    ln_w = e_w * math.log(2.0) + lnr_w
+    reach = ctrl.min_terms
+    while True:
+        j = np.arange(-reach, reach + 1)
         X = x + 2.0 * math.pi * j
-        return ln_c + alpha * abs(X) - X * X / 4.0 + weight_ln(j)
-
-    def term(j: int) -> ScaledValue:
-        return windowed_sample_scaled(signal, x + 2.0 * math.pi * j) * weight_value(j)
-
-    total = term(0)
-    best_env = env_ln(0)
-    sides = {+1: [0, True, best_env], -1: [0, True, best_env]}  # j, active, prev_env
-    count = 0
-    while sides[+1][1] or sides[-1][1]:
-        for direction in (+1, -1):
-            j_cur, active, prev_env = sides[direction]
-            if not active:
-                continue
-            j_next = j_cur + direction
-            total = total + term(j_next)
-            env = env_ln(j_next)
-            best_env = max(best_env, env)
-            if abs(j_next) >= ctrl.min_terms and env < prev_env and env < ln_tol + best_env:
-                active = False
-            sides[direction] = [j_next, active, env]
-        count += 1
-        if count > ctrl.max_terms:
-            raise NonConvergenceError(
-                f"{label}: aliased sum did not terminate within {ctrl.max_terms} "
-                "terms per side",
-                diagnostics={"x": x},
-            )
-    return total
+        env = ln_c + alpha * np.abs(X) - X * X / 4.0 + j * ln_w
+        keep = env >= env.max(axis=1, keepdims=True) + math.log(ctrl.abs_tol)
+        # the window is wide enough once both edges are dropped and fall away outward
+        if not (keep[:, [0, -1]].any() or np.any(env[:, [0, -1]] >= env[:, [1, -2]])):
+            break
+        if reach >= ctrl.max_terms:
+            raise NonConvergenceError(f"{label}: aliased sum did not terminate within "
+                                      f"{ctrl.max_terms} terms per side", diagnostics={"x": x})
+        reach = min(2 * reach, ctrl.max_terms)
+    lo = np.minimum(j[np.argmax(keep, axis=1)] - 1, -ctrl.min_terms)[:, None]
+    hi = np.maximum(j[::-1][np.argmax(keep[:, ::-1], axis=1)] + 1, ctrl.min_terms)[:, None]
+    j = np.arange(lo.min(initial=0), hi.max(initial=0) + 1)
+    g_mant, g_exps = scaled_arrays(
+        [[windowed_sample_scaled(signal, x + 2.0 * math.pi * jj) for jj in j]])
+    f, bits = exp_pow2(j * lnr_w)
+    mant = np.where((j >= lo) & (j <= hi), g_mant * f * np.exp(1j * j * arg_w[:, None]), 0.0)
+    return sum_rows(mant, g_exps * BASE_LOG2 + bits + j * e_w)
 
 
-def spatial_A(m: int, x: float, signal: SignalModel, params: LatticeParams,
-              ctrl: SeriesControl = _DEFAULT_CTRL) -> ScaledValue:
-    """A_m(x) = sum_j g(x + 2 pi j) q^{m j} with g = (1/2pi) f e^{-x^2/4}."""
-    if params.regime == SUPERCRITICAL and abs(m) > 8:
-        raise InvalidParameterError(
-            "spatial sums with large |m| diverge in the supercritical regime"
-        )
-    ln_q = params.ln_q
-    return _sum_aliased(
-        signal, x,
-        weight_ln=lambda j: m * j * ln_q,
-        weight_value=lambda j: ScaledValue.from_pow(params.q, m * j),
-        ctrl=ctrl, label="spatial_A",
-    )
+def spatial_A(m, x: float, signal: SignalModel, params: LatticeParams,
+              ctrl: SeriesControl = _DEFAULT_CTRL):
+    """A_m(x) = sum_j g(x + 2 pi j) q^{m j} with g = (1/2pi) f e^{-x^2/4}: a
+    ScaledValue for an integer m, (mantissa, exponent) arrays for an array."""
+    ms = np.asarray(m).reshape(-1)
+    if params.regime == SUPERCRITICAL and np.any(np.abs(ms) > 8):
+        raise InvalidParameterError("spatial sums with |m| > 8 diverge when tau is supercritical")
+    e_q, lnr_q = log2_split(params.q)
+    return pack(*_sum_aliased(signal, x, (ms * e_q, ms * lnr_q), np.zeros(len(ms)), ctrl,
+                              "spatial_A"), np.ndim(m) == 0)
 
 
 def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
-             ctrl: SeriesControl = _DEFAULT_CTRL) -> ScaledValue:
-    """G_x(z) = sum_j g(x + 2 pi j) z^j.
+             ctrl: SeriesControl = _DEFAULT_CTRL):
+    """G_x(z) = sum_j g(x + 2 pi j) z^j: a ScaledValue for a scalar z,
+    (mantissa, exponent) arrays for a 1-d array of z.
 
-    The Gaussian window beats any geometric factor, so the sum
-    converges for every z != 0; within |log|z|| <= 2 pi^2 the term
-    magnitudes also stay far inside the scaled range.
+    The Gaussian window beats any geometric factor, so the sum converges
+    for every z != 0.
     """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("G is defined on C \\ {0}")
-    ln_abs_z = math.log(abs(z))
-    return _sum_aliased(
-        signal, x,
-        weight_ln=lambda j: j * ln_abs_z,
-        weight_value=lambda j: ScaledValue.from_pow(z, j),
-        ctrl=ctrl, label="G_series",
-    )
+    zs, scalar = z_array(z, "G")
+    return pack(*_sum_aliased(signal, x, log2_split(np.abs(zs)), np.angle(zs), ctrl,
+                              "G_series"), scalar)
+
+
+def _node_gaps(zs: np.ndarray, ns, q: float):
+    """z - q^n for each z (rows) and node n (columns) as normalised arrays,
+    and the relative distance |z - q^n| / max(|z|, q^n)."""
+    node = scaled_arrays([[ScaledValue.from_pow(q, int(n)) for n in ns]])
+    diff = sub_arrays((zs[:, None], np.zeros((len(zs), 1), dtype=np.int64)), node)
+    size = np.maximum(np.log(np.abs(zs))[:, None], np.log(np.abs(node[0])) + node[1] * LN_BASE)
+    with np.errstate(divide="ignore"):
+        return diff, np.exp(np.log(np.abs(diff[0])) + diff[1] * LN_BASE - size)
+
+
+def _node_weights(ns, a_mant: np.ndarray, a_exps: np.ndarray, q: float, ctrl: SeriesControl):
+    """A_n / Theta'(q^n; q) for each node n, each derivative computed once."""
+    d_mant, d_exps = scaled_arrays([[theta_prime_lattice(int(n), q, ctrl) for n in ns]])
+    return normalise_array(a_mant / d_mant, a_exps - d_exps)
+
+
+def _cardinal_sum(diff: tuple, weights: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n w_n / (z - q^n) over the columns of diff = z - q^n."""
+    return sum_rows(weights[0] / diff[0], (weights[1] - diff[1]) * BASE_LOG2)
 
 
 def lagrange_interpolant(
@@ -163,45 +162,39 @@ def lagrange_interpolant(
     samples: Sequence[tuple[int, ScaledValue]],
     params: LatticeParams,
     ctrl: SeriesControl = _DEFAULT_CTRL,
-) -> ScaledValue:
+):
     """Cardinal-function interpolant through the lattice samples:
 
         sum_n A_n * Theta(z; q) / ((z - q^n) Theta'(q^n; q)).
 
-    The node derivatives come from the verified
+    A ScaledValue for a scalar z, (mantissa, exponent) arrays for a 1-d
+    array of z; the sum is a (z, n) matrix.  The node derivatives come from
+    the verified
     :func:`~gaborlattice.qtheta.theta_prime_lattice` reference (the
     printed closed-form prefactor would inherit its sign/exponent slip).
     Exactly at a node the analytic limit A_n is returned; within a 5%
-    relative distance of a node (but not on it) evaluation refuses.
+    relative distance of a node it is not on, evaluation refuses.
     """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("interpolant is defined on C \\ {0}")
+    zs, scalar = z_array(z, "the interpolant")
     q = params.q
     ordered = sorted(samples, key=lambda item: item[0])
-
-    # node-collision handling
-    for n, a_n in ordered:
-        node = ScaledValue.from_pow(q, n)
-        node_c = node.to_complex()
-        rel = abs(z - node_c) / max(abs(z), abs(node_c))
-        if rel <= 1e-12:
-            return a_n if isinstance(a_n, ScaledValue) else ScaledValue.from_complex(a_n)
-        if rel < 0.05:
-            raise DomainError(
-                f"z is within 5% of the interpolation node q^{n}; "
-                "evaluate exactly on the node or farther away"
-            )
-
-    theta_z = theta_series_scaled(z, q, ctrl)
-    total = ScaledValue.zero()
-    for n, a_n in ordered:
-        if not isinstance(a_n, ScaledValue):
-            a_n = ScaledValue.from_complex(a_n)
-        denom = (ScaledValue.from_complex(z) - ScaledValue.from_pow(q, n)) * \
-            theta_prime_lattice(n, q, ctrl)
-        total = total + a_n / denom
-    return theta_z * total
+    ns = [n for n, _ in ordered]
+    a_mant, a_exps = scaled_arrays(
+        [[a if isinstance(a, ScaledValue) else ScaledValue.from_complex(a) for _, a in ordered]])
+    diff, rel = _node_gaps(zs, ns, q)
+    on_node = rel <= 1e-12
+    if np.any((rel < 0.05) & ~on_node):
+        raise DomainError("z is within 5% of an interpolation node q^n; "
+                          "evaluate exactly on the node or farther away")
+    node = np.argmax(on_node, axis=1)  # the node a row sits on, if any
+    mant, exps = a_mant[0, node], a_exps[0, node]
+    off = ~on_node.any(axis=1)
+    if off.any():
+        t_mant, t_exps = theta_series_scaled(zs[off], q, ctrl)
+        weights = _node_weights(ns, a_mant, a_exps, q, ctrl)
+        s_mant, s_exps = _cardinal_sum((diff[0][off], diff[1][off]), weights)
+        mant[off], exps[off] = normalise_array(t_mant * s_mant, t_exps + s_exps)
+    return pack(mant, exps, scalar)
 
 
 def laurent_c0(
@@ -218,23 +211,17 @@ def laurent_c0(
     the default is the balanced circle |z| = q^{-1/2}, the one radius
     where the extraction stays well conditioned for all m.  Averaging N
     uniform samples is exact up to modes +-N, +-2N, ..., whose weight
-    decays like q^{N^2/2}.
+    decays like q^{N^2/2}.  All N nodes are evaluated in one call.
     """
     contour = contour or balanced_contour(params)
     contour.validate(params)
     q = params.q
-    pole = ScaledValue.from_pow(q, m)
-    deriv = theta_prime_lattice(m, q, ctrl)
-    total = ScaledValue.zero()
-    n = contour.nodes
-    for t in range(n):
-        angle = 2.0 * math.pi * t / n
-        z = contour.radius * complex(math.cos(angle), math.sin(angle))
-        value = theta_series_scaled(z, q, ctrl) / (
-            (ScaledValue.from_complex(z) - pole) * deriv
-        )
-        total = total + value
-    return (total / n).to_complex()
+    zs = contour.radius * np.exp(2j * math.pi * np.arange(contour.nodes) / contour.nodes)
+    t_mant, t_exps = theta_series_scaled(zs, q, ctrl)
+    weights = _node_weights([m], *scaled_arrays([[ScaledValue.one()]]), q, ctrl)
+    c_mant, c_exps = _cardinal_sum(_node_gaps(zs, [m], q)[0], weights)
+    total = sum_rows((t_mant * c_mant)[None, :], (t_exps + c_exps)[None, :] * BASE_LOG2)
+    return (ScaledValue(total[0][0], int(total[1][0])) / contour.nodes).to_complex()
 
 
 G_OVER_THETA = "G_over_theta"
@@ -270,40 +257,26 @@ def mk_trace(
     if kind not in (G_OVER_THETA, GTILDE_OVER_THETA, RESIDUAL_ALPHA):
         raise InvalidParameterError(f"unknown trace kind {kind!r}")
     q = params.q
-
-    samples = None
-    if kind in (GTILDE_OVER_THETA, RESIDUAL_ALPHA):
+    if kind != G_OVER_THETA:
         if sample_extent is None:
-            from .recon import auto_truncation
-
-            reach = abs(x) + 0.0
-            sample_extent = auto_truncation(signal, params, 1e-10, x_max=reach).M + 2
-        samples = [
-            (n, spatial_A(n, x, signal, params, ctrl))
-            for n in range(-sample_extent, sample_extent + 1)
-        ]
-        derivs = {n: theta_prime_lattice(n, q, ctrl) for n, _ in samples}
-
+            sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
+        ns = np.arange(-sample_extent, sample_extent + 1)
+        weights = _node_weights(ns, *spatial_A(ns, x, signal, params, ctrl), q, ctrl)
     trace: list[tuple[int, float]] = []
-    for k in k_range:
-        radius = math.exp((k + 0.5) * params.ln_q)
-        best = -math.inf
-        for t in range(_TRACE_ANGLES):
-            angle = 2.0 * math.pi * t / _TRACE_ANGLES
-            z = radius * complex(math.cos(angle), math.sin(angle))
-            if kind == G_OVER_THETA:
-                value = G_series(z, x, signal, params, ctrl) / \
-                    theta_series_scaled(z, q, ctrl)
-            else:
-                total = ScaledValue.zero()
-                for n, a_n in samples:
-                    denom = (ScaledValue.from_complex(z) - ScaledValue.from_pow(q, n)) \
-                        * derivs[n]
-                    total = total + a_n / denom
-                value = total
-            if kind == RESIDUAL_ALPHA:
-                theta_z = theta_series_scaled(z, q, ctrl)
-                value = (G_series(z, x, signal, params, ctrl) - theta_z * total) / theta_z
-            best = max(best, value.ln_abs())
+    for k in k_range:  # circle by circle, which keeps the temporaries small
+        zs = math.exp((k + 0.5) * params.ln_q) * np.exp(
+            2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
+        if kind != GTILDE_OVER_THETA:
+            g = G_series(zs, x, signal, params, ctrl)
+            theta = theta_series_scaled(zs, q, ctrl)
+        if kind != G_OVER_THETA:
+            value = total = _cardinal_sum(_node_gaps(zs, ns, q)[0], weights)
+        if kind == G_OVER_THETA:
+            value = normalise_array(g[0] / theta[0], g[1] - theta[1])
+        elif kind == RESIDUAL_ALPHA:
+            gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))
+            value = normalise_array(gap[0] / theta[0], gap[1] - theta[1])
+        with np.errstate(divide="ignore"):
+            best = np.max(np.log(np.abs(value[0])) + value[1] * LN_BASE)
         trace.append((k, math.exp(best) if best > -math.inf else 0.0))
     return trace

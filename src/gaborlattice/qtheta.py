@@ -31,8 +31,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .scaled import ScaledValue
+import numpy as np
+
+from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
+from .scaled import (ScaledValue, exp_pow2, ldexp_array, ln_split, log2_split, pack, sum_rows,
+                     to_complex)
 
 CRITICAL_TAU = math.pi
 REGIME_TOLERANCE = 1e-12
@@ -126,106 +129,99 @@ def euler_product(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
     )
 
 
-def _check_z(z) -> complex:
-    z = complex(z)
-    if z == 0:
-        raise DomainError("theta is evaluated on C \\ {0}; z = 0 is not allowed")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+def z_array(z, what: str = "theta") -> tuple[np.ndarray, bool]:
+    """z as a 1-d complex array and whether it was a scalar; refuses 0 and
+    non-finite entries."""
+    zs = np.asarray(z, dtype=complex)
+    if np.any(zs == 0):
+        raise DomainError(f"{what} is evaluated on C \\ {{0}}; z = 0 is not allowed")
+    if not np.all(np.isfinite(zs)):
         raise DomainError(f"z must be finite, got {z!r}")
-    return z
+    return zs.reshape(-1), zs.ndim == 0
 
 
-def theta_product_scaled(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> ScaledValue:
-    """Product form of Theta(z; q) in scaled arithmetic."""
-    z = _check_z(z)
+def theta_product_scaled(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+    """Product form of Theta(z; q) in scaled arithmetic: a ScaledValue for a
+    scalar z, normalised (mantissa, exponent) arrays for a 1-d array of z.
+
+    Each z takes factors until q^n max(|z|, 1/|z|) < abs_tol (and at least
+    min_terms); the product is renormalised by a power of two per factor.
+    """
+    zs, scalar = z_array(z)
     q = _check_q_open(q)
-    zinv = 1.0 / z
-    big = max(abs(z), abs(zinv), 1.0)
-    acc = ScaledValue.from_complex(1.0 - z)
-    qn = 1.0
+    zinv = 1.0 / zs
+    big = np.maximum(np.maximum(np.abs(zs), np.abs(zinv)), 1.0)
+    acc, bits = 1.0 - zs, np.zeros(len(zs), dtype=np.int64)
+    live, qn = np.ones(len(zs), dtype=bool), 1.0
     for n in range(1, ctrl.max_terms + 1):
         qn *= q
-        acc = acc * ((1.0 - qn) * (1.0 - z * qn) * (1.0 - zinv * qn))
-        if n >= ctrl.min_terms and qn * big < ctrl.abs_tol:
-            return acc
-    raise NonConvergenceError(
-        f"theta_product: factors still deviate by {qn * big:.3e} "
-        f"after {ctrl.max_terms} terms",
-        diagnostics={"q": q, "abs_z": abs(z)},
-    )
+        acc = np.where(live, acc * ((1.0 - qn) * (1.0 - zs * qn) * (1.0 - zinv * qn)), acc)
+        _, e2 = np.frexp(np.abs(acc))
+        acc, bits = ldexp_array(acc, -e2), bits + e2
+        live &= (n < ctrl.min_terms) | (qn * big >= ctrl.abs_tol)
+        if not live.any():
+            return pack(*sum_rows(acc[:, None], bits[:, None]), scalar)
+    raise NonConvergenceError(f"theta_product: factors still deviate by {qn * big.max():.3e} "
+                              f"after {ctrl.max_terms} terms", diagnostics={"q": q})
 
 
-def theta_product(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> complex:
+def theta_product(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
     """Truncated triple product; relative accuracy O(abs_tol) away from zeros."""
-    return theta_product_scaled(z, q, ctrl).to_complex()
+    return to_complex(theta_product_scaled(z, q, ctrl))
 
 
-def _two_sided_sum(first: ScaledValue, step_up, step_down, ctrl: SeriesControl,
-                   label: str) -> ScaledValue:
-    """Interleaved two-sided summation n = 0, +1, -1, +2, -2, ...
+def _series_sum(z_split: tuple, arg_z: np.ndarray, q: float, ctrl: SeriesControl,
+                label: str, derivative: bool = False, lattice: int = 0):
+    """sum_n (-1)^n z^n q^{n(n-1)/2} (with derivative=True its z-derivative
+    sum_n (-1)^n n z^{n-1} q^{n(n-1)/2}) for each z = q^lattice 2**e r e^{i arg_z},
+    z_split = (e, ln r) (scaled.log2_split), as normalised arrays.
 
-    ``step_up(n, term)`` maps the term at index n >= 0 to the term at
-    n+1; ``step_down(n, term)`` maps the term at index -n <= 0 to the
-    one at -(n+1).  Each side stops once its term magnitude falls below
-    abs_tol relative to the largest magnitude seen so far (terms along
-    a side are unimodal, so this never fires before the peak).  The
-    interleave order is fixed for bit-reproducibility.
+    ln|z^n q^{n(n-1)/2}| = n ln|z| - a n(n-1)/2 (a = -ln q) peaks at
+    n* = ln|z|/a + 1/2 and is below abs_tol of its top for |n - n*| > d,
+    d^2 = 2(a/8 - ln abs_tol)/a.  Each z sums n* - d - 1 .. n* + d + 1 and at
+    least -min_terms .. min_terms (a side past max_terms raises
+    NonConvergenceError) as one exp/phase matrix, powers of two and of q
+    split off exactly (scaled.ln_split), each row summed by scaled.sum_rows.
     """
-    total = first
-    best_ln = first.ln_abs()
-    ln_tol = math.log(ctrl.abs_tol)
-    up_term, down_term = first, first
-    up_active = down_active = True
-    n_up = n_down = 0
-    while up_active or down_active:
-        if up_active:
-            up_term = step_up(n_up, up_term)
-            n_up += 1
-            total = total + up_term
-            t_ln = up_term.ln_abs()
-            best_ln = max(best_ln, t_ln)
-            if n_up >= ctrl.min_terms and t_ln < ln_tol + best_ln:
-                up_active = False
-        if down_active:
-            down_term = step_down(n_down, down_term)
-            n_down += 1
-            total = total + down_term
-            t_ln = down_term.ln_abs()
-            best_ln = max(best_ln, t_ln)
-            if n_down >= ctrl.min_terms and t_ln < ln_tol + best_ln:
-                down_active = False
-        if n_up > ctrl.max_terms or n_down > ctrl.max_terms:
-            raise NonConvergenceError(
-                f"{label}: no convergence within {ctrl.max_terms} terms per side",
-                diagnostics={"n_up": n_up, "n_down": n_down},
-            )
-    return total
+    a = -math.log(q)
+    e_z, lnr_z, arg = z_split[0][:, None], z_split[1][:, None], arg_z[:, None]
+    e_q, hi_q, lo_q = ln_split(q)
+    u = e_z * math.log(2.0) + lnr_z - lattice * a
+    centre = u / a + 0.5
+    reach = math.sqrt(2.0 * (a / 8.0 - math.log(ctrl.abs_tol)) / a) + 1.0
+    lo = np.minimum(np.floor(centre - reach), -ctrl.min_terms)
+    hi = np.maximum(np.ceil(centre + reach), ctrl.min_terms)
+    terms = max(hi.max(initial=0), -lo.min(initial=0))
+    if terms > ctrl.max_terms:
+        raise NonConvergenceError(f"{label}: no convergence within {ctrl.max_terms} terms "
+                                  f"per side", diagnostics={"terms": int(terms)})
+    n = np.arange(int(lo.min(initial=0)), int(hi.max(initial=0)) + 1)
+    power = n - 1 if derivative else n
+    pairs = n * (n - 1) // 2 + lattice * power  # the power of q in z^power q^{n(n-1)/2}
+    f, bits = exp_pow2(pairs * hi_q, power * lnr_z + pairs * lo_q)
+    bits += power * e_z + pairs * e_q
+    weight = np.where(n % 2, -1.0, 1.0) * (n if derivative else 1.0)
+    mant = np.where((n >= lo) & (n <= hi), weight * f * np.exp(1j * power * arg), 0.0)
+    return sum_rows(mant, bits)
 
 
-def theta_series_scaled(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> ScaledValue:
-    """Series form sum_n (-1)^n z^n q^{n(n-1)/2} in scaled arithmetic.
-
-    Term recurrences: t_{n+1} = t_n * (-z q^n) upward and
-    t_{-(n+1)} = t_{-n} * (-q^{n+1}/z) downward, so arbitrary |z| are
-    handled without forming z**n directly.
+def theta_series_scaled(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+    """Series form sum_n (-1)^n z^n q^{n(n-1)/2} in scaled arithmetic: a
+    ScaledValue for a scalar z, normalised (mantissa, exponent) arrays for a
+    1-d array of z.  A scalar runs the array code on one element, so it
+    equals that element of an array call bit for bit.
     """
-    z = _check_z(z)
+    zs, scalar = z_array(z)
     q = _check_q_open(q)
-    zinv = 1.0 / z
-
-    def step_up(n, term):
-        return term * (-z * ScaledValue.from_pow(q, n))
-
-    def step_down(n, term):
-        return term * (-zinv * ScaledValue.from_pow(q, n + 1))
-
-    return _two_sided_sum(ScaledValue.one(), step_up, step_down, ctrl, "theta_series")
+    return pack(*_series_sum(log2_split(np.abs(zs)), np.angle(zs), q, ctrl, "theta_series"),
+                scalar)
 
 
-def theta_series(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> complex:
-    """Series form of Theta(z; q); overflow-safe internally for
-    log|z| up to at least 10 * |log q| (and far beyond)."""
-    return theta_series_scaled(z, q, ctrl).to_complex()
+def theta_series(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+    """Series form of Theta(z; q) (complex, or a complex array for an array
+    of z); overflow-safe internally for log|z| up to at least
+    10 * |log q| (and far beyond)."""
+    return to_complex(theta_series_scaled(z, q, ctrl))
 
 
 def theta_prime_one(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
@@ -245,28 +241,16 @@ def theta_prime_lattice(n: int, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -
     """d/dz Theta(z; q) at the lattice zero z = q^n (reference path).
 
     Sums the term-by-term differentiated series
-    sum_l (-1)^l l z^{l-1} q^{l(l-1)/2} at z = q^n, i.e. terms
-    l * u_l with u_l = (-1)^l q^{(l-1)(l+2n)/2} and the exact ratio
-    u_{l+1}/u_l = -q^{l+n}.  This is the contract; the closed forms in
+    sum_l (-1)^l l z^{l-1} q^{l(l-1)/2} at z = q^n, over the term
+    range rule of the theta series.  This is the contract; the closed forms in
     :func:`lattice_derivative_candidate` are candidates to be checked
     against it.
     """
     n = _check_lattice_index(n)
     q = _check_q_open(q)
-    # carry u_l apart from the factor l, which is not geometric;
-    # u_0 = q^{(0-1)(0+2n)/2} = q^{-n} on both sides
-    u = {+1: ScaledValue.from_pow(q, -n), -1: ScaledValue.from_pow(q, -n)}
-
-    def step_up(j, _):  # u_{j+1} = u_j * (-q^{j+n}), term (j+1) u_{j+1}
-        u[+1] = u[+1] * (-ScaledValue.from_pow(q, j + n))
-        return u[+1] * float(j + 1)
-
-    def step_down(j, _):  # u_{-(j+1)} = u_{-j} * (-q^{j+1-n}), term -(j+1) u_{-(j+1)}
-        u[-1] = u[-1] * (-ScaledValue.from_pow(q, j + 1 - n))
-        return u[-1] * float(-(j + 1))
-
-    # the l = 0 term vanishes
-    return _two_sided_sum(ScaledValue.zero(), step_up, step_down, ctrl, "theta_prime_lattice")
+    mant, exps = _series_sum((np.zeros(1, dtype=np.int64), np.zeros(1)), np.zeros(1), q, ctrl,
+                             "theta_prime_lattice", derivative=True, lattice=n)
+    return ScaledValue(mant[0], int(exps[0]))
 
 
 def lattice_derivative_candidate(
@@ -301,11 +285,13 @@ def eta(z, q: float) -> float:
     with ln|z| * ln(q)/2 as the second term breaks that recurrence and
     is not used.)
     """
-    z = _check_z(z)
+    u = math.log(abs(z_array(complex(z))[0][0]))
     q = _check_q_open(q)
-    u = math.log(abs(z))
-    ln_q = math.log(q)
-    return math.exp(-u * u / (2.0 * ln_q) + 0.5 * u)
+    ln_eta = -u * u / (2.0 * math.log(q)) + 0.5 * u
+    try:
+        return math.exp(ln_eta)
+    except OverflowError:
+        raise SaturationError(f"eta: log-magnitude {ln_eta:.6g} beyond the double range") from None
 
 
 def _coefficient_tail_sum(n: int, q: float, ctrl: SeriesControl) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
-from .scaled import BASE_LOG2, ScaledValue, exp_pow2, ldexp_array, scaled_arrays
+from .scaled import BASE_LOG2, ScaledValue, exp_pow2, ldexp_array, masked_max, scaled_arrays
 from .signals import GammaSource, GammaTable, QuadratureControl, SignalModel, eval_signal
 from .signals import forward_table
 
@@ -123,14 +123,8 @@ def _block(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each row is rescaled to the exponent of its largest entry with exact
     ldexp; an all-zero row gets exponent 0.
     """
-    top = _masked_max(exps, mant != 0, axis=1)
+    top = masked_max(exps, mant != 0, axis=1)
     return ldexp_array(mant, (exps - top[:, None]) * BASE_LOG2), top
-
-
-def _masked_max(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
-    """Max of values where mask holds along axis; 0 where it never holds."""
-    top = np.where(mask, values, np.iinfo(np.int64).min).max(axis=axis)
-    return np.where(mask.any(axis=axis), top, 0)
 
 
 def inner_fourier_sum(row, x, K: int):
@@ -202,7 +196,7 @@ def reconstruct_point(
         bits = row_bits + weight_bits
         # per-point shift: the largest term lands in [1/2, 1)
         _, mag_bits = np.frexp(np.abs(terms))
-        shift = _masked_max(bits + mag_bits, terms != 0, axis=0)
+        shift = masked_max(bits + mag_bits, terms != 0, axis=0)
         total = ldexp_array(terms, bits - shift).sum(axis=0)
         gauss, gauss_bits = exp_pow2(xc * xc / 4.0)
         out[start: start + len(xc)] = ldexp_array(

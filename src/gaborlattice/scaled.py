@@ -15,6 +15,7 @@ to a ScaledValue and back is bit-exact.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -63,19 +64,86 @@ def normalise_array(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.
             np.where(zero, 0, exps + shift))
 
 
-def exp_pow2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^t as (f, n) with e^t = f * 2**n, n an exact integer and f in [1, 2)
-    up to rounding.
+def masked_max(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+    """Max of values where mask holds along axis; 0 where it never holds."""
+    top = np.where(mask, values, np.iinfo(np.int64).min).max(axis=axis)
+    return np.where(mask.any(axis=axis), top, 0)
 
-    Only f is rounded, from the same split ln 2 as :meth:`ScaledValue.from_ln`,
-    so it is accurate to ~1 ulp while |n| < 2**21.  Raises SaturationError
-    unless |t| < 2**52 (non-finite t included).
+
+def sum_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of mant * 2**bits (2-d, integer bits) as normalised arrays.
+
+    Each row is shifted by its largest term with exact ldexp and summed in
+    column order, carrying every addition's rounding error (Knuth's
+    two-sum): cancellation costs a few ulp of the sum at most, and a row's
+    sum depends neither on other rows nor on zeros around its terms.
+    """
+    _, mag = np.frexp(np.abs(mant))
+    top = masked_max(bits + mag, mant != 0, axis=1)
+    exps = top // BASE_LOG2
+    terms = ldexp_array(mant, bits - (exps * BASE_LOG2)[:, None])
+    totals = np.cumsum(terms, axis=1)  # adds in column order: the running sums
+    before = np.hstack([np.zeros((len(terms), 1)), totals[:, :-1]])
+    part = totals - before
+    before -= totals - part  # becomes the rounding error of each addition
+    before += terms - part
+    return normalise_array(totals[:, -1] + np.cumsum(before, axis=1, out=before)[:, -1], exps)
+
+
+def sub_arrays(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a - b for (mantissa, exponent) arrays of broadcastable shapes."""
+    mant = np.stack(np.broadcast_arrays(a[0], -b[0]), axis=-1)
+    exps = np.stack(np.broadcast_arrays(a[1], b[1]), axis=-1)
+    diff = sum_rows(mant.reshape(-1, 2), exps.reshape(-1, 2) * BASE_LOG2)
+    return diff[0].reshape(mant.shape[:-1]), diff[1].reshape(mant.shape[:-1])
+
+
+def pack(mant: np.ndarray, exps: np.ndarray, scalar: bool):
+    """A ScaledValue for a scalar call, else the (mantissa, exponent) arrays."""
+    return ScaledValue(mant[0], int(exps[0])) if scalar else (mant, exps)
+
+
+def to_complex(value) -> complex | np.ndarray:
+    """A ScaledValue or (mantissa, exponent) arrays down-converted."""
+    if isinstance(value, ScaledValue):
+        return value.to_complex()
+    out = ldexp_array(value[0], value[1] * BASE_LOG2)
+    if not np.all(np.isfinite(out)):
+        raise SaturationError("value exceeds double range")
+    return out
+
+
+def log2_split(x) -> tuple[np.ndarray, np.ndarray]:
+    """Positive x as 2**e * r: (e, ln r), |ln r| <= ln(2)/2, so x**n is
+    e^{n ln r} * 2**(n e), rounded only in the small argument n ln r."""
+    e = np.round(np.log2(x)).astype(np.int64)
+    return e, np.log(np.ldexp(x, -e))
+
+
+def ln_split(x: float) -> tuple[int, float, float]:
+    """x > 0 as 2**e * e^{hi + lo} (40-digit logarithm), |hi + lo| <= ln(2)/2:
+    hi has 26 significant bits, so k * hi is exact for integers |k| < 2**26."""
+    e = round(math.log2(x))
+    with decimal.localcontext(decimal.Context(prec=40)):
+        ln_r = decimal.Decimal(math.ldexp(x, -e)).ln()
+        c = float(ln_r) * 134217729.0  # Veltkamp's split by 2**27 + 1
+        hi = c - (c - float(ln_r))
+        return e, hi, float(ln_r - decimal.Decimal(hi))
+
+
+def exp_pow2(t: np.ndarray, t_lo=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """e^{t + t_lo} as (f, n) with e^{t + t_lo} = f * 2**n, n an exact integer
+    and f in [1, 2) up to rounding.
+
+    Only f is rounded, from the same split ln 2 as :meth:`ScaledValue.from_ln`
+    and with t_lo added last, so it is accurate to ~1 ulp while |n| < 2**21.
+    Raises SaturationError unless |t| < 2**52 (non-finite t included).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.abs(t) < 2.0**52):
         raise SaturationError("log magnitude non-finite or beyond 2**52")
-    n = np.floor(t / math.log(2.0))
-    f = np.exp((t - n * _LN2_HI) - n * _LN2_LO)
+    n = np.floor((t + t_lo) / math.log(2.0))
+    f = np.exp((t - n * _LN2_HI) - n * _LN2_LO + t_lo)
     return f, n.astype(np.int64)
 
 

@@ -12,6 +12,7 @@ matches the independent reference and by how much the other one misses.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -41,8 +42,8 @@ from .qtheta import (
     theta_series,
     theta_series_scaled,
 )
-from .scaled import ScaledValue
-from .signals import SignalModel, forward_table
+from .scaled import ScaledValue, to_complex
+from .signals import GammaSource, SignalModel, forward_table
 from .recon import auto_truncation, inner_fourier_sum
 
 SUITES = ("theta", "coeffs", "poisson", "interpolation", "all")
@@ -79,7 +80,8 @@ class SuiteReport:
 
 
 def _record(checks: list, name: str, residual: float, threshold: float, note: str = ""):
-    checks.append(CheckRecord(name, float(residual), threshold, residual <= threshold, note))
+    residual = float(residual)
+    checks.append(CheckRecord(name, residual, threshold, residual <= threshold, note))
 
 
 def _default_signal() -> SignalModel:
@@ -93,20 +95,21 @@ def _is_zero_signal(signal: SignalModel) -> bool:
 # --------------------------------------------------------------------- theta
 
 
+def _circle(radius: float, count: int, offset: float = 0.0) -> np.ndarray:
+    """count uniform points on |z| = radius at angles 2 pi (t + offset) / count."""
+    return radius * np.exp(2j * math.pi * (np.arange(count) + offset) / count)
+
+
 def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     # product vs series on the fixed (q, z) grid
     worst = 0.0
     for i in range(1, 19):
         q = 0.05 * i
-        for power in (0.5, 0.0, -0.5):
-            radius = q ** power
-            for t in range(32):
-                angle = 2.0 * math.pi * (t + 0.5) / 32
-                z = radius * complex(math.cos(angle), math.sin(angle))
-                ts = theta_series(z, q, ctrl)
-                tp = theta_product(z, q, ctrl)
-                worst = max(worst, abs(ts - tp) / (1.0 + abs(ts)))
+        zs = np.concatenate([_circle(q ** power, 32, 0.5) for power in (0.5, 0.0, -0.5)])
+        ts = theta_series(zs, q, ctrl)
+        tp = theta_product(zs, q, ctrl)
+        worst = max(worst, float(np.max(np.abs(ts - tp) / (1.0 + np.abs(ts)))))
     _record(checks, "triple_product_identity", worst, 1e-12,
             "q in {0.05..0.9}, |z| in {sqrt(q), 1, 1/sqrt(q)}, 32 angles")
 
@@ -119,13 +122,10 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     worst = 0.0
     for _ in range(100):
         q = float(rng.uniform(0.05, 0.9))
-        radius = q ** float(rng.uniform(-0.5, 0.5))
-        angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        z = radius * complex(math.cos(angle), math.sin(angle))
-        lhs = theta_series(q * z, q, ctrl)
-        rhs = -theta_series(z, q, ctrl) / z
+        z = q ** float(rng.uniform(-0.5, 0.5)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        lhs, ts = theta_series(np.array([q * z, z]), q, ctrl)
         scale = eta(q * z, q) + eta(z, q) / abs(z)
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = max(worst, abs(lhs + ts / z) / scale)
     _record(checks, "one_step_quasi_periodicity", worst, 1e-12,
             "100 seeded random (z, q), residual relative to the eta envelope")
 
@@ -134,15 +134,14 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     for _ in range(20):
         q = float(rng.uniform(0.05, 0.9))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        z = (q ** float(rng.uniform(-0.5, 0.5))) * complex(math.cos(angle), math.sin(angle))
+        z = q ** float(rng.uniform(-0.5, 0.5)) * cmath.exp(1j * angle)
         base = theta_series_scaled(z, q, ctrl)
-        for n in range(-6, 7):
-            zn = (q ** n) * z
-            lhs = theta_series_scaled(zn, q, ctrl)
+        zs = np.array([(q ** n) * z for n in range(-6, 7)])
+        for n, zn, mant, exp in zip(range(-6, 7), zs, *theta_series_scaled(zs, q, ctrl)):
             rhs = ScaledValue.from_pow(complex(-z), -n) * \
                 ScaledValue.from_pow(q, -(n * (n - 1)) // 2) * base
             scale = eta(zn, q) + abs(rhs.to_complex())
-            worst = max(worst, abs((lhs - rhs).to_complex()) / scale)
+            worst = max(worst, abs((ScaledValue(mant, int(exp)) - rhs).to_complex()) / scale)
     _record(checks, "iterated_quasi_periodicity", worst, 1e-10,
             "n in [-6, 6], 20 seeded random (z, q), eta-relative")
 
@@ -151,17 +150,13 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     for _ in range(20):
         q = float(rng.uniform(0.05, 0.9))
         z = complex(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))) or 1.0
-        a = theta_series(z.conjugate(), q, ctrl)
-        b = theta_series(z, q, ctrl).conjugate()
-        worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
+        a, b = theta_series(np.array([z.conjugate(), z]), q, ctrl)
+        worst = max(worst, abs(a - b.conjugate()) / max(abs(b), 1e-300))
     _record(checks, "conjugation_symmetry", worst, 1e-13, "")
 
     # zero set at this tau
-    q = params.q
-    worst = 0.0
-    for n in range(-5, 6):
-        z = ScaledValue.from_pow(q, n).to_complex()
-        worst = max(worst, abs(theta_series_scaled(z, q, ctrl).to_complex()) / eta(z, q))
+    zs = np.array([ScaledValue.from_pow(params.q, n).to_complex() for n in range(-5, 6)])
+    worst = max(abs(t) / eta(z, params.q) for z, t in zip(zs, theta_series(zs, params.q, ctrl)))
     _record(checks, "lattice_zero_set", worst, 1e-10, "n in [-5, 5] at the given tau")
 
     # derivative contract + adjudication of the closed-form candidates
@@ -170,7 +165,10 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     for q in (0.1, 0.3, 0.5):
         for n in range(-4, 5):
             ref = theta_prime_lattice(n, q, ctrl)
-            fd = _richardson_theta_prime(n, q, ctrl)
+            # independent estimate: Richardson-extrapolated central differences
+            h = q ** n * 1e-3
+            up, down, up2, down2 = theta_series(q ** n + np.array([h, -h, h / 2, -h / 2]), q, ctrl)
+            fd = (4.0 * (up2 - down2) / h - (up - down) / (2 * h)) / 3.0
             ref_c = ref.to_complex()
             worst = max(worst, abs(ref_c - fd) / abs(ref_c))
             corr = lattice_derivative_candidate(n, q, ctrl, "corrected")
@@ -196,28 +194,12 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     # circle maxima of |Theta| / eta are k-independent
     maxima = []
     for k in range(-5, 6):
-        radius = math.exp((k + 0.5) * params.ln_q)
-        best = 0.0
-        for t in range(64):
-            angle = 2.0 * math.pi * t / 64
-            z = radius * complex(math.cos(angle), math.sin(angle))
-            best = max(best, abs(theta_series_scaled(z, q=params.q, ctrl=ctrl).to_complex())
-                       / eta(z, params.q))
-        maxima.append(best)
+        zs = _circle(math.exp((k + 0.5) * params.ln_q), 64)
+        maxima.append(max(abs(v) / eta(z, params.q)
+                          for z, v in zip(zs, theta_series(zs, params.q, ctrl))))
     spread = (max(maxima) - min(maxima)) / min(maxima)
     _record(checks, "envelope_circle_maxima_constant", spread, 1e-8, "k in [-5, 5]")
     return checks
-
-
-def _richardson_theta_prime(n: int, q: float, ctrl: SeriesControl) -> complex:
-    """Independent derivative estimate: Richardson-extrapolated central
-    differences of the theta series around z = q^n."""
-    z0 = ScaledValue.from_pow(q, n).to_complex().real
-    h = abs(z0) * 1e-3
-    d1 = (theta_series(z0 + h, q, ctrl) - theta_series(z0 - h, q, ctrl)) / (2 * h)
-    h2 = h / 2
-    d2 = (theta_series(z0 + h2, q, ctrl) - theta_series(z0 - h2, q, ctrl)) / (2 * h2)
-    return (4.0 * d2 - d1) / 3.0
 
 
 # --------------------------------------------------------------------- coeffs
@@ -268,7 +250,8 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
 
 
 def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
-                  ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
+                  ctrl: SeriesControl = _DEFAULT_CTRL,
+                  source: GammaSource | None = None) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     signal = signal or _default_signal()
     if _is_zero_signal(signal):
@@ -276,14 +259,13 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
                                   "degenerate input: zero signal, vacuous pass"))
         return checks
     K = 12
-    table = forward_table(signal, params.tau, 3, K)
+    table = forward_table(signal, params.tau, 3, K, source=source)
     ratios = []
-    for m in range(-3, 4):
-        for x in (0.0, 0.3, 1.1):
+    for x in (0.0, 0.3, 1.1):
+        rhs = to_complex(spatial_A(np.arange(-3, 4), x, signal, params, ctrl))
+        for m, a_m in zip(range(-3, 4), rhs):
             inner = inner_fourier_sum(table.row(m), x, K)
-            lhs = (inner * ScaledValue.from_ln(m * params.tau * x)).to_complex()
-            rhs = spatial_A(m, x, signal, params, ctrl).to_complex()
-            ratios.append(lhs / rhs)
+            ratios.append((inner * ScaledValue.from_ln(m * params.tau * x)).to_complex() / a_m)
     mean = sum(ratios) / len(ratios)
     spread = max(abs(r - mean) for r in ratios) / abs(mean)
     _record(checks, "poisson_consistency", spread, 1e-8,
@@ -295,7 +277,8 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
 
 
 def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None,
-                        ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
+                        ctrl: SeriesControl = _DEFAULT_CTRL,
+                        source: GammaSource | None = None) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     signal = signal or _default_signal()
     if _is_zero_signal(signal):
@@ -303,33 +286,25 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
                                   "degenerate input: zero signal, vacuous pass"))
         return checks
     x = 0.3
-    extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
-    samples = [(n, spatial_A(n, x, signal, params, ctrl))
-               for n in range(-extent, extent + 1)]
+    extent = auto_truncation(signal, params, 1e-10, x_max=abs(x), source=source).M + 2
+    ns = np.arange(-extent, extent + 1)
+    samples = [(int(n), ScaledValue(mant, int(exp)))
+               for n, mant, exp in zip(ns, *spatial_A(ns, x, signal, params, ctrl))]
 
     # cardinal property on the nodes
-    worst = 0.0
-    for n in (-2, 0, 3):
-        node = ScaledValue.from_pow(params.q, n).to_complex()
-        value = lagrange_interpolant(node, samples, params, ctrl)
-        ref = samples[n + extent][1]
-        worst = max(worst, abs((value - ref).to_complex()) / abs(ref.to_complex()))
+    nodes = np.array([-2, 0, 3])
+    values = to_complex(lagrange_interpolant(params.q ** nodes, samples, params, ctrl))
+    refs = np.array([samples[n + extent][1].to_complex() for n in nodes])
+    worst = np.max(np.abs(values - refs) / np.abs(refs))
     _record(checks, "interpolation_node_exactness", worst, 1e-10, "")
 
     # off-node identity on the circles |z| = q^{1/2}, q^{-1/2}
     worst = 0.0
     for power in (0.5, -0.5):
-        radius = math.exp(power * params.ln_q)
-        scale = 0.0
-        gap = 0.0
-        for t in range(32):
-            angle = 2.0 * math.pi * (t + 0.5) / 32
-            z = radius * complex(math.cos(angle), math.sin(angle))
-            g = G_series(z, x, signal, params, ctrl)
-            gt = lagrange_interpolant(z, samples, params, ctrl)
-            scale = max(scale, abs(g.to_complex()))
-            gap = max(gap, abs((g - gt).to_complex()))
-        worst = max(worst, gap / scale)
+        zs = _circle(math.exp(power * params.ln_q), 32, 0.5)
+        g = to_complex(G_series(zs, x, signal, params, ctrl))
+        gt = to_complex(lagrange_interpolant(zs, samples, params, ctrl))
+        worst = max(worst, float(np.max(np.abs(g - gt)) / np.max(np.abs(g))))
     _record(checks, "interpolation_global_identity", worst, 1e-8,
             "|G - interpolant| on |z| = q^{1/2}, q^{-1/2}")
 
@@ -390,8 +365,10 @@ def run_suite(
             "poisson/interpolation suites skipped: tau > pi",
         ))
         return report
+    # one source, so the two suites share every table entry they both use
+    source = GammaSource(signal or _default_signal(), params.tau)
     if suite in ("poisson", "all"):
-        report.checks += poisson_suite(params, signal, ctrl)
+        report.checks += poisson_suite(params, signal, ctrl, source)
     if suite in ("interpolation", "all"):
-        report.checks += interpolation_suite(params, signal, ctrl)
+        report.checks += interpolation_suite(params, signal, ctrl, source)
     return report

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from gaborlattice.cli import main
+from gaborlattice.verify import run_suite
 
 COLUMNS = ("m", "k", "mantissa_re", "mantissa_im", "exponent")
 GAUSSIAN = {"kind": "gaussian_family",
@@ -213,6 +214,10 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert all(c["residual"] <= c["threshold"] for c in doc["checks"])
+        assert set(doc["meta"]) == {"elapsed_seconds", "tool_version"}
+        assert doc["meta"]["elapsed_seconds"] >= 0
+        del doc["meta"]
+        assert doc == run_suite("poisson", 1.0).to_payload()
 
     def test_failure_maps_to_exit_one(self, monkeypatch, tmp_path):
         import gaborlattice.cli as cli

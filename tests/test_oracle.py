@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gaborlattice import (
@@ -7,7 +8,9 @@ from gaborlattice import (
     DomainError,
     G_series,
     InvalidParameterError,
+    NonConvergenceError,
     ScaledValue,
+    SeriesControl,
     SignalModel,
     balanced_contour,
     coeff_E,
@@ -208,3 +211,57 @@ class TestTraces:
     def test_unknown_kind(self, unit_gaussian, params_tau1):
         with pytest.raises(InvalidParameterError):
             mk_trace("nonsense", range(0, 1), 0.0, unit_gaussian, params_tau1)
+
+
+def _circles(params, powers=(0.5, -0.5, 1.5), count=16):
+    return np.concatenate([params.q ** p * np.exp(2j * math.pi * (np.arange(count) + 0.5) / count)
+                           for p in powers])
+
+
+class TestArrayPath:
+    def samples(self, signal, params, extent=7):
+        ns = np.arange(-extent, extent + 1)
+        return [(int(n), ScaledValue(m, int(e)))
+                for n, m, e in zip(ns, *spatial_A(ns, 0.3, signal, params))]
+
+    def test_spatial_A_array_of_m(self, two_component, params_tau1):
+        ms = np.arange(-4, 5)
+        mant, exps = spatial_A(ms, 0.3, two_component, params_tau1)
+        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+            [spatial_A(int(m), 0.3, two_component, params_tau1) for m in ms]
+
+    def test_G_series_array_matches_scalar_calls(self, two_component, params_tau1):
+        zs = np.concatenate([_circles(params_tau1), [1e-30, 3e25j]])
+        mant, exps = G_series(zs, 0.3, two_component, params_tau1)
+        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+            [G_series(z, 0.3, two_component, params_tau1) for z in zs]
+
+    def test_interpolant_array_matches_scalar_calls(self, two_component, params_tau1):
+        samples = self.samples(two_component, params_tau1)
+        zs = np.concatenate([_circles(params_tau1), [params_tau1.q ** 3, 1.0]])
+        mant, exps = lagrange_interpolant(zs, samples, params_tau1)
+        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+            [lagrange_interpolant(z, samples, params_tau1) for z in zs]
+        assert ScaledValue(mant[-2], int(exps[-2])) == samples[3 + 7][1]
+
+    def test_any_zero_element_refused(self, unit_gaussian, params_tau1):
+        zs = np.array([0.5, 0.0, 2.0j])
+        with pytest.raises(DomainError):
+            G_series(zs, 0.0, unit_gaussian, params_tau1)
+        with pytest.raises(DomainError):
+            lagrange_interpolant(zs, self.samples(unit_gaussian, params_tau1), params_tau1)
+
+    def test_any_near_node_element_refused(self, unit_gaussian, params_tau1):
+        zs = np.array([0.5j, params_tau1.q ** 2 * 1.01])
+        with pytest.raises(DomainError):
+            lagrange_interpolant(zs, self.samples(unit_gaussian, params_tau1), params_tau1)
+
+    def test_non_convergence(self, unit_gaussian, params_tau1):
+        # the weight e^{300 j} moves the peak of the aliased sum past 8 terms
+        with pytest.raises(NonConvergenceError):
+            G_series(np.array([1.0, math.exp(300.0)]), 0.0, unit_gaussian, params_tau1,
+                     SeriesControl(max_terms=8))
+        samples = self.samples(unit_gaussian, params_tau1)
+        with pytest.raises(NonConvergenceError):
+            lagrange_interpolant(_circles(params_tau1), samples, params_tau1,
+                                 SeriesControl(max_terms=4, min_terms=4))

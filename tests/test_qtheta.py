@@ -8,6 +8,7 @@ from gaborlattice import (
     DomainError,
     InvalidParameterError,
     NonConvergenceError,
+    SaturationError,
     ScaledValue,
     SeriesControl,
     coeff_E,
@@ -21,6 +22,8 @@ from gaborlattice import (
     theta_series,
     theta_series_scaled,
 )
+from gaborlattice.qtheta import theta_product_scaled
+from gaborlattice.scaled import to_complex
 
 
 def brute_euler(q, terms=600):
@@ -261,6 +264,11 @@ class TestEta:
         with pytest.raises(DomainError):
             eta(0.0, 0.5)
 
+    def test_beyond_double_range_saturates(self):
+        assert math.isfinite(eta(math.exp(31.0), 0.5))
+        with pytest.raises(SaturationError, match="log-magnitude 8"):
+            eta(math.exp(33.0), 0.5)
+
 
 class TestCoefficients:
     def test_limit_q_to_zero(self):
@@ -300,3 +308,59 @@ class TestCoefficients:
     def test_index_bound(self, params_tau1, ctrl):
         with pytest.raises(InvalidParameterError):
             coeff_E(100, params_tau1, ctrl)
+
+
+def _mp_theta(z, q):
+    """sum_n (-1)^n z^n q^{n(n-1)/2} at 40 digits, well past the peak term."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z, q = mpmath.mpc(z), mpmath.mpf(q)
+        centre = int(abs(mpmath.log(abs(z)) / mpmath.log(q))) + 80
+        return complex(mpmath.fsum((-1) ** n * z ** n * q ** (n * (n - 1) // 2)
+                                   for n in range(-centre, centre + 1)))
+
+
+def _points(q):
+    """|ln z| up to 10 |ln q| at varied angles, and the zeros q^n, |n| <= 10."""
+    ln_q = math.log(q)
+    zs = np.exp(np.linspace(10 * ln_q, -10 * ln_q, 41) + 1j * np.linspace(0.1, 6.0, 41))
+    return np.concatenate([zs, [q ** n for n in range(-10, 11)]])
+
+
+SCALED_FORMS = [theta_series_scaled, theta_product_scaled]
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("form", SCALED_FORMS)
+    def test_against_mpmath(self, form, q, ctrl):
+        zs = _points(q)
+        values = to_complex(form(zs, q, ctrl))
+        worst = max(abs(v - _mp_theta(z, q)) / eta(z, q) for z, v in zip(zs, values))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("form", SCALED_FORMS)
+    def test_scalar_is_array_element_bit_for_bit(self, form, ctrl):
+        for q in (0.05, 0.5, 0.9):
+            zs = _points(q)
+            mant, exps = form(zs, q, ctrl)
+            for z, m, e in zip(zs, mant, exps):
+                one = form(z, q, ctrl)
+                assert (one.mantissa, one.exponent) == (m, e)
+
+    def test_plain_forms_on_arrays(self, ctrl):
+        zs = np.array([0.3 + 0.2j, -1.0, 2.5j])
+        assert np.array_equal(theta_series(zs, 0.5, ctrl),
+                              [theta_series(z, 0.5, ctrl) for z in zs])
+        assert np.array_equal(theta_product(zs, 0.5, ctrl),
+                              [theta_product(z, 0.5, ctrl) for z in zs])
+
+    @pytest.mark.parametrize("form", SCALED_FORMS)
+    def test_any_zero_element_refused(self, form, ctrl):
+        with pytest.raises(DomainError):
+            form(np.array([1.5, 0.0, 2.0j]), 0.5, ctrl)
+
+    @pytest.mark.parametrize("form", SCALED_FORMS)
+    def test_non_convergence(self, form):
+        with pytest.raises(NonConvergenceError):
+            form(np.array([0.5, 1.5j]), 0.9, SeriesControl(max_terms=10))

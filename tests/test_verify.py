@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gaborlattice import SignalModel
@@ -67,3 +68,36 @@ def test_unknown_suite_rejected():
 def test_checkrecord_pass_logic():
     assert CheckRecord("x", 1e-13, 1e-12, True).passed
     assert not CheckRecord("x", 1.0, 1e-12, False).passed
+
+
+def _seeded_family(seed):
+    """Two Gaussian components with |a| in [0.5, 1], centre in [-1, 1] and
+    modulation in [-1.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    return SignalModel.gaussian([
+        (rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
+         rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5))
+        for _ in range(2)])
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.0])
+def test_all_suites_pass_on_seeded_family(tau):
+    report = run_suite("all", tau, signal=_seeded_family(11))
+    failing = [c.name for c in report.checks if not c.passed]
+    assert report.passed, failing
+    assert len(report.checks) == 18
+
+
+def test_all_computes_each_table_entry_once(monkeypatch):
+    import gaborlattice.signals as signals
+
+    keys = []
+    original = signals.gamma_closed_form
+
+    def counting(m, k, *args, **kwargs):
+        keys.append((m, k))
+        return original(m, k, *args, **kwargs)
+
+    monkeypatch.setattr(signals, "gamma_closed_form", counting)
+    assert run_suite("all", 1.0, signal=_seeded_family(12)).passed
+    assert keys and len(keys) == len(set(keys))
