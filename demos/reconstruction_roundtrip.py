@@ -16,7 +16,6 @@ from gaborlattice import (
     auto_truncation,
     calibrate_constant,
     coeff_E,
-    forward_table,
     nome_from_tau,
     round_trip,
 )
@@ -30,7 +29,7 @@ choice = auto_truncation(signal, params, tol=1e-8, x_max=3.0)
 print(f"automatic truncation: M = {choice.M}, K = {choice.K}, "
       f"tail estimate {choice.tail_estimate:.2e}")
 
-table = forward_table(signal, tau, choice.M, choice.K)
+table = choice.table  # the table the truncation measured, at exactly (M, K)
 print(f"forward table: {2*choice.M+1} x {2*choice.K+1} scaled coefficients")
 print("  row scales grow like exp(tau^2 m^2):")
 for m in range(-choice.M, choice.M + 1, 2):

@@ -27,6 +27,8 @@ import sys
 import time
 import warnings
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     ConfigError,
@@ -39,10 +41,8 @@ from .errors import (
 from .oracle import laurent_c0
 from .qtheta import SeriesControl, coeff_E, nome_from_tau
 from .recon import ReconConfig, auto_truncation, reconstruct_grid, round_trip
-from .signals import GAUSSIAN_FAMILY, GammaSource, GammaTable, SignalModel, forward_table
+from .signals import GAUSSIAN_FAMILY, GammaTable, SignalModel, forward_table
 from .verify import SUITES, run_suite
-
-THREADS_ENV_VAR = "GABORLATTICE_THREADS"
 
 
 # ------------------------------------------------------------------ helpers
@@ -187,16 +187,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_threads(args) -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    return max(1, args.threads)
-
-
 # ------------------------------------------------------------------ coeffs
 
 
@@ -298,16 +288,11 @@ def cmd_forward(args) -> int:
     truncation = parse_truncation(config["truncation"])
     tol = args.tol if args.tol is not None else _number(config.get("tol", 1e-8),
                                                         "config.tol")
-    threads = _resolve_threads(args)
-    source = GammaSource(signal, tau)
     if truncation is None:
-        params = nome_from_tau(tau)
         x_max = _number(config.get("x_max", 0.0), "config.x_max")
-        choice = auto_truncation(signal, params, tol, x_max=x_max, source=source)
-        M, K = choice.M, choice.K
+        table = auto_truncation(signal, nome_from_tau(tau), tol, x_max=x_max).table
     else:
-        M, K = truncation
-    table = forward_table(signal, tau, M, K, threads=threads, source=source)
+        table = forward_table(signal, tau, *truncation)
     _emit(args.output, _json_dumps(_table_document(table, signal_to_spec(signal))))
     return 0
 
@@ -335,21 +320,21 @@ def cmd_reconstruct(args) -> int:
     params = nome_from_tau(tau)
     recon_config = ReconConfig(tol=tol, grid=grid, truncation=truncation)
     start = time.perf_counter()
-    report = reconstruct_grid(recon_config, table, params,
-                              reference=reference, threads=_resolve_threads(args))
+    report = reconstruct_grid(recon_config, table, params, reference=reference)
     elapsed = time.perf_counter() - start
 
-    header = ["x", "f_ref_re", "f_ref_im", "f_rec_re", "f_rec_im", "abs_err"]
-    rows = []
-    for i, x in enumerate(report.xs):
-        rec = report.reconstructed[i]
-        if report.reference is not None:
-            ref = report.reference[i]
-            err = abs(rec - ref)
-            rows.append([_fmt(x), _fmt(ref.real), _fmt(ref.imag),
-                         _fmt(rec.real), _fmt(rec.imag), _fmt(err)])
-        else:
-            rows.append([_fmt(x), "", "", _fmt(rec.real), _fmt(rec.imag), ""])
+    rec, ref = report.reconstructed, report.reference
+    if ref is not None:
+        diff = rec - ref
+        # np.hypot rounds as abs(complex) does; np.abs on arrays need not
+        columns = (ref.real, ref.imag, rec.real, rec.imag, np.hypot(diff.real, diff.imag))
+        line = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    else:
+        columns = (rec.real, rec.imag)
+        line = "%.17g,,,%.17g,%.17g,\n"
+    # '%.17g' % x is format(x, ".17g"), as _fmt writes it, for every float
+    rows = zip(report.xs.tolist(), *(col.tolist() for col in columns))
+    csv_text = "x,f_ref_re,f_ref_im,f_rec_re,f_rec_im,abs_err\n" + "".join(line % r for r in rows)
     summary = {
         "summary": {
             "tau": params.tau,
@@ -362,7 +347,7 @@ def cmd_reconstruct(args) -> int:
         },
         "meta": {"elapsed_seconds": elapsed, "tool_version": __version__},
     }
-    _emit(args.output, _csv_dump(header, rows))
+    _emit(args.output, csv_text)
     summary_path = args.summary or (f"{args.output}.summary.json" if args.output else None)
     _emit(summary_path, _json_dumps(summary))
     return 0
@@ -401,7 +386,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("config.truncation: sweeps need explicit fixed (M, K)")
     grid = parse_grid(config["grid"])
     tol = _number(config.get("tol", 1e-8), "config.tol")
-    threads = _resolve_threads(args)
 
     header = ["tau", "regime", "status", "sup_error", "l2_error", "M", "K",
               "tail_estimate", "note"]
@@ -410,10 +394,7 @@ def cmd_sweep(args) -> int:
         params = nome_from_tau(tau)
         try:
             report = round_trip(
-                signal, params,
-                ReconConfig(tol=tol, grid=grid, truncation=truncation),
-                threads=threads,
-            )
+                signal, params, ReconConfig(tol=tol, grid=grid, truncation=truncation))
             rows.append([_fmt(tau), params.regime, "ok",
                          _fmt(report.sup_error), _fmt(report.l2_error),
                          str(report.M_used), str(report.K_used),
@@ -439,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tol_help=None):
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help=f"worker threads (env {THREADS_ENV_VAR} overrides)")
         if tol_help is not None:
             p.add_argument("--tol", type=float, default=None, help=tol_help)
 

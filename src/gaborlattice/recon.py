@@ -23,6 +23,7 @@ bit-reproducible no matter how the caller parallelises.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -32,9 +33,9 @@ import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
-from .scaled import BASE_LOG2, ScaledValue, exp_pow2, ldexp_array, masked_max, scaled_arrays
-from .signals import GammaSource, GammaTable, QuadratureControl, SignalModel, eval_signal
-from .signals import forward_table
+from .scaled import (BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, ldexp_array, masked_max,
+                     scaled_arrays)
+from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
 
 #: global normalisation of the reconstruction formula (see calibrate_constant)
 RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
@@ -91,9 +92,12 @@ class ReconReport:
 
 @dataclass(frozen=True)
 class TruncationChoice:
+    """Orders (M, K), the tail estimate there and the table up to (M, K)."""
+
     M: int
     K: int
     tail_estimate: float
+    table: GammaTable
 
 
 def grid_points(grid: tuple[float, float, float]) -> np.ndarray:
@@ -209,84 +213,66 @@ def reconstruct_point(
 # --------------------------------------------------------------- truncation
 
 
-class _Cells:
-    """Weighted cell magnitudes ln|E_m| + ln|gamma_{m,k}| of the inversion,
-    with the e^{|m| tau x_max} reach of the target grid on the rings."""
-
-    def __init__(self, gamma_ln, params: LatticeParams, x_max: float,
-                 ctrl: SeriesControl | None = None):
-        self.gamma_ln = gamma_ln
-        self.params = params
-        self.x_max = x_max
-        self.ctrl = ctrl or SeriesControl()
-        self._coeffs: dict[int, ScaledValue] = {}
-        self._cells: dict[tuple[int, int], float] = {}
-
-    def coeff(self, m: int) -> ScaledValue:
-        if m not in self._coeffs:
-            self._coeffs[m] = coeff_E(m, self.params, self.ctrl)
-        return self._coeffs[m]
-
-    def cell(self, m: int, k: int) -> float:
-        key = (m, k)
-        if key not in self._cells:
-            self._cells[key] = self.coeff(m).ln_abs() + self.gamma_ln(m, k)
-        return self._cells[key]
-
-    def ring(self, m: int, K: int) -> float:
-        best = max(self.cell(m, k) for k in range(-K, K + 1))
-        return best + abs(m) * self.params.tau * self.x_max
-
-    def col(self, k: int, M: int) -> float:
-        return max(self.cell(m, k) for m in range(-M, M + 1))
-
-    def scale(self, M: int, K: int) -> float:
-        return max(self.cell(m, k) for m in range(-M, M + 1) for k in range(-K, K + 1))
-
-    def tail_ln(self, M: int, K: int) -> float:
-        """ln of the weighted boundary of the (M, K) block relative to its
-        largest cell; -inf for an all-zero block."""
-        scale = self.scale(M, K)
-        if scale == -math.inf:
-            return -math.inf
-        boundary = max(self.ring(M, K), self.ring(-M, K), self.col(K, M), self.col(-K, M))
-        return boundary - scale
+def _cells(coeffs_ln, mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Cell magnitudes ln|E_m| + ln|gamma_{m,k}| of the inversion: ln|E_m| per
+    row, gamma_{m,k} as mantissa and exponent arrays.  ln|gamma| equals
+    ScaledValue.ln_abs bit for bit: np.hypot rounds as abs(complex) does,
+    but np.log and math.log differ in the last bit of up to ~1 in 1e3."""
+    mags = np.hypot(mant.real, mant.imag).ravel().tolist()
+    logs = np.reshape([math.log(v) if v else -math.inf for v in mags], mant.shape)
+    return np.asarray(coeffs_ln)[:, None] + (logs + exps * LN_BASE)
 
 
-def _truncate(cells: _Cells, tol: float, M_cap: int, K_cap: int) -> tuple[TruncationChoice, bool]:
+def _tail_ln(cells: np.ndarray, tau: float, x_max: float) -> float:
+    """ln of the weighted boundary of a block of cells relative to its largest
+    cell, with the e^{M tau x_max} reach of the target grid on the outer rows;
+    -inf for an all-zero block."""
+    scale = cells.max()
+    if scale == -math.inf:
+        return -math.inf
+    M = (len(cells) - 1) // 2
+    return max(cells[[0, -1]].max() + M * tau * x_max, cells[:, [0, -1]].max()) - scale
+
+
+def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
+              K_cap: int) -> tuple[int, int, float, bool]:
     """The truncation growth loop, within the caps on M and K.
 
-    The base estimate takes the subcritical decay rate eps = tau(pi - tau)
-    of the weighted terms and picks the smallest M with
-    exp(-eps M^2) < tol/10.  Because that rate is a worst-case envelope,
-    the estimate is then verified against the weighted boundary ring and
-    grown until the ring drops below tol; K is extended the same way
-    column-wise.  One guard ring is added at the end, clipped to the caps.
-    Returns the choice and whether the boundary met tol before the guard
+    ``cells(M, K)`` returns the (2M+1, 2K+1) block of :func:`_cells`; it is
+    asked for growing blocks, and last for the chosen one.  The base
+    estimate takes the subcritical decay rate eps = tau(pi - tau) of the
+    weighted terms and picks the smallest M with exp(-eps M^2) < tol/10.
+    Because that rate is a worst-case envelope, the estimate is then
+    verified against the weighted boundary ring and grown until the ring
+    drops below tol; K is extended the same way column-wise.  One guard
+    ring is added at the end, clipped to the caps.  Returns (M, K), the
+    tail estimate there, and whether the boundary met tol before the guard
     ring (it cannot when the caps stop the growth).
     """
-    tau = cells.params.tau
     eps = tau * (math.pi - tau)
     M = min(max(1, math.ceil(math.sqrt(math.log(10.0 / tol) / eps))), M_cap)
     K = min(2, K_cap)
     ln_tol = math.log(tol)
+    block = cells(M, K)
     # terminates: every pass that does not break grows M or K, both capped
     while True:
-        scale = cells.scale(M, K)
+        scale = block.max()
         if scale == -math.inf:  # identically zero signal
-            return TruncationChoice(M, K, 0.0), True
+            return M, K, 0.0, True
         grew = False
-        while K < K_cap and max(cells.col(K, M), cells.col(-K, M)) >= ln_tol + scale:
+        while K < K_cap and block[:, [0, -1]].max() >= ln_tol + scale:
             K += 1
+            block = cells(M, K)
             grew = True
-        while M < M_cap and max(cells.ring(M, K), cells.ring(-M, K)) >= ln_tol + scale:
+        while M < M_cap and block[[0, -1]].max() + M * tau * x_max >= ln_tol + scale:
             M += 1
+            block = cells(M, K)
             grew = True
         if not grew:
             break
-    converged = cells.tail_ln(M, K) < ln_tol
+    converged = _tail_ln(block, tau, x_max) < ln_tol
     M, K = min(M + 1, M_cap), min(K + 2, K_cap)
-    return TruncationChoice(M, K, math.exp(cells.tail_ln(M, K))), converged
+    return M, K, math.exp(_tail_ln(cells(M, K), tau, x_max)), converged
 
 
 def auto_truncation(
@@ -296,28 +282,36 @@ def auto_truncation(
     x_max: float = 0.0,
     ctrl: SeriesControl | None = None,
     quad: QuadratureControl | None = None,
-    source: GammaSource | None = None,
 ) -> TruncationChoice:
-    """Choose truncation orders (M, K) for a target relative accuracy.
+    """Choose truncation orders (M, K) for a target relative accuracy on
+    |x| <= x_max, and return the table at exactly those orders.
 
     Runs the growth loop of :func:`_truncate` over the signal's own
-    coefficients, taken from ``source`` (see GammaSource.of), up to the
-    hard caps MAX_M, MAX_K, and refuses when the weighted tail is still
-    above tol there.
+    coefficients up to the hard caps MAX_M, MAX_K, and refuses when the
+    weighted tail is still above tol there.  The table grows with the
+    loop (:func:`forward_table` with ``base=``), so each entry of
+    ``choice.table`` is computed once and no other entry is computed.
     """
     _require_subcritical(params)
     if not (0 < tol < 1):
         raise InvalidParameterError("tol must lie in (0, 1)")
-    gamma = GammaSource.of(signal, params.tau, quad, source)
-    cells = _Cells(lambda m, k: gamma(m, k)[0].ln_abs(), params, x_max, ctrl)
-    choice, converged = _truncate(cells, tol, MAX_M, MAX_K)
+    if not (math.isfinite(x_max) and x_max >= 0):
+        raise InvalidParameterError(f"x_max must be a finite non-negative real, got {x_max!r}")
+    coeff_ln = functools.cache(lambda m: coeff_E(m, params, ctrl or SeriesControl()).ln_abs())
+    table = None
+
+    def cells(M: int, K: int) -> np.ndarray:
+        nonlocal table
+        table = forward_table(signal, params.tau, M, K, quad, base=table)
+        return _cells([coeff_ln(m) for m in range(-M, M + 1)], table.mantissa, table.exponent)
+
+    M, K, tail, converged = _truncate(cells, params.tau, x_max, tol, MAX_M, MAX_K)
     if not converged:
         raise NonConvergenceError(
             "auto_truncation: weighted tail still above tol at the hard caps",
-            diagnostics={"M": choice.M, "K": choice.K,
-                         "tail_ln": math.log(choice.tail_estimate)},
+            diagnostics={"M": M, "K": K, "tail_ln": math.log(tail)},
         )
-    return choice
+    return TruncationChoice(M, K, tail, table)
 
 
 # --------------------------------------------------------------- grid driver
@@ -328,7 +322,6 @@ def reconstruct_grid(
     table: GammaTable,
     params: LatticeParams,
     reference: SignalModel | None = None,
-    threads: int = 1,
 ) -> ReconReport:
     """Evaluate the reconstruction on a grid and report errors.
 
@@ -337,9 +330,8 @@ def reconstruct_grid(
     the growth loop of :func:`auto_truncation`, guard ring included,
     clipped to the table's extents (a table that is too small yields a
     larger tail_estimate, not an error); tail_estimate is always measured
-    at the (M, K) actually used.  ``threads`` is accepted for
-    compatibility and changes nothing: the fixed chunking and reduction
-    order make the result independent of any thread count.
+    at the (M, K) actually used.  The cells the loop weighs come from the
+    table's mantissa and exponent arrays in one block.
 
     Wide-grid caveat: far beyond |x| ~ pi the result is O(g(x)) while
     the weighted terms are O(g(x mod 2pi)), so the exterior sum cancels
@@ -357,19 +349,21 @@ def reconstruct_grid(
     xs = grid_points(config.grid)
     x_reach = float(np.max(np.abs(xs))) if len(xs) else 0.0
 
-    cells = _Cells(lambda m, k: table.get(m, k).ln_abs(), params, x_reach)
+    M_cap, K_cap = config.truncation or (table.M, table.K)
+    if M_cap > table.M or K_cap > table.K:
+        raise InvalidParameterError(
+            f"explicit truncation (M={M_cap}, K={K_cap}) exceeds table extents"
+        )
+    coeffs = [coeff_E(m, params) for m in range(-M_cap, M_cap + 1)]
+    used = np.s_[table.M - M_cap: table.M + M_cap + 1, table.K - K_cap: table.K + K_cap + 1]
+    block = _cells([c.ln_abs() for c in coeffs], table.mantissa[used], table.exponent[used])
     if config.truncation is not None:
-        M, K = config.truncation
-        if M > table.M or K > table.K:
-            raise InvalidParameterError(
-                f"explicit truncation (M={M}, K={K}) exceeds table extents"
-            )
-        tail = math.exp(cells.tail_ln(M, K))
+        M, K, tail = M_cap, K_cap, math.exp(_tail_ln(block, params.tau, x_reach))
     else:
-        choice, _ = _truncate(cells, config.tol, table.M, table.K)
-        M, K, tail = choice.M, choice.K, choice.tail_estimate
+        M, K, tail, _ = _truncate(
+            lambda M, K: block[M_cap - M: M_cap + M + 1, K_cap - K: K_cap + K + 1],
+            params.tau, x_reach, config.tol, M_cap, K_cap)
 
-    coeffs = [cells.coeff(m) for m in range(-M, M + 1)]
     rec = reconstruct_point(xs, table, params, coeffs, M, K)
 
     ref_values = None
@@ -410,24 +404,21 @@ def round_trip(
     """Forward transform a known signal and reconstruct it on the grid.
 
     The primary end-to-end correctness check: truncation is chosen by
-    :func:`auto_truncation` (unless the config pins it), the table is
-    built to exactly that size from the entries it computed, and the
-    report carries the errors against the original signal.
+    :func:`auto_truncation` (unless the config pins it), whose table is
+    the one reconstructed from, and the report carries the errors against
+    the original signal.  ``threads`` is accepted and ignored: the
+    computation runs in one thread.
     """
     params = tau if isinstance(tau, LatticeParams) else nome_from_tau(tau)
     config = config or ReconConfig()
-    xs = grid_points(config.grid)
-    x_reach = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    source = GammaSource(signal, params.tau, quad)
     if config.truncation is not None:
-        M, K = config.truncation
+        table = forward_table(signal, params.tau, *config.truncation, quad)
     else:
-        choice = auto_truncation(signal, params, config.tol, x_max=x_reach, quad=quad,
-                                 source=source)
-        M, K = choice.M, choice.K
-    table = forward_table(signal, params.tau, M, K, quad=quad, threads=threads, source=source)
-    pinned = ReconConfig(tol=config.tol, grid=config.grid, truncation=(M, K))
-    return reconstruct_grid(pinned, table, params, reference=signal, threads=threads)
+        xs = grid_points(config.grid)
+        x_reach = float(np.max(np.abs(xs))) if len(xs) else 0.0
+        table = auto_truncation(signal, params, config.tol, x_max=x_reach, quad=quad).table
+    pinned = ReconConfig(tol=config.tol, grid=config.grid, truncation=(table.M, table.K))
+    return reconstruct_grid(pinned, table, params, reference=signal)
 
 
 def calibrate_constant(tau: float = 1.0, x: float = 0.0, M: int = 8, K: int = 16) -> float:

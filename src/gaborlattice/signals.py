@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .scaled import LN_BASE, ScaledValue, normalise_array, scaled_arrays
+from .scaled import LN_BASE, ScaledValue, normalise_array
 
 LN_TWO_PI = math.log(2.0 * math.pi)
 EPS = sys.float_info.epsilon
@@ -315,42 +315,6 @@ def gamma_quadrature(
     )
 
 
-class GammaSource:
-    """gamma_{m,k} of one signal at one tau, each entry computed once.
-
-    ``source(m, k)`` returns ``(value, abs_err)``: the closed form and its
-    rounding bound for a Gaussian family, :func:`gamma_quadrature`
-    otherwise.  Handing one source to ``recon.auto_truncation`` and to
-    :func:`forward_table` lets the table reuse the entries the truncation
-    probed.
-    """
-
-    def __init__(self, signal: SignalModel, tau: float, quad: QuadratureControl | None = None):
-        self.signal = signal
-        self.tau = tau
-        self.quad = quad or _DEFAULT_QUAD
-        self._entries: dict[tuple[int, int], tuple[ScaledValue, ScaledValue]] = {}
-
-    @classmethod
-    def of(cls, signal: SignalModel, tau: float, quad: QuadratureControl | None = None,
-           source: "GammaSource | None" = None) -> "GammaSource":
-        """``source`` if it was built for this signal, tau and quad; a new source if None."""
-        if source is not None and (source.signal, source.tau, source.quad) != (
-                signal, tau, quad or _DEFAULT_QUAD):
-            raise InvalidParameterError("gamma source was built for another signal, tau or quad")
-        return source or cls(signal, tau, quad)
-
-    def __call__(self, m: int, k: int) -> tuple[ScaledValue, ScaledValue]:
-        key = (m, k)
-        if key not in self._entries:
-            if self.signal.kind == GAUSSIAN_FAMILY:
-                self._entries[key] = (gamma_closed_form(m, k, self.signal, self.tau),
-                                      _closed_form_bound(m, k, self.signal, self.tau))
-            else:
-                self._entries[key] = gamma_quadrature(m, k, self.signal, self.tau, self.quad)
-        return self._entries[key]
-
-
 def _column(payload: dict, key: str, kinds: str, size: int) -> np.ndarray:
     """One payload column as a 1-d array of ``size`` finite numbers of a
     dtype kind in ``kinds``."""
@@ -377,13 +341,16 @@ class GammaTable:
     ``errors`` is the GammaTable of each entry's absolute error bound when
     the table was computed here (:func:`forward_table`), and None for a
     table read back from a payload, which carries the values only.
+    ``built_for`` is then the ``(signal, tau, quad)`` the entries were
+    computed for, and None for a payload table.
     """
 
     def __init__(self, M: int, K: int, tau: float, mantissa, exponent,
-                 errors: "GammaTable | None" = None):
+                 errors: "GammaTable | None" = None, built_for: tuple | None = None):
         self.M = M
         self.K = K
         self.tau = tau
+        self.built_for = built_for
         self.mantissa = np.array(mantissa, dtype=complex).reshape(2 * M + 1, 2 * K + 1)
         self.exponent = np.array(exponent, dtype=np.int64).reshape(2 * M + 1, 2 * K + 1)
         self.mantissa.setflags(write=False)
@@ -448,27 +415,46 @@ def forward_table(
     tau: float,
     M: int,
     K: int,
-    quad: QuadratureControl = _DEFAULT_QUAD,
-    threads: int = 1,
-    source: GammaSource | None = None,
+    quad: QuadratureControl | None = _DEFAULT_QUAD,
+    base: GammaTable | None = None,
 ) -> GammaTable:
     """Fill the full coefficient table, closed form where available.
 
     Every entry's absolute error bound is kept in ``table.errors``: the
     rounding bound of the closed form, or the bound returned by
-    :func:`gamma_quadrature`.  Entries already in ``source`` (see
-    :meth:`GammaSource.of`) are not computed again.
-
-    ``threads`` is accepted for compatibility and changes nothing: the
-    entries are pure-Python work that a thread pool cannot overlap under
-    the interpreter lock, so they are computed in one thread, row by row.
+    :func:`gamma_quadrature`.  The entries that ``base`` holds are copied
+    with their bounds, not computed again; ``base`` must have been built
+    here for the same signal, tau and quad (a table read from a payload
+    carries no bounds and is refused too).
     """
     if M < 0 or K < 0:
         raise InvalidParameterError("M and K must be non-negative")
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidParameterError(f"tau must be a finite positive real, got {tau!r}")
-    source = GammaSource.of(signal, tau, quad, source)
-    entries = [[source(m, k) for k in range(-K, K + 1)] for m in range(-M, M + 1)]
-    values = scaled_arrays([[value for value, _ in row] for row in entries])
-    errors = scaled_arrays([[err for _, err in row] for row in entries])
-    return GammaTable(M, K, tau, *values, errors=GammaTable(M, K, tau, *errors))
+    quad = quad or _DEFAULT_QUAD
+    built_for = (signal, tau, quad)
+    if base is not None and base.built_for != built_for:
+        raise InvalidParameterError(
+            "base table was built for another signal, tau or quad, or read from a payload")
+    # [0] the values, [1] their error bounds
+    mant = np.zeros((2, 2 * M + 1, 2 * K + 1), dtype=complex)
+    exps = np.zeros(mant.shape, dtype=np.int64)
+    if base is not None:
+        bM, bK = min(M, base.M), min(K, base.K)
+        new = np.s_[:, M - bM: M + bM + 1, K - bK: K + bK + 1]
+        old = np.s_[base.M - bM: base.M + bM + 1, base.K - bK: base.K + bK + 1]
+        mant[new] = base.mantissa[old], base.errors.mantissa[old]
+        exps[new] = base.exponent[old], base.errors.exponent[old]
+    for m in range(-M, M + 1):
+        for k in range(-K, K + 1):
+            if base is not None and abs(m) <= base.M and abs(k) <= base.K:
+                continue
+            if signal.kind == GAUSSIAN_FAMILY:
+                entry = (gamma_closed_form(m, k, signal, tau),
+                         _closed_form_bound(m, k, signal, tau))
+            else:
+                entry = gamma_quadrature(m, k, signal, tau, quad)
+            for n, value in enumerate(entry):
+                mant[n, m + M, k + K], exps[n, m + M, k + K] = value.mantissa, value.exponent
+    return GammaTable(M, K, tau, mant[0], exps[0], errors=GammaTable(M, K, tau, mant[1], exps[1]),
+                      built_for=built_for)

@@ -43,7 +43,7 @@ from .qtheta import (
     theta_series_scaled,
 )
 from .scaled import ScaledValue, to_complex
-from .signals import GammaSource, SignalModel, forward_table
+from .signals import SignalModel, forward_table
 from .recon import auto_truncation, inner_fourier_sum
 
 SUITES = ("theta", "coeffs", "poisson", "interpolation", "all")
@@ -250,8 +250,7 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
 
 
 def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
-                  ctrl: SeriesControl = _DEFAULT_CTRL,
-                  source: GammaSource | None = None) -> list[CheckRecord]:
+                  ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     signal = signal or _default_signal()
     if _is_zero_signal(signal):
@@ -259,7 +258,7 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
                                   "degenerate input: zero signal, vacuous pass"))
         return checks
     K = 12
-    table = forward_table(signal, params.tau, 3, K, source=source)
+    table = forward_table(signal, params.tau, 3, K)
     ratios = []
     for x in (0.0, 0.3, 1.1):
         rhs = to_complex(spatial_A(np.arange(-3, 4), x, signal, params, ctrl))
@@ -277,8 +276,7 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
 
 
 def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None,
-                        ctrl: SeriesControl = _DEFAULT_CTRL,
-                        source: GammaSource | None = None) -> list[CheckRecord]:
+                        ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     signal = signal or _default_signal()
     if _is_zero_signal(signal):
@@ -286,7 +284,7 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
                                   "degenerate input: zero signal, vacuous pass"))
         return checks
     x = 0.3
-    extent = auto_truncation(signal, params, 1e-10, x_max=abs(x), source=source).M + 2
+    extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
     ns = np.arange(-extent, extent + 1)
     samples = [(int(n), ScaledValue(mant, int(exp)))
                for n, mant, exp in zip(ns, *spatial_A(ns, x, signal, params, ctrl))]
@@ -365,10 +363,8 @@ def run_suite(
             "poisson/interpolation suites skipped: tau > pi",
         ))
         return report
-    # one source, so the two suites share every table entry they both use
-    source = GammaSource(signal or _default_signal(), params.tau)
     if suite in ("poisson", "all"):
-        report.checks += poisson_suite(params, signal, ctrl, source)
+        report.checks += poisson_suite(params, signal, ctrl)
     if suite in ("interpolation", "all"):
-        report.checks += interpolation_suite(params, signal, ctrl, source)
+        report.checks += interpolation_suite(params, signal, ctrl)
     return report

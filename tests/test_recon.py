@@ -166,6 +166,26 @@ class TestAutoTruncation:
         choice = auto_truncation(zero, params_tau1, 1e-8)
         assert choice.tail_estimate == 0.0
 
+    def test_computes_each_table_entry_once(self, monkeypatch, two_component, params_tau1):
+        import gaborlattice.signals as signals
+
+        keys = []
+        original = signals.gamma_closed_form
+
+        def counting(m, k, *args, **kwargs):
+            keys.append((m, k))
+            return original(m, k, *args, **kwargs)
+
+        monkeypatch.setattr(signals, "gamma_closed_form", counting)
+        choice = auto_truncation(two_component, params_tau1, 1e-8, x_max=3.0)
+        monkeypatch.undo()
+        M, K = choice.M, choice.K
+        assert (choice.table.M, choice.table.K) == (M, K)
+        assert sorted(keys) == [(m, k) for m in range(-M, M + 1) for k in range(-K, K + 1)]
+        alone = forward_table(two_component, 1.0, M, K)
+        assert choice.table == alone
+        assert choice.table.errors == alone.errors
+
 
 class TestRoundTrip:
     def test_unit_gaussian_tau1(self, unit_gaussian):
@@ -279,13 +299,6 @@ class TestGridDriver:
         table = forward_table(unit_gaussian, 1.0, 2, 2)
         with pytest.raises(InvalidParameterError):
             reconstruct_grid(ReconConfig(truncation=(2, 2)), table, nome_from_tau(1.1))
-
-    def test_threads_bitwise_identical(self, two_component, params_tau1):
-        table = forward_table(two_component, 1.0, 4, 8)
-        cfg = ReconConfig(grid=(-2.0, 2.0, 0.05), truncation=(4, 8))
-        a = reconstruct_grid(cfg, table, params_tau1, threads=1)
-        b = reconstruct_grid(cfg, table, params_tau1, threads=4)
-        assert np.array_equal(a.reconstructed, b.reconstructed)
 
     def test_grid_points_deterministic(self):
         xs = grid_points((-3.0, 3.0, 0.05))

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from gaborlattice import (
-    GammaSource,
     GammaTable,
     InvalidParameterError,
     QuadratureControl,
     SignalModel,
-    auto_truncation,
     eval_signal,
     forward_table,
     gamma_closed_form,
     gamma_quadrature,
-    nome_from_tau,
     windowed_sample_scaled,
 )
 
@@ -206,11 +203,6 @@ class TestForwardTable:
         assert max(excess) < 2.0
         assert all(math.isfinite(e) for e in excess)
 
-    def test_threads_do_not_change_values(self, two_component):
-        t1 = forward_table(two_component, 0.8, 3, 4, threads=1)
-        t4 = forward_table(two_component, 0.8, 3, 4, threads=4)
-        assert t1 == t4
-
     def test_payload_roundtrip_bit_exact(self, two_component, unit_gaussian):
         table = forward_table(two_component, 0.8, 2, 3)
         clone = GammaTable.from_payload(2, 3, 0.8, table.to_payload())
@@ -246,18 +238,29 @@ class TestForwardTable:
         with pytest.raises(InvalidParameterError, match="list of 15"):
             GammaTable.from_payload(1, 2, 0.8, payload)
 
-    def test_shared_source_changes_nothing(self, two_component):
+    def test_base_changes_nothing(self, two_component):
         quad = QuadratureControl(tol=1e-10)
         cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
         for signal in (two_component, cb):
-            source = GammaSource(signal, 0.6, quad)
-            choice = auto_truncation(signal, nome_from_tau(0.6), 1e-4, quad=quad, source=source)
-            shared = forward_table(signal, 0.6, choice.M, choice.K, quad, source=source)
-            alone = forward_table(signal, 0.6, choice.M, choice.K, quad)
-            assert shared == alone
-            assert shared.errors == alone.errors
-        with pytest.raises(InvalidParameterError, match="another signal"):
-            forward_table(two_component, 0.8, 1, 1, quad, source=source)
+            alone = forward_table(signal, 0.6, 2, 4, quad)
+            # a smaller base, and one wider in m than the table it seeds
+            for M, K in ((1, 2), (3, 1)):
+                base = forward_table(signal, 0.6, M, K, quad)
+                grown = forward_table(signal, 0.6, 2, 4, quad, base=base)
+                assert grown == alone
+                assert grown.errors == alone.errors
+
+    def test_foreign_or_payload_base_refused(self, two_component, unit_gaussian):
+        quad = QuadratureControl(tol=1e-10)
+        base = forward_table(two_component, 0.6, 1, 1, quad)
+        for args in ((unit_gaussian, 0.6, 2, 2, quad), (two_component, 0.8, 2, 2, quad),
+                     (two_component, 0.6, 2, 2, QuadratureControl(tol=1e-8))):
+            with pytest.raises(InvalidParameterError, match="another signal"):
+                forward_table(*args, base=base)
+        payload = GammaTable.from_payload(1, 1, 0.6, base.to_payload())
+        assert payload == base
+        with pytest.raises(InvalidParameterError, match="from a payload"):
+            forward_table(two_component, 0.6, 2, 2, quad, base=payload)
 
     def test_entries_keep_their_bounds(self, two_component):
         cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)

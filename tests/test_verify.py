@@ -86,18 +86,3 @@ def test_all_suites_pass_on_seeded_family(tau):
     failing = [c.name for c in report.checks if not c.passed]
     assert report.passed, failing
     assert len(report.checks) == 18
-
-
-def test_all_computes_each_table_entry_once(monkeypatch):
-    import gaborlattice.signals as signals
-
-    keys = []
-    original = signals.gamma_closed_form
-
-    def counting(m, k, *args, **kwargs):
-        keys.append((m, k))
-        return original(m, k, *args, **kwargs)
-
-    monkeypatch.setattr(signals, "gamma_closed_form", counting)
-    assert run_suite("all", 1.0, signal=_seeded_family(12)).passed
-    assert keys and len(keys) == len(set(keys))
