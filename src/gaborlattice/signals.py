@@ -26,13 +26,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .scaled import LN_BASE, ScaledValue, normalise_array
+from .scaled import LN_BASE, ScaledValue, normalise_array, scaled_arrays
 
 LN_TWO_PI = math.log(2.0 * math.pi)
+LN_FOUR = math.log(4.0)
 EPS = sys.float_info.epsilon
-#: multiple of eps * (integrand L1 scale) returned as the roundoff floor of
-#: a table entry; an mpmath check of the trapezoid sums measured at most 8.8
+LN_EPS = math.log(EPS)
+#: multiple of eps * (integrand L1 scale) returned as the roundoff floor of a
+#: table entry; tools/quadrature_bound_check.py measures at most 3.3 there
 ROUNDING_C = 32.0
+#: coarsest spacing of the callback quadrature's grid x_n = n * H0 / 2**j
+H0 = 0.25
+#: complex elements in one column chunk of the phases e^{-ikx}
+PHASE_CHUNK = 1 << 18
 
 GAUSSIAN_FAMILY = "gaussian_family"
 CALLBACK = "callback"
@@ -136,16 +142,17 @@ def windowed_sample_scaled(signal: SignalModel, x: float) -> ScaledValue:
 
 @dataclass(frozen=True)
 class QuadratureControl:
-    """Composite-trapezoid refinement policy for callback signals.
+    """Stopping rule of the shared-grid trapezoid for callback signals.
 
-    ``tol`` is the relative accuracy asked of each entry.  It is met
-    wherever double precision allows it; where the integrand cancels
-    down to its roundoff floor it cannot be, and the entry's returned
-    absolute bound (see :func:`gamma_quadrature`) says what is kept.
+    An entry halves its spacing until two successive sums agree to ``tol``
+    relative (or to its row's roundoff floor); ``tol`` is also the relative
+    part of its bound (see :func:`gamma_quadrature`).  ``max_refinements``
+    caps the halvings past the entry's start level: a sampler too rough to
+    converge within it raises NonConvergenceError.
     """
 
     tol: float = 1e-10
-    max_refinements: int = 24
+    max_refinements: int = 12
 
     def __post_init__(self):
         if not (0 < self.tol < 1):
@@ -207,112 +214,118 @@ def _closed_form_bound(m: int, k: int, signal: SignalModel, tau: float) -> Scale
 
 
 def gamma_quadrature(
-    m: int,
-    k: int,
+    m: int | tuple[int, ...],
+    k: int | tuple[int, ...],
     signal: SignalModel,
     tau: float,
     quad: QuadratureControl = _DEFAULT_QUAD,
-) -> tuple[ScaledValue, ScaledValue]:
-    """gamma_{m,k} by refined composite trapezoid, with its absolute error bound.
+):
+    """gamma_{m,k} by trapezoid sums on one shared grid, with absolute error bounds.
 
-    Writing exp(-tau m x - x^2/4) = e^{tau^2 m^2} exp(-(x - x0)^2/4)
-    with x0 = -2 tau m, the integral is computed on [x0 - R, x0 + R]
-    with the scale e^{tau^2 m^2} kept in the exponent.
+    For int ``m`` and ``k``, ``(value, abs_err)`` as ScaledValues; for
+    tuples of rows and columns, ``(mantissa, exponent)`` arrays of shape
+    (2, len(m), len(k)) holding [0] the values and [1] their bounds.  An
+    entry depends only on (m, k, signal, tau, quad), never on its block.
 
-    Returns ``(value, abs_err)``.  With the integrand's L1 scale
-    S = e^{tau^2 m^2} integral |f(x)| exp(-(x - x0)^2/4) dx,
+    With exp(-tau m x - x^2/4) = e^{tau^2 m^2} exp(-(x - x0)^2/4) and
+    x0 = -2 tau m, row m sums the nodes in [x0 - R_m, x0 + R_m] of the
+    grid x_n = n H0 / 2^j (each sampled once per call; n H0 / 2^j and
+    k x_n are exact), the scale e^{tau^2 m^2} kept in the exponent.  R_m
+    is widened from the envelope metadata until the envelope's tail is
+    below eps S_m, with S_m = H0 sum_n |f(x_n)| exp(-(x_n - x0)^2/4) on
+    level 0.  Entry (m, k) starts at the coarsest level resolving e^{-ikx}
+    and halves the spacing, reusing every sample, until successive sums
+    agree to quad.tol or to 1e-15 S_m; an analytic, Gaussian-windowed
+    integrand converges geometrically, so usually at the first halving.
+    With S = e^{tau^2 m^2} S_m,
 
         abs_err = max(quad.tol * |value|, ROUNDING_C * eps * S)
                   + eps (2 tau^2 m^2 + LN_BASE) |value|.
 
     The second term of the max is the roundoff floor of summing
-    double-precision samples: where oscillation cancels |gamma| far
-    below S, no double-precision rule meets quad.tol relative and the
-    bound says so instead.  The last term covers the rounding of the
-    scale e^{tau^2 m^2}: of its exponent, and of ScaledValue.from_ln.
-
-    The spacing starts below the oscillation scale of e^{-ikx} and is
-    halved until successive estimates agree to quad.tol or to the
-    roundoff floor (a trapezoid rule on an analytic, Gaussian-windowed
-    integrand converges super-geometrically, so this usually fires
-    immediately).  The half-width R starts from the envelope metadata
-    and then grows until the declared-envelope tail bound is below the
-    error bound computed from the value itself, so the tail is
-    certified on every return path.
+    double-precision samples: where oscillation cancels |gamma| far below
+    S, no double-precision rule meets quad.tol relative, and the bound
+    says so.  The last term covers the rounding of the scale's exponent
+    and of ScaledValue.from_ln.  A row whose samples all vanish keeps
+    only its tail bound.
     """
+    rows, cols = np.array(m, ndmin=1), np.array(k, ndmin=1)
+    mant = np.zeros((2, len(rows), len(cols)), dtype=complex)
+    exps = np.zeros(mant.shape, dtype=np.int64)
     ln_c, alpha = signal.envelope_ln()
-    if ln_c == -math.inf:
-        return ScaledValue.zero(), ScaledValue.zero()
-    x0 = -2.0 * tau * m
-    ln_scale = tau * tau * m * m
+    seen: dict[float, complex] = {}
 
-    def integrand(x: float) -> complex:
-        d = x - x0
-        return (
-            cmath.exp(-1j * k * x)
-            * eval_signal(signal, x)
-            * math.exp(-d * d / 4.0)
-        )
+    def fetch(xs: np.ndarray) -> np.ndarray:
+        """f at the nodes xs, each node sampled at most once; non-finite f refused."""
+        values = list(map(seen.get, xs.tolist()))
+        for n in (n for n, v in enumerate(values) if v is None):
+            x = float(xs[n])
+            values[n] = seen[x] = eval_signal(signal, x)
+            if not cmath.isfinite(values[n]):
+                raise InvalidParameterError(f"callback returned {values[n]!r} at x={x:.6g}")
+        return np.array(values, dtype=complex)
 
-    def refine(lo: float, hi: float) -> tuple[complex, float]:
-        """Halve the spacing to convergence; returns (value, abs_scale)."""
-        h = min(0.25, math.pi / (2.0 * (abs(k) + 1.0)))
-        n = max(2, math.ceil((hi - lo) / h))
-        h = (hi - lo) / n
-        total = 0.5 * (integrand(lo) + integrand(hi))
-        abs_scale = 0.5 * (abs(integrand(lo)) + abs(integrand(hi)))
-        for i in range(1, n):
-            v = integrand(lo + i * h)
-            total += v
-            abs_scale += abs(v)
-        estimate = total * h
-        abs_scale *= h
-        for _ in range(quad.max_refinements):
-            mid_sum = 0j
-            for i in range(n):
-                mid_sum += integrand(lo + (i + 0.5) * h)
-            refined = 0.5 * estimate + 0.5 * h * mid_sum
-            n *= 2
-            h *= 0.5
-            # second term: roundoff floor of the accumulated sum
-            if abs(refined - estimate) <= quad.tol * abs(refined) + 1e-15 * abs_scale:
-                return refined, abs_scale
-            estimate = refined
-        raise NonConvergenceError(
-            "gamma_quadrature: spacing refinement cap reached",
-            diagnostics={"last": refined, "previous": estimate, "m": m, "k": k},
-        )
+    # coarsest level j with H0 / 2^j <= pi / (2 (|k| + 1))
+    start = np.maximum(0, np.ceil(np.log2(2.0 * H0 * (np.abs(cols) + 1) / math.pi))).astype(int)
+    for i, row in enumerate(rows.tolist() if ln_c > -math.inf else ()):  # else f = 0
+        x0, ln_scale = -2.0 * tau * row, tau * tau * row * row
 
-    def half_width(ln_target: float) -> float:
-        gap = max(1.0, alpha * alpha + ln_c + alpha * abs(x0) - ln_target)
-        return 2.0 * alpha + 2.0 * math.sqrt(gap)
+        def nodes(r: float, j: int) -> tuple[np.ndarray, np.ndarray]:
+            """Level j of the grid on [x0 - r, x0 + r], and f times the window there."""
+            h = H0 / 2 ** j
+            xs = np.arange(math.ceil((x0 - r) / h), math.floor((x0 + r) / h) + 1) * h
+            return xs, fetch(xs) * np.exp(-(xs - x0) ** 2 / 4.0)
 
-    r = half_width(math.log(quad.tol))
-    for _ in range(6):
-        lo, hi = x0 - r, x0 + r
-        if signal.kind == CALLBACK:
-            for endpoint in (lo, hi):
-                observed = abs(complex(signal.sampler(endpoint)))
-                allowed = 10.0 * math.exp(ln_c + alpha * abs(endpoint))
+        def level0(ln_target: float) -> tuple[float, tuple, float, float]:
+            """A half-width whose envelope tail is below e^{ln_target}; the level-0
+            grid there, S_m and the tail.  The envelope is checked at its ends."""
+            r = 2.0 * alpha + 2.0 * math.sqrt(
+                max(1.0, alpha * alpha + ln_c + alpha * abs(x0) + LN_FOUR - ln_target))
+            xs, g = nodes(r, 0)
+            for x, observed in zip(xs[[0, -1]].tolist(), np.abs(fetch(xs[[0, -1]])).tolist()):
+                allowed = 10.0 * math.exp(ln_c + alpha * abs(x))
                 if observed > allowed:
                     raise InvalidParameterError(
-                        f"callback exceeds its declared envelope at x={endpoint:.6g}: "
-                        f"|f| = {observed:.3e} > {allowed:.3e}"
-                    )
-        value, abs_scale = refine(lo, hi)
-        edge_ln = ln_c + alpha * max(abs(lo), abs(hi)) - r * r / 4.0 + math.log(4.0)
-        if abs_scale == 0:  # every sample vanished: only the envelope tail is left
-            return ScaledValue.zero(), ScaledValue.from_ln(ln_scale + edge_ln)
-        err = max(quad.tol * abs(value), ROUNDING_C * EPS * abs_scale)
-        if edge_ln <= math.log(err):
-            scale = ScaledValue.from_ln(ln_scale)
-            err += EPS * (2.0 * ln_scale + LN_BASE) * abs(value)
-            return scale * value, scale * err
-        r = half_width(math.log(err) - 3.0)
-    raise NonConvergenceError(
-        "gamma_quadrature: truncation window kept growing without certification",
-        diagnostics={"last": value, "half_width": r, "m": m, "k": k},
-    )
+                        f"callback exceeds its declared envelope at x={x:.6g}: "
+                        f"|f| = {observed:.3e} > {allowed:.3e}")
+            tail_ln = ln_c + alpha * (abs(x0) + r) - r * r / 4.0 + LN_FOUR
+            return r, (xs, g), H0 * float(np.sum(np.abs(g))), tail_ln
+
+        r, grid, s, tail_ln = level0(ln_c + LN_EPS)
+        if s > 0 and tail_ln > LN_EPS + math.log(s):  # f is far below its envelope here
+            r, grid, s, tail_ln = level0(LN_EPS + math.log(s))  # S_m only grows with r
+        if s == 0:  # every sample vanished: only the envelope tail is left
+            tail = ScaledValue.from_ln(ln_scale + tail_ln)
+            mant[1, i], exps[1, i] = tail.mantissa, tail.exponent
+            continue
+        value, prev = np.zeros((2, len(cols)), dtype=complex)
+        todo = np.ones(len(cols), dtype=bool)
+        for j in range(start.min(), start.max() + quad.max_refinements + 1):
+            live = np.flatnonzero(todo & (start <= j))
+            if not len(live):
+                continue
+            xs, g = grid if j == 0 else nodes(r, j)
+            est = np.zeros(len(cols), dtype=complex)
+            chunk = max(1, PHASE_CHUNK // len(xs))
+            for c in range(0, len(live), chunk):
+                sel = live[c: c + chunk]
+                est[sel] = H0 / 2 ** j * np.sum(np.exp(-1j * np.outer(cols[sel], xs)) * g, axis=1)
+            done = todo & (start < j) & (np.abs(est - prev) <= quad.tol * np.abs(est) + 1e-15 * s)
+            value[done], todo[done], prev = est[done], False, est
+            if not todo.any():
+                break
+            if np.any(todo & (j - start >= quad.max_refinements)):
+                raise NonConvergenceError(
+                    "gamma_quadrature: spacing refinement cap reached",
+                    diagnostics={"m": row, "k": cols[todo].tolist(), "level": j})
+        err = (np.maximum(quad.tol * np.abs(value), ROUNDING_C * EPS * s)
+               + EPS * (2.0 * ln_scale + LN_BASE) * np.abs(value))
+        scale = ScaledValue.from_ln(ln_scale)
+        mant[:, i], exps[:, i] = normalise_array(np.stack([value, err]) * scale.mantissa.real,
+                                                 scale.exponent)
+    if np.ndim(m) == np.ndim(k) == 0:
+        return tuple(ScaledValue(mant[n, 0, 0], int(exps[n, 0, 0])) for n in range(2))
+    return mant, exps
 
 
 def _column(payload: dict, key: str, kinds: str, size: int) -> np.ndarray:
@@ -425,7 +438,9 @@ def forward_table(
     :func:`gamma_quadrature`.  The entries that ``base`` holds are copied
     with their bounds, not computed again; ``base`` must have been built
     here for the same signal, tau and quad (a table read from a payload
-    carries no bounds and is refused too).
+    carries no bounds and is refused too).  The entries left form at most
+    two rectangles, the rows and the columns beyond ``base``; for a
+    callback, each is one block call of :func:`gamma_quadrature`.
     """
     if M < 0 or K < 0:
         raise InvalidParameterError("M and K must be non-negative")
@@ -439,22 +454,26 @@ def forward_table(
     # [0] the values, [1] their error bounds
     mant = np.zeros((2, 2 * M + 1, 2 * K + 1), dtype=complex)
     exps = np.zeros(mant.shape, dtype=np.int64)
+    bM = bK = -1
     if base is not None:
         bM, bK = min(M, base.M), min(K, base.K)
         new = np.s_[:, M - bM: M + bM + 1, K - bK: K + bK + 1]
         old = np.s_[base.M - bM: base.M + bM + 1, base.K - bK: base.K + bK + 1]
         mant[new] = base.mantissa[old], base.errors.mantissa[old]
         exps[new] = base.exponent[old], base.errors.exponent[old]
-    for m in range(-M, M + 1):
-        for k in range(-K, K + 1):
-            if base is not None and abs(m) <= base.M and abs(k) <= base.K:
-                continue
-            if signal.kind == GAUSSIAN_FAMILY:
-                entry = (gamma_closed_form(m, k, signal, tau),
-                         _closed_form_bound(m, k, signal, tau))
-            else:
-                entry = gamma_quadrature(m, k, signal, tau, quad)
-            for n, value in enumerate(entry):
-                mant[n, m + M, k + K], exps[n, m + M, k + K] = value.mantissa, value.exponent
+    ms, ks = np.arange(-M, M + 1), np.arange(-K, K + 1)
+    old_m, old_k = np.abs(ms) <= bM, np.abs(ks) <= bK
+    for in_rows, in_cols in ((~old_m, np.ones(len(ks), dtype=bool)), (old_m, ~old_k)):
+        if not (in_rows.any() and in_cols.any()):
+            continue
+        rows, cols = tuple(ms[in_rows].tolist()), tuple(ks[in_cols].tolist())
+        if signal.kind == GAUSSIAN_FAMILY:  # [values, bounds] of mantissas, of exponents
+            block = [np.stack(part) for part in zip(*(
+                scaled_arrays([[entry(m, k, signal, tau) for k in cols] for m in rows])
+                for entry in (gamma_closed_form, _closed_form_bound)))]
+        else:
+            block = gamma_quadrature(rows, cols, signal, tau, quad)
+        index = (slice(None),) + np.ix_(in_rows, in_cols)
+        mant[index], exps[index] = block
     return GammaTable(M, K, tau, mant[0], exps[0], errors=GammaTable(M, K, tau, mant[1], exps[1]),
                       built_for=built_for)

@@ -212,20 +212,23 @@ class TestRoundTrip:
                     sig, tau, report.sup_error)
 
     def test_callback_entries_computed_once(self, two_component, monkeypatch):
+        # each call computes every (m, k) of its rows and columns
         import gaborlattice.signals as signals
 
         keys = []
         quadrature = signals.gamma_quadrature
 
-        def counting(m, k, *args):
-            keys.append((m, k))
-            return quadrature(m, k, *args)
+        def counting(rows, cols, *args):
+            keys.extend((m, k) for m in np.atleast_1d(rows).tolist()
+                        for k in np.atleast_1d(cols).tolist())
+            return quadrature(rows, cols, *args)
 
         monkeypatch.setattr(signals, "gamma_quadrature", counting)
         cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
         report = round_trip(cb, 0.6, ReconConfig(tol=1e-4, grid=(-1.0, 1.0, 0.5)))
-        assert len(keys) == len(set(keys))
-        assert len(keys) >= (2 * report.M_used + 1) * (2 * report.K_used + 1)
+        M, K = report.M_used, report.K_used
+        # every entry of the final table exactly once, and no other entry
+        assert sorted(keys) == [(m, k) for m in range(-M, M + 1) for k in range(-K, K + 1)]
 
     def test_monotone_truncation(self, unit_gaussian):
         errors = []

@@ -161,6 +161,55 @@ class TestQuadrature:
         with pytest.raises(InvalidParameterError, match="envelope"):
             gamma_quadrature(0, 0, lying, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+    def test_non_finite_sample_refused(self, bad):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return bad if abs(x - 0.3) < 0.2 else cmath.exp(-x * x / 4)
+
+        cb = SignalModel.callback(f, bound=1.0, growth=0.0)
+        with pytest.raises(InvalidParameterError, match="at x=0.25"):
+            gamma_quadrature(0, 0, cb, 1.0)
+        # refused within the first pass over the level-0 grid on |x| < 13
+        assert calls[0] <= 2 * 13 / 0.25 + 1
+
+    @pytest.mark.parametrize("tau, M, K, tol, growth", [
+        (1.0, 9, 6, 1e-10, 0.0),   # rows scaled up to e^{81}
+        (0.6, 4, 6, 1e-6, 0.0),    # a loose tol must keep its bound too
+        (1.0, 3, 3, 1e-10, 0.5),   # a growing declared envelope widens the windows
+    ])
+    def test_bounds_hold_across_regimes(self, tau, M, K, tol, growth):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(11)
+        quad = QuadratureControl(tol=tol)
+        for _ in range(3):
+            comps = [(complex(rng.normal(), rng.normal()), float(rng.normal() * 1.5),
+                      float(rng.normal() * 2.0)) for _ in range(2)]
+            gsig = SignalModel.gaussian(comps)
+            csig = SignalModel.callback(lambda x, g=gsig: eval_signal(g, x),
+                                        bound=sum(abs(a) for a, _, _ in comps), growth=growth)
+            table = forward_table(csig, tau, M, K, quad)
+            for m in range(-M, M + 1):
+                s_ref = sum(abs(a) * math.exp(-c * c / 4) * SQRT_2PI
+                            * math.exp((c / 2 - tau * m) ** 2 / 2) for a, c, _ in comps)
+                for k in range(-K, K + 1):
+                    ref = gamma_closed_form(m, k, gsig, tau).to_complex()
+                    bound = table.errors.get(m, k).to_complex().real
+                    assert abs(table.get(m, k).to_complex() - ref) <= bound, (m, k)
+                    assert bound <= max(10.0 * tol * abs(ref), 64 * eps * s_ref), (m, k)
+
+    def test_block_equals_single_entries(self, two_component):
+        cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
+        rows, cols = (-2, 0, 3), (-7, -1, 0, 4, 9)
+        mant, exps = gamma_quadrature(rows, cols, cb, 0.7)
+        for i, m in enumerate(rows):
+            for j, k in enumerate(cols):
+                value, err = gamma_quadrature(m, k, cb, 0.7)
+                assert (value.mantissa, value.exponent) == (mant[0, i, j], exps[0, i, j])
+                assert (err.mantissa, err.exponent) == (mant[1, i, j], exps[1, i, j])
+
 
 class TestForwardTable:
     def test_single_entry(self, unit_gaussian):
