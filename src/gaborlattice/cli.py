@@ -197,15 +197,17 @@ def cmd_coeffs(args) -> int:
     ctrl = SeriesControl(abs_tol=args.tol) if args.tol is not None else SeriesControl()
     recorded: list[str] = []
     rows = []
+    values = []
     for m in range(args.m_min, args.m_max + 1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            value = coeff_E(m, params, ctrl)
+            values.append(coeff_E(m, params, ctrl))
         for w in caught:
             note = str(w.message)
             if note not in recorded:
                 recorded.append(note)
-        oracle = laurent_c0(m, params, ctrl=ctrl)
+    oracles = laurent_c0(np.arange(args.m_min, args.m_max + 1), params, ctrl=ctrl)
+    for m, value, oracle in zip(range(args.m_min, args.m_max + 1), values, oracles.tolist()):
         try:
             plain = value.to_complex()
         except SaturationError:

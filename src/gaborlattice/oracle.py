@@ -31,8 +31,8 @@ from .errors import DomainError, InvalidParameterError, NonConvergenceError
 from .qtheta import (SUPERCRITICAL, LatticeParams, SeriesControl, theta_prime_lattice,
                      theta_series_scaled, z_array)
 from .recon import auto_truncation
-from .scaled import (BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, log2_split, normalise_array,
-                     pack, scaled_arrays, sub_arrays, sum_rows)
+from .scaled import (BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, ln_split, log2_split,
+                     normalise_array, pack, scaled_arrays, sub_arrays, sum_rows, to_complex)
 from .signals import SignalModel, windowed_sample_scaled
 
 _DEFAULT_CTRL = SeriesControl()
@@ -104,8 +104,7 @@ def _sum_aliased(signal: SignalModel, x: float, w_split: tuple, arg_w: np.ndarra
     lo = np.minimum(j[np.argmax(keep, axis=1)] - 1, -ctrl.min_terms)[:, None]
     hi = np.maximum(j[::-1][np.argmax(keep[:, ::-1], axis=1)] + 1, ctrl.min_terms)[:, None]
     j = np.arange(lo.min(initial=0), hi.max(initial=0) + 1)
-    g_mant, g_exps = scaled_arrays(
-        [[windowed_sample_scaled(signal, x + 2.0 * math.pi * jj) for jj in j]])
+    g_mant, g_exps = windowed_sample_scaled(signal, x + 2.0 * math.pi * j)
     f, bits = exp_pow2(j * lnr_w)
     mant = np.where((j >= lo) & (j <= hi), g_mant * f * np.exp(1j * j * arg_w[:, None]), 0.0)
     return sum_rows(mant, g_exps * BASE_LOG2 + bits + j * e_w)
@@ -139,7 +138,9 @@ def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
 def _node_gaps(zs: np.ndarray, ns, q: float):
     """z - q^n for each z (rows) and node n (columns) as normalised arrays,
     and the relative distance |z - q^n| / max(|z|, q^n)."""
-    node = scaled_arrays([[ScaledValue.from_pow(q, int(n)) for n in ns]])
+    e, hi, lo = ln_split(q)
+    f, bits = exp_pow2(ns * hi, ns * lo)
+    node = [part[None, :] for part in sum_rows(f[:, None], (bits + ns * e)[:, None])]
     diff = sub_arrays((zs[:, None], np.zeros((len(zs), 1), dtype=np.int64)), node)
     size = np.maximum(np.log(np.abs(zs))[:, None], np.log(np.abs(node[0])) + node[1] * LN_BASE)
     with np.errstate(divide="ignore"):
@@ -147,8 +148,8 @@ def _node_gaps(zs: np.ndarray, ns, q: float):
 
 
 def _node_weights(ns, a_mant: np.ndarray, a_exps: np.ndarray, q: float, ctrl: SeriesControl):
-    """A_n / Theta'(q^n; q) for each node n, each derivative computed once."""
-    d_mant, d_exps = scaled_arrays([[theta_prime_lattice(int(n), q, ctrl) for n in ns]])
+    """A_n / Theta'(q^n; q) for each node n, the derivatives in one call."""
+    d_mant, d_exps = theta_prime_lattice(ns, q, ctrl)
     return normalise_array(a_mant / d_mant, a_exps - d_exps)
 
 
@@ -178,7 +179,7 @@ def lagrange_interpolant(
     zs, scalar = z_array(z, "the interpolant")
     q = params.q
     ordered = sorted(samples, key=lambda item: item[0])
-    ns = [n for n, _ in ordered]
+    ns = np.array([n for n, _ in ordered], dtype=np.int64)
     a_mant, a_exps = scaled_arrays(
         [[a if isinstance(a, ScaledValue) else ScaledValue.from_complex(a) for _, a in ordered]])
     diff, rel = _node_gaps(zs, ns, q)
@@ -198,30 +199,33 @@ def lagrange_interpolant(
 
 
 def laurent_c0(
-    m: int,
+    m,
     params: LatticeParams,
     contour: ContourSpec | None = None,
     ctrl: SeriesControl = _DEFAULT_CTRL,
-) -> complex:
+):
     """z^0 Laurent coefficient of Theta(z;q) / ((z - q^m) Theta'(q^m;q))
-    by an averaged contour integral -- the definitional oracle for coeff_E.
+    by an averaged contour integral -- the definitional oracle for coeff_E;
+    a complex for an int m, a complex array for an array of m.
 
     The function is holomorphic on C \\ {0} (the pole at q^m is killed
     by the theta zero), so the coefficient is the same on every circle;
     the default is the balanced circle |z| = q^{-1/2}, the one radius
     where the extraction stays well conditioned for all m.  Averaging N
     uniform samples is exact up to modes +-N, +-2N, ..., whose weight
-    decays like q^{N^2/2}.  All N nodes are evaluated in one call.
+    decays like q^{N^2/2}.  Theta is evaluated once on the N nodes for all m.
     """
     contour = contour or balanced_contour(params)
     contour.validate(params)
-    q = params.q
+    q, ms = params.q, np.asarray(m).reshape(-1)
     zs = contour.radius * np.exp(2j * math.pi * np.arange(contour.nodes) / contour.nodes)
     t_mant, t_exps = theta_series_scaled(zs, q, ctrl)
-    weights = _node_weights([m], *scaled_arrays([[ScaledValue.one()]]), q, ctrl)
-    c_mant, c_exps = _cardinal_sum(_node_gaps(zs, [m], q)[0], weights)
-    total = sum_rows((t_mant * c_mant)[None, :], (t_exps + c_exps)[None, :] * BASE_LOG2)
-    return (ScaledValue(total[0][0], int(total[1][0])) / contour.nodes).to_complex()
+    w_mant, w_exps = _node_weights(ms, np.ones(1), np.zeros(1, dtype=np.int64), q, ctrl)
+    d_mant, d_exps = _node_gaps(zs, ms, q)[0]
+    total = sum_rows(t_mant * (w_mant[:, None] / d_mant.T),
+                     (t_exps + w_exps[:, None] - d_exps.T) * BASE_LOG2)
+    c0 = to_complex((total[0] / contour.nodes, total[1]))
+    return complex(c0[0]) if np.ndim(m) == 0 else c0
 
 
 G_OVER_THETA = "G_over_theta"

@@ -12,6 +12,10 @@ functional equation Theta(qz; q) = -Theta(z; q)/z.  Both
 representations are implemented independently; the test suite holds
 them against each other.
 
+The theta forms, the lattice derivatives and eta take scalars or 1-d arrays
+(z and q broadcast; n) and give a ScaledValue (eta a float) or normalised
+(mantissa, exponent) arrays; a scalar call equals an array call's element.
+
 Two printed closed forms from the source material carry slips and are
 kept only as diagnostic candidates:
 
@@ -104,10 +108,12 @@ class SeriesControl:
 _DEFAULT_CTRL = SeriesControl()
 
 
-def _check_q_open(q: float) -> float:
-    if not isinstance(q, (int, float)) or not math.isfinite(q) or not 0 < q < 1:
+def _check_q_open(q):
+    """q as a float, or a float array for an array, with every entry in (0, 1)."""
+    array = isinstance(q, np.ndarray) and q.dtype.kind == "f"
+    if not (array or isinstance(q, (int, float))) or not np.all((q > 0) & (q < 1)):
         raise InvalidParameterError(f"q must lie in (0, 1), got {q!r}")
-    return float(q)
+    return q.astype(float) if array else float(q)
 
 
 def euler_product(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
@@ -140,41 +146,67 @@ def z_array(z, what: str = "theta") -> tuple[np.ndarray, bool]:
     return zs.reshape(-1), zs.ndim == 0
 
 
-def theta_product_scaled(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
-    """Product form of Theta(z; q) in scaled arithmetic: a ScaledValue for a
-    scalar z, normalised (mantissa, exponent) arrays for a 1-d array of z.
-
-    Each z takes factors until q^n max(|z|, 1/|z|) < abs_tol (and at least
-    min_terms); the product is renormalised by a power of two per factor.
-    """
+def _z_and_q(z, q) -> tuple[np.ndarray, np.ndarray, bool]:
+    """z (z_array) and q broadcast to one 1-d length; whether both were scalars."""
     zs, scalar = z_array(z)
     q = _check_q_open(q)
+    zs, qs = np.broadcast_arrays(zs, np.reshape(q, -1))
+    return zs, qs, scalar and np.ndim(q) == 0
+
+
+def _q_split(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """scaled.ln_split of each q as (e, hi, lo) rows, taken once per distinct q."""
+    split = {q: ln_split(q) for q in set(qs.tolist())}
+    parts = np.array([split[q] for q in qs.tolist()]).reshape(-1, 3)
+    return parts[:, 0].astype(np.int64), parts[:, 1], parts[:, 2]
+
+
+#: factors per column chunk of the triple product's (z, n) factor matrix, and rows
+#: per matrix of the theta series: a call's temporaries stay bounded
+_PRODUCT_CHUNK, _SERIES_ROWS = 32, 128
+
+
+def theta_product_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
+    """Product form of Theta(z; q) in scaled arithmetic.
+
+    Each z takes the factors n = 1 .. N, N the first n >= min_terms with
+    q^n max(|z|, 1/|z|) < abs_tol, as fixed column chunks of a (z, n) matrix,
+    each factor split into a mantissa and an exact power of two; a row leaves
+    the matrix once its factors are done.
+    """
+    zs, qs, scalar = _z_and_q(z, q)
+    ln_q, ln_big = np.log(qs), np.abs(np.log(np.abs(zs)))
+    last = np.maximum(np.floor((math.log(ctrl.abs_tol) - ln_big) / ln_q) + 1, ctrl.min_terms)
+    if np.any(last > ctrl.max_terms):
+        raise NonConvergenceError(f"theta_product: {int(last.max())} factors needed, more than "
+                                  f"max_terms={ctrl.max_terms}", diagnostics={"q": q})
     zinv = 1.0 / zs
-    big = np.maximum(np.maximum(np.abs(zs), np.abs(zinv)), 1.0)
     acc, bits = 1.0 - zs, np.zeros(len(zs), dtype=np.int64)
-    live, qn = np.ones(len(zs), dtype=bool), 1.0
-    for n in range(1, ctrl.max_terms + 1):
-        qn *= q
-        acc = np.where(live, acc * ((1.0 - qn) * (1.0 - zs * qn) * (1.0 - zinv * qn)), acc)
-        _, e2 = np.frexp(np.abs(acc))
-        acc, bits = ldexp_array(acc, -e2), bits + e2
-        live &= (n < ctrl.min_terms) | (qn * big >= ctrl.abs_tol)
-        if not live.any():
-            return pack(*sum_rows(acc[:, None], bits[:, None]), scalar)
-    raise NonConvergenceError(f"theta_product: factors still deviate by {qn * big.max():.3e} "
-                              f"after {ctrl.max_terms} terms", diagnostics={"q": q})
+    for first in range(1, int(last.max(initial=0)) + 1, _PRODUCT_CHUNK):
+        rows = np.flatnonzero(last >= first)
+        n = np.arange(first, first + _PRODUCT_CHUNK)
+        qn = qs[rows, None] ** n
+        factors = (1.0 - qn) * (1.0 - zs[rows, None] * qn) * (1.0 - zinv[rows, None] * qn)
+        _, e2 = np.frexp(np.abs(factors))
+        live = n <= last[rows, None]
+        value = acc[rows] * np.prod(np.where(live, ldexp_array(factors, -e2), 1.0), axis=1)
+        _, e_acc = np.frexp(np.abs(value))
+        acc[rows] = ldexp_array(value, -e_acc)
+        bits[rows] += e_acc + np.where(live, e2, 0).sum(axis=1)
+    return pack(*sum_rows(acc[:, None], bits[:, None]), scalar)
 
 
-def theta_product(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+def theta_product(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     """Truncated triple product; relative accuracy O(abs_tol) away from zeros."""
     return to_complex(theta_product_scaled(z, q, ctrl))
 
 
-def _series_sum(z_split: tuple, arg_z: np.ndarray, q: float, ctrl: SeriesControl,
-                label: str, derivative: bool = False, lattice: int = 0):
+def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split, ctrl: SeriesControl,
+                label: str, derivative: bool = False, lattice=0):
     """sum_n (-1)^n z^n q^{n(n-1)/2} (with derivative=True its z-derivative
     sum_n (-1)^n n z^{n-1} q^{n(n-1)/2}) for each z = q^lattice 2**e r e^{i arg_z},
-    z_split = (e, ln r) (scaled.log2_split), as normalised arrays.
+    z_split = (e, ln r) (scaled.log2_split), q_split the _q_split of each row's q
+    and lattice an int or a (rows, 1) column, as normalised arrays.
 
     ln|z^n q^{n(n-1)/2}| = n ln|z| - a n(n-1)/2 (a = -ln q) peaks at
     n* = ln|z|/a + 1/2 and is below abs_tol of its top for |n - n*| > d,
@@ -183,12 +215,12 @@ def _series_sum(z_split: tuple, arg_z: np.ndarray, q: float, ctrl: SeriesControl
     NonConvergenceError) as one exp/phase matrix, powers of two and of q
     split off exactly (scaled.ln_split), each row summed by scaled.sum_rows.
     """
-    a = -math.log(q)
     e_z, lnr_z, arg = z_split[0][:, None], z_split[1][:, None], arg_z[:, None]
-    e_q, hi_q, lo_q = ln_split(q)
+    e_q, hi_q, lo_q = (part[:, None] for part in q_split)
+    a = -(e_q * math.log(2.0) + hi_q + lo_q)
     u = e_z * math.log(2.0) + lnr_z - lattice * a
     centre = u / a + 0.5
-    reach = math.sqrt(2.0 * (a / 8.0 - math.log(ctrl.abs_tol)) / a) + 1.0
+    reach = np.sqrt(2.0 * (a / 8.0 - math.log(ctrl.abs_tol)) / a) + 1.0
     lo = np.minimum(np.floor(centre - reach), -ctrl.min_terms)
     hi = np.maximum(np.ceil(centre + reach), ctrl.min_terms)
     terms = max(hi.max(initial=0), -lo.min(initial=0))
@@ -205,21 +237,19 @@ def _series_sum(z_split: tuple, arg_z: np.ndarray, q: float, ctrl: SeriesControl
     return sum_rows(mant, bits)
 
 
-def theta_series_scaled(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
-    """Series form sum_n (-1)^n z^n q^{n(n-1)/2} in scaled arithmetic: a
-    ScaledValue for a scalar z, normalised (mantissa, exponent) arrays for a
-    1-d array of z.  A scalar runs the array code on one element, so it
-    equals that element of an array call bit for bit.
-    """
-    zs, scalar = z_array(z)
-    q = _check_q_open(q)
-    return pack(*_series_sum(log2_split(np.abs(zs)), np.angle(zs), q, ctrl, "theta_series"),
-                scalar)
+def theta_series_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
+    """Series form sum_n (-1)^n z^n q^{n(n-1)/2} in scaled arithmetic."""
+    zs, qs, scalar = _z_and_q(z, q)
+    split = _q_split(qs)
+    parts = [_series_sum(log2_split(np.abs(zs[b])), np.angle(zs[b]), [p[b] for p in split], ctrl,
+                         "theta_series")
+             for b in (slice(i, i + _SERIES_ROWS) for i in range(0, max(len(zs), 1), _SERIES_ROWS))]
+    return pack(*map(np.concatenate, zip(*parts)), scalar)
 
 
-def theta_series(z, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+def theta_series(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     """Series form of Theta(z; q) (complex, or a complex array for an array
-    of z); overflow-safe internally for log|z| up to at least
+    of z or of q); overflow-safe internally for log|z| up to at least
     10 * |log q| (and far beyond)."""
     return to_complex(theta_series_scaled(z, q, ctrl))
 
@@ -237,7 +267,7 @@ def _check_lattice_index(n: int) -> int:
     return n
 
 
-def theta_prime_lattice(n: int, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> ScaledValue:
+def theta_prime_lattice(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
     """d/dz Theta(z; q) at the lattice zero z = q^n (reference path).
 
     Sums the term-by-term differentiated series
@@ -246,16 +276,15 @@ def theta_prime_lattice(n: int, q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -
     :func:`lattice_derivative_candidate` are candidates to be checked
     against it.
     """
-    n = _check_lattice_index(n)
-    q = _check_q_open(q)
-    mant, exps = _series_sum((np.zeros(1, dtype=np.int64), np.zeros(1)), np.zeros(1), q, ctrl,
-                             "theta_prime_lattice", derivative=True, lattice=n)
-    return ScaledValue(mant[0], int(exps[0]))
+    ns = np.array([_check_lattice_index(k) for k in np.reshape(n, -1).tolist()], dtype=np.int64)
+    zero = np.zeros(len(ns), dtype=np.int64)
+    split = _q_split(np.full(len(ns), _check_q_open(q)))
+    return pack(*_series_sum((zero, zero * 0.0), zero * 0.0, split, ctrl, "theta_prime_lattice",
+                             derivative=True, lattice=ns[:, None]), np.ndim(n) == 0)
 
 
-def lattice_derivative_candidate(
-    n: int, q: float, ctrl: SeriesControl = _DEFAULT_CTRL, variant: str = "corrected"
-) -> ScaledValue:
+def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL,
+                                 variant: str = "corrected"):
     """Closed-form candidates for Theta'(q^n; q).
 
     variant="corrected": (-1)^n  q^{-n(n+1)/2} Theta'(1; q)  (passes the
@@ -263,35 +292,40 @@ def lattice_derivative_candidate(
     variant="printed":   (-1)^{n+1} q^{-n(n-1)/2} Theta'(1; q)  (kept for
     diagnosis; fails already at n=1, q=0.1).
     """
-    n = _check_lattice_index(n)
+    ns = np.array([_check_lattice_index(k) for k in np.reshape(n, -1).tolist()], dtype=np.int64)
     q = _check_q_open(q)
     tp1 = theta_prime_one(q, ctrl)
-    if variant == "corrected":
-        sign = -1.0 if n % 2 else 1.0
-        return ScaledValue.from_pow(q, -(n * (n + 1)) // 2) * (sign * tp1)
-    if variant == "printed":
-        sign = 1.0 if n % 2 else -1.0
-        return ScaledValue.from_pow(q, -(n * (n - 1)) // 2) * (sign * tp1)
-    raise InvalidParameterError(f"unknown variant {variant!r}")
+    shift = {"corrected": 1, "printed": -1}.get(variant)
+    if shift is None:
+        raise InvalidParameterError(f"unknown variant {variant!r}")
+    power = -(ns * (ns + shift)) // 2
+    e, hi, lo = ln_split(q)
+    f, bits = exp_pow2(power * hi, power * lo)
+    sign = np.where(ns % 2, -shift, shift)
+    return pack(*sum_rows((sign * tp1 * f)[:, None], (bits + power * e)[:, None]),
+                np.ndim(n) == 0)
 
 
-def eta(z, q: float) -> float:
+def eta(z, q):
     """Comparison envelope for |Theta|:
 
-        eta(z) = exp(-ln^2|z| / (2 ln q) + ln|z| / 2).
+        eta(z) = exp(-ln^2|z| / (2 ln q) + ln|z| / 2),
+
+    raising SaturationError if any value leaves the double range.
 
     Satisfies eta(qz) = eta(z)/|z| exactly, which is what makes
     |Theta(z; q)| / eta(z) invariant under z -> qz.  (A printed variant
     with ln|z| * ln(q)/2 as the second term breaks that recurrence and
     is not used.)
     """
-    u = math.log(abs(z_array(complex(z))[0][0]))
-    q = _check_q_open(q)
-    ln_eta = -u * u / (2.0 * math.log(q)) + 0.5 * u
-    try:
-        return math.exp(ln_eta)
-    except OverflowError:
-        raise SaturationError(f"eta: log-magnitude {ln_eta:.6g} beyond the double range") from None
+    zs, qs, scalar = _z_and_q(z, q)
+    u = np.log(np.abs(zs))
+    ln_eta = -u * u / (2.0 * np.log(qs)) + 0.5 * u
+    with np.errstate(over="ignore"):
+        values = np.exp(ln_eta)
+    if not np.all(np.isfinite(values)):
+        raise SaturationError(f"eta: log-magnitude {ln_eta.max():.6g} beyond the double range")
+    return float(values[0]) if scalar else values
 
 
 def _coefficient_tail_sum(n: int, q: float, ctrl: SeriesControl) -> float:

@@ -14,7 +14,6 @@ to a ScaledValue and back is bit-exact.
 
 from __future__ import annotations
 
-import cmath
 import decimal
 import math
 
@@ -234,9 +233,6 @@ class ScaledValue:
             return -math.inf
         return math.log(abs(self.mantissa)) + self.exponent * LN_BASE
 
-    def phase(self) -> float:
-        return cmath.phase(self.mantissa)
-
     def to_complex(self) -> complex:
         """Down-convert; raises SaturationError when out of double range.
 
@@ -280,12 +276,6 @@ class ScaledValue:
             return NotImplemented
         return ScaledValue(self.mantissa / o.mantissa, self.exponent - o.exponent)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -312,20 +302,8 @@ class ScaledValue:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __neg__(self):
         return ScaledValue(-self.mantissa, self.exponent)
-
-    def __abs__(self) -> "ScaledValue":
-        return ScaledValue(abs(self.mantissa), self.exponent)
-
-    def conjugate(self) -> "ScaledValue":
-        return ScaledValue(self.mantissa.conjugate(), self.exponent)
 
     # ---------------------------------------------------------------- misc
 

@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .scaled import LN_BASE, ScaledValue, normalise_array, scaled_arrays
+from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
+from .scaled import (LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, scaled_arrays,
+                     sum_rows)
 
 LN_TWO_PI = math.log(2.0 * math.pi)
 LN_FOUR = math.log(4.0)
@@ -118,26 +119,26 @@ def eval_signal(signal: SignalModel, x: float) -> complex:
     return complex(signal.sampler(x))
 
 
-def windowed_sample_scaled(signal: SignalModel, x: float) -> ScaledValue:
-    """(1/2pi) f(x) exp(-x^2/4) as a ScaledValue.
-
-    For Gaussian families each component is assembled in log form, so
-    far-tail samples never underflow to 0 * inf garbage when later
-    multiplied by huge geometric weights.
-    """
+def windowed_sample_scaled(signal: SignalModel, x):
+    """(1/2pi) f(x) exp(-x^2/4): a ScaledValue for a float x, normalised
+    (mantissa, exponent) arrays for an array of x.  Terms are built in log form
+    (scaled.exp_pow2), so far-tail samples never underflow to 0 * inf garbage;
+    a Gaussian family is one (point, component) matrix, a callback is sampled
+    once per point."""
+    xs = np.asarray(x, dtype=float).reshape(-1, 1)
     if signal.kind == GAUSSIAN_FAMILY:
-        total = ScaledValue.zero()
-        for c in signal.components:
-            mag = abs(c.amplitude)
-            if mag == 0:
-                continue
-            d = x - c.center
-            ln_mag = math.log(mag) - d * d / 4.0 - x * x / 4.0 - LN_TWO_PI
-            phase = c.modulation * x + cmath.phase(c.amplitude)
-            total = total + ScaledValue.from_ln(ln_mag, phase)
-        return total
-    value = ScaledValue.from_complex(complex(signal.sampler(x)))
-    return value * ScaledValue.from_ln(-x * x / 4.0 - LN_TWO_PI)
+        amp = np.array([c.amplitude for c in signal.components])
+        centre, modulation = np.array([(c.center, c.modulation) for c in signal.components]).T
+        ln_amp = np.log(np.abs(amp), out=np.zeros(len(amp)), where=amp != 0)  # 0 where amp is 0
+        ln_mag = ln_amp - (xs - centre) ** 2 / 4.0 - xs * xs / 4.0 - LN_TWO_PI
+        unit = np.where(amp != 0, np.exp(1j * (modulation * xs + np.angle(amp))), 0.0)
+    else:
+        unit = np.array([complex(signal.sampler(v)) for v in xs[:, 0].tolist()])[:, None]
+        if not np.all(np.isfinite(unit)):
+            raise SaturationError("callback returned a non-finite sample")
+        ln_mag = -xs * xs / 4.0 - LN_TWO_PI
+    f, bits = exp_pow2(ln_mag)
+    return pack(*sum_rows(unit * f, bits), np.ndim(x) == 0)
 
 
 @dataclass(frozen=True)

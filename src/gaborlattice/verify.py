@@ -12,7 +12,6 @@ matches the independent reference and by how much the other one misses.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -42,11 +41,13 @@ from .qtheta import (
     theta_series,
     theta_series_scaled,
 )
-from .scaled import ScaledValue, to_complex
-from .signals import SignalModel, forward_table
-from .recon import auto_truncation, inner_fourier_sum
+from .scaled import ScaledValue, normalise_array, sub_arrays, to_complex
+from .signals import GammaTable, SignalModel, forward_table
+from .recon import TruncationChoice, auto_truncation, inner_fourier_sum
 
 SUITES = ("theta", "coeffs", "poisson", "interpolation", "all")
+#: the point x at which the interpolation suite samples G_x
+_INTERPOLATION_X = 0.3
 
 _DEFAULT_CTRL = SeriesControl()
 
@@ -58,6 +59,9 @@ class CheckRecord:
     threshold: float
     passed: bool
     note: str = ""
+
+    def __post_init__(self):  # numpy scalars would not serialise to JSON
+        self.residual, self.passed = float(self.residual), bool(self.passed)
 
 
 @dataclass
@@ -80,7 +84,6 @@ class SuiteReport:
 
 
 def _record(checks: list, name: str, residual: float, threshold: float, note: str = ""):
-    residual = float(residual)
     checks.append(CheckRecord(name, residual, threshold, residual <= threshold, note))
 
 
@@ -102,7 +105,7 @@ def _circle(radius: float, count: int, offset: float = 0.0) -> np.ndarray:
 
 def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
-    # product vs series on the fixed (q, z) grid
+    # product vs series on the fixed (q, z) grid, one call per q to bound the rows
     worst = 0.0
     for i in range(1, 19):
         q = 0.05 * i
@@ -117,87 +120,74 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     # are measured against the envelope scale eta: near q -> 1 (and near
     # the zeros) |Theta| sits a dozen orders below its own series terms,
     # so a pointwise-relative comparison would test conditioning rather
-    # than the identity.  eta is the natural yardstick for that.
+    # than the identity.  eta is the natural yardstick for that.  Each seeded
+    # check draws its points as rows, in the stream's order.
     rng = np.random.default_rng(2026)
-    worst = 0.0
-    for _ in range(100):
-        q = float(rng.uniform(0.05, 0.9))
-        z = q ** float(rng.uniform(-0.5, 0.5)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        lhs, ts = theta_series(np.array([q * z, z]), q, ctrl)
-        scale = eta(q * z, q) + eta(z, q) / abs(z)
-        worst = max(worst, abs(lhs + ts / z) / scale)
-    _record(checks, "one_step_quasi_periodicity", worst, 1e-12,
+    q, power, angle = rng.uniform([0.05, -0.5, 0.0], [0.9, 0.5, 2.0 * math.pi], (100, 3)).T
+    z = q ** power * np.exp(1j * angle)
+    lhs, ts = theta_series(np.concatenate([q * z, z]), np.tile(q, 2), ctrl).reshape(2, -1)
+    scale = eta(q * z, q) + eta(z, q) / np.abs(z)
+    _record(checks, "one_step_quasi_periodicity", np.max(np.abs(lhs + ts / z) / scale), 1e-12,
             "100 seeded random (z, q), residual relative to the eta envelope")
 
-    # iterated quasi-periodicity in scaled arithmetic
-    worst = 0.0
-    for _ in range(20):
-        q = float(rng.uniform(0.05, 0.9))
-        angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        z = q ** float(rng.uniform(-0.5, 0.5)) * cmath.exp(1j * angle)
-        base = theta_series_scaled(z, q, ctrl)
-        zs = np.array([(q ** n) * z for n in range(-6, 7)])
-        for n, zn, mant, exp in zip(range(-6, 7), zs, *theta_series_scaled(zs, q, ctrl)):
-            rhs = ScaledValue.from_pow(complex(-z), -n) * \
-                ScaledValue.from_pow(q, -(n * (n - 1)) // 2) * base
-            scale = eta(zn, q) + abs(rhs.to_complex())
-            worst = max(worst, abs((ScaledValue(mant, int(exp)) - rhs).to_complex()) / scale)
-    _record(checks, "iterated_quasi_periodicity", worst, 1e-10,
+    # iterated quasi-periodicity Theta(q^n z) = (-z)^{-n} q^{-n(n-1)/2} Theta(z),
+    # Theta in scaled arithmetic (the factor stays within q^{-24} here)
+    q, angle, power = rng.uniform([0.05, 0.0, -0.5], [0.9, 2.0 * math.pi, 0.5], (20, 3)).T
+    z, n = q ** power * np.exp(1j * angle), np.arange(-6, 7)
+    zn = (q[:, None] ** n) * z[:, None]
+    mant, exps = theta_series_scaled(np.concatenate([z, zn.ravel()]),
+                                     np.concatenate([q, np.repeat(q, len(n))]), ctrl)
+    factor = (-z[:, None]) ** -n * q[:, None] ** (-(n * (n - 1)) // 2)
+    rhs = normalise_array(mant[:len(z), None] * factor, exps[:len(z), None])
+    gap = sub_arrays((mant[len(z):].reshape(zn.shape), exps[len(z):].reshape(zn.shape)), rhs)
+    scale = eta(zn.ravel(), np.repeat(q, len(n))).reshape(zn.shape) + np.abs(to_complex(rhs))
+    _record(checks, "iterated_quasi_periodicity", np.max(np.abs(to_complex(gap)) / scale), 1e-10,
             "n in [-6, 6], 20 seeded random (z, q), eta-relative")
 
     # conjugation symmetry
-    worst = 0.0
-    for _ in range(20):
-        q = float(rng.uniform(0.05, 0.9))
-        z = complex(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))) or 1.0
-        a, b = theta_series(np.array([z.conjugate(), z]), q, ctrl)
-        worst = max(worst, abs(a - b.conjugate()) / max(abs(b), 1e-300))
-    _record(checks, "conjugation_symmetry", worst, 1e-13, "")
+    q, re, im = rng.uniform([0.05, -2.0, -2.0], [0.9, 2.0, 2.0], (20, 3)).T
+    z = np.where((re == 0) & (im == 0), 1.0, re + 1j * im)
+    a, b = theta_series(np.concatenate([z.conjugate(), z]), np.tile(q, 2), ctrl).reshape(2, -1)
+    _record(checks, "conjugation_symmetry",
+            np.max(np.abs(a - b.conjugate()) / np.maximum(np.abs(b), 1e-300)), 1e-13, "")
 
     # zero set at this tau
-    zs = np.array([ScaledValue.from_pow(params.q, n).to_complex() for n in range(-5, 6)])
-    worst = max(abs(t) / eta(z, params.q) for z, t in zip(zs, theta_series(zs, params.q, ctrl)))
+    zs = params.q ** np.arange(-5.0, 6.0)
+    worst = np.max(np.abs(theta_series(zs, params.q, ctrl)) / eta(zs, params.q))
     _record(checks, "lattice_zero_set", worst, 1e-10, "n in [-5, 5] at the given tau")
 
     # derivative contract + adjudication of the closed-form candidates
-    worst = worst_corr = worst_printed_best = 0.0
-    printed_fail_note = ""
+    worst = worst_corr = 0.0
+    ns = np.arange(-4, 5)
     for q in (0.1, 0.3, 0.5):
-        for n in range(-4, 5):
-            ref = theta_prime_lattice(n, q, ctrl)
-            # independent estimate: Richardson-extrapolated central differences
-            h = q ** n * 1e-3
-            up, down, up2, down2 = theta_series(q ** n + np.array([h, -h, h / 2, -h / 2]), q, ctrl)
-            fd = (4.0 * (up2 - down2) / h - (up - down) / (2 * h)) / 3.0
-            ref_c = ref.to_complex()
-            worst = max(worst, abs(ref_c - fd) / abs(ref_c))
-            corr = lattice_derivative_candidate(n, q, ctrl, "corrected")
-            worst_corr = max(worst_corr, abs((ref - corr).to_complex()) / abs(ref_c))
-            if n == 1 and q == 0.1:
-                printed = lattice_derivative_candidate(n, q, ctrl, "printed")
-                miss = abs((ref - printed).to_complex()) / abs(ref_c)
-                printed_fail_note = (
-                    f"printed candidate at (n=1, q=0.1) gives "
-                    f"{printed.to_complex().real:.6g} against reference "
-                    f"{ref_c.real:.6g} (relative miss {miss:.3e})"
-                )
-                worst_printed_best = miss
+        ref = theta_prime_lattice(ns, q, ctrl)
+        # independent estimate: Richardson-extrapolated central differences
+        h = q ** ns * 1e-3
+        up, down, up2, down2 = theta_series(
+            q ** ns + np.outer([1.0, -1.0, 0.5, -0.5], h), q, ctrl).reshape(4, -1)
+        fd = (4.0 * (up2 - down2) / h - (up - down) / (2 * h)) / 3.0
+        ref_c = to_complex(ref)
+        worst = max(worst, np.max(np.abs(ref_c - fd) / np.abs(ref_c)))
+        corr = lattice_derivative_candidate(ns, q, ctrl, "corrected")
+        worst_corr = max(worst_corr, np.max(np.abs(to_complex(sub_arrays(ref, corr)))
+                                            / np.abs(ref_c)))
+        if q == 0.1:
+            printed = lattice_derivative_candidate(1, q, ctrl, "printed").to_complex()
+            miss = abs(ref_c[5] - printed) / abs(ref_c[5])  # ns[5] = 1
+            printed_fail_note = (
+                f"printed candidate at (n=1, q=0.1) gives {printed.real:.6g} against "
+                f"reference {ref_c[5].real:.6g} (relative miss {miss:.3e})")
     _record(checks, "lattice_derivative_vs_finite_difference", worst, 1e-6,
             "Richardson-extrapolated central differences, n in [-4,4], q in {0.1,0.3,0.5}")
     _record(checks, "lattice_derivative_corrected_candidate", worst_corr, 1e-10,
             "(-1)^n q^{-n(n+1)/2} Theta'(1;q) matches the reference")
-    checks.append(CheckRecord(
-        "lattice_derivative_printed_candidate_rejected",
-        worst_printed_best, math.inf, worst_printed_best > 1e-2, printed_fail_note,
-    ))
+    checks.append(CheckRecord("lattice_derivative_printed_candidate_rejected", miss, math.inf,
+                              miss > 1e-2, printed_fail_note))
 
     # circle maxima of |Theta| / eta are k-independent
-    maxima = []
-    for k in range(-5, 6):
-        zs = _circle(math.exp((k + 0.5) * params.ln_q), 64)
-        maxima.append(max(abs(v) / eta(z, params.q)
-                          for z, v in zip(zs, theta_series(zs, params.q, ctrl))))
-    spread = (max(maxima) - min(maxima)) / min(maxima)
+    zs = np.concatenate([_circle(math.exp((k + 0.5) * params.ln_q), 64) for k in range(-5, 6)])
+    maxima = (np.abs(theta_series(zs, params.q, ctrl)) / eta(zs, params.q)).reshape(11, -1).max(1)
+    spread = (maxima.max() - maxima.min()) / maxima.min()
     _record(checks, "envelope_circle_maxima_constant", spread, 1e-8, "k in [-5, 5]")
     return checks
 
@@ -208,8 +198,8 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
 def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     worst = worst_printed = 0.0
-    for m in range(-8, 9):
-        oracle = laurent_c0(m, params, ctrl=ctrl)
+    oracles = laurent_c0(np.arange(-8, 9), params, ctrl=ctrl)
+    for m, oracle in zip(range(-8, 9), oracles):
         fast = coeff_E(m, params, ctrl).to_complex()
         worst = max(worst, abs(fast - oracle) / abs(oracle))
         if m != 0:
@@ -235,7 +225,7 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
         if conditioning > 1e-11:
             continue
         tested.append(m)
-        base = laurent_c0(m, params, ctrl=ctrl)
+        base = oracles[m + 8]
         for power in (m - 0.5, m - 0.75):
             alt = laurent_c0(
                 m, params, ContourSpec(radius=math.exp(power * params.ln_q)), ctrl
@@ -250,7 +240,9 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
 
 
 def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
-                  ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
+                  ctrl: SeriesControl = _DEFAULT_CTRL,
+                  base: GammaTable | None = None) -> list[CheckRecord]:
+    """``base`` lends its entries to the Poisson table (forward_table's base=)."""
     checks: list[CheckRecord] = []
     signal = signal or _default_signal()
     if _is_zero_signal(signal):
@@ -258,7 +250,7 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
                                   "degenerate input: zero signal, vacuous pass"))
         return checks
     K = 12
-    table = forward_table(signal, params.tau, 3, K)
+    table = forward_table(signal, params.tau, 3, K, base=base)
     ratios = []
     for x in (0.0, 0.3, 1.1):
         rhs = to_complex(spatial_A(np.arange(-3, 4), x, signal, params, ctrl))
@@ -276,15 +268,17 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
 
 
 def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None,
-                        ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
+                        ctrl: SeriesControl = _DEFAULT_CTRL,
+                        truncation: TruncationChoice | None = None) -> list[CheckRecord]:
+    """``truncation``: auto_truncation(signal, params, 1e-10, 0.3), if already made."""
     checks: list[CheckRecord] = []
     signal = signal or _default_signal()
     if _is_zero_signal(signal):
         checks.append(CheckRecord("interpolation_lemma", 0.0, 1e-8, True,
                                   "degenerate input: zero signal, vacuous pass"))
         return checks
-    x = 0.3
-    extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
+    x = _INTERPOLATION_X
+    extent = (truncation or auto_truncation(signal, params, 1e-10, x_max=x)).M + 2
     ns = np.arange(-extent, extent + 1)
     samples = [(int(n), ScaledValue(mant, int(exp)))
                for n, mant, exp in zip(ns, *spatial_A(ns, x, signal, params, ctrl))]
@@ -352,6 +346,7 @@ def run_suite(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     params = nome_from_tau(tau)
+    signal = signal or _default_signal()
     report = SuiteReport(suite=suite, tau=params.tau)
     if suite in ("theta", "all"):
         report.checks += theta_suite(params, ctrl)
@@ -363,8 +358,11 @@ def run_suite(
             "poisson/interpolation suites skipped: tau > pi",
         ))
         return report
+    truncation = None
+    if suite == "all" and not _is_zero_signal(signal):  # one table for both suites
+        truncation = auto_truncation(signal, params, 1e-10, x_max=_INTERPOLATION_X)
     if suite in ("poisson", "all"):
-        report.checks += poisson_suite(params, signal, ctrl)
+        report.checks += poisson_suite(params, signal, ctrl, truncation and truncation.table)
     if suite in ("interpolation", "all"):
-        report.checks += interpolation_suite(params, signal, ctrl)
+        report.checks += interpolation_suite(params, signal, ctrl, truncation)
     return report

@@ -59,3 +59,17 @@ def test_callback_quadrature_span_keys_hash():
     calls = [span for span in recorder.spans if span[0] == "signals.gamma_quadrature"]
     assert calls and len(recorder.entry_keys) == len(calls)
     assert len(set(recorder.entry_keys)) == len(recorder.entry_keys)  # hashable, none repeated
+
+
+def test_verify_all_records_every_expected_span():
+    """``--trace 1`` on verify_all refuses a run in which a wrapped function
+    expected there records no call."""
+    spans = _spans()
+    recorder = spans.Recorder()
+    signal = gaborlattice.SignalModel.gaussian([(0.8 - 0.3j, 0.4, -0.9), (0.6j, -0.5, 1.2)])
+    with spans.installed(recorder):
+        gaborlattice.verify.run_suite("all", 1.0, signal=signal)
+    totals = {}
+    for name, *_ in recorder.spans:
+        totals.setdefault(name, {"calls": 0})["calls"] += 1
+    assert spans.uncovered(spans.VERIFY, totals) == []

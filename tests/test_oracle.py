@@ -244,6 +244,12 @@ class TestArrayPath:
             [lagrange_interpolant(z, samples, params_tau1) for z in zs]
         assert ScaledValue(mant[-2], int(exps[-2])) == samples[3 + 7][1]
 
+    def test_laurent_array_of_m_is_scalar_calls(self, params_tau1):
+        ms = np.arange(-8, 9)
+        for contour in (None, ContourSpec(radius=params_tau1.q ** 0.25)):
+            assert laurent_c0(ms, params_tau1, contour).tolist() == \
+                [laurent_c0(int(m), params_tau1, contour) for m in ms]
+
     def test_any_zero_element_refused(self, unit_gaussian, params_tau1):
         zs = np.array([0.5, 0.0, 2.0j])
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -310,6 +311,7 @@ class TestCoefficients:
             coeff_E(100, params_tau1, ctrl)
 
 
+@functools.cache
 def _mp_theta(z, q):
     """sum_n (-1)^n z^n q^{n(n-1)/2} at 40 digits, well past the peak term."""
     mpmath = pytest.importorskip("mpmath")
@@ -364,3 +366,67 @@ class TestArrayPath:
     def test_non_convergence(self, form):
         with pytest.raises(NonConvergenceError):
             form(np.array([0.5, 1.5j]), 0.9, SeriesControl(max_terms=10))
+
+
+NOMES = (0.05, 0.5, 0.9)
+
+
+def _rows():
+    """The points of _points for each nome in NOMES, with each row's nome."""
+    zs = [_points(q) for q in NOMES]
+    return np.concatenate(zs), np.repeat(NOMES, [len(z) for z in zs])
+
+
+class TestArrayOfNomes:
+    @pytest.mark.parametrize("form", SCALED_FORMS)
+    def test_against_mpmath(self, form, ctrl):
+        # one call over every nome: each row sums its own series or product
+        zs, qs = _rows()
+        values = to_complex(form(zs, qs, ctrl))
+        worst = max(abs(v - _mp_theta(z, q)) / eta(z, q) for z, q, v in zip(zs, qs, values))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("form", SCALED_FORMS)
+    def test_scalar_is_array_element_bit_for_bit(self, form, ctrl):
+        zs, qs = _rows()
+        mant, exps = form(zs, qs, ctrl)
+        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+            [form(z, float(q), ctrl) for z, q in zip(zs, qs)]
+        mant, exps = form(zs[3], np.array(NOMES), ctrl)  # one z against an array of q
+        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+            [form(zs[3], q, ctrl) for q in NOMES]
+
+    def test_eta_scalar_is_array_element_bit_for_bit(self):
+        zs, qs = _rows()
+        assert eta(zs, qs).tolist() == [eta(z, float(q)) for z, q in zip(zs, qs)]
+
+    def test_eta_array_beyond_double_range_saturates(self):
+        with pytest.raises(SaturationError, match="log-magnitude 8"):
+            eta(np.array([1.0, math.exp(31.0), math.exp(33.0)]), 0.5)
+        with pytest.raises(SaturationError):
+            eta(math.exp(31.0), np.array([0.5, 0.9]))
+
+    def test_invalid_nome_element_refused(self, ctrl):
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(InvalidParameterError):
+                theta_series_scaled(np.array([0.5, 2.0j]), np.array([0.5, bad]), ctrl)
+
+
+class TestArrayOfLatticeIndices:
+    FORMS = [theta_prime_lattice, lattice_derivative_candidate,
+             functools.partial(lattice_derivative_candidate, variant="printed")]
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_scalar_is_array_element_bit_for_bit(self, form, q, ctrl):
+        ns = np.arange(-12, 13)
+        mant, exps = form(ns, q, ctrl)
+        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+            [form(int(n), q, ctrl) for n in ns]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_index_bound_on_arrays(self, form, ctrl):
+        with pytest.raises(InvalidParameterError):
+            form(np.array([0, 65]), 0.5, ctrl)
+        with pytest.raises(InvalidParameterError):
+            form(np.array([0.0, 1.0]), 0.5, ctrl)

@@ -8,6 +8,8 @@ from gaborlattice import (
     GammaTable,
     InvalidParameterError,
     QuadratureControl,
+    SaturationError,
+    ScaledValue,
     SignalModel,
     eval_signal,
     forward_table,
@@ -50,6 +52,27 @@ class TestSignalModel:
     def test_windowed_sample_survives_deep_tails(self, unit_gaussian):
         v = windowed_sample_scaled(unit_gaussian, 200.0)
         assert v.ln_abs() == pytest.approx(-200.0 ** 2 / 2 - math.log(2 * math.pi), rel=1e-12)
+
+    def test_windowed_sample_array_is_scalar_calls(self, two_component):
+        calls = []
+
+        def sampler(x):
+            calls.append(x)
+            return eval_signal(two_component, x)
+
+        callback = SignalModel.callback(sampler, bound=2.0, growth=0.0)
+        with_zero = SignalModel.gaussian([(0.0, 0.3, 1.0), (0.5 - 1.0j, -0.7, 0.4)])
+        xs = np.array([-40.0, -1.3, 0.0, 2.2, 200.0])
+        for signal in (two_component, with_zero, callback):
+            mant, exps = windowed_sample_scaled(signal, xs)
+            assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+                [windowed_sample_scaled(signal, float(x)) for x in xs]
+        assert calls == xs.tolist() * 2  # the callback is sampled once per point and call
+
+    def test_windowed_sample_refuses_non_finite_callback(self):
+        signal = SignalModel.callback(lambda x: math.nan if x > 1 else 1.0, bound=1.0, growth=0.0)
+        with pytest.raises(SaturationError):
+            windowed_sample_scaled(signal, np.array([0.0, 2.0]))
 
 
 class TestClosedForm:

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gaborlattice import SignalModel
+from gaborlattice import SignalModel, signals
 from gaborlattice.verify import CheckRecord, SUITES, run_suite
 
 
@@ -70,6 +71,11 @@ def test_checkrecord_pass_logic():
     assert not CheckRecord("x", 1.0, 1e-12, False).passed
 
 
+def test_checkrecord_coerces_numpy_scalars():
+    record = CheckRecord("x", np.float64(1e-13), 1e-12, np.float64(1e-13) <= 1e-12)
+    assert type(record.residual) is float and type(record.passed) is bool
+
+
 def _seeded_family(seed):
     """Two Gaussian components with |a| in [0.5, 1], centre in [-1, 1] and
     modulation in [-1.5, 1.5]."""
@@ -86,3 +92,28 @@ def test_all_suites_pass_on_seeded_family(tau):
     failing = [c.name for c in report.checks if not c.passed]
     assert report.passed, failing
     assert len(report.checks) == 18
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 2.0])
+def test_every_suite_payload_serialises(tau):
+    for suite in SUITES:
+        payload = run_suite(suite, tau, signal=_seeded_family(11)).to_payload()
+        assert json.loads(json.dumps(payload)) == payload
+
+
+def test_closed_form_entries_computed_once(monkeypatch):
+    """The Poisson table reuses the interpolation truncation's entries."""
+    keys = []
+    original = signals.gamma_closed_form
+
+    def counting(m, k, *args):
+        keys.append((m, k))
+        return original(m, k, *args)
+
+    monkeypatch.setattr(signals, "gamma_closed_form", counting)
+    report = run_suite("all", 1.0, signal=_seeded_family(11))
+    assert report.passed
+    assert keys and len(keys) == len(set(keys))
+    names = [c.name for c in report.checks]  # the records keep the suite order
+    assert names.index("contour_radius_independence") + 1 == names.index("poisson_consistency") \
+        == names.index("interpolation_node_exactness") - 1
