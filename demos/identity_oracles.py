@@ -11,8 +11,9 @@ numerically by an independent route.
 
 import math
 
+import numpy as np
+
 from gaborlattice import (
-    ScaledValue,
     SignalModel,
     coeff_E,
     forward_table,
@@ -24,6 +25,7 @@ from gaborlattice import (
     nome_from_tau,
     spatial_A,
 )
+from gaborlattice.scaled import to_complex
 
 params = nome_from_tau(1.0)
 signal = SignalModel.gaussian([(1.0, 0.0, 0.0)])
@@ -34,12 +36,13 @@ print("=" * 72)
 K = 12
 table = forward_table(signal, params.tau, 3, K)
 print(f"{'m':>3} {'x':>5} {'ratio':>22}")
-for m in (-3, -1, 0, 2):
-    for x in (0.0, 1.1):
-        inner = inner_fourier_sum(table.row(m), x, K)
-        lhs = (inner * ScaledValue.from_ln(m * params.tau * x)).to_complex()
+ms, xs = np.array([-3, -1, 0, 2]), np.array([0.0, 1.1])
+rows = to_complex((table.mantissa, table.exponent))[ms + 3]  # rows m = -3..3
+lhs = inner_fourier_sum(rows, xs, K) * np.exp(params.tau * np.outer(ms, xs))
+for i, m in enumerate(ms.tolist()):
+    for j, x in enumerate(xs.tolist()):
         rhs = spatial_A(m, x, signal, params).to_complex()
-        print(f"{m:>3} {x:>5.2f} {lhs.real / rhs.real:>22.15f}")
+        print(f"{m:>3} {x:>5.2f} {lhs[i, j].real / rhs.real:>22.15f}")
 print(f"constant ratio = 4 pi^2 = {4 * math.pi ** 2:.15f}")
 
 print()
@@ -60,7 +63,7 @@ print("=" * 72)
 x = 0.3
 extent = 7
 samples = [(n, spatial_A(n, x, signal, params)) for n in range(-extent, extent + 1)]
-node = ScaledValue.from_pow(params.q, 3).to_complex()
+node = params.q ** 3
 got = lagrange_interpolant(node, samples, params)
 want = samples[3 + extent][1]
 print(f"on the node q^3:  interpolant {got.to_complex().real:.12e}")

@@ -11,7 +11,6 @@ series.
 import math
 
 from gaborlattice import (
-    ScaledValue,
     eta,
     euler_product,
     lattice_derivative_candidate,
@@ -22,6 +21,7 @@ from gaborlattice import (
     theta_series,
     theta_series_scaled,
 )
+from gaborlattice.scaled import normalise_array, sub_arrays, to_complex
 
 print("=" * 72)
 print("Two faces of the same function")
@@ -47,9 +47,9 @@ z = 1.7 - 0.3j
 base = theta_series_scaled(z, q)
 for n in (-6, -3, 0, 3, 6):
     lhs = theta_series_scaled((q ** n) * z, q)
-    rhs = ScaledValue.from_pow(complex(-z), -n) * \
-        ScaledValue.from_pow(q, -(n * (n - 1)) // 2) * base
-    rel = abs((lhs - rhs).to_complex()) / abs(rhs.to_complex())
+    rhs = normalise_array(base.mantissa * complex(-z) ** -n * q ** (-(n * (n - 1)) // 2),
+                          base.exponent)
+    rel = abs(to_complex(sub_arrays((lhs.mantissa, lhs.exponent), rhs))) / abs(to_complex(rhs))
     print(f"  n={n:+d}:  log10|Theta| = {lhs.ln_abs() / math.log(10):8.2f}   "
           f"relative residual {rel:.2e}")
 

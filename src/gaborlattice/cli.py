@@ -41,6 +41,7 @@ from .errors import (
 from .oracle import laurent_c0
 from .qtheta import SeriesControl, coeff_E, nome_from_tau
 from .recon import ReconConfig, auto_truncation, reconstruct_grid, round_trip
+from .scaled import ScaledValue
 from .signals import GAUSSIAN_FAMILY, GammaTable, SignalModel, forward_table
 from .verify import SUITES, run_suite
 
@@ -195,19 +196,15 @@ def cmd_coeffs(args) -> int:
         raise InvalidParameterError(f"--tau must be a positive real, got {args.tau!r}")
     params = nome_from_tau(args.tau)
     ctrl = SeriesControl(abs_tol=args.tol) if args.tol is not None else SeriesControl()
-    recorded: list[str] = []
+    ms = np.arange(args.m_min, args.m_max + 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mants, exps = coeff_E(ms, params, ctrl)
+    recorded = list(dict.fromkeys(str(w.message) for w in caught))
+    oracles = laurent_c0(ms, params, ctrl=ctrl)
     rows = []
-    values = []
-    for m in range(args.m_min, args.m_max + 1):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            values.append(coeff_E(m, params, ctrl))
-        for w in caught:
-            note = str(w.message)
-            if note not in recorded:
-                recorded.append(note)
-    oracles = laurent_c0(np.arange(args.m_min, args.m_max + 1), params, ctrl=ctrl)
-    for m, value, oracle in zip(range(args.m_min, args.m_max + 1), values, oracles.tolist()):
+    for m, mant, exp, oracle in zip(ms.tolist(), mants.tolist(), exps.tolist(), oracles.tolist()):
+        value = ScaledValue(mant, exp)
         try:
             plain = value.to_complex()
         except SaturationError:

@@ -32,7 +32,7 @@ from .qtheta import (SUPERCRITICAL, LatticeParams, SeriesControl, theta_prime_la
                      theta_series_scaled, z_array)
 from .recon import auto_truncation
 from .scaled import (BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, ln_split, log2_split,
-                     normalise_array, pack, scaled_arrays, sub_arrays, sum_rows, to_complex)
+                     normalise_array, pack, sub_arrays, sum_rows, to_complex)
 from .signals import SignalModel, windowed_sample_scaled
 
 _DEFAULT_CTRL = SeriesControl()
@@ -180,8 +180,9 @@ def lagrange_interpolant(
     q = params.q
     ordered = sorted(samples, key=lambda item: item[0])
     ns = np.array([n for n, _ in ordered], dtype=np.int64)
-    a_mant, a_exps = scaled_arrays(
-        [[a if isinstance(a, ScaledValue) else ScaledValue.from_complex(a) for _, a in ordered]])
+    values = [a if isinstance(a, ScaledValue) else ScaledValue.from_complex(a) for _, a in ordered]
+    a_mant = np.array([[v.mantissa for v in values]])
+    a_exps = np.array([[v.exponent for v in values]], dtype=np.int64)
     diff, rel = _node_gaps(zs, ns, q)
     on_node = rel <= 1e-12
     if np.any((rel < 0.05) & ~on_node):

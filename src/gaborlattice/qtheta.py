@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
-from .scaled import (ScaledValue, exp_pow2, ldexp_array, ln_split, log2_split, pack, sum_rows,
-                     to_complex)
+from .scaled import (BASE_LOG2, exp_pow2, ldexp_array, ln_split, log2_split, normalise_array,
+                     pack, sum_rows, to_complex)
 
 CRITICAL_TAU = math.pi
 REGIME_TOLERANCE = 1e-12
@@ -328,33 +328,37 @@ def eta(z, q):
     return float(values[0]) if scalar else values
 
 
-def _coefficient_tail_sum(n: int, q: float, ctrl: SeriesControl) -> float:
-    """S_n = sum_{j>=0} (-1)^j q^{j(j+2n+1)/2} for n >= 0.
+def _coefficient_tail_sum(ns: np.ndarray, q: float, ctrl: SeriesControl) -> np.ndarray:
+    """S_n = sum_{j>=0} (-1)^j q^{j(j+2n+1)/2} for each n >= 0.
 
-    Exponents increase by j+n+1 per step, so the terms decay
-    monotonically from 1 and the plain float sum is safe.
+    Term j+1 is -term_j q^{j+n+1}: a running product along each row, so the
+    terms decay monotonically from 1 and the plain float sum is safe.  A row
+    adds its terms in order up to the last one that is at least abs_tol or
+    among the first min_terms; columns past that are zeros.
     """
-    total = 0.0
-    term = 1.0
-    for j in range(ctrl.max_terms):
-        total += term
-        nxt = -term * q ** (j + n + 1)
-        if j + 1 >= ctrl.min_terms and abs(nxt) < ctrl.abs_tol:
-            break
-        term = nxt
-    else:
-        raise NonConvergenceError("coefficient tail sum stalled", diagnostics={"n": n})
-    return total
+    width = ctrl.min_terms + 1
+    while True:
+        j = np.arange(width)
+        factors = np.where(j == 0, 1.0, -(q ** (j + ns[:, None])))
+        terms = np.cumprod(factors, axis=1)
+        keep = (j < ctrl.min_terms) | (np.abs(terms) >= ctrl.abs_tol)
+        if not keep[:, -1].any():
+            return np.cumsum(np.where(keep, terms, 0.0), axis=1)[:, -1]
+        if width >= ctrl.max_terms:
+            raise NonConvergenceError("coefficient tail sum stalled",
+                                      diagnostics={"n": ns[keep[:, -1]].tolist()})
+        width = min(2 * width, ctrl.max_terms)
 
 
 def coeff_E(
-    m: int,
+    m,
     params: LatticeParams,
     ctrl: SeriesControl = _DEFAULT_CTRL,
     variant: str = "corrected",
-) -> ScaledValue:
-    """Reconstruction coefficient E_m: the z^0 Laurent coefficient of
-    Theta(z; q) / ((z - q^m) Theta'(q^m; q)).
+):
+    """Reconstruction coefficients E_m: the z^0 Laurent coefficient of
+    Theta(z; q) / ((z - q^m) Theta'(q^m; q)).  A ScaledValue for an int m,
+    normalised (mantissa, exponent) arrays for an array of m.
 
     Closed form (variant="corrected", the one matching the contour
     oracle):
@@ -366,13 +370,18 @@ def coeff_E(
     integral maps the m-th cardinal function onto the (-m)-th), and the
     raw j-series for m < 0 hides that symmetry behind exactly
     cancelling pairs; the reflection S_{-n} = q^n S_n is used instead
-    so no catastrophic cancellation ever occurs.
+    so no catastrophic cancellation ever occurs.  The power of q is
+    raised from the split logarithm of scaled.ln_split by scaled.exp_pow2,
+    with its power of two kept exact.
 
     variant="printed" evaluates the slipped exponent m(m-1)/2, which
     differs from the corrected value by exactly q^{-m}; it is retained
     for the adjudication reports only.
     """
-    m = _check_lattice_index(m)
+    ms = np.array([_check_lattice_index(n) for n in np.reshape(m, -1).tolist()], dtype=np.int64)
+    shift = {"corrected": 0, "printed": 1}.get(variant)
+    if shift is None:
+        raise InvalidParameterError(f"unknown variant {variant!r}")
     if params.regime == SUPERCRITICAL:
         warnings.warn(
             f"coefficients computed at supercritical tau={params.tau:.6g}; "
@@ -380,13 +389,12 @@ def coeff_E(
             stacklevel=2,
         )
     q = _check_q_open(params.q)
-    n = abs(m)
-    s_n = _coefficient_tail_sum(n, q, ctrl)
+    ns = np.abs(ms)
+    power = ns * (ns + 1) // 2 - shift * ms
+    e, hi, lo = ln_split(q)
+    f, bits = exp_pow2(power * hi, power * lo)
     cube = euler_product(q, ctrl) ** 3
-    sign = -1.0 if n % 2 else 1.0
-    value = ScaledValue.from_pow(q, (n * (n + 1)) // 2) * (sign * s_n / cube)
-    if variant == "corrected":
-        return value
-    if variant == "printed":
-        return value * ScaledValue.from_pow(q, -m)
-    raise InvalidParameterError(f"unknown variant {variant!r}")
+    value = np.where(ns % 2, -1.0, 1.0) * _coefficient_tail_sum(ns, q, ctrl) / cube * f
+    bits += power * e
+    return pack(*normalise_array(ldexp_array(value, bits % BASE_LOG2), bits // BASE_LOG2),
+                np.ndim(m) == 0)

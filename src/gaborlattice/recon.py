@@ -11,10 +11,12 @@ exterior sum converges only for tau < pi, and the module refuses to
 run outside that regime.
 
 There is one evaluation path, :func:`reconstruct_point`, for a single
-point and for a grid alike.  It holds the used block of E_m gamma_{m,k}
-as a complex128 mantissa array times an exact integer power of 2**128
-per row: the interior sums are a matrix product with e^{ikx}, and the
-exterior sum is stabilised per point by an exact power-of-two shift.
+point and for a grid alike.  It computes E_{-M..M} in one array call of
+:func:`~gaborlattice.qtheta.coeff_E` and holds the used block of
+E_m gamma_{m,k} as a complex128 mantissa array times an exact integer
+power of 2**128 per row: the interior sums are a matrix product with
+e^{ikx}, and the exterior sum is stabilised per point by an exact
+power-of-two shift.
 The exponents stay integers throughout (a rounded float logarithm of
 them would cost digits where the exterior sum cancels).  Points are
 processed in fixed chunks with a fixed reduction order, so results are
@@ -23,18 +25,15 @@ bit-reproducible no matter how the caller parallelises.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
-from .scaled import (BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, ldexp_array, masked_max,
-                     scaled_arrays)
+from .scaled import BASE_LOG2, LN_BASE, exp_pow2, ldexp_array, masked_max
 from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
 
 #: global normalisation of the reconstruction formula (see calibrate_constant)
@@ -131,42 +130,25 @@ def _block(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ldexp_array(mant, (exps - top[:, None]) * BASE_LOG2), top
 
 
-def inner_fourier_sum(row, x, K: int):
-    """sum_{k=-K}^{K} gamma_{m,k} e^{ikx}.
-
-    With a sequence of 2K+1 ScaledValue and a float x the sum is a
-    ScaledValue.  With a complex (rows, 2K+1) mantissa array and an array
-    of points it is the (rows, points) array of sums: one matrix product
-    with the phases e^{ikx}.
-    """
-    scaled = not isinstance(row, np.ndarray)
-    width = len(row) if scaled else row.shape[-1]
-    if width != 2 * K + 1:
+def inner_fourier_sum(rows: np.ndarray, x, K: int) -> np.ndarray:
+    """sum_{k=-K}^{K} gamma_{m,k} e^{ikx} for each row of a complex
+    (rows, 2K+1) array and each point of a 1-d array x: the (rows, points)
+    array of sums, one matrix product with the phases e^{ikx}."""
+    if rows.shape[-1] != 2 * K + 1:
         raise InvalidParameterError(
-            f"row must hold 2K+1 = {2 * K + 1} entries, got {width}"
+            f"row must hold 2K+1 = {2 * K + 1} entries, got {rows.shape[-1]}"
         )
-    if scaled:
-        row, exps = _block(*scaled_arrays([row]))
     kx = np.multiply.outer(np.arange(-K, K + 1, dtype=float), x)
-    total = row @ (np.cos(kx) + 1j * np.sin(kx))
-    if scaled:
-        return ScaledValue(complex(total[0]), int(exps[0]))
-    return total
+    return rows @ (np.cos(kx) + 1j * np.sin(kx))
 
 
-def reconstruct_point(
-    x,
-    table: GammaTable,
-    params: LatticeParams,
-    coeffs: Sequence[ScaledValue],
-    M: int,
-    K: int,
-):
+def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: int):
     """Evaluate the reconstruction at a point (complex) or at an array of
     points (complex array).
 
     The used block of E_m * gamma_{m,k} is taken once as a complex
-    mantissa array times an integer power of 2**128 per row.  For each
+    mantissa array times an integer power of 2**128 per row, with
+    E_{-M..M} from one :func:`~gaborlattice.qtheta.coeff_E` call.  For each
     chunk of POINT_CHUNK points the interior sums are one matrix product
     (:func:`inner_fourier_sum`); the exterior sum weights row m by
     e^{m tau x} and brings every term to a per-point power of two with
@@ -180,13 +162,10 @@ def reconstruct_point(
             f"requested truncation (M={M}, K={K}) exceeds table extents "
             f"(M={table.M}, K={table.K})"
         )
-    if len(coeffs) < 2 * M + 1:
-        raise InvalidParameterError("coefficient sequence does not cover [-M, M]")
-    offset = (len(coeffs) - 1) // 2
     used = np.s_[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
     gamma, gamma_exps = _block(table.mantissa[used], table.exponent[used])
-    e_mant, e_exps = _block(*scaled_arrays([[c] for c in coeffs[offset - M: offset + M + 1]]))
-    block = gamma * e_mant
+    e_mant, e_exps = coeff_E(np.arange(-M, M + 1), params)
+    block = gamma * e_mant[:, None]
     row_bits = ((gamma_exps + e_exps) * BASE_LOG2)[:, None]
     m_tau = params.tau * np.arange(-M, M + 1, dtype=float)[:, None]
 
@@ -213,14 +192,13 @@ def reconstruct_point(
 # --------------------------------------------------------------- truncation
 
 
-def _cells(coeffs_ln, mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Cell magnitudes ln|E_m| + ln|gamma_{m,k}| of the inversion: ln|E_m| per
-    row, gamma_{m,k} as mantissa and exponent arrays.  ln|gamma| equals
+def _ln_abs(mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """ln|mant * B**exps| entry by entry (-inf for a zero), equal to
     ScaledValue.ln_abs bit for bit: np.hypot rounds as abs(complex) does,
     but np.log and math.log differ in the last bit of up to ~1 in 1e3."""
     mags = np.hypot(mant.real, mant.imag).ravel().tolist()
     logs = np.reshape([math.log(v) if v else -math.inf for v in mags], mant.shape)
-    return np.asarray(coeffs_ln)[:, None] + (logs + exps * LN_BASE)
+    return logs + exps * LN_BASE
 
 
 def _tail_ln(cells: np.ndarray, tau: float, x_max: float) -> float:
@@ -238,10 +216,11 @@ def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
               K_cap: int) -> tuple[int, int, float, bool]:
     """The truncation growth loop, within the caps on M and K.
 
-    ``cells(M, K)`` returns the (2M+1, 2K+1) block of :func:`_cells`; it is
-    asked for growing blocks, and last for the chosen one.  The base
-    estimate takes the subcritical decay rate eps = tau(pi - tau) of the
-    weighted terms and picks the smallest M with exp(-eps M^2) < tol/10.
+    ``cells(M, K)`` returns the (2M+1, 2K+1) block of cell magnitudes
+    ln|E_m| + ln|gamma_{m,k}|; it is asked for growing blocks, and last for
+    the chosen one.  The base estimate takes the subcritical decay rate
+    eps = tau(pi - tau) of the weighted terms and picks the smallest M with
+    exp(-eps M^2) < tol/10.
     Because that rate is a worst-case envelope, the estimate is then
     verified against the weighted boundary ring and grown until the ring
     drops below tol; K is extended the same way column-wise.  One guard
@@ -288,22 +267,25 @@ def auto_truncation(
 
     Runs the growth loop of :func:`_truncate` over the signal's own
     coefficients up to the hard caps MAX_M, MAX_K, and refuses when the
-    weighted tail is still above tol there.  The table grows with the
-    loop (:func:`forward_table` with ``base=``), so each entry of
-    ``choice.table`` is computed once and no other entry is computed.
+    weighted tail is still above tol there; ln|E_m| comes from one
+    :func:`~gaborlattice.qtheta.coeff_E` call over |m| <= MAX_M.  The
+    table grows with the loop (:func:`forward_table` with ``base=``), so
+    each entry of ``choice.table`` is computed once and no other entry is
+    computed.
     """
     _require_subcritical(params)
     if not (0 < tol < 1):
         raise InvalidParameterError("tol must lie in (0, 1)")
     if not (math.isfinite(x_max) and x_max >= 0):
         raise InvalidParameterError(f"x_max must be a finite non-negative real, got {x_max!r}")
-    coeff_ln = functools.cache(lambda m: coeff_E(m, params, ctrl or SeriesControl()).ln_abs())
+    coeffs_ln = _ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params, ctrl or SeriesControl()))
     table = None
 
     def cells(M: int, K: int) -> np.ndarray:
         nonlocal table
         table = forward_table(signal, params.tau, M, K, quad, base=table)
-        return _cells([coeff_ln(m) for m in range(-M, M + 1)], table.mantissa, table.exponent)
+        return (coeffs_ln[MAX_M - M: MAX_M + M + 1, None]
+                + _ln_abs(table.mantissa, table.exponent))
 
     M, K, tail, converged = _truncate(cells, params.tau, x_max, tol, MAX_M, MAX_K)
     if not converged:
@@ -338,7 +320,7 @@ def reconstruct_grid(
     many digits deep and its truncation must reach far below the
     largest cell, which tail_estimate does not measure.  For the unit
     Gaussian at tau = 1 with automatic truncation the error relative to
-    sup|f| reaches ~1e3 at |x| = 12, with no sign in tail_estimate.
+    sup|f| reaches ~2e2 at |x| = 12, with no sign in tail_estimate.
     """
     start = time.perf_counter()
     _require_subcritical(params)
@@ -354,9 +336,9 @@ def reconstruct_grid(
         raise InvalidParameterError(
             f"explicit truncation (M={M_cap}, K={K_cap}) exceeds table extents"
         )
-    coeffs = [coeff_E(m, params) for m in range(-M_cap, M_cap + 1)]
     used = np.s_[table.M - M_cap: table.M + M_cap + 1, table.K - K_cap: table.K + K_cap + 1]
-    block = _cells([c.ln_abs() for c in coeffs], table.mantissa[used], table.exponent[used])
+    block = (_ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))[:, None]
+             + _ln_abs(table.mantissa[used], table.exponent[used]))
     if config.truncation is not None:
         M, K, tail = M_cap, K_cap, math.exp(_tail_ln(block, params.tau, x_reach))
     else:
@@ -364,12 +346,12 @@ def reconstruct_grid(
             lambda M, K: block[M_cap - M: M_cap + M + 1, K_cap - K: K_cap + K + 1],
             params.tau, x_reach, config.tol, M_cap, K_cap)
 
-    rec = reconstruct_point(xs, table, params, coeffs, M, K)
+    rec = reconstruct_point(xs, table, params, M, K)
 
     ref_values = None
     sup_error = l2_error = None
     if reference is not None:
-        ref_values = np.array([eval_signal(reference, float(x)) for x in xs], dtype=complex)
+        ref_values = eval_signal(reference, xs)
         diff = np.abs(rec - ref_values)
         if len(xs):
             sup_ref = float(np.max(np.abs(ref_values)))
@@ -432,6 +414,5 @@ def calibrate_constant(tau: float = 1.0, x: float = 0.0, M: int = 8, K: int = 16
     params = nome_from_tau(tau)
     signal = SignalModel.gaussian([(1.0, 0.0, 0.0)])
     table = forward_table(signal, params.tau, M, K)
-    coeffs = [coeff_E(m, params) for m in range(-M, M + 1)]
-    raw = reconstruct_point(x, table, params, coeffs, M, K) / RECONSTRUCTION_CONSTANT
+    raw = reconstruct_point(x, table, params, M, K) / RECONSTRUCTION_CONSTANT
     return (eval_signal(signal, x) / raw).real

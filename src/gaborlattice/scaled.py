@@ -9,12 +9,14 @@ range, so every quantity that can leave [1e-308, 1e308] is carried as
 with a complex mantissa normalised to |mantissa| in [1, B) and an
 arbitrary-size integer exponent.  The base is a power of two so every
 renormalisation is an exact ldexp; converting a plain double in range
-to a ScaledValue and back is bit-exact.
+to a ScaledValue and back is bit-exact.  The computations carry whole
+(mantissa, exponent) arrays; ScaledValue is the scalar view of one value.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 
 import numpy as np
@@ -24,9 +26,9 @@ from .errors import SaturationError
 BASE_LOG2 = 128
 LN_BASE = BASE_LOG2 * math.log(2.0)
 
-# ln(2) split so that (128*k) * _LN2_HI is exact for every exponent k met in
-# practice (the low 21 mantissa bits of _LN2_HI are zero); keeps from_ln
-# accurate to ~1 ulp even for log-magnitudes in the tens of thousands.
+# ln(2) split so that n * _LN2_HI is exact for |n| < 2**21 (the low 21
+# mantissa bits of _LN2_HI are zero); keeps exp_pow2 accurate to ~1 ulp even
+# for log-magnitudes in the tens of thousands.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
@@ -43,14 +45,6 @@ def ldexp_array(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
         out.real = np.ldexp(values.real, shift)
         out.imag = np.ldexp(values.imag, shift)
     return out
-
-
-def scaled_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ScaledValue as a complex mantissa array and an int64 exponent
-    array, entry for entry."""
-    mant = np.array([[v.mantissa for v in row] for row in rows], dtype=complex)
-    exps = np.array([[v.exponent for v in row] for row in rows], dtype=np.int64)
-    return mant, exps
 
 
 def normalise_array(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,6 +113,7 @@ def log2_split(x) -> tuple[np.ndarray, np.ndarray]:
     return e, np.log(np.ldexp(x, -e))
 
 
+@functools.lru_cache(maxsize=256)
 def ln_split(x: float) -> tuple[int, float, float]:
     """x > 0 as 2**e * e^{hi + lo} (40-digit logarithm), |hi + lo| <= ln(2)/2:
     hi has 26 significant bits, so k * hi is exact for integers |k| < 2**26."""
@@ -134,8 +129,8 @@ def exp_pow2(t: np.ndarray, t_lo=0.0) -> tuple[np.ndarray, np.ndarray]:
     """e^{t + t_lo} as (f, n) with e^{t + t_lo} = f * 2**n, n an exact integer
     and f in [1, 2) up to rounding.
 
-    Only f is rounded, from the same split ln 2 as :meth:`ScaledValue.from_ln`
-    and with t_lo added last, so it is accurate to ~1 ulp while |n| < 2**21.
+    Only f is rounded, from a split ln 2 and with t_lo added last, so it is
+    accurate to ~1 ulp while |n| < 2**21.
     Raises SaturationError unless |t| < 2**52 (non-finite t included).
     """
     t = np.asarray(t, dtype=float)
@@ -173,53 +168,22 @@ class ScaledValue:
     # ---------------------------------------------------------------- factories
 
     @classmethod
-    def zero(cls) -> "ScaledValue":
-        return cls(0j, 0)
-
-    @classmethod
-    def one(cls) -> "ScaledValue":
-        return cls(1.0 + 0j, 0)
-
-    @classmethod
     def from_complex(cls, value) -> "ScaledValue":
         return cls(complex(value), 0)
 
     @classmethod
     def from_ln(cls, ln_magnitude: float, phase: float = 0.0) -> "ScaledValue":
-        """exp(ln_magnitude) * exp(i*phase), safe for any ln_magnitude."""
+        """exp(ln_magnitude) * exp(i*phase) to ~1 ulp of magnitude: the split
+        of :func:`exp_pow2` in scalar arithmetic, which costs a tenth of a
+        numpy call on one value."""
         if ln_magnitude == -math.inf:
-            return cls.zero()
-        if not math.isfinite(ln_magnitude):
-            raise SaturationError(f"non-finite log magnitude {ln_magnitude!r}")
-        k = math.floor(ln_magnitude / LN_BASE)
-        t = float(BASE_LOG2 * k)
-        resid = (ln_magnitude - t * _LN2_HI) - t * _LN2_LO
-        mant = math.exp(resid) * complex(math.cos(phase), math.sin(phase))
-        return cls(mant, k)
-
-    @classmethod
-    def from_pow(cls, base, power: int) -> "ScaledValue":
-        """Integer power of a plain base by exact binary exponentiation.
-
-        Preferred over from_ln(power * log(base)) for q**N factors: the
-        relative error stays O(log2(N) * eps) no matter how large N is.
-        """
-        b = cls.from_complex(base)
-        if b.is_zero:
-            if power <= 0:
-                raise ZeroDivisionError("0 cannot be raised to a non-positive power")
-            return cls.zero()
-        n = abs(power)
-        result = cls.one()
-        while n:
-            if n & 1:
-                result = result * b
-            n >>= 1
-            if n:
-                b = b * b
-        if power < 0:
-            return cls.one() / result
-        return result
+            return cls()
+        if not abs(ln_magnitude) < 2.0**52:
+            raise SaturationError(f"log magnitude {ln_magnitude!r} non-finite or beyond 2**52")
+        n = math.floor(ln_magnitude / math.log(2.0))
+        k, r = divmod(n, BASE_LOG2)
+        f = math.exp((ln_magnitude - n * _LN2_HI) - n * _LN2_LO)
+        return cls(math.ldexp(f, r) * complex(math.cos(phase), math.sin(phase)), k)
 
     # ---------------------------------------------------------------- queries
 
@@ -267,43 +231,6 @@ class ScaledValue:
         if o is None:
             return NotImplemented
         return ScaledValue(self.mantissa * o.mantissa, self.exponent + o.exponent)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ScaledValue(self.mantissa / o.mantissa, self.exponent - o.exponent)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero:
-            return o
-        if o.is_zero:
-            return self
-        hi, lo = (self, o) if self.exponent >= o.exponent else (o, self)
-        gap = hi.exponent - lo.exponent
-        # B**-2 = 2**-256 is already far below double precision relative
-        # to |hi|; keep a couple of guard steps anyway.
-        if gap > 4:
-            return hi
-        return ScaledValue(
-            hi.mantissa + _ldexp_complex(lo.mantissa, -gap * BASE_LOG2), hi.exponent
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __neg__(self):
-        return ScaledValue(-self.mantissa, self.exponent)
 
     # ---------------------------------------------------------------- misc
 

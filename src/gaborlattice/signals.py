@@ -17,7 +17,6 @@ stored as mantissa * (2**128)**exponent, entry by entry.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -26,8 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
-from .scaled import (LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, scaled_arrays,
-                     sum_rows)
+from .scaled import LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, sum_rows
 
 LN_TWO_PI = math.log(2.0 * math.pi)
 LN_FOUR = math.log(4.0)
@@ -106,17 +104,28 @@ class SignalModel:
         return (math.log(self.bound) if self.bound > 0 else -math.inf, self.growth)
 
 
-def eval_signal(signal: SignalModel, x: float) -> complex:
-    """f(x)."""
-    if not math.isfinite(x):
+def _components(signal: SignalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A Gaussian family's amplitudes, centres and modulations as arrays."""
+    amp = np.array([c.amplitude for c in signal.components])
+    centre, modulation = np.array([(c.center, c.modulation) for c in signal.components]).T
+    return amp, centre, modulation
+
+
+def eval_signal(signal: SignalModel, x):
+    """f(x): a complex for a float x, a complex array for an array of x.  A
+    Gaussian family is one (point, component) matrix, a callback is sampled
+    once per point; a scalar call equals the array call's element."""
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
         raise DomainError(f"x must be finite, got {x!r}")
+    flat = xs.reshape(-1, 1)
     if signal.kind == GAUSSIAN_FAMILY:
-        total = 0j
-        for c in signal.components:
-            d = x - c.center
-            total += c.amplitude * math.exp(-d * d / 4.0) * cmath.exp(1j * c.modulation * x)
-        return total
-    return complex(signal.sampler(x))
+        amp, centre, modulation = _components(signal)
+        terms = amp * np.exp(-(flat - centre) ** 2 / 4.0) * np.exp(1j * (modulation * flat))
+        values = np.cumsum(terms, axis=1)[:, -1]  # in component order
+    else:
+        values = np.array([complex(signal.sampler(v)) for v in flat[:, 0].tolist()], dtype=complex)
+    return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
 def windowed_sample_scaled(signal: SignalModel, x):
@@ -127,8 +136,7 @@ def windowed_sample_scaled(signal: SignalModel, x):
     once per point."""
     xs = np.asarray(x, dtype=float).reshape(-1, 1)
     if signal.kind == GAUSSIAN_FAMILY:
-        amp = np.array([c.amplitude for c in signal.components])
-        centre, modulation = np.array([(c.center, c.modulation) for c in signal.components]).T
+        amp, centre, modulation = _components(signal)
         ln_amp = np.log(np.abs(amp), out=np.zeros(len(amp)), where=amp != 0)  # 0 where amp is 0
         ln_mag = ln_amp - (xs - centre) ** 2 / 4.0 - xs * xs / 4.0 - LN_TWO_PI
         unit = np.where(amp != 0, np.exp(1j * (modulation * xs + np.angle(amp))), 0.0)
@@ -163,55 +171,52 @@ class QuadratureControl:
 _DEFAULT_QUAD = QuadratureControl()
 
 
-def _closed_form_terms(m: int, k: int, signal: SignalModel, tau: float):
-    """Per component of gamma_{m,k}: (ln|term|, phase, relative rounding bound).
-
-    The exponent of a term is a sum of pieces each rounded to ~eps of its
-    own size, so the term's relative error grows with the pieces' sizes.
-    ScaledValue.from_ln adds up to ~LN_BASE eps (its residual exponent
-    lies in [0, LN_BASE)), and ROUNDING_C eps covers the products and sums.
-    """
-    for c in signal.components:
-        mag = abs(c.amplitude)
-        if mag == 0:
-            continue
-        ln_amp = math.log(mag)
-        sr = c.center / 2.0 - tau * m
-        si = c.modulation - k
-        re_half_s2 = (sr * sr - si * si) / 2.0
-        im_half_s2 = sr * si
-        ln_mag = ln_amp - c.center * c.center / 4.0 + re_half_s2 + 0.5 * LN_TWO_PI
-        phase = im_half_s2 + cmath.phase(c.amplitude)
-        pieces = (abs(ln_amp) + c.center * c.center / 4.0
-                  + (abs(c.center) / 2.0 + tau * abs(m)) ** 2
-                  + (abs(c.modulation) + abs(k)) ** 2)
-        yield ln_mag, phase, ROUNDING_C + LN_BASE + 2.0 * pieces
+def _entries(mant: np.ndarray, exps: np.ndarray, scalar: bool):
+    """(value, abs_err) ScaledValues of a 1x1 block for a scalar call, else
+    the (2, rows, cols) mantissa and exponent arrays."""
+    if scalar:
+        return tuple(ScaledValue(mant[n, 0, 0], int(exps[n, 0, 0])) for n in range(2))
+    return mant, exps
 
 
-def gamma_closed_form(m: int, k: int, signal: SignalModel, tau: float) -> ScaledValue:
-    """Exact gamma_{m,k} for Gaussian families.
+def gamma_closed_form(m: int | tuple[int, ...], k: int | tuple[int, ...], signal: SignalModel,
+                      tau: float):
+    """Exact gamma_{m,k} for Gaussian families, with absolute rounding bounds.
+
+    Returns what :func:`gamma_quadrature` returns: ``(value, abs_err)`` as
+    ScaledValues for int ``m`` and ``k``; for tuples of rows and columns,
+    ``(mantissa, exponent)`` arrays of shape (2, len(m), len(k)) holding [0]
+    the values and [1] their bounds.  An entry does not depend on its block.
 
     Completing the square in
     integral exp(-x^2/2 + c x) dx = sqrt(2 pi) exp(c^2 / 2) gives, per
     component, amp * e^{-a^2/4} * sqrt(2 pi) * e^{s^2/2} with
-    s = a/2 - tau m + i (b - k).
+    s = a/2 - tau m + i (b - k): one (row, column, component) tensor of
+    ln-magnitudes and phases, raised by scaled.exp_pow2 and summed per entry
+    by scaled.sum_rows.  The exponent of a term is a sum of pieces each
+    rounded to ~eps of its own size, so the term's relative error grows with
+    the pieces' sizes; the bound is eps sum_c |term_c| rel_c with
+    rel_c = ROUNDING_C + LN_BASE + 2 pieces_c (exp_pow2 rounds to ~1 ulp,
+    so the LN_BASE allowance is slack).
     """
     if signal.kind != GAUSSIAN_FAMILY:
         raise InvalidParameterError("closed form requires a Gaussian-family signal")
-    total = ScaledValue.zero()
-    for ln_mag, phase, _ in _closed_form_terms(m, k, signal, tau):
-        total = total + ScaledValue.from_ln(ln_mag, phase)
-    return total
-
-
-def _closed_form_bound(m: int, k: int, signal: SignalModel, tau: float) -> ScaledValue:
-    """Absolute rounding bound of :func:`gamma_closed_form`: eps times the
-    component magnitudes |term_c|, each weighted by its relative bound."""
-    terms = [ln_mag + math.log(rel) for ln_mag, _, rel in _closed_form_terms(m, k, signal, tau)]
-    if not terms:
-        return ScaledValue.zero()
-    top = max(terms)
-    return ScaledValue.from_ln(math.log(EPS) + top + math.log(sum(math.exp(t - top) for t in terms)))
+    rows, cols = np.array(m, ndmin=1)[:, None, None], np.array(k, ndmin=1)[:, None]
+    amp, centre, modulation = _components(signal)
+    ln_amp = np.log(np.abs(amp), out=np.zeros(len(amp)), where=amp != 0)  # 0 where amp is 0
+    sr, si = centre / 2.0 - tau * rows, modulation - cols
+    f, bits = exp_pow2(ln_amp - centre * centre / 4.0 + (sr * sr - si * si) / 2.0
+                       + 0.5 * LN_TWO_PI)
+    f = np.where(amp != 0, f, 0.0)
+    pieces = (np.abs(ln_amp) + centre * centre / 4.0
+              + (np.abs(centre) / 2.0 + tau * np.abs(rows)) ** 2
+              + (np.abs(modulation) + np.abs(cols)) ** 2)
+    terms = np.stack([f * np.exp(1j * (sr * si + np.angle(amp))),
+                      f * (EPS * (ROUNDING_C + LN_BASE + 2.0 * pieces))])
+    mant, exps = sum_rows(terms.reshape(-1, len(amp)),
+                          np.broadcast_to(bits, terms.shape).reshape(-1, len(amp)))
+    shape = (2, rows.size, cols.size)
+    return _entries(mant.reshape(shape), exps.reshape(shape), np.ndim(m) == np.ndim(k) == 0)
 
 
 def gamma_quadrature(
@@ -258,12 +263,17 @@ def gamma_quadrature(
 
     def fetch(xs: np.ndarray) -> np.ndarray:
         """f at the nodes xs, each node sampled at most once; non-finite f refused."""
-        values = list(map(seen.get, xs.tolist()))
-        for n in (n for n, v in enumerate(values) if v is None):
-            x = float(xs[n])
-            values[n] = seen[x] = eval_signal(signal, x)
-            if not cmath.isfinite(values[n]):
-                raise InvalidParameterError(f"callback returned {values[n]!r} at x={x:.6g}")
+        keys = xs.tolist()
+        values = list(map(seen.get, keys))
+        missing = [n for n, v in enumerate(values) if v is None]
+        if missing:  # one eval_signal call for the nodes not seen yet
+            samples = eval_signal(signal, xs[missing])
+            if not np.isfinite(samples).all():
+                i = int(np.argmin(np.isfinite(samples)))  # the first non-finite sample
+                raise InvalidParameterError(
+                    f"callback returned {complex(samples[i])!r} at x={keys[missing[i]]:.6g}")
+            for n, value in zip(missing, samples.tolist()):
+                values[n] = seen[keys[n]] = value
         return np.array(values, dtype=complex)
 
     # coarsest level j with H0 / 2^j <= pi / (2 (|k| + 1))
@@ -324,9 +334,7 @@ def gamma_quadrature(
         scale = ScaledValue.from_ln(ln_scale)
         mant[:, i], exps[:, i] = normalise_array(np.stack([value, err]) * scale.mantissa.real,
                                                  scale.exponent)
-    if np.ndim(m) == np.ndim(k) == 0:
-        return tuple(ScaledValue(mant[n, 0, 0], int(exps[n, 0, 0])) for n in range(2))
-    return mant, exps
+    return _entries(mant, exps, np.ndim(m) == np.ndim(k) == 0)
 
 
 def _column(payload: dict, key: str, kinds: str, size: int) -> np.ndarray:
@@ -378,9 +386,6 @@ class GammaTable:
             )
         i, j = m + self.M, k + self.K
         return ScaledValue(complex(self.mantissa[i, j]), int(self.exponent[i, j]))
-
-    def row(self, m: int) -> list[ScaledValue]:
-        return [self.get(m, k) for k in range(-self.K, self.K + 1)]
 
     def to_payload(self) -> dict:
         """Columnar, JSON-ready form (bit-exact round trip)."""
@@ -468,10 +473,8 @@ def forward_table(
         if not (in_rows.any() and in_cols.any()):
             continue
         rows, cols = tuple(ms[in_rows].tolist()), tuple(ks[in_cols].tolist())
-        if signal.kind == GAUSSIAN_FAMILY:  # [values, bounds] of mantissas, of exponents
-            block = [np.stack(part) for part in zip(*(
-                scaled_arrays([[entry(m, k, signal, tau) for k in cols] for m in rows])
-                for entry in (gamma_closed_form, _closed_form_bound)))]
+        if signal.kind == GAUSSIAN_FAMILY:
+            block = gamma_closed_form(rows, cols, signal, tau)
         else:
             block = gamma_quadrature(rows, cols, signal, tau, quad)
         index = (slice(None),) + np.ix_(in_rows, in_cols)

@@ -10,12 +10,14 @@ other test.
 
 import importlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import pytest
 
 import gaborlattice
+import gaborlattice.cli
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -59,6 +61,36 @@ def test_callback_quadrature_span_keys_hash():
     calls = [span for span in recorder.spans if span[0] == "signals.gamma_quadrature"]
     assert calls and len(recorder.entry_keys) == len(calls)
     assert len(set(recorder.entry_keys)) == len(recorder.entry_keys)  # hashable, none repeated
+
+
+def test_closed_form_span_keys_hash(tmp_path):
+    """CLI forward then reconstruct of a Gaussian family: the closed-form
+    block calls are keyed by their (rows, cols) tuples, and cli_grid's
+    ``--trace 1`` finds every expected span."""
+    spans = _spans()
+    recorder = spans.Recorder()
+    signal = {"kind": "gaussian_family",
+              "components": [{"amplitude": [0.8, -0.3], "center": 0.4, "modulation": -0.9},
+                             {"amplitude": [0.0, 0.6], "center": -0.5, "modulation": 1.2}]}
+    paths = {name: str(tmp_path / name) for name in
+             ("forward.json", "reconstruct.json", "table.json", "points.csv")}
+    with open(paths["forward.json"], "w", encoding="utf-8") as fh:
+        json.dump({"tau": 1.0, "signal": signal, "truncation": "auto", "x_max": 3.0}, fh)
+    with open(paths["reconstruct.json"], "w", encoding="utf-8") as fh:
+        json.dump({"tau": 1.0, "grid": {"min": -3.0, "max": 3.0, "step": 0.5},
+                   "signal": signal}, fh)
+    with spans.installed(recorder):
+        assert gaborlattice.cli.main(["forward", "--config", paths["forward.json"],
+                                      "--output", paths["table.json"]]) == 0
+        assert gaborlattice.cli.main(["reconstruct", "--config", paths["reconstruct.json"],
+                                      "--table", paths["table.json"],
+                                      "--output", paths["points.csv"]]) == 0
+    totals = {}
+    for name, *_ in recorder.spans:
+        totals.setdefault(name, {"calls": 0})["calls"] += 1
+    assert totals["signals.gamma_closed_form"]["calls"] == len(recorder.entry_keys)
+    assert len(set(recorder.entry_keys)) == len(recorder.entry_keys)  # hashable, none repeated
+    assert spans.uncovered(spans.CLI, totals) == []
 
 
 def test_verify_all_records_every_expected_span():

@@ -24,7 +24,7 @@ from gaborlattice import (
     theta_series_scaled,
 )
 from gaborlattice.qtheta import theta_product_scaled
-from gaborlattice.scaled import to_complex
+from gaborlattice.scaled import normalise_array, sub_arrays, to_complex
 
 
 def brute_euler(q, terms=600):
@@ -149,10 +149,11 @@ class TestThetaForms:
             for n in range(-6, 7):
                 zn = (q ** n) * z
                 lhs = theta_series_scaled(zn, q, ctrl)
-                rhs = ScaledValue.from_pow(complex(-z), -n) * \
-                    ScaledValue.from_pow(q, -(n * (n - 1)) // 2) * base
-                scale = eta(zn, q) + abs(rhs.to_complex())
-                assert abs((lhs - rhs).to_complex()) <= 1e-10 * scale
+                factor = complex(-z) ** -n * q ** (-(n * (n - 1)) // 2)
+                rhs = normalise_array(base.mantissa * factor, base.exponent)
+                gap = sub_arrays((lhs.mantissa, lhs.exponent), rhs)
+                scale = eta(zn, q) + abs(to_complex(rhs))
+                assert abs(to_complex(gap)) <= 1e-10 * scale
 
     def test_conjugation_symmetry(self, ctrl):
         rng = np.random.default_rng(44)
@@ -169,14 +170,14 @@ class TestThetaForms:
     def test_zero_set(self, ctrl):
         for q in (0.1, 0.3, 0.5):
             for n in range(-5, 6):
-                z = ScaledValue.from_pow(q, n).to_complex()
+                z = q ** n
                 assert abs(theta_series_scaled(z, q, ctrl).to_complex()) <= 1e-10 * eta(z, q)
 
     def test_extreme_argument_contract(self, ctrl):
         # log|z| = +-10 |log q| must not overflow internally
         q = nome_from_tau(0.5).q
         for sign in (10, -10):
-            z = ScaledValue.from_pow(q, sign).to_complex()
+            z = q ** sign
             value = theta_series(1.0001 * z, q, ctrl)
             assert math.isfinite(abs(value))
 
@@ -223,13 +224,14 @@ class TestLatticeDerivative:
             for n in range(-4, 5):
                 ref = theta_prime_lattice(n, q, ctrl)
                 cand = lattice_derivative_candidate(n, q, ctrl, "corrected")
-                rel = abs((ref - cand).to_complex()) / abs(ref.to_complex())
+                gap = sub_arrays((ref.mantissa, ref.exponent), (cand.mantissa, cand.exponent))
+                rel = abs(to_complex(gap)) / abs(ref.to_complex())
                 assert rel <= 1e-12
 
     def test_richardson_finite_difference(self, ctrl):
         for q in (0.1, 0.3, 0.5):
             for n in range(-4, 5):
-                z0 = ScaledValue.from_pow(q, n).to_complex().real
+                z0 = q ** n
                 h = abs(z0) * 1e-3
                 d1 = (theta_series(z0 + h, q, ctrl) - theta_series(z0 - h, q, ctrl)) / (2 * h)
                 d2 = (theta_series(z0 + h / 2, q, ctrl)
@@ -309,6 +311,33 @@ class TestCoefficients:
     def test_index_bound(self, params_tau1, ctrl):
         with pytest.raises(InvalidParameterError):
             coeff_E(100, params_tau1, ctrl)
+        with pytest.raises(InvalidParameterError):
+            coeff_E(np.array([0, 65]), params_tau1, ctrl)
+
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    def test_array_is_scalar_calls_bit_for_bit(self, variant):
+        ms = np.arange(-64, 65)
+        for tau in (0.3, 1.0, 3.0):
+            params = nome_from_tau(tau)
+            mant, exps = coeff_E(ms, params, variant=variant)
+            assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
+                [coeff_E(int(m), params, variant=variant) for m in ms]
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 3.0])
+    def test_within_a_few_ulp_of_mpmath(self, tau):
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        params = nome_from_tau(tau)
+        mant, exps = coeff_E(np.arange(-64, 65), params)
+        with mp.workdps(40):
+            q = mp.mpf(params.q)
+            cube = mp.fprod(1 - q ** n for n in range(1, 400)) ** 3
+            for m, value, exp in zip(range(-64, 65), mant, exps):
+                n = abs(m)
+                tail = mp.fsum((-1) ** j * q ** (j * (j + 2 * n + 1) // 2) for j in range(60))
+                exact = (-1) ** n * q ** (n * (n + 1) // 2) * tail / cube
+                got = mp.mpc(complex(value)) * mp.mpf(2) ** (128 * int(exp))
+                assert abs(got - exact) <= 8 * eps * abs(exact), (tau, m)
 
 
 @functools.cache

@@ -10,7 +10,6 @@ from gaborlattice import (
     ReconConfig,
     RegimeError,
     SaturationError,
-    ScaledValue,
     SignalModel,
     auto_truncation,
     calibrate_constant,
@@ -28,54 +27,50 @@ from gaborlattice import (
 
 class TestInnerSum:
     def test_zero_row(self):
-        row = [ScaledValue.zero()] * 5
-        assert inner_fourier_sum(row, 0.7, 2).is_zero
+        assert not inner_fourier_sum(np.zeros((1, 5), dtype=complex), np.array([0.7]), 2).any()
 
     def test_constant_term_only(self):
-        row = [ScaledValue.zero()] * 2 + [ScaledValue.one()] + [ScaledValue.zero()] * 2
-        for x in (-2.0, 0.0, 1.3):
-            assert inner_fourier_sum(row, x, 2).to_complex() == 1.0
+        row = np.array([[0, 0, 1, 0, 0]], dtype=complex)
+        assert inner_fourier_sum(row, np.array([-2.0, 0.0, 1.3]), 2).tolist() == [[1.0] * 3]
 
     def test_row_length_checked(self):
         with pytest.raises(InvalidParameterError):
-            inner_fourier_sum([ScaledValue.one()] * 4, 0.0, 2)
+            inner_fourier_sum(np.ones((1, 4), dtype=complex), np.array([0.0]), 2)
 
     def test_single_mode(self):
         # gamma_{m,1} = 1 only: sum is e^{ix}
-        row = [ScaledValue.zero(), ScaledValue.zero(), ScaledValue.zero(),
-               ScaledValue.one(), ScaledValue.zero()]
+        row = np.array([[0, 0, 0, 1, 0]], dtype=complex)
         x = 0.9
-        got = inner_fourier_sum(row, x, 2).to_complex()
-        assert got == pytest.approx(complex(math.cos(x), math.sin(x)), rel=1e-15)
+        got = inner_fourier_sum(row, np.array([x]), 2)
+        assert got.shape == (1, 1)
+        assert got[0, 0] == pytest.approx(complex(math.cos(x), math.sin(x)), rel=1e-15)
 
 
 class TestReconstructPoint:
     def test_zero_table(self, params_tau1):
         zero = SignalModel.gaussian([(0.0, 0.0, 0.0)])
         table = forward_table(zero, 1.0, 2, 2)
-        coeffs = [coeff_E(m, params_tau1) for m in range(-2, 3)]
         for x in (-1.0, 0.0, 2.0):
-            assert reconstruct_point(x, table, params_tau1, coeffs, 2, 2) == 0j
+            assert reconstruct_point(x, table, params_tau1, 2, 2) == 0j
 
     def test_supercritical_refused(self):
         params = nome_from_tau(3.5)
         zero = SignalModel.gaussian([(0.0, 0.0, 0.0)])
         table = forward_table(zero, 3.5, 1, 1)
         with pytest.raises(RegimeError):
-            reconstruct_point(0.0, table, params, [ScaledValue.zero()] * 3, 1, 1)
+            reconstruct_point(0.0, table, params, 1, 1)
 
     def test_critical_refused(self):
         params = nome_from_tau(math.pi)
         zero = SignalModel.gaussian([(0.0, 0.0, 0.0)])
         table = forward_table(zero, math.pi, 1, 1)
         with pytest.raises(RegimeError):
-            reconstruct_point(0.0, table, params, [ScaledValue.zero()] * 3, 1, 1)
+            reconstruct_point(0.0, table, params, 1, 1)
 
     def test_pointwise_roundtrip(self, unit_gaussian, params_tau1):
         table = forward_table(unit_gaussian, 1.0, 6, 10)
-        coeffs = [coeff_E(m, params_tau1) for m in range(-6, 7)]
         for x in (-3.0, -0.7, 0.0, 1.9, 3.0):
-            rec = reconstruct_point(x, table, params_tau1, coeffs, 6, 10)
+            rec = reconstruct_point(x, table, params_tau1, 6, 10)
             assert abs(rec - eval_signal(unit_gaussian, x)) <= 1e-6
 
     def test_linearity_of_tables(self, params_tau1):
@@ -85,11 +80,10 @@ class TestReconstructPoint:
         tf = forward_table(f, 1.0, 5, 8)
         tg = forward_table(g, 1.0, 5, 8)
         tfg = forward_table(fg, 1.0, 5, 8)
-        coeffs = [coeff_E(m, params_tau1) for m in range(-5, 6)]
         for x in (-1.1, 0.6):
-            a = reconstruct_point(x, tf, params_tau1, coeffs, 5, 8)
-            b = reconstruct_point(x, tg, params_tau1, coeffs, 5, 8)
-            c = reconstruct_point(x, tfg, params_tau1, coeffs, 5, 8)
+            a = reconstruct_point(x, tf, params_tau1, 5, 8)
+            b = reconstruct_point(x, tg, params_tau1, 5, 8)
+            c = reconstruct_point(x, tfg, params_tau1, 5, 8)
             assert abs(c - (a + b)) <= 1e-10 * max(abs(c), 1.0)
 
 
@@ -111,17 +105,18 @@ class TestEngineAccuracy:
         signal = SignalModel.gaussian([(amplitude * a, c, b) for a, c, b in self.FAMILY])
         params = nome_from_tau(tau)
         table = forward_table(signal, tau, M, K)
-        coeffs = [coeff_E(m, params) for m in range(-M, M + 1)]
+        e_mant, e_exps = coeff_E(np.arange(-M, M + 1), params)  # the engine's own E_m
         xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 25)
-        got = list(reconstruct_point(xs, table, params, coeffs, M, K))
-        got[::6] = [reconstruct_point(float(x), table, params, coeffs, M, K) for x in xs[::6]]
+        got = list(reconstruct_point(xs, table, params, M, K))
+        got[::6] = [reconstruct_point(float(x), table, params, M, K) for x in xs[::6]]
 
-        def exact(sv):
-            return mp.mpc(sv.mantissa) * mp.mpf(2) ** (128 * sv.exponent)
+        def exact(mant, exp):
+            return mp.mpc(complex(mant)) * mp.mpf(2) ** (128 * int(exp))
 
         with mp.workdps(40):
-            rows = [(m, exact(coeffs[m + M]), [exact(g) for g in table.row(m)])
-                    for m in range(-M, M + 1)]
+            rows = [(m, exact(e_mant[i], e_exps[i]),
+                     [exact(*g) for g in zip(table.mantissa[i], table.exponent[i])])
+                    for i, m in enumerate(range(-M, M + 1))]
             for x, value in zip(xs, got):
                 X = mp.mpf(float(x))
                 phase = mp.exp(1j * X)
@@ -133,16 +128,15 @@ class TestEngineAccuracy:
                 assert err <= 64 * eps * mp.fsum(abs(t) for t in terms) * prefactor, x
 
     def test_value_beyond_double_range_saturates(self, params_tau1):
-        coeffs = [coeff_E(m, params_tau1) for m in range(-5, 6)]
         near_max = forward_table(SignalModel.gaussian([(1e308, 0.0, 0.0)]), 1.0, 5, 9)
-        value = reconstruct_point(0.0, near_max, params_tau1, coeffs, 5, 9)
+        value = reconstruct_point(0.0, near_max, params_tau1, 5, 9)
         assert value == pytest.approx(1e308, rel=1e-8)
         beyond = forward_table(
             SignalModel.gaussian([(1e308, 0.0, 0.0), (1e308, 0.0, 0.0)]), 1.0, 5, 9)
         with pytest.raises(SaturationError):
-            reconstruct_point(0.0, beyond, params_tau1, coeffs, 5, 9)
+            reconstruct_point(0.0, beyond, params_tau1, 5, 9)
         with pytest.raises(SaturationError):
-            reconstruct_point(np.array([-0.5, 0.0, 0.5]), beyond, params_tau1, coeffs, 5, 9)
+            reconstruct_point(np.array([-0.5, 0.0, 0.5]), beyond, params_tau1, 5, 9)
 
 
 class TestAutoTruncation:
@@ -172,9 +166,10 @@ class TestAutoTruncation:
         keys = []
         original = signals.gamma_closed_form
 
-        def counting(m, k, *args, **kwargs):
-            keys.append((m, k))
-            return original(m, k, *args, **kwargs)
+        def counting(rows, cols, *args):  # each call computes every (m, k) of its block
+            keys.extend((m, k) for m in np.atleast_1d(rows).tolist()
+                        for k in np.atleast_1d(cols).tolist())
+            return original(rows, cols, *args)
 
         monkeypatch.setattr(signals, "gamma_closed_form", counting)
         choice = auto_truncation(two_component, params_tau1, 1e-8, x_max=3.0)

@@ -44,9 +44,6 @@ def test_arithmetic_matches_plain_complex():
         b = complex(rng.normal(), rng.normal()) or 1.0
         sa, sb = ScaledValue.from_complex(a), ScaledValue.from_complex(b)
         assert (sa * sb).to_complex() == pytest.approx(a * b, rel=1e-15)
-        assert (sa / sb).to_complex() == pytest.approx(a / b, rel=1e-15)
-        assert (sa + sb).to_complex() == pytest.approx(a + b, rel=1e-15, abs=1e-15)
-        assert (sa - sb).to_complex() == pytest.approx(a - b, rel=1e-15, abs=1e-15)
 
 
 def test_huge_magnitude_products():
@@ -63,24 +60,16 @@ def test_from_ln_phase():
     assert w.is_zero
 
 
-def test_from_pow_matches_logs():
-    v = ScaledValue.from_pow(0.3, 1234)
-    assert v.ln_abs() == pytest.approx(1234 * math.log(0.3), rel=1e-14)
-    w = ScaledValue.from_pow(0.3, -1234)
-    assert (v * w).to_complex().real == pytest.approx(1.0, rel=1e-12)
-    u = ScaledValue.from_pow(2.0 + 1.0j, 7)
-    assert u.to_complex() == pytest.approx((2 + 1j) ** 7, rel=1e-14)
-
-
-def test_addition_alignment_small_versus_large():
-    big = ScaledValue.from_ln(2000.0)
-    small = ScaledValue.from_ln(500.0)
-    total = big + small
-    # the small operand is far below representational precision of the sum
-    assert total == big
-    near = ScaledValue.from_ln(1999.0)
-    expected = 2000.0 + math.log1p(math.exp(-1.0))
-    assert (big + near).ln_abs() == pytest.approx(expected, abs=1e-12)
+def test_from_ln_within_two_ulp_of_mpmath():
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        cases = [(t, 0.0) for t in np.random.default_rng(13).uniform(-300.0, 300.0, 2001)]
+        for t, phase in cases + [(-0.602, 3.84), (50000.0, 1.0), (-49990.0, -2.0)]:
+            v = ScaledValue.from_ln(float(t), phase)
+            got = mp.mpc(v.mantissa) * mp.mpf(2) ** (BASE_LOG2 * v.exponent)
+            exact = mp.exp(mp.mpf(float(t)) + 1j * mp.mpf(phase))
+            assert abs(got - exact) <= 2 * eps * abs(exact), (t, phase)
 
 
 def test_overflowing_downconvert_raises():
@@ -95,11 +84,6 @@ def test_underflow_downconvert_is_zero():
 def test_non_finite_mantissa_rejected():
     with pytest.raises(SaturationError):
         ScaledValue(complex(math.inf, 0.0))
-
-
-def test_negation():
-    v = ScaledValue.from_complex(3 - 4j)
-    assert (-v).to_complex() == -3 + 4j
 
 
 def test_equality_is_exact_representation():

@@ -106,9 +106,10 @@ def test_closed_form_entries_computed_once(monkeypatch):
     keys = []
     original = signals.gamma_closed_form
 
-    def counting(m, k, *args):
-        keys.append((m, k))
-        return original(m, k, *args)
+    def counting(rows, cols, *args):  # each call computes every (m, k) of its block
+        keys.extend((m, k) for m in np.atleast_1d(rows).tolist()
+                    for k in np.atleast_1d(cols).tolist())
+        return original(rows, cols, *args)
 
     monkeypatch.setattr(signals, "gamma_closed_form", counting)
     report = run_suite("all", 1.0, signal=_seeded_family(11))

@@ -37,7 +37,7 @@ def ln_l1_scale(signal, tau: float, m: int) -> float:
     """ln of e^{tau^2 m^2} integral |f| exp(-(x - x0)^2/4), by a fine trapezoid."""
     x0 = -2.0 * tau * m
     xs = np.arange(x0 - 20.0, x0 + 20.0, 1e-3)
-    f = np.abs([eval_signal(signal, float(x)) for x in xs])
+    f = np.abs(eval_signal(signal, xs))
     return tau * tau * m * m + math.log(1e-3 * float(np.sum(f * np.exp(-(xs - x0) ** 2 / 4))))
 
 
