@@ -219,12 +219,46 @@ def gamma_closed_form(m: int | tuple[int, ...], k: int | tuple[int, ...], signal
     return _entries(mant.reshape(shape), exps.reshape(shape), np.ndim(m) == np.ndim(k) == 0)
 
 
+class _Lineage:
+    """The callback quadrature's state, shared by a table and every table grown
+    from it with ``base=``: f on the grid x_n = n H0 / 2^level (NaN where not
+    sampled yet), and each row's (R_m, level-0 grid, S_m, tail)."""
+
+    def __init__(self):
+        self.level, self.lo, self.values = 0, 0, np.full(1, np.nan, dtype=complex)
+        self.rows: dict[int, tuple] = {}
+
+    def fetch(self, signal: SignalModel, lo: int, hi: int, j: int) -> np.ndarray:
+        """f at x_n = n H0 / 2^j, lo <= n <= hi: the nodes not stored yet are
+        sampled in one eval_signal call; a non-finite sample is refused and
+        nothing of that call is stored."""
+        level, top = max(j, self.level), self.lo + len(self.values) - 1
+        up, step = 2 ** (level - self.level), 2 ** (level - j)
+        first, last = min(lo * step, self.lo * up), max(hi * step, top * up)
+        if (level, first, last) != (self.level, self.lo, top):  # re-key by striding, or extend
+            store = np.full(last - first + 1, np.nan, dtype=complex)
+            store[self.lo * up - first: top * up - first + 1: up] = self.values
+            self.level, self.lo, self.values = level, first, store
+        view = self.values[lo * step - self.lo: hi * step - self.lo + 1: step]
+        missing = np.flatnonzero(np.isnan(view))
+        if len(missing):
+            xs = (lo + missing) * (H0 / 2 ** j)
+            samples = eval_signal(signal, xs)
+            if not np.isfinite(samples).all():
+                i = int(np.argmin(np.isfinite(samples)))  # the first non-finite sample
+                raise InvalidParameterError(
+                    f"callback returned {complex(samples[i])!r} at x={xs[i]:.6g}")
+            view[missing] = samples
+        return view
+
+
 def gamma_quadrature(
     m: int | tuple[int, ...],
     k: int | tuple[int, ...],
     signal: SignalModel,
     tau: float,
     quad: QuadratureControl = _DEFAULT_QUAD,
+    lineage: _Lineage | None = None,
 ):
     """gamma_{m,k} by trapezoid sums on one shared grid, with absolute error bounds.
 
@@ -232,10 +266,13 @@ def gamma_quadrature(
     tuples of rows and columns, ``(mantissa, exponent)`` arrays of shape
     (2, len(m), len(k)) holding [0] the values and [1] their bounds.  An
     entry depends only on (m, k, signal, tau, quad), never on its block.
+    ``lineage`` (from :func:`forward_table`) keeps the samples and row
+    windows of the calls before it for this signal and tau, so each node is
+    sampled and each row's window derived once across them.
 
     With exp(-tau m x - x^2/4) = e^{tau^2 m^2} exp(-(x - x0)^2/4) and
     x0 = -2 tau m, row m sums the nodes in [x0 - R_m, x0 + R_m] of the
-    grid x_n = n H0 / 2^j (each sampled once per call; n H0 / 2^j and
+    grid x_n = n H0 / 2^j (each sampled once per lineage; n H0 / 2^j and
     k x_n are exact), the scale e^{tau^2 m^2} kept in the exponent.  R_m
     is widened from the envelope metadata until the envelope's tail is
     below eps S_m, with S_m = H0 sum_n |f(x_n)| exp(-(x_n - x0)^2/4) on
@@ -256,44 +293,30 @@ def gamma_quadrature(
     only its tail bound.
     """
     rows, cols = np.array(m, ndmin=1), np.array(k, ndmin=1)
-    mant = np.zeros((2, len(rows), len(cols)), dtype=complex)
-    exps = np.zeros(mant.shape, dtype=np.int64)
+    lineage = lineage or _Lineage()
     ln_c, alpha = signal.envelope_ln()
-    seen: dict[float, complex] = {}
-
-    def fetch(xs: np.ndarray) -> np.ndarray:
-        """f at the nodes xs, each node sampled at most once; non-finite f refused."""
-        keys = xs.tolist()
-        values = list(map(seen.get, keys))
-        missing = [n for n, v in enumerate(values) if v is None]
-        if missing:  # one eval_signal call for the nodes not seen yet
-            samples = eval_signal(signal, xs[missing])
-            if not np.isfinite(samples).all():
-                i = int(np.argmin(np.isfinite(samples)))  # the first non-finite sample
-                raise InvalidParameterError(
-                    f"callback returned {complex(samples[i])!r} at x={keys[missing[i]]:.6g}")
-            for n, value in zip(missing, samples.tolist()):
-                values[n] = seen[keys[n]] = value
-        return np.array(values, dtype=complex)
-
+    value, s = np.zeros((len(rows), len(cols)), dtype=complex), np.zeros(len(rows))
+    # added to a row's scale: 0, the tail if its samples vanish, -inf if f = 0
+    ln_tail = np.full(len(rows), -math.inf)
     # coarsest level j with H0 / 2^j <= pi / (2 (|k| + 1))
     start = np.maximum(0, np.ceil(np.log2(2.0 * H0 * (np.abs(cols) + 1) / math.pi))).astype(int)
-    for i, row in enumerate(rows.tolist() if ln_c > -math.inf else ()):  # else f = 0
-        x0, ln_scale = -2.0 * tau * row, tau * tau * row * row
+    for i, row in enumerate(rows.tolist() if ln_c > -math.inf else ()):
+        x0 = -2.0 * tau * row
 
-        def nodes(r: float, j: int) -> tuple[np.ndarray, np.ndarray]:
-            """Level j of the grid on [x0 - r, x0 + r], and f times the window there."""
+        def nodes(r: float, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Level j of the grid on [x0 - r, x0 + r], f there, and f times the window."""
             h = H0 / 2 ** j
-            xs = np.arange(math.ceil((x0 - r) / h), math.floor((x0 + r) / h) + 1) * h
-            return xs, fetch(xs) * np.exp(-(xs - x0) ** 2 / 4.0)
+            lo, hi = math.ceil((x0 - r) / h), math.floor((x0 + r) / h)
+            xs, f = np.arange(lo, hi + 1) * h, lineage.fetch(signal, lo, hi, j)
+            return xs, f, f * np.exp(-(xs - x0) ** 2 / 4.0)
 
         def level0(ln_target: float) -> tuple[float, tuple, float, float]:
             """A half-width whose envelope tail is below e^{ln_target}; the level-0
             grid there, S_m and the tail.  The envelope is checked at its ends."""
             r = 2.0 * alpha + 2.0 * math.sqrt(
                 max(1.0, alpha * alpha + ln_c + alpha * abs(x0) + LN_FOUR - ln_target))
-            xs, g = nodes(r, 0)
-            for x, observed in zip(xs[[0, -1]].tolist(), np.abs(fetch(xs[[0, -1]])).tolist()):
+            xs, f, g = nodes(r, 0)
+            for x, observed in zip(xs[[0, -1]].tolist(), np.abs(f[[0, -1]]).tolist()):
                 allowed = 10.0 * math.exp(ln_c + alpha * abs(x))
                 if observed > allowed:
                     raise InvalidParameterError(
@@ -302,38 +325,43 @@ def gamma_quadrature(
             tail_ln = ln_c + alpha * (abs(x0) + r) - r * r / 4.0 + LN_FOUR
             return r, (xs, g), H0 * float(np.sum(np.abs(g))), tail_ln
 
-        r, grid, s, tail_ln = level0(ln_c + LN_EPS)
-        if s > 0 and tail_ln > LN_EPS + math.log(s):  # f is far below its envelope here
-            r, grid, s, tail_ln = level0(LN_EPS + math.log(s))  # S_m only grows with r
-        if s == 0:  # every sample vanished: only the envelope tail is left
-            tail = ScaledValue.from_ln(ln_scale + tail_ln)
-            mant[1, i], exps[1, i] = tail.mantissa, tail.exponent
+        if row not in lineage.rows:
+            r, grid, s_m, tail_ln = level0(ln_c + LN_EPS)
+            if s_m > 0 and tail_ln > LN_EPS + math.log(s_m):  # f is far below its envelope here
+                r, grid, s_m, tail_ln = level0(LN_EPS + math.log(s_m))  # S_m only grows with r
+            lineage.rows[row] = r, grid, s_m, tail_ln
+        r, grid, s_m, tail_ln = lineage.rows[row]
+        s[i], ln_tail[i] = s_m, (0.0 if s_m else tail_ln)
+        if s_m == 0:  # every sample vanished: only the envelope tail is left
             continue
-        value, prev = np.zeros((2, len(cols)), dtype=complex)
+        prev = np.zeros(len(cols), dtype=complex)
         todo = np.ones(len(cols), dtype=bool)
         for j in range(start.min(), start.max() + quad.max_refinements + 1):
             live = np.flatnonzero(todo & (start <= j))
             if not len(live):
                 continue
-            xs, g = grid if j == 0 else nodes(r, j)
+            xs, g = grid if j == 0 else nodes(r, j)[::2]
             est = np.zeros(len(cols), dtype=complex)
             chunk = max(1, PHASE_CHUNK // len(xs))
             for c in range(0, len(live), chunk):
                 sel = live[c: c + chunk]
                 est[sel] = H0 / 2 ** j * np.sum(np.exp(-1j * np.outer(cols[sel], xs)) * g, axis=1)
-            done = todo & (start < j) & (np.abs(est - prev) <= quad.tol * np.abs(est) + 1e-15 * s)
-            value[done], todo[done], prev = est[done], False, est
+            done = todo & (start < j) & (np.abs(est - prev) <= quad.tol * np.abs(est) + 1e-15 * s_m)
+            value[i, done], todo[done], prev = est[done], False, est
             if not todo.any():
                 break
             if np.any(todo & (j - start >= quad.max_refinements)):
                 raise NonConvergenceError(
                     "gamma_quadrature: spacing refinement cap reached",
                     diagnostics={"m": row, "k": cols[todo].tolist(), "level": j})
-        err = (np.maximum(quad.tol * np.abs(value), ROUNDING_C * EPS * s)
-               + EPS * (2.0 * ln_scale + LN_BASE) * np.abs(value))
-        scale = ScaledValue.from_ln(ln_scale)
-        mant[:, i], exps[:, i] = normalise_array(np.stack([value, err]) * scale.mantissa.real,
-                                                 scale.exponent)
+    ln_scale, vanished = tau * tau * rows * rows, (s == 0)[:, None]
+    err = np.where(vanished, 1.0,
+                   np.maximum(quad.tol * np.abs(value), ROUNDING_C * EPS * s[:, None])
+                   + EPS * (2.0 * ln_scale[:, None] + LN_BASE) * np.abs(value))
+    # each row's scale by ScaledValue.from_ln: np.exp and math.exp differ in the last bit
+    scales = [ScaledValue.from_ln(v) for v in (ln_scale + ln_tail).tolist()]
+    f, n = np.array([[v.mantissa.real for v in scales], [v.exponent for v in scales]])
+    mant, exps = normalise_array(np.stack([value, err]) * f[:, None], n.astype(np.int64)[:, None])
     return _entries(mant, exps, np.ndim(m) == np.ndim(k) == 0)
 
 
@@ -364,8 +392,12 @@ class GammaTable:
     the table was computed here (:func:`forward_table`), and None for a
     table read back from a payload, which carries the values only.
     ``built_for`` is then the ``(signal, tau, quad)`` the entries were
-    computed for, and None for a payload table.
+    computed for, and None for a payload table.  A callback table computed
+    here also carries the quadrature's samples and row windows (private),
+    shared with the tables grown from it by ``base=``; a payload table none.
     """
+
+    _lineage: _Lineage | None = None
 
     def __init__(self, M: int, K: int, tau: float, mantissa, exponent,
                  errors: "GammaTable | None" = None, built_for: tuple | None = None):
@@ -446,7 +478,8 @@ def forward_table(
     here for the same signal, tau and quad (a table read from a payload
     carries no bounds and is refused too).  The entries left form at most
     two rectangles, the rows and the columns beyond ``base``; for a
-    callback, each is one block call of :func:`gamma_quadrature`.
+    callback, each is one block call of :func:`gamma_quadrature`, which
+    reuses the samples and row windows that ``base`` carries.
     """
     if M < 0 or K < 0:
         raise InvalidParameterError("M and K must be non-negative")
@@ -467,6 +500,8 @@ def forward_table(
         old = np.s_[base.M - bM: base.M + bM + 1, base.K - bK: base.K + bK + 1]
         mant[new] = base.mantissa[old], base.errors.mantissa[old]
         exps[new] = base.exponent[old], base.errors.exponent[old]
+    lineage = None if signal.kind == GAUSSIAN_FAMILY else (
+        getattr(base, "_lineage", None) or _Lineage())
     ms, ks = np.arange(-M, M + 1), np.arange(-K, K + 1)
     old_m, old_k = np.abs(ms) <= bM, np.abs(ks) <= bK
     for in_rows, in_cols in ((~old_m, np.ones(len(ks), dtype=bool)), (old_m, ~old_k)):
@@ -476,8 +511,10 @@ def forward_table(
         if signal.kind == GAUSSIAN_FAMILY:
             block = gamma_closed_form(rows, cols, signal, tau)
         else:
-            block = gamma_quadrature(rows, cols, signal, tau, quad)
+            block = gamma_quadrature(rows, cols, signal, tau, quad, lineage)
         index = (slice(None),) + np.ix_(in_rows, in_cols)
         mant[index], exps[index] = block
-    return GammaTable(M, K, tau, mant[0], exps[0], errors=GammaTable(M, K, tau, mant[1], exps[1]),
-                      built_for=built_for)
+    table = GammaTable(M, K, tau, mant[0], exps[0], errors=GammaTable(M, K, tau, mant[1], exps[1]),
+                       built_for=built_for)
+    table._lineage = lineage
+    return table

@@ -225,6 +225,21 @@ class TestRoundTrip:
         # every entry of the final table exactly once, and no other entry
         assert sorted(keys) == [(m, k) for m in range(-M, M + 1) for k in range(-K, K + 1)]
 
+    def test_callback_sampled_once_per_node(self, two_component):
+        # the truncation loop's tables share their samples: no node twice
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return eval_signal(two_component, x)
+
+        cb = SignalModel.callback(f, bound=2.0, growth=0.0)
+        choice = auto_truncation(cb, nome_from_tau(0.6), 1e-6, x_max=3.0)
+        grown, calls[0] = calls[0], 0
+        alone = forward_table(cb, 0.6, choice.M, choice.K)
+        assert grown == calls[0]
+        assert choice.table == alone and choice.table.errors == alone.errors
+
     def test_monotone_truncation(self, unit_gaussian):
         errors = []
         for M in (3, 4, 5, 6):

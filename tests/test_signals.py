@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -351,6 +352,46 @@ class TestForwardTable:
                 grown = forward_table(signal, 0.6, 2, 4, quad, base=base)
                 assert grown == alone
                 assert grown.errors == alone.errors
+
+    def test_grown_callback_table_equals_one_shot(self, two_component):
+        # a K step, an M step and a guard ring, as auto_truncation grows a table
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return eval_signal(two_component, x)
+
+        cb = SignalModel.callback(f, bound=2.0, growth=0.0)
+        table = None
+        for M, K in ((2, 2), (2, 3), (3, 3), (4, 5)):
+            table = forward_table(cb, 0.6, M, K, base=table)
+        grown, calls[0] = calls[0], 0
+        alone = forward_table(cb, 0.6, 4, 5)
+        assert grown == calls[0]  # each node sampled once across the lineage
+        assert table == alone and table.errors == alone.errors
+        assert json.dumps(table.to_payload()) == json.dumps(alone.to_payload())
+        clone = GammaTable.from_payload(4, 5, 0.6, table.to_payload())
+        assert clone == table and clone.errors is None and clone._lineage is None
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+    def test_refused_sample_is_not_stored(self, bad):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return bad if x >= 14.0 else cmath.exp(-x * x / 4)
+
+        cb = SignalModel.callback(f, bound=1.0, growth=0.0)
+        base = forward_table(cb, 0.6, 1, 2)  # its windows end below x = 14
+        counts = []
+        for _ in range(2):  # the second try samples, and fails, as the first did
+            calls[0] = 0
+            with pytest.raises(InvalidParameterError, match="at x=14$"):
+                forward_table(cb, 0.6, 3, 2, base=base)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
+        with pytest.raises(InvalidParameterError, match="at x=14$"):
+            forward_table(cb, 0.6, 3, 2)
 
     def test_foreign_or_payload_base_refused(self, two_component, unit_gaussian):
         quad = QuadratureControl(tol=1e-10)
