@@ -233,7 +233,9 @@ G_OVER_THETA = "G_over_theta"
 GTILDE_OVER_THETA = "Gtilde_over_theta"
 RESIDUAL_ALPHA = "residual_alpha"
 
-_TRACE_ANGLES = 64
+#: angles per circle, and circles per block of a trace: a block's (row, node)
+#: temporaries stay small
+_TRACE_ANGLES, _TRACE_CIRCLES = 64, 4
 
 
 def mk_trace(
@@ -267,10 +269,11 @@ def mk_trace(
             sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
         ns = np.arange(-sample_extent, sample_extent + 1)
         weights = _node_weights(ns, *spatial_A(ns, x, signal, params, ctrl), q, ctrl)
-    trace: list[tuple[int, float]] = []
-    for k in k_range:  # circle by circle, which keeps the temporaries small
-        zs = math.exp((k + 0.5) * params.ln_q) * np.exp(
-            2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
+    ks, trace = list(k_range), []
+    angles = np.exp(2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
+    for block in (ks[i:i + _TRACE_CIRCLES] for i in range(0, len(ks), _TRACE_CIRCLES)):
+        # radii from math.exp: np.exp differs from it in the last bit on some arguments
+        zs = np.concatenate([math.exp((k + 0.5) * params.ln_q) * angles for k in block])
         if kind != GTILDE_OVER_THETA:
             g = G_series(zs, x, signal, params, ctrl)
             theta = theta_series_scaled(zs, q, ctrl)
@@ -282,6 +285,6 @@ def mk_trace(
             gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))
             value = normalise_array(gap[0] / theta[0], gap[1] - theta[1])
         with np.errstate(divide="ignore"):
-            best = np.max(np.log(np.abs(value[0])) + value[1] * LN_BASE)
-        trace.append((k, math.exp(best) if best > -math.inf else 0.0))
+            best = (np.log(np.abs(value[0])) + value[1] * LN_BASE).reshape(-1, _TRACE_ANGLES)
+        trace += [(k, math.exp(b) if b > -math.inf else 0.0) for k, b in zip(block, best.max(1))]
     return trace

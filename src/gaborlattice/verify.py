@@ -105,11 +105,12 @@ def _circle(radius: float, count: int, offset: float = 0.0) -> np.ndarray:
 
 def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
-    # product vs series on the fixed (q, z) grid, one call per q to bound the rows
+    # product vs series on the fixed (q, z) grid; 3 nomes (288 rows) per call bound temporaries
     worst = 0.0
-    for i in range(1, 19):
-        q = 0.05 * i
-        zs = np.concatenate([_circle(q ** power, 32, 0.5) for power in (0.5, 0.0, -0.5)])
+    for first in range(1, 19, 3):
+        qs = [0.05 * i for i in range(first, first + 3)]
+        zs = np.concatenate([_circle(q ** p, 32, 0.5) for q in qs for p in (0.5, 0.0, -0.5)])
+        q = np.repeat(qs, 96)  # each nome's 3 circles of 32 points
         ts = theta_series(zs, q, ctrl)
         tp = theta_product(zs, q, ctrl)
         worst = max(worst, float(np.max(np.abs(ts - tp) / (1.0 + np.abs(ts)))))
@@ -303,16 +304,16 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     # unattainable in doubles at |k| = 4: the interpolant sums O(0.1)
     # terms down to a quotient of ~1e-19 there, an 18-digit cancellation,
     # so its noise floor sits far above 1e-8 of that circle's quotient.)
+    # The scale comes from the k in [-6, 6] quotient trace: each circle's maximum is its own.
     trace = mk_trace(RESIDUAL_ALPHA, range(-4, 5), x, signal, params, ctrl,
                      sample_extent=extent)
-    quot = mk_trace(G_OVER_THETA, range(-4, 5), x, signal, params, ctrl)
-    scale = max(ref for _, ref in quot)
+    gq = mk_trace(G_OVER_THETA, range(-6, 7), x, signal, params, ctrl)
+    scale = max(ref for k, ref in gq if -4 <= k <= 4)
     worst = max(res for _, res in trace) / scale
     _record(checks, "interpolation_residual_trace", worst, 1e-8,
             "residual maxima relative to the quotient scale, k in [-4, 4]")
 
     # trend diagnostics of the proof traces
-    gq = mk_trace(G_OVER_THETA, range(-6, 7), x, signal, params, ctrl)
     tail_ok = all(gq[i][1] > gq[i - 1][1] for i in (1, 2)) and \
         all(gq[i][1] < gq[i - 1][1] for i in (-2, -1))
     checks.append(CheckRecord(

@@ -209,6 +209,17 @@ class TestTraces:
         for k in (-2, -3, -4, -5):
             assert trace[k - 1] < trace[k]
 
+    @pytest.mark.parametrize("kind", ["G_over_theta", "Gtilde_over_theta", "residual_alpha"])
+    def test_blocked_trace_is_single_circle_calls_bit_for_bit(self, kind, two_component,
+                                                               params_tau1):
+        # 13 circles span several blocks of circles, the last one partly filled
+        trace = mk_trace(kind, range(-6, 7), 0.3, two_component, params_tau1, sample_extent=9)
+        assert trace == [item for k in range(-6, 7) for item in
+                         mk_trace(kind, [k], 0.3, two_component, params_tau1, sample_extent=9)]
+        assert mk_trace(kind, [], 0.3, two_component, params_tau1, sample_extent=9) == []
+        assert mk_trace(kind, [3, -2], 0.3, two_component, params_tau1, sample_extent=9) == \
+            [trace[3 + 6], trace[-2 + 6]]
+
     def test_unknown_kind(self, unit_gaussian, params_tau1):
         with pytest.raises(InvalidParameterError):
             mk_trace("nonsense", range(0, 1), 0.0, unit_gaussian, params_tau1)

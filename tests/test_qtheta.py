@@ -425,6 +425,19 @@ class TestArrayOfNomes:
         assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
             [form(zs[3], q, ctrl) for q in NOMES]
 
+    def test_triple_product_layout_is_per_nome_calls_bit_for_bit(self, ctrl):
+        # the verify suite's triple-product check: 3 nomes per call, each nome's
+        # circles |z| = q^{1/2}, 1, q^{-1/2} at 32 angles
+        angles = np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)
+        for first in range(1, 19, 3):
+            qs = [0.05 * i for i in range(first, first + 3)]
+            per_nome = [np.concatenate([q ** p * angles for p in (0.5, 0.0, -0.5)]) for q in qs]
+            zs = np.concatenate(per_nome)
+            for form in (theta_series, theta_product):
+                assert np.array_equal(form(zs, np.repeat(qs, 96), ctrl),
+                                      np.concatenate([form(z, q, ctrl)
+                                                      for z, q in zip(per_nome, qs)]))
+
     def test_eta_scalar_is_array_element_bit_for_bit(self):
         zs, qs = _rows()
         assert eta(zs, qs).tolist() == [eta(z, float(q)) for z, q in zip(zs, qs)]

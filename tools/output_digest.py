@@ -1,0 +1,102 @@
+"""One sha256 over the deterministic outputs of seeded inputs.
+
+    python3 tools/output_digest.py [--seed 1] [--families 5]
+
+Run from the root of a source checkout; the package is imported from its
+``src/`` and the seeded inputs come from ``bench/workloads.py`` (imported,
+not edited).  For each seeded Gaussian family it hashes:
+
+* the ``verify_all`` check payloads (``run_suite("all", 1.0)``);
+* the ``mk_trace`` traces of all three kinds, k in [-6, 6], at x = 0.3 and
+  tau in {0.6, 1};
+* the CLI forward/reconstruct outputs of ``cli_grid`` on 201 points: the
+  table file and the summary without ``meta``, and the CSV;
+* the callback round trip of ``callback_roundtrip``: the reconstruction,
+  ``M_used``, ``K_used``, ``tail_estimate`` and ``sup_error``.
+
+Each part's sha256 is printed on its own line, then the combined one on
+the last line.  Two checkouts whose last lines agree give these outputs
+bit for bit.  Standard library plus the package and numpy.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import struct
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from gaborlattice import oracle  # noqa: E402
+from gaborlattice.qtheta import nome_from_tau  # noqa: E402
+
+TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
+
+
+def verify_payloads(family) -> bytes:
+    workload = workloads.VerifyAll("")
+    state = workload.prepare(family)
+    return workload.check(state, workload.run(state)).digest
+
+
+def traces(family) -> bytes:
+    signal = workloads.VerifyAll("").prepare(family)["signal"]
+    out = b""
+    for tau in (0.6, 1.0):
+        for kind in TRACE_KINDS:
+            trace = oracle.mk_trace(kind, range(-6, 7), 0.3, signal, nome_from_tau(tau))
+            out += kind.encode() + struct.pack(f"<{len(trace)}q", *(k for k, _ in trace))
+            out += struct.pack(f"<{len(trace)}d", *(value for _, value in trace))
+    return out
+
+
+def cli_outputs(family, workdir: str) -> bytes:
+    workload = workloads.CliGrid(workdir)
+    state = workload.prepare(family, step=10 * workload.step)
+    if workload.run(state) != (0, 0):
+        raise SystemExit("error: the CLI forward/reconstruct run failed")
+    out = b""
+    for key in ("table.json", "points.csv.summary.json"):
+        with open(workload.paths[key], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.pop("meta", None)
+        out += json.dumps(doc, sort_keys=True).encode()
+    with open(workload.paths["points.csv"], "rb") as fh:
+        return out + fh.read()
+
+
+def round_trip(family) -> bytes:
+    workload = workloads.CallbackRoundTrip("")
+    report = workload.run(workload.prepare(family))
+    head = struct.pack("<2q2d", report.M_used, report.K_used, report.tail_estimate,
+                       report.sup_error)
+    return head + np.ascontiguousarray(report.reconstructed, dtype="<c16").tobytes()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1, help="seed of the input families")
+    parser.add_argument("--families", type=int, default=5, help="families per part")
+    args = parser.parse_args(argv)
+    families = [workloads.op_family(args.seed, i) for i in range(args.families)]
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        parts = {"verify_all": verify_payloads, "mk_trace": traces,
+                 "cli": lambda family: cli_outputs(family, workdir),
+                 "callback_round_trip": round_trip}
+        for name, part in parts.items():
+            digest = hashlib.sha256(b"".join(part(family) for family in families)).hexdigest()
+            print(f"{name} {digest}")
+            total.update(f"{name} {digest}\n".encode())
+    print(f"sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
