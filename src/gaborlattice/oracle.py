@@ -135,16 +135,12 @@ def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
                               "G_series"), scalar)
 
 
-def _node_gaps(zs: np.ndarray, ns, q: float):
-    """z - q^n for each z (rows) and node n (columns) as normalised arrays,
-    and the relative distance |z - q^n| / max(|z|, q^n)."""
+def _lattice_nodes(ns, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """q^n for each node n as normalised arrays (the gaps z - q^n are then
+    one sub_arrays((z, 0), nodes) call)."""
     e, hi, lo = ln_split(q)
     f, bits = exp_pow2(ns * hi, ns * lo)
-    node = [part[None, :] for part in sum_rows(f[:, None], (bits + ns * e)[:, None])]
-    diff = sub_arrays((zs[:, None], np.zeros((len(zs), 1), dtype=np.int64)), node)
-    size = np.maximum(np.log(np.abs(zs))[:, None], np.log(np.abs(node[0])) + node[1] * LN_BASE)
-    with np.errstate(divide="ignore"):
-        return diff, np.exp(np.log(np.abs(diff[0])) + diff[1] * LN_BASE - size)
+    return sum_rows(f[:, None], (bits + ns * e)[:, None])
 
 
 def _node_weights(ns, a_mant: np.ndarray, a_exps: np.ndarray, q: float, ctrl: SeriesControl):
@@ -183,7 +179,12 @@ def lagrange_interpolant(
     values = [a if isinstance(a, ScaledValue) else ScaledValue.from_complex(a) for _, a in ordered]
     a_mant = np.array([[v.mantissa for v in values]])
     a_exps = np.array([[v.exponent for v in values]], dtype=np.int64)
-    diff, rel = _node_gaps(zs, ns, q)
+    node = [part[None, :] for part in _lattice_nodes(ns, q)]
+    diff = sub_arrays((zs[:, None], 0), node)
+    # relative distance |z - q^n| / max(|z|, q^n)
+    size = np.maximum(np.log(np.abs(zs))[:, None], np.log(np.abs(node[0])) + node[1] * LN_BASE)
+    with np.errstate(divide="ignore"):
+        rel = np.exp(np.log(np.abs(diff[0])) + diff[1] * LN_BASE - size)
     on_node = rel <= 1e-12
     if np.any((rel < 0.05) & ~on_node):
         raise DomainError("z is within 5% of an interpolation node q^n; "
@@ -202,7 +203,7 @@ def lagrange_interpolant(
 def laurent_c0(
     m,
     params: LatticeParams,
-    contour: ContourSpec | None = None,
+    contour: ContourSpec | Sequence[ContourSpec] | None = None,
     ctrl: SeriesControl = _DEFAULT_CTRL,
 ):
     """z^0 Laurent coefficient of Theta(z;q) / ((z - q^m) Theta'(q^m;q))
@@ -214,24 +215,44 @@ def laurent_c0(
     the default is the balanced circle |z| = q^{-1/2}, the one radius
     where the extraction stays well conditioned for all m.  Averaging N
     uniform samples is exact up to modes +-N, +-2N, ..., whose weight
-    decays like q^{N^2/2}.  Theta is evaluated once on the N nodes for all m.
+    decays like q^{N^2/2}.
+
+    ``contour`` is one circle for every m, or a sequence of circles with
+    the same number of nodes, one per element of the array m.  Theta is
+    evaluated once on the nodes of all distinct circles, and each
+    coefficient is the same bits as a call with its m and circle alone.
+    Every circle is validated first.
     """
-    contour = contour or balanced_contour(params)
-    contour.validate(params)
     q, ms = params.q, np.asarray(m).reshape(-1)
-    zs = contour.radius * np.exp(2j * math.pi * np.arange(contour.nodes) / contour.nodes)
+    single = contour is None or isinstance(contour, ContourSpec)
+    if not single and (np.ndim(m) == 0 or len(contour) != len(ms)):
+        raise InvalidParameterError("give one contour, or one per element of the array m")
+    contours = [c or balanced_contour(params) for c in ([contour] if single else contour)]
+    circles = list(dict.fromkeys(contours))  # distinct, in order
+    width = circles[0].nodes
+    if any(c.nodes != width for c in circles):
+        raise InvalidParameterError("the contours of one call need the same number of nodes")
+    for c in circles:
+        c.validate(params)
+    zs = np.concatenate([c.radius * np.exp(2j * math.pi * np.arange(width) / width)
+                         for c in circles])
     t_mant, t_exps = theta_series_scaled(zs, q, ctrl)
+    which = np.zeros(len(ms), dtype=np.int64) if single else \
+        np.array([circles.index(c) for c in contours], dtype=np.int64)
+    at = which[:, None] * width + np.arange(width)  # row i: the nodes of m_i's circle
     w_mant, w_exps = _node_weights(ms, np.ones(1), np.zeros(1, dtype=np.int64), q, ctrl)
-    d_mant, d_exps = _node_gaps(zs, ms, q)[0]
-    total = sum_rows(t_mant * (w_mant[:, None] / d_mant.T),
-                     (t_exps + w_exps[:, None] - d_exps.T) * BASE_LOG2)
-    c0 = to_complex((total[0] / contour.nodes, total[1]))
+    node = _lattice_nodes(ms, q)
+    d_mant, d_exps = sub_arrays((zs[at], 0), (node[0][:, None], node[1][:, None]))
+    total = sum_rows(t_mant[at] * (w_mant[:, None] / d_mant),
+                     (t_exps[at] + w_exps[:, None] - d_exps) * BASE_LOG2)
+    c0 = to_complex((total[0] / width, total[1]))
     return complex(c0[0]) if np.ndim(m) == 0 else c0
 
 
 G_OVER_THETA = "G_over_theta"
 GTILDE_OVER_THETA = "Gtilde_over_theta"
 RESIDUAL_ALPHA = "residual_alpha"
+TRACE_KINDS = (G_OVER_THETA, GTILDE_OVER_THETA, RESIDUAL_ALPHA)
 
 #: angles per circle, and circles per block of a trace: a block's (row, node)
 #: temporaries stay small
@@ -239,15 +260,16 @@ _TRACE_ANGLES, _TRACE_CIRCLES = 64, 4
 
 
 def mk_trace(
-    kind: str,
+    kind: str | Sequence[str],
     k_range: Sequence[int],
     x: float,
     signal: SignalModel,
     params: LatticeParams,
     ctrl: SeriesControl = _DEFAULT_CTRL,
     sample_extent: int | None = None,
-) -> list[tuple[int, float]]:
-    """Circle maxima max_{|z| = q^{k+1/2}} |Phi(z)| for each k.
+):
+    """Circle maxima max_{|z| = q^{k+1/2}} |Phi(z)| for each k, as a list
+    of (k, maximum).
 
     kind selects Phi: the quotient G_x/Theta, the interpolant quotient
     Gtilde_x/Theta (the theta factor cancels against the cardinal
@@ -256,35 +278,47 @@ def mk_trace(
     the traced functions vary on O(1) angular scales, so that
     resolution is enough for the documented trend thresholds.
 
+    A sequence of kinds is traced in one pass and gives a dict kind ->
+    trace: each circle's G_x, Theta and cardinal sum are evaluated once
+    for all of them, and each trace is the same bits as its own call.
+
     ``sample_extent`` is the interpolant's node range N; by default the
     automatic truncation order for the signal plus 2 guard terms.
     """
+    kinds = [kind] if isinstance(kind, str) else list(kind)
     if params.regime == SUPERCRITICAL:
         raise InvalidParameterError("circle traces require tau <= pi")
-    if kind not in (G_OVER_THETA, GTILDE_OVER_THETA, RESIDUAL_ALPHA):
-        raise InvalidParameterError(f"unknown trace kind {kind!r}")
+    for name in kinds:
+        if name not in TRACE_KINDS:
+            raise InvalidParameterError(f"unknown trace kind {name!r}")
+    quotient = G_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
+    cardinal = GTILDE_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
     q = params.q
-    if kind != G_OVER_THETA:
+    if cardinal:
         if sample_extent is None:
             sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
         ns = np.arange(-sample_extent, sample_extent + 1)
         weights = _node_weights(ns, *spatial_A(ns, x, signal, params, ctrl), q, ctrl)
-    ks, trace = list(k_range), []
+        node = [part[None, :] for part in _lattice_nodes(ns, q)]
+    ks, traces = list(k_range), {name: [] for name in kinds}
     angles = np.exp(2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
     for block in (ks[i:i + _TRACE_CIRCLES] for i in range(0, len(ks), _TRACE_CIRCLES)):
         # radii from math.exp: np.exp differs from it in the last bit on some arguments
         zs = np.concatenate([math.exp((k + 0.5) * params.ln_q) * angles for k in block])
-        if kind != GTILDE_OVER_THETA:
+        values = {}
+        if quotient:
             g = G_series(zs, x, signal, params, ctrl)
             theta = theta_series_scaled(zs, q, ctrl)
-        if kind != G_OVER_THETA:
-            value = total = _cardinal_sum(_node_gaps(zs, ns, q)[0], weights)
-        if kind == G_OVER_THETA:
-            value = normalise_array(g[0] / theta[0], g[1] - theta[1])
-        elif kind == RESIDUAL_ALPHA:
+            values[G_OVER_THETA] = normalise_array(g[0] / theta[0], g[1] - theta[1])
+        if cardinal:
+            gaps = sub_arrays((zs[:, None], 0), node)
+            total = values[GTILDE_OVER_THETA] = _cardinal_sum(gaps, weights)
+        if RESIDUAL_ALPHA in kinds:
             gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))
-            value = normalise_array(gap[0] / theta[0], gap[1] - theta[1])
-        with np.errstate(divide="ignore"):
-            best = (np.log(np.abs(value[0])) + value[1] * LN_BASE).reshape(-1, _TRACE_ANGLES)
-        trace += [(k, math.exp(b) if b > -math.inf else 0.0) for k, b in zip(block, best.max(1))]
-    return trace
+            values[RESIDUAL_ALPHA] = normalise_array(gap[0] / theta[0], gap[1] - theta[1])
+        for name, trace in traces.items():
+            mant, exps = values[name]
+            with np.errstate(divide="ignore"):
+                best = (np.log(np.abs(mant)) + exps * LN_BASE).reshape(-1, _TRACE_ANGLES).max(1)
+            trace += [(k, math.exp(b) if b > -math.inf else 0.0) for k, b in zip(block, best)]
+    return traces[kind] if isinstance(kind, str) else traces

@@ -84,11 +84,22 @@ def sum_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def sub_arrays(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """a - b for (mantissa, exponent) arrays of broadcastable shapes."""
-    mant = np.stack(np.broadcast_arrays(a[0], -b[0]), axis=-1)
-    exps = np.stack(np.broadcast_arrays(a[1], b[1]), axis=-1)
-    diff = sum_rows(mant.reshape(-1, 2), exps.reshape(-1, 2) * BASE_LOG2)
-    return diff[0].reshape(mant.shape[:-1]), diff[1].reshape(mant.shape[:-1])
+    """a - b for (mantissa, exponent) arrays of broadcastable shapes.
+
+    Both terms are shifted as sum_rows shifts a row (by the top bit of the
+    larger nonzero term) with exact ldexp, subtracted once and normalised;
+    ``+ 0.0`` turns a -0 part into +0.  These are the bits of the two-term
+    compensated sum_rows: the two-sum correction never changes a rounded
+    sum of two terms.
+    """
+    a_mant, b_mant, a_exps, b_exps = np.broadcast_arrays(a[0], b[0], a[1], b[1])
+    top_a = a_exps * BASE_LOG2 + np.frexp(np.abs(a_mant))[1]
+    top_b = b_exps * BASE_LOG2 + np.frexp(np.abs(b_mant))[1]
+    exps = np.where(a_mant == 0, top_b,
+                    np.where(b_mant == 0, top_a, np.maximum(top_a, top_b))) // BASE_LOG2
+    diff = (ldexp_array(a_mant, (a_exps - exps) * BASE_LOG2)
+            - ldexp_array(b_mant, (b_exps - exps) * BASE_LOG2))
+    return normalise_array(diff + 0.0, exps)
 
 
 def pack(mant: np.ndarray, exps: np.ndarray, scalar: bool):

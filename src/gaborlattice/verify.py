@@ -17,12 +17,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .oracle import (
+    TRACE_KINDS,
     ContourSpec,
     G_OVER_THETA,
     GTILDE_OVER_THETA,
     RESIDUAL_ALPHA,
     G_series,
+    balanced_contour,
     lagrange_interpolant,
     laurent_c0,
     mk_trace,
@@ -198,40 +201,55 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
 
 def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
-    ms = np.arange(-8, 9)
-    oracles = laurent_c0(ms, params, ctrl=ctrl)
-    fast = to_complex(coeff_E(ms, params, ctrl))
-    worst = np.max(np.abs(fast - oracles) / np.abs(oracles))
-    printed = to_complex(coeff_E(ms[ms != 0], params, ctrl, variant="printed"))
-    worst_printed = np.max(np.abs(printed - oracles[ms != 0]) / np.abs(oracles[ms != 0]))
-    _record(checks, "coefficient_vs_contour_oracle", worst, 1e-9,
-            "exponent m(m+1)/2 candidate, m in [-8, 8]")
-    checks.append(CheckRecord(
-        "coefficient_printed_exponent_rejected", worst_printed, math.inf,
-        worst_printed > 1e-2,
-        "exponent m(m-1)/2 candidate misses the contour oracle by the factor q^{-m}",
-    ))
-
+    ms, balanced = np.arange(-8, 9), balanced_contour(params)
     # Laurent coefficients are annulus-constant: compare admissible radii.
     # On the circle q^{m-1/2} the z^0 mode sits a factor ~ q^{-m^2/2}
     # below the dominant mode, so the extraction noise there is about
     # q^{-m^2/2} * eps; only m with that bound well under the threshold
     # can take part (for tiny nomes that limits the list to small m).
-    worst = 0.0
-    tested = []
-    for m in (0, 1, 2):
-        conditioning = math.exp(-m * m / 2.0 * params.ln_q) * 5e-16
-        if conditioning > 1e-11:
-            continue
-        tested.append(m)
-        base = oracles[m + 8]
-        for power in (m - 0.5, m - 0.75):
-            alt = laurent_c0(
-                m, params, ContourSpec(radius=math.exp(power * params.ln_q)), ctrl
-            )
-            worst = max(worst, abs(alt - base) / abs(base))
-    _record(checks, "contour_radius_independence", worst, 1e-10,
-            f"radii q^{{m-1/2}}, q^{{m-3/4}} vs the balanced circle, m in {tested}")
+    tested = [m for m in (0, 1, 2) if math.exp(-m * m / 2.0 * params.ln_q) * 5e-16 <= 1e-11]
+    alts = [(m, ContourSpec(radius=math.exp(power * params.ln_q)))
+            for m in tested for power in (m - 0.5, m - 0.75)]
+    pairs = [(int(m), balanced) for m in ms] + alts
+    # one laurent_c0 call for every (m, circle); a circle near a theta zero is left out
+    refused = {}
+    for c in dict.fromkeys(c for _, c in pairs):
+        try:
+            c.validate(params)
+        except InvalidParameterError as exc:
+            refused[c] = str(exc)
+    usable = [(m, c) for m, c in pairs if c not in refused]
+    values = dict(zip(usable, laurent_c0(np.array([m for m, _ in usable], dtype=np.int64),
+                                         params, [c for _, c in usable], ctrl))) if usable else {}
+    left_out = "".join(f"; left out: {reason}" for reason in refused.values())
+
+    if balanced in refused:
+        for name, threshold in (("coefficient_vs_contour_oracle", 1e-9),
+                                ("coefficient_printed_exponent_rejected", math.inf)):
+            checks.append(CheckRecord(name, math.inf, threshold, False,
+                                      "no usable contour" + left_out))
+    else:
+        oracles = np.array([values[int(m), balanced] for m in ms])
+        fast = to_complex(coeff_E(ms, params, ctrl))
+        worst = np.max(np.abs(fast - oracles) / np.abs(oracles))
+        printed = to_complex(coeff_E(ms[ms != 0], params, ctrl, variant="printed"))
+        worst_printed = np.max(np.abs(printed - oracles[ms != 0]) / np.abs(oracles[ms != 0]))
+        _record(checks, "coefficient_vs_contour_oracle", worst, 1e-9,
+                "exponent m(m+1)/2 candidate, m in [-8, 8]")
+        checks.append(CheckRecord(
+            "coefficient_printed_exponent_rejected", worst_printed, math.inf,
+            worst_printed > 1e-2,
+            "exponent m(m-1)/2 candidate misses the contour oracle by the factor q^{-m}",
+        ))
+
+    ratios = [abs(values[m, c] - values[m, balanced]) / abs(values[m, balanced])
+              for m, c in alts if (m, c) in values]
+    note = f"radii q^{{m-1/2}}, q^{{m-3/4}} vs the balanced circle, m in {tested}" + left_out
+    if balanced in refused or (alts and not ratios):
+        _record(checks, "contour_radius_independence", math.inf, 1e-10,
+                note + "; no usable contour")
+    else:
+        _record(checks, "contour_radius_independence", max([0.0] + ratios), 1e-10, note)
     return checks
 
 
@@ -289,13 +307,11 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     worst = np.max(np.abs(values - refs) / np.abs(refs))
     _record(checks, "interpolation_node_exactness", worst, 1e-10, "")
 
-    # off-node identity on the circles |z| = q^{1/2}, q^{-1/2}
-    worst = 0.0
-    for power in (0.5, -0.5):
-        zs = _circle(math.exp(power * params.ln_q), 32, 0.5)
-        g = to_complex(G_series(zs, x, signal, params, ctrl))
-        gt = to_complex(lagrange_interpolant(zs, samples, params, ctrl))
-        worst = max(worst, float(np.max(np.abs(g - gt)) / np.max(np.abs(g))))
+    # off-node identity on the circles |z| = q^{1/2}, q^{-1/2}, both in one call
+    zs = np.concatenate([_circle(math.exp(power * params.ln_q), 32, 0.5) for power in (0.5, -0.5)])
+    g = to_complex(G_series(zs, x, signal, params, ctrl)).reshape(2, -1)
+    gt = to_complex(lagrange_interpolant(zs, samples, params, ctrl)).reshape(2, -1)
+    worst = float(np.max(np.max(np.abs(g - gt), axis=1) / np.max(np.abs(g), axis=1)))
     _record(checks, "interpolation_global_identity", worst, 1e-8,
             "|G - interpolant| on |z| = q^{1/2}, q^{-1/2}")
 
@@ -304,12 +320,11 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     # unattainable in doubles at |k| = 4: the interpolant sums O(0.1)
     # terms down to a quotient of ~1e-19 there, an 18-digit cancellation,
     # so its noise floor sits far above 1e-8 of that circle's quotient.)
-    # The scale comes from the k in [-6, 6] quotient trace: each circle's maximum is its own.
-    trace = mk_trace(RESIDUAL_ALPHA, range(-4, 5), x, signal, params, ctrl,
-                     sample_extent=extent)
-    gq = mk_trace(G_OVER_THETA, range(-6, 7), x, signal, params, ctrl)
+    # All three traces come from one pass over k in [-6, 6].
+    traces = mk_trace(TRACE_KINDS, range(-6, 7), x, signal, params, ctrl, sample_extent=extent)
+    gq = traces[G_OVER_THETA]
     scale = max(ref for k, ref in gq if -4 <= k <= 4)
-    worst = max(res for _, res in trace) / scale
+    worst = max(res for k, res in traces[RESIDUAL_ALPHA] if -4 <= k <= 4) / scale
     _record(checks, "interpolation_residual_trace", worst, 1e-8,
             "residual maxima relative to the quotient scale, k in [-4, 4]")
 
@@ -320,9 +335,7 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
         "quotient_trace_decays_at_both_ends", 0.0 if tail_ok else 1.0, 0.5, tail_ok,
         "monotone over the outer three circles on each side",
     ))
-    gt = mk_trace(GTILDE_OVER_THETA, range(-6, 7), x, signal, params, ctrl,
-                  sample_extent=extent)
-    upper = dict(gt)
+    upper = dict(traces[GTILDE_OVER_THETA])
     bounded = max(upper[k] for k in range(0, 7)) <= 10.0 * max(upper[0], upper[1])
     decreasing = all(upper[k - 1] < upper[k] for k in (-5, -4, -3, -2))
     checks.append(CheckRecord(

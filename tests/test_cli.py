@@ -246,6 +246,21 @@ class TestVerify:
         assert "degenerate" in doc["checks"][0]["note"]
 
 
+    @pytest.mark.parametrize("tau", ["0.03", "0.05", "0.06"])
+    def test_coeffs_at_small_tau_adjudicates(self, tmp_path, tau):
+        # the balanced circle or the alternative radii sit within 10% of a
+        # theta zero here: those circles are left out and named, never exit 2
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--tau", tau, "--suite", "coeffs", "--output", str(out)])
+        assert rc in (0, 1)
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == \
+            [c.name for c in run_suite("coeffs", 1.0).checks]
+        assert "left out: radius" in checks[-1]["note"]
+        if rc == 1:
+            assert all("no usable contour" in c["note"] for c in checks if not c["passed"])
+
+
 class TestSweep:
     def test_degradation_and_refusal(self, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", {

@@ -22,6 +22,7 @@ from gaborlattice import (
     nome_from_tau,
     spatial_A,
 )
+from gaborlattice.oracle import G_OVER_THETA, RESIDUAL_ALPHA, TRACE_KINDS
 from gaborlattice.scaled import sub_arrays, to_complex
 
 
@@ -220,9 +221,30 @@ class TestTraces:
         assert mk_trace(kind, [3, -2], 0.3, two_component, params_tau1, sample_extent=9) == \
             [trace[3 + 6], trace[-2 + 6]]
 
+    @pytest.mark.parametrize("tau", [0.6, 1.0])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_one_pass_is_the_single_kind_calls_bit_for_bit(self, tau, seed):
+        rng = np.random.default_rng(seed)
+        signal = SignalModel.gaussian([
+            (rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
+             rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5)) for _ in range(2)])
+        params = nome_from_tau(tau)
+        traces = mk_trace(TRACE_KINDS, range(-6, 7), 0.3, signal, params)
+        assert list(traces) == list(TRACE_KINDS)
+        for kind in TRACE_KINDS:
+            single = mk_trace(kind, range(-6, 7), 0.3, signal, params)
+            assert [k for k, _ in traces[kind]] == [k for k, _ in single]
+            assert np.array([v for _, v in traces[kind]]).view(np.uint64).tolist() == \
+                np.array([v for _, v in single]).view(np.uint64).tolist()
+        pair = mk_trace([RESIDUAL_ALPHA, G_OVER_THETA], [2, -3], 0.3, signal, params)
+        assert pair == {kind: [traces[kind][8], traces[kind][3]]
+                        for kind in (RESIDUAL_ALPHA, G_OVER_THETA)}
+
     def test_unknown_kind(self, unit_gaussian, params_tau1):
         with pytest.raises(InvalidParameterError):
             mk_trace("nonsense", range(0, 1), 0.0, unit_gaussian, params_tau1)
+        with pytest.raises(InvalidParameterError):
+            mk_trace(["G_over_theta", "nonsense"], range(0, 1), 0.0, unit_gaussian, params_tau1)
 
 
 def _circles(params, powers=(0.5, -0.5, 1.5), count=16):
@@ -261,6 +283,26 @@ class TestArrayPath:
         for contour in (None, ContourSpec(radius=params_tau1.q ** 0.25)):
             assert laurent_c0(ms, params_tau1, contour).tolist() == \
                 [laurent_c0(int(m), params_tau1, contour) for m in ms]
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.0])
+    def test_laurent_contours_per_m_are_single_calls_bit_for_bit(self, tau):
+        params = nome_from_tau(tau)
+        ms = [-8, 0, 5, 0, 1, 2, 2, 1, 0]
+        radius = [None, None, None, -0.5, 0.5, 1.5, 1.25, 0.25, -0.75]
+        contours = [None if p is None else ContourSpec(radius=math.exp(p * params.ln_q))
+                    for p in radius]
+        joint = laurent_c0(np.array(ms), params, contours)
+        single = np.array([laurent_c0(m, params, c) for m, c in zip(ms, contours)])
+        assert joint.view(np.uint64).tolist() == single.view(np.uint64).tolist()
+        assert joint[3] == joint[1]  # q^{-1/2} is the balanced circle
+
+    def test_laurent_contour_list_refusals(self, params_tau1):
+        with pytest.raises(InvalidParameterError):
+            laurent_c0(np.array([0, 1]), params_tau1, [None])
+        with pytest.raises(InvalidParameterError):
+            laurent_c0(np.array([0, 1]), params_tau1, [None, ContourSpec(radius=params_tau1.q)])
+        with pytest.raises(InvalidParameterError):
+            laurent_c0(np.array([0, 1]), params_tau1, [None, balanced_contour(params_tau1, 256)])
 
     def test_any_zero_element_refused(self, unit_gaussian, params_tau1):
         zs = np.array([0.5, 0.0, 2.0j])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaborlattice import SaturationError, ScaledValue
-from gaborlattice.scaled import BASE_LOG2, LN_BASE
+from gaborlattice.scaled import BASE_LOG2, LN_BASE, normalise_array, sub_arrays, sum_rows
 
 
 def test_normalisation_invariant():
@@ -89,3 +89,56 @@ def test_non_finite_mantissa_rejected():
 def test_equality_is_exact_representation():
     assert ScaledValue.from_complex(1.5) == ScaledValue(1.5 + 0j, 0)
     assert ScaledValue.from_complex(1.5) != ScaledValue.from_complex(1.5000000001)
+
+
+def _two_column_difference(a, b):
+    """a - b as the two-column compensated sum_rows of (a, -b)."""
+    mant = np.stack(np.broadcast_arrays(a[0], -b[0]), axis=-1)
+    exps = np.stack(np.broadcast_arrays(a[1], b[1]), axis=-1)
+    diff = sum_rows(mant.reshape(-1, 2), exps.reshape(-1, 2) * BASE_LOG2)
+    return diff[0].reshape(mant.shape[:-1]), diff[1].reshape(mant.shape[:-1])
+
+
+def _bits(value):
+    mant, exps = value
+    return np.ascontiguousarray(mant).view(np.uint64).tolist(), np.asarray(exps).tolist()
+
+
+def _random_scaled(rng, shape):
+    """Normalised (mantissa, exponent) arrays with zeros, -0.0 parts and
+    exponent gaps wide enough to push a term into subnormals."""
+    mant = rng.normal(size=shape) * 2.0 ** rng.integers(-60, 200, shape) \
+        + 1j * rng.normal(size=shape) * 2.0 ** rng.integers(-60, 200, shape)
+    mant[rng.random(shape) < 0.1] = 0j
+    mant.real[rng.random(shape) < 0.1] = -0.0
+    mant.imag[rng.random(shape) < 0.1] = -0.0
+    return normalise_array(mant, rng.integers(-10, 10, shape))
+
+
+def test_sub_arrays_is_the_two_column_sum_bit_for_bit():
+    rng = np.random.default_rng(1515)
+    for shape_a, shape_b in [((400,), (400,)), ((40, 1), (1, 30)), ((25, 8), (8,)),
+                             ((6, 1, 5), (4, 1))]:
+        a, b = _random_scaled(rng, shape_a), _random_scaled(rng, shape_b)
+        cases = [(a, b), (b, a), (a, a), ((-b[0], b[1]), b)]
+        if shape_a == shape_b:  # exact cancellation on about half the entries
+            cases.append((tuple(np.where(rng.random(shape_a) < 0.5, x, y) for x, y in zip(a, b)),
+                          b))
+        assert np.any(np.signbit(a[0].real) & (a[0].real == 0) & (a[0].imag != 0))  # a -0.0 part
+        for left, right in cases:
+            assert _bits(sub_arrays(left, right)) == _bits(_two_column_difference(left, right))
+
+
+def test_sub_arrays_edge_cases():
+    one, tiny = normalise_array(np.array([1.5 + 0.5j]), np.array([0])), \
+        normalise_array(np.array([1.25 - 0.75j]), np.array([-8]))  # 2**-1024 below: subnormal
+    near_top = normalise_array(np.array([2.0 ** 127.5 + 0j]), np.array([0]))
+    minus_zero = (np.array([-0.0 + 1.0j]), np.array([0]))
+    zero = (np.array([0j]), np.array([3]))
+    for a, b in [(one, tiny), (tiny, one), (near_top, tiny), (tiny, near_top), (zero, tiny),
+                 (tiny, zero), (zero, zero), (minus_zero, zero), (zero, minus_zero),
+                 (minus_zero, minus_zero), (one, one), (minus_zero, one)]:
+        assert _bits(sub_arrays(a, b)) == _bits(_two_column_difference(a, b))
+    mant, exps = sub_arrays(minus_zero, zero)
+    assert not np.signbit(mant.real[0]) and mant.imag[0] == 1.0 and exps[0] == 0
+    assert _bits(sub_arrays(tiny, zero)) == _bits(tiny)

@@ -9,9 +9,12 @@ and pair i uses seed ``seeds[i % len(seeds)]`` on both sides.  The last
 line a run prints is its result object.  Printed per end-to-end metric of
 the parent's BENCHMARK.json: each side's median, the parent's quartiles,
 the ratio of the medians and the number of pairs the change won (strictly
-better in the metric's own direction).  The runs write only to each
-checkout's ``.bench_out/`` (bytecode writing is switched off for them).
-Standard library only.
+better in the metric's own direction).  The line before the result is the
+run's report: the two sides' ``digest_chain`` (one sha256 per op) are
+compared over their common prefix, and the last line says whether every
+pair gave identical outputs or names the first pair and op index where
+they diverge.  The runs write only to each checkout's ``.bench_out/``
+(bytecode writing is switched off for them).  Standard library only.
 """
 
 import argparse
@@ -24,8 +27,8 @@ import sys
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one ``bench/run.py`` run in ``checkout``."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, list]:
+    """The end-to-end metrics and the digest chain of one ``bench/run.py`` run."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -33,8 +36,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
                          f"{done.stderr.strip()}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    report, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
+    return ({name: metric["value"] for name, metric in result["metrics"].items()},
+            report["digest_chain"])
+
+
+def first_divergence(parent: list, change: list) -> int | None:
+    """The first op index where two digest chains differ over their common prefix."""
+    return next((i for i, (p, c) in enumerate(zip(parent, change)) if p != c), None)
 
 
 def summarise(declared: list, runs: dict) -> list[dict]:
@@ -68,10 +77,16 @@ def main(argv=None) -> int:
         declared = json.load(fh)["end_to_end"]
 
     runs = {side: [] for side in SIDES}
+    diverged = None  # (pair, op index) of the first differing digest
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
+        chains = {}
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_once(checkouts[side], args.workload, seed, args.seconds))
+            metrics, chains[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
+            runs[side].append(metrics)
+        op = first_divergence(chains["parent"], chains["change"])
+        if diverged is None and op is not None:
+            diverged = (i + 1, op)
         print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
             f"{side} ops_per_s {runs[side][-1].get('ops_per_s')}" for side in SIDES),
             file=sys.stderr, flush=True)
@@ -85,6 +100,10 @@ def main(argv=None) -> int:
         quart = f"[{row['parent_q1']:.4g}, {row['parent_q3']:.4g}]"
         print(f"{row['metric']:<13}{row['better']:>7}{row['parent_median']:>15.4g}{quart:>26}"
               f"{row['change_median']:>15.4g}{ratio:>8}{row['wins']:>4}/{row['pairs']}")
+    if diverged is None:
+        print(f"outputs identical on {args.pairs}/{args.pairs} pairs")
+    else:
+        print(f"outputs diverge: first at pair {diverged[0]}, op index {diverged[1]}")
     return 0
 
 
