@@ -318,14 +318,19 @@ def eta(z, q):
     with ln|z| * ln(q)/2 as the second term breaks that recurrence and
     is not used.)
     """
-    zs, qs, scalar = _z_and_q(z, q)
-    u = np.log(np.abs(zs))
-    ln_eta = -u * u / (2.0 * np.log(qs)) + 0.5 * u
+    ln_values = ln_eta(z, q)
     with np.errstate(over="ignore"):
-        values = np.exp(ln_eta)
+        values = np.exp(ln_values)
     if not np.all(np.isfinite(values)):
-        raise SaturationError(f"eta: log-magnitude {ln_eta.max():.6g} beyond the double range")
-    return float(values[0]) if scalar else values
+        raise SaturationError(f"eta: log-magnitude {ln_values.max():.6g} beyond the double range")
+    return float(values[0]) if np.ndim(z) == 0 and np.ndim(q) == 0 else values
+
+
+def ln_eta(z, q) -> np.ndarray:
+    """ln eta(z) for the arguments of :func:`eta`, as a 1-d array: it never saturates."""
+    zs, qs, _ = _z_and_q(z, q)
+    u = np.log(np.abs(zs))
+    return -u * u / (2.0 * np.log(qs)) + 0.5 * u
 
 
 def _coefficient_tail_sum(ns: np.ndarray, q: float, ctrl: SeriesControl) -> np.ndarray:

@@ -38,13 +38,15 @@ from .qtheta import (
     coeff_E,
     eta,
     lattice_derivative_candidate,
+    ln_eta,
     nome_from_tau,
     theta_prime_lattice,
     theta_product,
     theta_series,
     theta_series_scaled,
 )
-from .scaled import ScaledValue, normalise_array, sub_arrays, to_complex
+from .scaled import (BASE_LOG2, ScaledValue, exp_pow2, ldexp_array, ln_split, log2_split,
+                     normalise_array, sub_arrays, to_complex)
 from .signals import GammaTable, SignalModel, forward_table
 from .recon import TruncationChoice, auto_truncation, inner_fourier_sum
 
@@ -106,19 +108,24 @@ def _circle(radius: float, count: int, offset: float = 0.0) -> np.ndarray:
     return radius * np.exp(2j * math.pi * (np.arange(count) + offset) / count)
 
 
+def _over_eta(theta: tuple, zs: np.ndarray, q: float) -> np.ndarray:
+    """|Theta| / eta(z) for Theta at zs as (mantissa, exponent) arrays, eta taken
+    in log form: neither side has to fit the double range, only the ratio."""
+    f, bits = exp_pow2(-ln_eta(zs, q))
+    return np.ldexp(np.abs(theta[0]) * f, theta[1] * BASE_LOG2 + bits)
+
+
 def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
+    """The theta identities at the nome of ``params``; only the printed-candidate
+    adjudication sits at its own (n=1, q=0.1)."""
     checks: list[CheckRecord] = []
-    # product vs series on the fixed (q, z) grid; 3 nomes (288 rows) per call bound temporaries
-    worst = 0.0
-    for first in range(1, 19, 3):
-        qs = [0.05 * i for i in range(first, first + 3)]
-        zs = np.concatenate([_circle(q ** p, 32, 0.5) for q in qs for p in (0.5, 0.0, -0.5)])
-        q = np.repeat(qs, 96)  # each nome's 3 circles of 32 points
-        ts = theta_series(zs, q, ctrl)
-        tp = theta_product(zs, q, ctrl)
-        worst = max(worst, float(np.max(np.abs(ts - tp) / (1.0 + np.abs(ts)))))
-    _record(checks, "triple_product_identity", worst, 1e-12,
-            "q in {0.05..0.9}, |z| in {sqrt(q), 1, 1/sqrt(q)}, 32 angles")
+    q = params.q
+    # product vs series on the circles |z| = q^{1/2}, 1, q^{-1/2}
+    zs = np.concatenate([_circle(math.exp(power * params.ln_q), 32, 0.5)
+                         for power in (0.5, 0.0, -0.5)])
+    ts, tp = theta_series(zs, q, ctrl), theta_product(zs, q, ctrl)
+    _record(checks, "triple_product_identity", np.max(np.abs(ts - tp) / (1.0 + np.abs(ts))), 1e-12,
+            "|z| in {sqrt(q), 1, 1/sqrt(q)}, 32 angles, at the given tau")
 
     # one-step quasi-periodicity at 100 seeded random points.  Residuals
     # are measured against the envelope scale eta: near q -> 1 (and near
@@ -127,70 +134,76 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     # than the identity.  eta is the natural yardstick for that.  Each seeded
     # check draws its points as rows, in the stream's order.
     rng = np.random.default_rng(2026)
-    q, power, angle = rng.uniform([0.05, -0.5, 0.0], [0.9, 0.5, 2.0 * math.pi], (100, 3)).T
+    power, angle = rng.uniform([-0.5, 0.0], [0.5, 2.0 * math.pi], (100, 2)).T
     z = q ** power * np.exp(1j * angle)
-    lhs, ts = theta_series(np.concatenate([q * z, z]), np.tile(q, 2), ctrl).reshape(2, -1)
+    lhs, ts = theta_series(np.concatenate([q * z, z]), q, ctrl).reshape(2, -1)
     scale = eta(q * z, q) + eta(z, q) / np.abs(z)
     _record(checks, "one_step_quasi_periodicity", np.max(np.abs(lhs + ts / z) / scale), 1e-12,
-            "100 seeded random (z, q), residual relative to the eta envelope")
+            "100 seeded random z at the given tau, residual relative to the eta envelope")
 
-    # iterated quasi-periodicity Theta(q^n z) = (-z)^{-n} q^{-n(n-1)/2} Theta(z),
-    # Theta in scaled arithmetic (the factor stays within q^{-24} here)
-    q, angle, power = rng.uniform([0.05, 0.0, -0.5], [0.9, 2.0 * math.pi, 0.5], (20, 3)).T
+    # iterated quasi-periodicity Theta(q^n z) = factor * Theta(z), factor = (-z)^{-n}
+    # q^{-n(n-1)/2}, Theta in scaled arithmetic and compared in the frame of z: since
+    # eta(q^n z) = |factor| eta(z), |Theta(q^n z) / factor - Theta(z)| / (eta(z) + |Theta(z)|)
+    # is the eta-relative residual at q^n z.  1/factor = (-z/|z|)^n |z|^n q^{n(n-1)/2} comes
+    # from the split logarithms of |z| and q, as in the theta series: it never leaves the
+    # double range.
+    angle, power = rng.uniform([0.0, -0.5], [2.0 * math.pi, 0.5], (20, 2)).T
     z, n = q ** power * np.exp(1j * angle), np.arange(-6, 7)
-    zn = (q[:, None] ** n) * z[:, None]
-    mant, exps = theta_series_scaled(np.concatenate([z, zn.ravel()]),
-                                     np.concatenate([q, np.repeat(q, len(n))]), ctrl)
-    factor = (-z[:, None]) ** -n * q[:, None] ** (-(n * (n - 1)) // 2)
-    rhs = normalise_array(mant[:len(z), None] * factor, exps[:len(z), None])
-    gap = sub_arrays((mant[len(z):].reshape(zn.shape), exps[len(z):].reshape(zn.shape)), rhs)
-    scale = eta(zn.ravel(), np.repeat(q, len(n))).reshape(zn.shape) + np.abs(to_complex(rhs))
-    _record(checks, "iterated_quasi_periodicity", np.max(np.abs(to_complex(gap)) / scale), 1e-10,
-            "n in [-6, 6], 20 seeded random (z, q), eta-relative")
+    mant, exps = theta_series_scaled(np.concatenate([z, (q ** n * z[:, None]).ravel()]), q, ctrl)
+    theta_z = mant[:len(z), None], exps[:len(z), None]
+    e_z, lnr_z = (part[:, None] for part in log2_split(np.abs(z)))
+    e_q, hi_q, lo_q = ln_split(q)
+    pairs = n * (n - 1) // 2
+    f, bits = exp_pow2(pairs * hi_q, n * lnr_z + pairs * lo_q)
+    bits += n * e_z + pairs * e_q
+    phase = np.exp(1j * n * np.angle(-z)[:, None])
+    quotient = normalise_array(
+        ldexp_array(mant[len(z):].reshape(-1, len(n)) * f * phase, bits % BASE_LOG2),
+        exps[len(z):].reshape(-1, len(n)) + bits // BASE_LOG2)
+    scale = eta(z, q)[:, None] + np.abs(to_complex(theta_z))
+    _record(checks, "iterated_quasi_periodicity",
+            np.max(np.abs(to_complex(sub_arrays(quotient, theta_z))) / scale), 1e-10,
+            "n in [-6, 6], 20 seeded random z at the given tau, eta-relative")
 
     # conjugation symmetry
-    q, re, im = rng.uniform([0.05, -2.0, -2.0], [0.9, 2.0, 2.0], (20, 3)).T
+    re, im = rng.uniform(-2.0, 2.0, (20, 2)).T
     z = np.where((re == 0) & (im == 0), 1.0, re + 1j * im)
-    a, b = theta_series(np.concatenate([z.conjugate(), z]), np.tile(q, 2), ctrl).reshape(2, -1)
+    a, b = theta_series(np.concatenate([z.conjugate(), z]), q, ctrl).reshape(2, -1)
     _record(checks, "conjugation_symmetry",
             np.max(np.abs(a - b.conjugate()) / np.maximum(np.abs(b), 1e-300)), 1e-13, "")
 
     # zero set at this tau
-    zs = params.q ** np.arange(-5.0, 6.0)
-    worst = np.max(np.abs(theta_series(zs, params.q, ctrl)) / eta(zs, params.q))
-    _record(checks, "lattice_zero_set", worst, 1e-10, "n in [-5, 5] at the given tau")
+    zs = q ** np.arange(-5.0, 6.0)
+    _record(checks, "lattice_zero_set", np.max(_over_eta(theta_series_scaled(zs, q, ctrl), zs, q)),
+            1e-10, "n in [-5, 5] at the given tau")
 
     # derivative contract + adjudication of the closed-form candidates
-    worst = worst_corr = 0.0
     ns = np.arange(-4, 5)
-    for q in (0.1, 0.3, 0.5):
-        ref = theta_prime_lattice(ns, q, ctrl)
-        # independent estimate: Richardson-extrapolated central differences
-        h = q ** ns * 1e-3
-        up, down, up2, down2 = theta_series(
-            q ** ns + np.outer([1.0, -1.0, 0.5, -0.5], h), q, ctrl).reshape(4, -1)
-        fd = (4.0 * (up2 - down2) / h - (up - down) / (2 * h)) / 3.0
-        ref_c = to_complex(ref)
-        worst = max(worst, np.max(np.abs(ref_c - fd) / np.abs(ref_c)))
-        corr = lattice_derivative_candidate(ns, q, ctrl, "corrected")
-        worst_corr = max(worst_corr, np.max(np.abs(to_complex(sub_arrays(ref, corr)))
-                                            / np.abs(ref_c)))
-        if q == 0.1:
-            printed = lattice_derivative_candidate(1, q, ctrl, "printed").to_complex()
-            miss = abs(ref_c[5] - printed) / abs(ref_c[5])  # ns[5] = 1
-            printed_fail_note = (
-                f"printed candidate at (n=1, q=0.1) gives {printed.real:.6g} against "
-                f"reference {ref_c[5].real:.6g} (relative miss {miss:.3e})")
-    _record(checks, "lattice_derivative_vs_finite_difference", worst, 1e-6,
-            "Richardson-extrapolated central differences, n in [-4,4], q in {0.1,0.3,0.5}")
-    _record(checks, "lattice_derivative_corrected_candidate", worst_corr, 1e-10,
+    ref = theta_prime_lattice(ns, q, ctrl)
+    ref_c = to_complex(ref)
+    # independent estimate: Richardson-extrapolated central differences
+    h = q ** ns * 1e-3
+    up, down, up2, down2 = theta_series(
+        q ** ns + np.outer([1.0, -1.0, 0.5, -0.5], h), q, ctrl).reshape(4, -1)
+    fd = (4.0 * (up2 - down2) / h - (up - down) / (2 * h)) / 3.0
+    _record(checks, "lattice_derivative_vs_finite_difference",
+            np.max(np.abs(ref_c - fd) / np.abs(ref_c)), 1e-6,
+            "Richardson-extrapolated central differences, n in [-4, 4] at the given tau")
+    corr = lattice_derivative_candidate(ns, q, ctrl, "corrected")
+    _record(checks, "lattice_derivative_corrected_candidate",
+            np.max(np.abs(to_complex(sub_arrays(ref, corr))) / np.abs(ref_c)), 1e-10,
             "(-1)^n q^{-n(n+1)/2} Theta'(1;q) matches the reference")
-    checks.append(CheckRecord("lattice_derivative_printed_candidate_rejected", miss, math.inf,
-                              miss > 1e-2, printed_fail_note))
+    ref_1 = theta_prime_lattice(1, 0.1, ctrl).to_complex()
+    printed = lattice_derivative_candidate(1, 0.1, ctrl, "printed").to_complex()
+    miss = abs(ref_1 - printed) / abs(ref_1)
+    checks.append(CheckRecord(
+        "lattice_derivative_printed_candidate_rejected", miss, math.inf, miss > 1e-2,
+        f"printed candidate at (n=1, q=0.1) gives {printed.real:.6g} against "
+        f"reference {ref_1.real:.6g} (relative miss {miss:.3e})"))
 
     # circle maxima of |Theta| / eta are k-independent
     zs = np.concatenate([_circle(math.exp((k + 0.5) * params.ln_q), 64) for k in range(-5, 6)])
-    maxima = (np.abs(theta_series(zs, params.q, ctrl)) / eta(zs, params.q)).reshape(11, -1).max(1)
+    maxima = _over_eta(theta_series_scaled(zs, q, ctrl), zs, q).reshape(11, -1).max(1)
     spread = (maxima.max() - maxima.min()) / maxima.min()
     _record(checks, "envelope_circle_maxima_constant", spread, 1e-8, "k in [-5, 5]")
     return checks

@@ -246,6 +246,14 @@ class TestVerify:
         assert "degenerate" in doc["checks"][0]["note"]
 
 
+    def test_theta_at_large_tau_passes(self, tmp_path):
+        # eta reaches e^754 on the zero set here; the records take |Theta| / eta in log form
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--tau", "8", "--suite", "theta", "--output", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is True and len(doc["checks"]) == 9
+
     @pytest.mark.parametrize("tau", ["0.03", "0.05", "0.06"])
     def test_coeffs_at_small_tau_adjudicates(self, tmp_path, tau):
         # the balanced circle or the alternative radii sit within 10% of a

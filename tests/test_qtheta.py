@@ -23,7 +23,7 @@ from gaborlattice import (
     theta_series,
     theta_series_scaled,
 )
-from gaborlattice.qtheta import theta_product_scaled
+from gaborlattice.qtheta import ln_eta, theta_product_scaled
 from gaborlattice.scaled import normalise_array, sub_arrays, to_complex
 
 
@@ -271,6 +271,12 @@ class TestEta:
         assert math.isfinite(eta(math.exp(31.0), 0.5))
         with pytest.raises(SaturationError, match="log-magnitude 8"):
             eta(math.exp(33.0), 0.5)
+
+    def test_log_form_past_the_double_range(self):
+        assert ln_eta(math.exp(31.0), 0.5)[0] == pytest.approx(math.log(eta(math.exp(31.0), 0.5)),
+                                                                rel=1e-15)
+        big = ln_eta(np.array([math.exp(33.0), math.exp(-33.0)]), 0.5)
+        assert big.shape == (2,) and np.all(np.isfinite(big)) and big.min() > 709.8
 
 
 class TestCoefficients:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gaborlattice import SignalModel, signals
-from gaborlattice.verify import CheckRecord, SUITES, run_suite
+from gaborlattice import (SeriesControl, SignalModel, eta, nome_from_tau, qtheta, signals,
+                          theta_series, verify)
+from gaborlattice.verify import CheckRecord, SUITES, run_suite, theta_suite
 
 
 def test_all_suites_pass_at_tau_one():
@@ -118,3 +119,65 @@ def test_closed_form_entries_computed_once(monkeypatch):
     names = [c.name for c in report.checks]  # the records keep the suite order
     assert names.index("contour_radius_independence") + 1 == names.index("poisson_consistency") \
         == names.index("interpolation_node_exactness") - 1
+
+
+THETA_RECORDS = [
+    "triple_product_identity", "one_step_quasi_periodicity", "iterated_quasi_periodicity",
+    "conjugation_symmetry", "lattice_zero_set", "lattice_derivative_vs_finite_difference",
+    "lattice_derivative_corrected_candidate", "lattice_derivative_printed_candidate_rejected",
+    "envelope_circle_maxima_constant"]
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 1.0, 2.0, 0.99 * math.pi, 4.0, 8.0])
+def test_theta_suite_passes_at_its_nome(tau):
+    checks = theta_suite(nome_from_tau(tau))
+    assert [c.name for c in checks] == THETA_RECORDS
+    assert [c.name for c in checks if not c.passed] == []
+
+
+def test_theta_suite_small_tau_shows_the_derivative_hole():
+    """At tau=0.02 (q = 0.88) the differentiated series of theta_prime_lattice
+    loses its digits: both derivative checks fail there, and only they."""
+    checks = {c.name: c for c in theta_suite(nome_from_tau(0.02))}
+    assert [name for name, c in checks.items() if not c.passed] == [
+        "lattice_derivative_vs_finite_difference", "lattice_derivative_corrected_candidate"]
+    assert checks["lattice_derivative_vs_finite_difference"].residual > 1.0
+    assert checks["lattice_derivative_corrected_candidate"].residual > 0.1
+
+
+def test_theta_records_follow_the_nome():
+    ctrl = SeriesControl()
+    records = {tau: {c.name: c.residual for c in theta_suite(nome_from_tau(tau))}
+               for tau in (0.5, 2.0)}
+    assert records[0.5] != records[2.0]
+    for tau, residuals in records.items():
+        q = nome_from_tau(tau).q
+        zs = q ** np.arange(-5.0, 6.0)
+        zero_set = max(abs(theta_series(z, q, ctrl)) / eta(z, q) for z in zs)
+        assert residuals["lattice_zero_set"] == pytest.approx(zero_set, rel=1e-12)
+        power, angle = np.random.default_rng(2026).uniform(
+            [-0.5, 0.0], [0.5, 2.0 * math.pi], (100, 2)).T
+        one_step = max(
+            abs(theta_series(q * z, q, ctrl) + theta_series(z, q, ctrl) / z)
+            / (eta(q * z, q) + eta(z, q) / abs(z))
+            for z in (q ** p * complex(math.cos(a), math.sin(a)) for p, a in zip(power, angle)))
+        assert residuals["one_step_quasi_periodicity"] == pytest.approx(one_step, rel=1e-12)
+
+
+def test_theta_suite_runs_at_the_given_nome_only(monkeypatch):
+    """Every theta evaluation of the suite is at params.q, except the one
+    printed-candidate adjudication at (n=1, q=0.1)."""
+    calls = []
+    for name in ("theta_series_scaled", "theta_product_scaled", "theta_prime_lattice"):
+        def recording(z, q, *args, _original=getattr(qtheta, name), _name=name, **kwargs):
+            calls.extend((_name, float(v)) for v in np.unique(q))
+            return _original(z, q, *args, **kwargs)
+        monkeypatch.setattr(qtheta, name, recording)
+        if hasattr(verify, name):
+            monkeypatch.setattr(verify, name, recording)
+    params = nome_from_tau(1.0)
+    assert all(c.passed for c in verify.theta_suite(params))
+    off_nome = [call for call in calls if call[1] != params.q]
+    assert off_nome == [("theta_prime_lattice", 0.1)]
+    assert {name for name, _ in calls} == {
+        "theta_series_scaled", "theta_product_scaled", "theta_prime_lattice"}
