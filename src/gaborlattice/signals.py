@@ -222,11 +222,11 @@ def gamma_closed_form(m: int | tuple[int, ...], k: int | tuple[int, ...], signal
 class _Lineage:
     """The callback quadrature's state, shared by a table and every table grown
     from it with ``base=``: f on the grid x_n = n H0 / 2^level (NaN where not
-    sampled yet), and each row's (R_m, level-0 grid, S_m, tail)."""
+    sampled yet), and each row's (R_m, S_m, tail)."""
 
     def __init__(self):
         self.level, self.lo, self.values = 0, 0, np.full(1, np.nan, dtype=complex)
-        self.rows: dict[int, tuple] = {}
+        self.rows: dict[int, tuple[float, float, float]] = {}
 
     def fetch(self, signal: SignalModel, lo: int, hi: int, j: int) -> np.ndarray:
         """f at x_n = n H0 / 2^j, lo <= n <= hi: the nodes not stored yet are
@@ -250,6 +250,83 @@ class _Lineage:
                     f"callback returned {complex(samples[i])!r} at x={xs[i]:.6g}")
             view[missing] = samples
         return view
+
+    def window(self, signal: SignalModel, row: int, tau: float) -> tuple[float, float, float]:
+        """Row m's (R_m, S_m, tail), set up on level 0 once per lineage: a
+        half-width R_m whose envelope tail is below eps S_m, the window's
+        S_m = H0 sum_n |f(x_n)| exp(-(x_n - x0)^2/4) and the tail's log.
+        The envelope is checked at the window's ends."""
+        if row not in self.rows:
+            ln_c, alpha = signal.envelope_ln()
+            x0 = -2.0 * tau * row
+
+            def level0(ln_target: float) -> tuple[float, float, float]:
+                r = 2.0 * alpha + 2.0 * math.sqrt(
+                    max(1.0, alpha * alpha + ln_c + alpha * abs(x0) + LN_FOUR - ln_target))
+                lo, hi = math.ceil((x0 - r) / H0), math.floor((x0 + r) / H0)
+                xs, f = np.arange(lo, hi + 1) * H0, self.fetch(signal, lo, hi, 0)
+                for x, observed in zip(xs[[0, -1]].tolist(), np.abs(f[[0, -1]]).tolist()):
+                    allowed = 10.0 * math.exp(ln_c + alpha * abs(x))
+                    if observed > allowed:
+                        raise InvalidParameterError(
+                            f"callback exceeds its declared envelope at x={x:.6g}: "
+                            f"|f| = {observed:.3e} > {allowed:.3e}")
+                s_m = H0 * float(np.sum(np.abs(f * np.exp(-(xs - x0) ** 2 / 4.0))))
+                return r, s_m, ln_c + alpha * (abs(x0) + r) - r * r / 4.0 + LN_FOUR
+
+            r, s_m, tail_ln = level0(ln_c + LN_EPS)
+            if s_m > 0 and tail_ln > LN_EPS + math.log(s_m):  # f is far below its envelope here
+                r, s_m, tail_ln = level0(LN_EPS + math.log(s_m))  # S_m only grows with r
+            self.rows[row] = r, s_m, tail_ln
+        return self.rows[row]
+
+
+def _level_sums(signal: SignalModel, lineage: _Lineage, j: int, x0: np.ndarray, r: np.ndarray,
+                cols: np.ndarray) -> np.ndarray:
+    """(len(x0), len(cols)) trapezoid sums h sum_n e^{-ik x_n} f(x_n) e^{-(x_n - x0)^2/4}
+    on level j, h = H0 / 2^j, over each row's window [x0 - r, x0 + r].
+
+    Rows whose windows overlap share one fetch and one set of phases.  A
+    row's products are laid out as one run of its window's nodes and summed
+    with the rows of the same window length, so an entry's sum holds the
+    same terms in the same order whatever its block.  No temporary exceeds
+    PHASE_CHUNK elements, or one row's window where that is longer."""
+    h = H0 / 2 ** j
+    lo = np.ceil((x0 - r) / h).astype(np.int64)
+    size = np.floor((x0 + r) / h).astype(np.int64) - lo + 1
+    # segments: runs of overlapping windows, cut where their nodes would pass PHASE_CHUNK
+    segments, reach, nodes = [], 0, 0
+    for a, n, i in sorted(zip(lo.tolist(), size.tolist(), range(len(lo)))):
+        if segments and a <= reach + 1 and nodes + n <= PHASE_CHUNK:
+            segments[-1].append((n, i))
+            reach, nodes = max(reach, a + n - 1), nodes + n
+        else:
+            segments.append([(n, i)])
+            reach, nodes = a + n - 1, n
+    est = np.zeros((len(x0), len(cols)), dtype=complex)
+    for seg in segments:
+        seg = np.array([i for _, i in sorted(seg)])  # the rows of one window length side by side
+        width, first = size[seg], int(lo[seg].min())
+        f = lineage.fetch(signal, first, int((lo + size)[seg].max()) - 1, j)
+        xs, start, end = np.arange(first, first + len(f)) * h, lo[seg] - first, np.cumsum(width)
+        # each row's window in turn: its node n at g[end - width + n] and xs[start + n]
+        at = np.arange(end[-1]) + np.repeat(start - (end - width), width)
+        g = f[at] * np.exp(-(xs[at] - np.repeat(x0[seg], width)) ** 2 / 4.0)
+        spans = list(zip(start.tolist(), (end - width).tolist(), width.tolist()))
+        groups = [b for b, span in enumerate(spans) if b == 0 or span[2] != spans[b - 1][2]]
+        chunk = max(1, PHASE_CHUNK // len(g))
+        for c in range(0, len(cols), chunk):
+            phases = np.exp(-1j * np.outer(cols[c: c + chunk], xs))
+            prod = np.empty((len(phases), len(g)), dtype=complex)
+            sums = np.empty((len(seg), len(phases)), dtype=complex)
+            for a, e, n in spans:
+                np.multiply(phases[:, a: a + n], g[e: e + n], out=prod[:, e: e + n])
+            for b, stop in zip(groups, groups[1:] + [len(spans)]):  # one sum per window length
+                _, e, n = spans[b]
+                block = prod[:, e: e + (stop - b) * n].reshape(len(phases), stop - b, n)
+                np.sum(block, axis=-1, out=sums[b: stop].T)
+            est[seg, c: c + chunk] = h * sums
+    return est
 
 
 def gamma_quadrature(
@@ -280,7 +357,11 @@ def gamma_quadrature(
     and halves the spacing, reusing every sample, until successive sums
     agree to quad.tol or to 1e-15 S_m; an analytic, Gaussian-windowed
     integrand converges geometrically, so usually at the first halving.
-    With S = e^{tau^2 m^2} S_m,
+    The levels run over the whole block: level j sums every row with an
+    entry left there, with one fetch and one e^{-ikx} per run of
+    overlapping windows.  An entry that reaches quad.max_refinements
+    halvings raises NonConvergenceError naming the first such row, in row
+    order, at the first level where any entry does.  With S = e^{tau^2 m^2} S_m,
 
         abs_err = max(quad.tol * |value|, ROUNDING_C * eps * S)
                   + eps (2 tau^2 m^2 + LN_BASE) |value|.
@@ -294,66 +375,36 @@ def gamma_quadrature(
     """
     rows, cols = np.array(m, ndmin=1), np.array(k, ndmin=1)
     lineage = lineage or _Lineage()
-    ln_c, alpha = signal.envelope_ln()
-    value, s = np.zeros((len(rows), len(cols)), dtype=complex), np.zeros(len(rows))
-    # added to a row's scale: 0, the tail if its samples vanish, -inf if f = 0
-    ln_tail = np.full(len(rows), -math.inf)
+    vanishes = signal.envelope_ln()[0] == -math.inf  # f = 0: no window, no sample
+    windows = [(0.0, 0.0, -math.inf) if vanishes else lineage.window(signal, row, tau)
+               for row in rows.tolist()]
+    r, s, tail_ln = np.array(windows).reshape(-1, 3).T
+    x0 = -2.0 * tau * rows
     # coarsest level j with H0 / 2^j <= pi / (2 (|k| + 1))
     start = np.maximum(0, np.ceil(np.log2(2.0 * H0 * (np.abs(cols) + 1) / math.pi))).astype(int)
-    for i, row in enumerate(rows.tolist() if ln_c > -math.inf else ()):
-        x0 = -2.0 * tau * row
-
-        def nodes(r: float, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Level j of the grid on [x0 - r, x0 + r], f there, and f times the window."""
-            h = H0 / 2 ** j
-            lo, hi = math.ceil((x0 - r) / h), math.floor((x0 + r) / h)
-            xs, f = np.arange(lo, hi + 1) * h, lineage.fetch(signal, lo, hi, j)
-            return xs, f, f * np.exp(-(xs - x0) ** 2 / 4.0)
-
-        def level0(ln_target: float) -> tuple[float, tuple, float, float]:
-            """A half-width whose envelope tail is below e^{ln_target}; the level-0
-            grid there, S_m and the tail.  The envelope is checked at its ends."""
-            r = 2.0 * alpha + 2.0 * math.sqrt(
-                max(1.0, alpha * alpha + ln_c + alpha * abs(x0) + LN_FOUR - ln_target))
-            xs, f, g = nodes(r, 0)
-            for x, observed in zip(xs[[0, -1]].tolist(), np.abs(f[[0, -1]]).tolist()):
-                allowed = 10.0 * math.exp(ln_c + alpha * abs(x))
-                if observed > allowed:
-                    raise InvalidParameterError(
-                        f"callback exceeds its declared envelope at x={x:.6g}: "
-                        f"|f| = {observed:.3e} > {allowed:.3e}")
-            tail_ln = ln_c + alpha * (abs(x0) + r) - r * r / 4.0 + LN_FOUR
-            return r, (xs, g), H0 * float(np.sum(np.abs(g))), tail_ln
-
-        if row not in lineage.rows:
-            r, grid, s_m, tail_ln = level0(ln_c + LN_EPS)
-            if s_m > 0 and tail_ln > LN_EPS + math.log(s_m):  # f is far below its envelope here
-                r, grid, s_m, tail_ln = level0(LN_EPS + math.log(s_m))  # S_m only grows with r
-            lineage.rows[row] = r, grid, s_m, tail_ln
-        r, grid, s_m, tail_ln = lineage.rows[row]
-        s[i], ln_tail[i] = s_m, (0.0 if s_m else tail_ln)
-        if s_m == 0:  # every sample vanished: only the envelope tail is left
-            continue
-        prev = np.zeros(len(cols), dtype=complex)
-        todo = np.ones(len(cols), dtype=bool)
-        for j in range(start.min(), start.max() + quad.max_refinements + 1):
-            live = np.flatnonzero(todo & (start <= j))
-            if not len(live):
-                continue
-            xs, g = grid if j == 0 else nodes(r, j)[::2]
-            est = np.zeros(len(cols), dtype=complex)
-            chunk = max(1, PHASE_CHUNK // len(xs))
-            for c in range(0, len(live), chunk):
-                sel = live[c: c + chunk]
-                est[sel] = H0 / 2 ** j * np.sum(np.exp(-1j * np.outer(cols[sel], xs)) * g, axis=1)
-            done = todo & (start < j) & (np.abs(est - prev) <= quad.tol * np.abs(est) + 1e-15 * s_m)
-            value[i, done], todo[done], prev = est[done], False, est
-            if not todo.any():
-                break
-            if np.any(todo & (j - start >= quad.max_refinements)):
-                raise NonConvergenceError(
-                    "gamma_quadrature: spacing refinement cap reached",
-                    diagnostics={"m": row, "k": cols[todo].tolist(), "level": j})
+    value, prev = np.zeros((2, len(rows), len(cols)), dtype=complex)
+    todo = np.repeat((s > 0)[:, None], len(cols), axis=1)  # a row whose samples vanish keeps 0
+    for j in range(start.min(), start.max() + quad.max_refinements + 1):
+        live = todo & (start <= j)
+        act = np.flatnonzero(live.any(axis=1))
+        if len(act):
+            cut = np.flatnonzero(live.any(axis=0))
+            est = np.zeros((len(act), len(cols)), dtype=complex)
+            est[:, cut] = _level_sums(signal, lineage, j, x0[act], r[act], cols[cut])
+            done = todo[act] & (start < j) & (
+                np.abs(est - prev[act]) <= quad.tol * np.abs(est) + 1e-15 * s[act, None])
+            i, c = np.nonzero(done)
+            value[act[i], c], todo[act[i], c], prev[act] = est[i, c], False, est
+        if not todo.any():
+            break
+        capped = np.flatnonzero((todo[act] & (j - start >= quad.max_refinements)).any(axis=1))
+        if len(capped):  # the first row, in row order, at the first level any entry is capped
+            row = act[capped[0]]
+            raise NonConvergenceError(
+                "gamma_quadrature: spacing refinement cap reached",
+                diagnostics={"m": int(rows[row]), "k": cols[todo[row]].tolist(), "level": j})
+    # added to a row's scale: 0, the tail if its samples vanish, -inf if f = 0
+    ln_tail = np.where(s > 0, 0.0, tail_ln)
     ln_scale, vanished = tau * tau * rows * rows, (s == 0)[:, None]
     err = np.where(vanished, 1.0,
                    np.maximum(quad.tol * np.abs(value), ROUNDING_C * EPS * s[:, None])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -253,6 +254,30 @@ class TestVerify:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["passed"] is True and len(doc["checks"]) == 9
+
+    def test_coeffs_at_large_tau_records_no_nan(self, tmp_path):
+        # E_8 ~ q^36 underflows the contour oracle to 0 at tau = 8: the two
+        # coefficient records fail with residual inf and name the m
+        def no_nan(constant):
+            if constant == "NaN":
+                raise ValueError("NaN in the report")
+            return float(constant)
+
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["verify", "--tau", "8", "--suite", "coeffs", "--output", str(out)])
+        assert rc == 1
+        checks = json.loads(out.read_text(), parse_constant=no_nan)["checks"]
+        for check in checks[:2]:
+            assert check["residual"] == math.inf and not check["passed"]
+            assert check["note"] == \
+                "contour oracle is 0 or not finite at m = [-8, -7, -6, -5, 5, 6, 7, 8]"
+        assert checks[2]["passed"]
+        # at tau = 1 every oracle is usable and the records are the usual ones
+        usual = run_suite("coeffs", 1.0).checks
+        assert all(c.passed and math.isfinite(c.residual) for c in usual)
+        assert usual[0].note == "exponent m(m+1)/2 candidate, m in [-8, 8]"
 
     @pytest.mark.parametrize("tau", ["0.03", "0.05", "0.06"])
     def test_coeffs_at_small_tau_adjudicates(self, tmp_path, tau):

@@ -240,6 +240,19 @@ class TestRoundTrip:
         assert grown == calls[0]
         assert choice.table == alone and choice.table.errors == alone.errors
 
+    def test_callback_sampled_node_count_pinned(self, off_centre):
+        # the nodes a callback auto_truncation samples: each row's window on
+        # each level it refines, and no node between windows
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return eval_signal(off_centre, x)
+
+        cb = SignalModel.callback(f, bound=1.5, growth=0.0)
+        choice = auto_truncation(cb, nome_from_tau(0.6), 1e-6, x_max=3.0)
+        assert (choice.M, choice.K, calls[0]) == (5, 17, 1214)
+
     def test_monotone_truncation(self, unit_gaussian):
         errors = []
         for M in (3, 4, 5, 6):

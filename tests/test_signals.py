@@ -9,6 +9,7 @@ from gaborlattice import (
     DomainError,
     GammaTable,
     InvalidParameterError,
+    NonConvergenceError,
     QuadratureControl,
     SaturationError,
     ScaledValue,
@@ -17,10 +18,20 @@ from gaborlattice import (
     forward_table,
     gamma_closed_form,
     gamma_quadrature,
+    signals,
     windowed_sample_scaled,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def counted(signal, calls, bound):
+    """``signal`` as a black-box callback that counts its samples into ``calls[0]``."""
+    def f(x):
+        calls[0] += 1
+        return eval_signal(signal, x)
+
+    return SignalModel.callback(f, bound=bound, growth=0.0)
 
 
 class TestSignalModel:
@@ -254,15 +265,54 @@ class TestQuadrature:
                     assert abs(table.get(m, k).to_complex() - ref) <= bound, (m, k)
                     assert bound <= max(10.0 * tol * abs(ref), 64 * eps * s_ref), (m, k)
 
-    def test_block_equals_single_entries(self, two_component):
-        cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
+    def test_block_equals_single_entries(self, two_component, off_centre):
+        # |k| >= 6 starts past level 0; the off-centre rows have three window radii
         rows, cols = (-2, 0, 3), (-7, -1, 0, 4, 9)
-        mant, exps = gamma_quadrature(rows, cols, cb, 0.7)
-        for i, m in enumerate(rows):
-            for j, k in enumerate(cols):
-                value, err = gamma_quadrature(m, k, cb, 0.7)
-                assert (value.mantissa, value.exponent) == (mant[0, i, j], exps[0, i, j])
-                assert (err.mantissa, err.exponent) == (mant[1, i, j], exps[1, i, j])
+        for signal in (counted(two_component, [0], 2.0), counted(off_centre, [0], 1.5)):
+            lineage = signals._Lineage()
+            mant, exps = gamma_quadrature(rows, cols, signal, 0.7, lineage=lineage)
+            for i, m in enumerate(rows):
+                for j, k in enumerate(cols):
+                    value, err = gamma_quadrature(m, k, signal, 0.7)
+                    assert (value.mantissa, value.exponent) == (mant[0, i, j], exps[0, i, j])
+                    assert (err.mantissa, err.exponent) == (mant[1, i, j], exps[1, i, j])
+        assert len({radius for radius, _, _ in lineage.rows.values()}) == len(rows)
+
+    def test_refinement_cap_names_the_first_capped_row(self):
+        jump = SignalModel.callback(lambda x: 1.0 if x > 0.1 else 0.0, bound=1.0, growth=0.0)
+        quad = QuadratureControl(max_refinements=2)
+        with pytest.raises(NonConvergenceError) as info:
+            forward_table(jump, 1.0, 2, 8, quad)
+        assert info.value.diagnostics == {"m": -2, "k": list(range(-8, 9)), "level": 2}
+        # a step of 1e-5 at x = 4.1 leaves row 2 (window centre -4) rough only at k = 12,
+        # capped at level 4, but row -2 (centre 4) at every k, capped at level 2
+        step = SignalModel.callback(lambda x: 1.0 + (1e-5 if x > 4.1 else 0.0),
+                                    bound=1.0 + 1e-5, growth=0.0)
+        with pytest.raises(NonConvergenceError) as info:
+            gamma_quadrature((2, -2), (0, 3, 12), step, 1.0, quad)
+        assert info.value.diagnostics == {"m": -2, "k": [0, 3, 12], "level": 2}
+
+
+class TestQuadratureBlock:
+    @pytest.mark.parametrize("chunk", [64, 1024])
+    def test_phase_chunk_changes_no_bit(self, monkeypatch, off_centre, chunk):
+        quad = QuadratureControl(tol=1e-10)
+        default = forward_table(counted(off_centre, [0], 1.5), 0.6, 5, 13, quad)
+        monkeypatch.setattr(signals, "PHASE_CHUNK", chunk)
+        small = forward_table(counted(off_centre, [0], 1.5), 0.6, 5, 13, quad)
+        assert small == default and small.errors == default.errors
+
+    def test_no_node_between_windows_sampled(self, off_centre):
+        # at tau = 2 the windows of rows -6 and 6 are far apart: the block
+        # samples what the two rows sample alone, and nothing between them
+        calls, alone = [0], []
+        for m in (-6, 6):
+            calls[0] = 0
+            gamma_quadrature(m, 7, counted(off_centre, calls, 1.5), 2.0)
+            alone.append(calls[0])
+        calls[0] = 0
+        gamma_quadrature((-6, 6), (7,), counted(off_centre, calls, 1.5), 2.0)
+        assert calls[0] == sum(alone)
 
 
 class TestForwardTable:
@@ -353,24 +403,19 @@ class TestForwardTable:
                 assert grown == alone
                 assert grown.errors == alone.errors
 
-    def test_grown_callback_table_equals_one_shot(self, two_component):
+    def test_grown_callback_table_equals_one_shot(self, two_component, off_centre):
         # a K step, an M step and a guard ring, as auto_truncation grows a table
         calls = [0]
-
-        def f(x):
-            calls[0] += 1
-            return eval_signal(two_component, x)
-
-        cb = SignalModel.callback(f, bound=2.0, growth=0.0)
-        table = None
-        for M, K in ((2, 2), (2, 3), (3, 3), (4, 5)):
-            table = forward_table(cb, 0.6, M, K, base=table)
-        grown, calls[0] = calls[0], 0
-        alone = forward_table(cb, 0.6, 4, 5)
-        assert grown == calls[0]  # each node sampled once across the lineage
-        assert table == alone and table.errors == alone.errors
-        assert json.dumps(table.to_payload()) == json.dumps(alone.to_payload())
-        clone = GammaTable.from_payload(4, 5, 0.6, table.to_payload())
+        for cb in (counted(two_component, calls, 2.0), counted(off_centre, calls, 1.5)):
+            table, calls[0] = None, 0
+            for M, K in ((2, 2), (2, 3), (3, 3), (4, 5), (4, 9)):  # |k| >= 6 starts past level 0
+                table = forward_table(cb, 0.6, M, K, base=table)
+            grown, calls[0] = calls[0], 0
+            alone = forward_table(cb, 0.6, 4, 9)
+            assert grown == calls[0]  # each node sampled once across the lineage
+            assert table == alone and table.errors == alone.errors
+            assert json.dumps(table.to_payload()) == json.dumps(alone.to_payload())
+        clone = GammaTable.from_payload(4, 9, 0.6, table.to_payload())
         assert clone == table and clone.errors is None and clone._lineage is None
 
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])

@@ -12,7 +12,11 @@ not edited).  For each seeded Gaussian family it hashes:
 * the CLI forward/reconstruct outputs of ``cli_grid`` on 201 points: the
   table file and the summary without ``meta``, and the CSV;
 * the callback round trip of ``callback_roundtrip``: the reconstruction,
-  ``M_used``, ``K_used``, ``tail_estimate`` and ``sup_error``.
+  ``M_used``, ``K_used``, ``tail_estimate`` and ``sup_error``;
+* the callback tables, values and error bounds: ``forward_table`` at
+  M = 5, K = 14 of a sampler hiding the family moved off centre (each
+  centre + 2.5, each modulation x 6), at (tau, tol, growth) in
+  (0.6, 1e-6, 0), (1, 1e-10, 0) and (0.3, 1e-8, 0.5).
 
 Each part's sha256 is printed on its own line, then the combined one on
 the last line.  Two checkouts whose last lines agree give these outputs
@@ -33,10 +37,11 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from gaborlattice import oracle  # noqa: E402
+from gaborlattice import QuadratureControl, SignalModel, forward_table, oracle  # noqa: E402
 from gaborlattice.qtheta import nome_from_tau  # noqa: E402
 
 TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
+CALLBACK_SETTINGS = ((0.6, 1e-6, 0.0), (1.0, 1e-10, 0.0), (0.3, 1e-8, 0.5))
 
 
 def verify_payloads(family) -> bytes:
@@ -79,6 +84,19 @@ def round_trip(family) -> bytes:
     return head + np.ascontiguousarray(report.reconstructed, dtype="<c16").tobytes()
 
 
+def callback_tables(family) -> bytes:
+    moved = [(a, c + 2.5, 6.0 * b) for a, c, b in family]  # (amplitude, centre, modulation)
+    sampler, bound = workloads.make_sampler(moved), sum(abs(a) for a, _, _ in moved)
+    out = b""
+    for tau, tol, growth in CALLBACK_SETTINGS:
+        table = forward_table(SignalModel.callback(sampler, bound, growth), tau, 5, 14,
+                              QuadratureControl(tol=tol))
+        for part in (table, table.errors):
+            out += np.ascontiguousarray(part.mantissa, dtype="<c16").tobytes()
+            out += np.ascontiguousarray(part.exponent, dtype="<i8").tobytes()
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="seed of the input families")
@@ -89,7 +107,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         parts = {"verify_all": verify_payloads, "mk_trace": traces,
                  "cli": lambda family: cli_outputs(family, workdir),
-                 "callback_round_trip": round_trip}
+                 "callback_round_trip": round_trip, "callback_table": callback_tables}
         for name, part in parts.items():
             digest = hashlib.sha256(b"".join(part(family) for family in families)).hexdigest()
             print(f"{name} {digest}")
