@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -409,6 +410,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; ``func`` names the ``cmd_*`` that :func:`main` looks up."""
     parser = argparse.ArgumentParser(
         prog="gaborlattice",
         description="Lattice-sample forward transforms, reconstruction, and "
@@ -428,12 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p, tol_help="series term-magnitude stopping threshold")
-    p.set_defaults(func=cmd_coeffs)
+    p.set_defaults(func="cmd_coeffs")
 
     p = sub.add_parser("forward", help="compute and store a coefficient table")
     p.add_argument("--config", required=True)
     add_common(p, tol_help="override the config's target accuracy")
-    p.set_defaults(func=cmd_forward)
+    p.set_defaults(func="cmd_forward")
 
     p = sub.add_parser("reconstruct", help="reconstruct from a stored table")
     p.add_argument("--config", required=True)
@@ -441,26 +443,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="summary JSON path "
                                      "(default: <output>.summary.json)")
     add_common(p, tol_help="override the config's target accuracy")
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(func="cmd_reconstruct")
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--config", help="optional config carrying a signal override")
     add_common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("sweep", help="fixed-truncation error sweep across densities")
     p.add_argument("--config", required=True)
     add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func="cmd_sweep")
     return parser
 
 
+#: main's parser, built on the first call and kept for the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ConfigError, InvalidParameterError, DomainError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -216,9 +216,13 @@ def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
               K_cap: int) -> tuple[int, int, float, bool]:
     """The truncation growth loop, within the caps on M and K.
 
-    ``cells(M, K)`` returns the (2M+1, 2K+1) block of cell magnitudes
+    ``cells(M, K, reach)`` returns the (2M+1, 2K+1) block of cell magnitudes
     ln|E_m| + ln|gamma_{m,k}|; it is asked for growing blocks, and last for
-    the chosen one.  The base estimate takes the subcritical decay rate
+    the chosen one, with ``reach`` the guard ring (M+1, K+2) of the asked
+    block clipped to the caps, or the chosen (M, K) on the last call.  As M
+    and K only grow and the guard ring is added at the end, the chosen block
+    contains every reach (the guard-ring rule; an all-zero first block ends
+    the loop before the ring).  The base estimate takes the subcritical decay rate
     eps = tau(pi - tau) of the weighted terms and picks the smallest M with
     exp(-eps M^2) < tol/10.
     Because that rate is a worst-case envelope, the estimate is then
@@ -228,11 +232,14 @@ def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
     tail estimate there, and whether the boundary met tol before the guard
     ring (it cannot when the caps stop the growth).
     """
+    def ring(M: int, K: int) -> tuple[int, int]:
+        return min(M + 1, M_cap), min(K + 2, K_cap)
+
     eps = tau * (math.pi - tau)
     M = min(max(1, math.ceil(math.sqrt(math.log(10.0 / tol) / eps))), M_cap)
     K = min(2, K_cap)
     ln_tol = math.log(tol)
-    block = cells(M, K)
+    block = cells(M, K, ring(M, K))
     # terminates: every pass that does not break grows M or K, both capped
     while True:
         scale = block.max()
@@ -241,17 +248,17 @@ def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
         grew = False
         while K < K_cap and block[:, [0, -1]].max() >= ln_tol + scale:
             K += 1
-            block = cells(M, K)
+            block = cells(M, K, ring(M, K))
             grew = True
         while M < M_cap and block[[0, -1]].max() + M * tau * x_max >= ln_tol + scale:
             M += 1
-            block = cells(M, K)
+            block = cells(M, K, ring(M, K))
             grew = True
         if not grew:
             break
     converged = _tail_ln(block, tau, x_max) < ln_tol
-    M, K = min(M + 1, M_cap), min(K + 2, K_cap)
-    return M, K, math.exp(_tail_ln(cells(M, K), tau, x_max)), converged
+    M, K = ring(M, K)
+    return M, K, math.exp(_tail_ln(cells(M, K, (M, K)), tau, x_max)), converged
 
 
 def auto_truncation(
@@ -269,9 +276,11 @@ def auto_truncation(
     coefficients up to the hard caps MAX_M, MAX_K, and refuses when the
     weighted tail is still above tol there; ln|E_m| comes from one
     :func:`~gaborlattice.qtheta.coeff_E` call over |m| <= MAX_M.  The
-    table grows with the loop (:func:`forward_table` with ``base=``), so
-    each entry of ``choice.table`` is computed once and no other entry is
-    computed.
+    table grows in guard-ring steps: a block it does not hold makes it grow
+    straight to that step's ``reach`` (one :func:`forward_table` call with
+    ``base=``), and the steps up to there are slices of its cells.  So each
+    entry of ``choice.table`` is computed once and no other entry is, except
+    the guard ring of an all-zero first block, cut off before returning.
     """
     _require_subcritical(params)
     if not (0 < tol < 1):
@@ -279,13 +288,15 @@ def auto_truncation(
     if not (math.isfinite(x_max) and x_max >= 0):
         raise InvalidParameterError(f"x_max must be a finite non-negative real, got {x_max!r}")
     coeffs_ln = _ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params, ctrl or SeriesControl()))
-    table = None
+    table = held = None
 
-    def cells(M: int, K: int) -> np.ndarray:
-        nonlocal table
-        table = forward_table(signal, params.tau, M, K, quad, base=table)
-        return (coeffs_ln[MAX_M - M: MAX_M + M + 1, None]
-                + _ln_abs(table.mantissa, table.exponent))
+    def cells(M: int, K: int, reach: tuple[int, int]) -> np.ndarray:
+        nonlocal table, held
+        if table is None or M > table.M or K > table.K:
+            table = forward_table(signal, params.tau, *reach, quad, base=table)
+            held = (coeffs_ln[MAX_M - table.M: MAX_M + table.M + 1, None]
+                    + _ln_abs(table.mantissa, table.exponent))
+        return held[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
 
     M, K, tail, converged = _truncate(cells, params.tau, x_max, tol, MAX_M, MAX_K)
     if not converged:
@@ -293,6 +304,8 @@ def auto_truncation(
             "auto_truncation: weighted tail still above tol at the hard caps",
             diagnostics={"M": M, "K": K, "tail_ln": math.log(tail)},
         )
+    if (table.M, table.K) != (M, K):  # an all-zero first block: cut the guard ring off
+        table = forward_table(signal, params.tau, M, K, quad, base=table)
     return TruncationChoice(M, K, tail, table)
 
 
@@ -343,7 +356,7 @@ def reconstruct_grid(
         M, K, tail = M_cap, K_cap, math.exp(_tail_ln(block, params.tau, x_reach))
     else:
         M, K, tail, _ = _truncate(
-            lambda M, K: block[M_cap - M: M_cap + M + 1, K_cap - K: K_cap + K + 1],
+            lambda M, K, reach: block[M_cap - M: M_cap + M + 1, K_cap - K: K_cap + K + 1],
             params.tau, x_reach, config.tol, M_cap, K_cap)
 
     rec = reconstruct_point(xs, table, params, M, K)

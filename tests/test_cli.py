@@ -382,3 +382,21 @@ class TestValidation:
                          {"tau": -1.0, "signal": GAUSSIAN, "truncation": {"M": 0, "K": 0}})
         assert main(["forward", "--config", cfg, "--output",
                      str(tmp_path / "t.json")]) == 2
+
+
+class TestParserReuse:
+    def test_repeated_calls_same_outputs(self, tmp_path, forward_config):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (first, second):
+            assert main(["forward", "--config", forward_config, "--output", str(out)]) == 0
+        assert json.loads(first.read_text())["data"] == json.loads(second.read_text())["data"]
+
+    def test_command_patched_after_first_call_runs(self, monkeypatch, tmp_path, forward_config):
+        import gaborlattice.cli as cli
+
+        assert main(["forward", "--config", forward_config,
+                     "--output", str(tmp_path / "t.json")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_forward", lambda args: seen.append(args.config) or 7)
+        assert main(["forward", "--config", forward_config]) == 7
+        assert seen == [forward_config]

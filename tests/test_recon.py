@@ -6,6 +6,7 @@ import pytest
 
 from gaborlattice import (
     InvalidParameterError,
+    NonConvergenceError,
     RECONSTRUCTION_CONSTANT,
     ReconConfig,
     RegimeError,
@@ -21,6 +22,7 @@ from gaborlattice import (
     nome_from_tau,
     reconstruct_grid,
     reconstruct_point,
+    recon,
     round_trip,
 )
 
@@ -180,6 +182,117 @@ class TestAutoTruncation:
         alone = forward_table(two_component, 1.0, M, K)
         assert choice.table == alone
         assert choice.table.errors == alone.errors
+
+
+def stepwise_truncation(signal, params, tol, x_max):
+    """Reference for auto_truncation: the growth loop one column pair or row
+    pair per step, each step its own forward_table call, then the guard ring.
+    Returns (M, K, tail_estimate, table) or raises as auto_truncation does."""
+    tau, M_cap, K_cap = params.tau, recon.MAX_M, recon.MAX_K
+    coeffs_ln = recon._ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))
+    table = None
+
+    def cells(M, K):
+        nonlocal table
+        table = forward_table(signal, tau, M, K, base=table)
+        return (coeffs_ln[M_cap - M: M_cap + M + 1, None]
+                + recon._ln_abs(table.mantissa, table.exponent))
+
+    M = min(max(1, math.ceil(math.sqrt(math.log(10.0 / tol) / (tau * (math.pi - tau))))), M_cap)
+    K, ln_tol = min(2, K_cap), math.log(tol)
+    block = cells(M, K)
+    if block.max() == -math.inf:
+        return M, K, 0.0, table
+    while True:
+        scale, grew = block.max(), False
+        while K < K_cap and block[:, [0, -1]].max() >= ln_tol + scale:
+            K, block, grew = K + 1, cells(M, K + 1), True
+        while M < M_cap and block[[0, -1]].max() + M * tau * x_max >= ln_tol + scale:
+            M, block, grew = M + 1, cells(M + 1, K), True
+        if not grew:
+            break
+    converged = recon._tail_ln(block, tau, x_max) < ln_tol
+    M, K = min(M + 1, M_cap), min(K + 2, K_cap)
+    tail = math.exp(recon._tail_ln(cells(M, K), tau, x_max))
+    if not converged:
+        raise NonConvergenceError("caps", diagnostics={"M": M, "K": K, "tail_ln": math.log(tail)})
+    return M, K, tail, table
+
+
+def seeded_families(seed=18, count=3):
+    rng = np.random.default_rng(seed)
+    return [SignalModel.gaussian([(complex(*rng.normal(size=2)), rng.uniform(-2, 2),
+                                   rng.uniform(-5, 5)) for _ in range(rng.integers(1, 4))])
+            for _ in range(count)]
+
+
+def assert_same_choice(choice, reference):
+    M, K, tail, table = reference
+    assert (choice.M, choice.K, choice.tail_estimate) == (M, K, tail)
+    assert (choice.table.M, choice.table.K) == (M, K)
+    assert choice.table == table and choice.table.errors == table.errors
+
+
+class TestGuardRingGrowth:
+    """auto_truncation grows its table in guard-ring steps and must choose
+    exactly what the one-step-at-a-time loop chooses."""
+
+    @pytest.mark.parametrize("tau", [0.3, 0.6, 1.0, 2.0, 3.1])
+    def test_matches_stepwise_reference(self, tau):
+        params = nome_from_tau(tau)
+        for signal in seeded_families():
+            for tol in (1e-4, 1e-8, 1e-10):
+                for x_max in (0.0, 0.3, 3.0, 2.0 * math.pi):
+                    choice = auto_truncation(signal, params, tol, x_max=x_max)
+                    assert_same_choice(choice, stepwise_truncation(signal, params, tol, x_max))
+
+    @pytest.mark.parametrize("tau, tol, x_max", [(0.6, 1e-6, 3.0), (1.0, 1e-8, 2.0 * math.pi),
+                                                 (0.3, 1e-4, 0.3)])
+    def test_callbacks_match_stepwise_reference(self, two_component, off_centre, tau, tol, x_max):
+        params = nome_from_tau(tau)
+        for family, bound in ((two_component, 2.0), (off_centre, 1.5)):
+            def callback():  # a fresh sampler: the two runs share no samples
+                return SignalModel.callback(lambda x: eval_signal(family, x), bound, 0.0)
+            choice = auto_truncation(callback(), params, tol, x_max=x_max)
+            assert_same_choice(choice, stepwise_truncation(callback(), params, tol, x_max))
+
+    @pytest.mark.parametrize("caps, x_max", [((64, 4), 0.0), ((3, 4096), 6.0)])
+    def test_cap_refusal_matches_stepwise_reference(self, monkeypatch, unit_gaussian,
+                                                    params_tau1, caps, x_max):
+        monkeypatch.setattr(recon, "MAX_M", caps[0])
+        monkeypatch.setattr(recon, "MAX_K", caps[1])
+        with pytest.raises(NonConvergenceError) as ours:
+            auto_truncation(unit_gaussian, params_tau1, 1e-10, x_max=x_max)
+        with pytest.raises(NonConvergenceError) as reference:
+            stepwise_truncation(unit_gaussian, params_tau1, 1e-10, x_max)
+        assert ours.value.diagnostics == reference.value.diagnostics
+
+    @pytest.mark.parametrize("signal", [
+        SignalModel.gaussian([(0.0, 0.0, 0.0)]),
+        SignalModel.callback(lambda x: 0j, 0.0, 0.0),
+        SignalModel.gaussian([(1.0, 0.7, 2.0), (1.0, -1.0, 0.0)]),
+        SignalModel.callback(lambda x: eval_signal(SignalModel.gaussian([(1.0, 0.5, 1.0)]), x),
+                             1.0, 0.0),
+    ], ids=["zero_family", "zero_callback", "family", "callback"])
+    def test_table_extents_equal_choice(self, signal, params_tau1):
+        choice = auto_truncation(signal, params_tau1, 1e-8, x_max=3.0)
+        assert (choice.table.M, choice.table.K) == (choice.M, choice.K)
+        assert (choice.table.errors.M, choice.table.errors.K) == (choice.M, choice.K)
+
+    def test_forward_table_calls_pinned(self, monkeypatch, unit_gaussian, params_tau1):
+        # the loop visits (4, 2), (4, 3), ..., (4, 7), then the guard ring
+        # (5, 9): tables grown to (5, 4), (5, 7) and (5, 9)
+        calls = []
+        grow = recon.forward_table
+
+        def counting(signal, tau, M, K, *args, **kwargs):
+            calls.append((M, K))
+            return grow(signal, tau, M, K, *args, **kwargs)
+
+        monkeypatch.setattr(recon, "forward_table", counting)
+        choice = auto_truncation(unit_gaussian, params_tau1, 1e-8, x_max=3.0)
+        assert (choice.M, choice.K) == (5, 9)
+        assert calls == [(5, 4), (5, 7), (5, 9)]
 
 
 class TestRoundTrip:

@@ -16,7 +16,11 @@ not edited).  For each seeded Gaussian family it hashes:
 * the callback tables, values and error bounds: ``forward_table`` at
   M = 5, K = 14 of a sampler hiding the family moved off centre (each
   centre + 2.5, each modulation x 6), at (tau, tol, growth) in
-  (0.6, 1e-6, 0), (1, 1e-10, 0) and (0.3, 1e-8, 0.5).
+  (0.6, 1e-6, 0), (1, 1e-10, 0) and (0.3, 1e-8, 0.5);
+* the truncation choices: ``auto_truncation``'s (M, K), ``tail_estimate``,
+  table values and error bounds (or the refusal's diagnostics) for the
+  family and for a sampler hiding it, at tau in {0.3, 0.6, 1, 2, 3.1},
+  tol in {1e-4, 1e-8, 1e-10} and x_max in {0, 0.3, 3, 2 pi}.
 
 Each part's sha256 is printed on its own line, then the combined one on
 the last line.  Two checkouts whose last lines agree give these outputs
@@ -26,6 +30,7 @@ bit for bit.  Standard library plus the package and numpy.
 import argparse
 import hashlib
 import json
+import math
 import os
 import struct
 import sys
@@ -37,11 +42,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from gaborlattice import QuadratureControl, SignalModel, forward_table, oracle  # noqa: E402
+from gaborlattice import (  # noqa: E402
+    NonConvergenceError, QuadratureControl, SignalModel, auto_truncation, forward_table, oracle)
 from gaborlattice.qtheta import nome_from_tau  # noqa: E402
 
 TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
 CALLBACK_SETTINGS = ((0.6, 1e-6, 0.0), (1.0, 1e-10, 0.0), (0.3, 1e-8, 0.5))
+TRUNCATION_GRID = tuple((tau, tol, x_max) for tau in (0.3, 0.6, 1.0, 2.0, 3.1)
+                        for tol in (1e-4, 1e-8, 1e-10) for x_max in (0.0, 0.3, 3.0, 2.0 * math.pi))
 
 
 def verify_payloads(family) -> bytes:
@@ -89,11 +97,31 @@ def callback_tables(family) -> bytes:
     sampler, bound = workloads.make_sampler(moved), sum(abs(a) for a, _, _ in moved)
     out = b""
     for tau, tol, growth in CALLBACK_SETTINGS:
-        table = forward_table(SignalModel.callback(sampler, bound, growth), tau, 5, 14,
-                              QuadratureControl(tol=tol))
-        for part in (table, table.errors):
-            out += np.ascontiguousarray(part.mantissa, dtype="<c16").tobytes()
-            out += np.ascontiguousarray(part.exponent, dtype="<i8").tobytes()
+        out += table_bytes(forward_table(SignalModel.callback(sampler, bound, growth), tau, 5,
+                                         14, QuadratureControl(tol=tol)))
+    return out
+
+
+def table_bytes(table) -> bytes:
+    out = b""
+    for part in (table, table.errors):
+        out += np.ascontiguousarray(part.mantissa, dtype="<c16").tobytes()
+        out += np.ascontiguousarray(part.exponent, dtype="<i8").tobytes()
+    return out
+
+
+def truncations(family) -> bytes:
+    sampler, bound = workloads.make_sampler(family), sum(abs(a) for a, _, _ in family)
+    out = b""
+    for signal in (SignalModel.gaussian(family), SignalModel.callback(sampler, bound, 0.0)):
+        for tau, tol, x_max in TRUNCATION_GRID:
+            try:
+                choice = auto_truncation(signal, nome_from_tau(tau), tol, x_max)
+            except NonConvergenceError as exc:
+                out += json.dumps(exc.diagnostics, sort_keys=True).encode()
+                continue
+            out += struct.pack("<2qd", choice.M, choice.K, choice.tail_estimate)
+            out += table_bytes(choice.table)
     return out
 
 
@@ -107,7 +135,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         parts = {"verify_all": verify_payloads, "mk_trace": traces,
                  "cli": lambda family: cli_outputs(family, workdir),
-                 "callback_round_trip": round_trip, "callback_table": callback_tables}
+                 "callback_round_trip": round_trip, "callback_table": callback_tables,
+                 "truncation": truncations}
         for name, part in parts.items():
             digest = hashlib.sha256(b"".join(part(family) for family in families)).hexdigest()
             print(f"{name} {digest}")
