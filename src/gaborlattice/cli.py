@@ -18,6 +18,7 @@ partial files behind.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -42,7 +43,7 @@ from .errors import (
 from .oracle import laurent_c0
 from .qtheta import SeriesControl, coeff_E, nome_from_tau
 from .recon import ReconConfig, auto_truncation, reconstruct_grid, round_trip
-from .scaled import ScaledValue
+from .scaled import BASE_LOG2, ldexp_array
 from .signals import GAUSSIAN_FAMILY, GammaTable, SignalModel, forward_table
 from .verify import SUITES, run_suite
 
@@ -203,19 +204,18 @@ def cmd_coeffs(args) -> int:
         mants, exps = coeff_E(ms, params, ctrl)
     recorded = list(dict.fromkeys(str(w.message) for w in caught))
     oracles = laurent_c0(ms, params, ctrl=ctrl)
+    # down-converted once; None where a value leaves the double range
+    plains = [v if cmath.isfinite(v) else None
+              for v in ldexp_array(mants, exps * BASE_LOG2).tolist()]
     rows = []
-    for m, mant, exp, oracle in zip(ms.tolist(), mants.tolist(), exps.tolist(), oracles.tolist()):
-        value = ScaledValue(mant, exp)
-        try:
-            plain = value.to_complex()
-        except SaturationError:
-            plain = None
+    for m, mant, exp, plain, oracle in zip(ms.tolist(), mants.tolist(), exps.tolist(), plains,
+                                           oracles.tolist()):
         rel = abs(plain - oracle) / abs(oracle) if plain is not None and oracle != 0 else None
         rows.append({
             "m": m,
-            "mantissa_re": value.mantissa.real,
-            "mantissa_im": value.mantissa.imag,
-            "exponent": value.exponent,
+            "mantissa_re": mant.real,
+            "mantissa_im": mant.imag,
+            "exponent": exp,
             "value_re": None if plain is None else plain.real,
             "value_im": None if plain is None else plain.imag,
             "oracle_re": oracle.real,

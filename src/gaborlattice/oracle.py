@@ -31,7 +31,7 @@ from .errors import DomainError, InvalidParameterError, NonConvergenceError
 from .qtheta import (SUPERCRITICAL, LatticeParams, SeriesControl, theta_prime_lattice,
                      theta_series_scaled, z_array)
 from .recon import auto_truncation
-from .scaled import (BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, ln_split, log2_split,
+from .scaled import (BASE_LOG2, ScaledValue, exp_pow2, ln_abs, ln_split, log2_split,
                      normalise_array, pack, sub_arrays, sum_rows, to_complex)
 from .signals import SignalModel, windowed_sample_scaled
 
@@ -182,9 +182,8 @@ def lagrange_interpolant(
     node = [part[None, :] for part in _lattice_nodes(ns, q)]
     diff = sub_arrays((zs[:, None], 0), node)
     # relative distance |z - q^n| / max(|z|, q^n)
-    size = np.maximum(np.log(np.abs(zs))[:, None], np.log(np.abs(node[0])) + node[1] * LN_BASE)
-    with np.errstate(divide="ignore"):
-        rel = np.exp(np.log(np.abs(diff[0])) + diff[1] * LN_BASE - size)
+    size = np.maximum(np.log(np.abs(zs))[:, None], ln_abs(*node))
+    rel = np.exp(ln_abs(*diff) - size)
     on_node = rel <= 1e-12
     if np.any((rel < 0.05) & ~on_node):
         raise DomainError("z is within 5% of an interpolation node q^n; "
@@ -302,9 +301,10 @@ def mk_trace(
         node = [part[None, :] for part in _lattice_nodes(ns, q)]
     ks, traces = list(k_range), {name: [] for name in kinds}
     angles = np.exp(2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
-    for block in (ks[i:i + _TRACE_CIRCLES] for i in range(0, len(ks), _TRACE_CIRCLES)):
-        # radii from math.exp: np.exp differs from it in the last bit on some arguments
-        zs = np.concatenate([math.exp((k + 0.5) * params.ln_q) * angles for k in block])
+    radii = np.exp((np.array(ks, dtype=float) + 0.5) * params.ln_q)[:, None]
+    for i in range(0, len(ks), _TRACE_CIRCLES):
+        block = ks[i:i + _TRACE_CIRCLES]
+        zs = (radii[i:i + _TRACE_CIRCLES] * angles).ravel()
         values = {}
         if quotient:
             g = G_series(zs, x, signal, params, ctrl)
@@ -317,8 +317,6 @@ def mk_trace(
             gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))
             values[RESIDUAL_ALPHA] = normalise_array(gap[0] / theta[0], gap[1] - theta[1])
         for name, trace in traces.items():
-            mant, exps = values[name]
-            with np.errstate(divide="ignore"):
-                best = (np.log(np.abs(mant)) + exps * LN_BASE).reshape(-1, _TRACE_ANGLES).max(1)
-            trace += [(k, math.exp(b) if b > -math.inf else 0.0) for k, b in zip(block, best)]
+            best = ln_abs(*values[name]).reshape(-1, _TRACE_ANGLES).max(1)
+            trace += zip(block, np.exp(best).tolist())
     return traces[kind] if isinstance(kind, str) else traces

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
-from .scaled import BASE_LOG2, LN_BASE, exp_pow2, ldexp_array, masked_max
+from .scaled import BASE_LOG2, exp_pow2, ldexp_array, ln_abs, masked_max
 from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
 
 #: global normalisation of the reconstruction formula (see calibrate_constant)
@@ -192,15 +192,6 @@ def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: in
 # --------------------------------------------------------------- truncation
 
 
-def _ln_abs(mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """ln|mant * B**exps| entry by entry (-inf for a zero), equal to
-    ScaledValue.ln_abs bit for bit: np.hypot rounds as abs(complex) does,
-    but np.log and math.log differ in the last bit of up to ~1 in 1e3."""
-    mags = np.hypot(mant.real, mant.imag).ravel().tolist()
-    logs = np.reshape([math.log(v) if v else -math.inf for v in mags], mant.shape)
-    return logs + exps * LN_BASE
-
-
 def _tail_ln(cells: np.ndarray, tau: float, x_max: float) -> float:
     """ln of the weighted boundary of a block of cells relative to its largest
     cell, with the e^{M tau x_max} reach of the target grid on the outer rows;
@@ -287,7 +278,7 @@ def auto_truncation(
         raise InvalidParameterError("tol must lie in (0, 1)")
     if not (math.isfinite(x_max) and x_max >= 0):
         raise InvalidParameterError(f"x_max must be a finite non-negative real, got {x_max!r}")
-    coeffs_ln = _ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params, ctrl or SeriesControl()))
+    coeffs_ln = ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params, ctrl or SeriesControl()))
     table = held = None
 
     def cells(M: int, K: int, reach: tuple[int, int]) -> np.ndarray:
@@ -295,7 +286,7 @@ def auto_truncation(
         if table is None or M > table.M or K > table.K:
             table = forward_table(signal, params.tau, *reach, quad, base=table)
             held = (coeffs_ln[MAX_M - table.M: MAX_M + table.M + 1, None]
-                    + _ln_abs(table.mantissa, table.exponent))
+                    + ln_abs(table.mantissa, table.exponent))
         return held[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
 
     M, K, tail, converged = _truncate(cells, params.tau, x_max, tol, MAX_M, MAX_K)
@@ -350,8 +341,8 @@ def reconstruct_grid(
             f"explicit truncation (M={M_cap}, K={K_cap}) exceeds table extents"
         )
     used = np.s_[table.M - M_cap: table.M + M_cap + 1, table.K - K_cap: table.K + K_cap + 1]
-    block = (_ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))[:, None]
-             + _ln_abs(table.mantissa[used], table.exponent[used]))
+    block = (ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))[:, None]
+             + ln_abs(table.mantissa[used], table.exponent[used]))
     if config.truncation is not None:
         M, K, tail = M_cap, K_cap, math.exp(_tail_ln(block, params.tau, x_reach))
     else:

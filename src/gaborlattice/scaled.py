@@ -7,14 +7,16 @@ range, so every quantity that can leave [1e-308, 1e308] is carried as
     value = mantissa * B**exponent,      B = 2**128,
 
 with a complex mantissa normalised to |mantissa| in [1, B) and an
-arbitrary-size integer exponent.  The base is a power of two so every
+integer exponent.  The base is a power of two so every
 renormalisation is an exact ldexp; converting a plain double in range
 to a ScaledValue and back is bit-exact.  The computations carry whole
-(mantissa, exponent) arrays; ScaledValue is the scalar view of one value.
+(mantissa, exponent) arrays (int64 exponents); ScaledValue is a one-element
+view of the same routines, whose exponent is a Python int of any size.
 """
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import functools
 import math
@@ -31,10 +33,6 @@ LN_BASE = BASE_LOG2 * math.log(2.0)
 # for log-magnitudes in the tens of thousands.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-
-
-def _ldexp_complex(value: complex, shift: int) -> complex:
-    return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
 
 
 def ldexp_array(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -107,6 +105,12 @@ def pack(mant: np.ndarray, exps: np.ndarray, scalar: bool):
     return ScaledValue(mant[0], int(exps[0])) if scalar else (mant, exps)
 
 
+def ln_abs(mant: np.ndarray, exps) -> np.ndarray:
+    """ln|mant * B**exps| entry by entry, -inf for a zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(mant)) + exps * LN_BASE
+
+
 def to_complex(value) -> complex | np.ndarray:
     """A ScaledValue or (mantissa, exponent) arrays down-converted."""
     if isinstance(value, ScaledValue):
@@ -141,9 +145,7 @@ def exp_pow2(t: np.ndarray, t_lo=0.0) -> tuple[np.ndarray, np.ndarray]:
     and f in [1, 2) up to rounding.
 
     Only f is rounded, from a split ln 2 and with t_lo added last, so it is
-    accurate to ~1 ulp while |n| < 2**21.  f comes from np.exp, which differs
-    from math.exp in the last bit on about 4.6% of arguments (numpy 2.4, x86-64):
-    ScaledValue.from_ln does not reproduce these bits.
+    accurate to ~1 ulp while |n| < 2**21.
     Raises SaturationError unless |t| < 2**52 (non-finite t included).
     """
     t = np.asarray(t, dtype=float)
@@ -160,20 +162,13 @@ class ScaledValue:
     __slots__ = ("mantissa", "exponent")
 
     def __init__(self, mantissa: complex = 0j, exponent: int = 0):
-        m = complex(mantissa)
-        if not (math.isfinite(m.real) and math.isfinite(m.imag)):
-            raise SaturationError(f"non-finite mantissa {m!r}")
-        if m == 0:
-            object.__setattr__(self, "mantissa", 0j)
-            object.__setattr__(self, "exponent", 0)
-            return
-        # frexp: |m| = f * 2**e2 with f in [0.5, 1); shift so |m| lands in [1, B)
-        _, e2 = math.frexp(abs(m))
-        shift = (e2 - 1) // BASE_LOG2
-        if shift:
-            m = _ldexp_complex(m, -shift * BASE_LOG2)
+        with np.errstate(all="ignore"):
+            mant, shift = normalise_array(np.array([complex(mantissa)]), 0)
+        m = complex(mant[0])
+        if not cmath.isfinite(m):  # also a finite mantissa whose modulus overflows
+            raise SaturationError(f"mantissa {mantissa!r} not finite or |mantissa| beyond 1.8e308")
         object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", exponent + shift)
+        object.__setattr__(self, "exponent", exponent + int(shift[0]) if m else 0)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("ScaledValue is immutable")
@@ -186,19 +181,13 @@ class ScaledValue:
 
     @classmethod
     def from_ln(cls, ln_magnitude: float, phase: float = 0.0) -> "ScaledValue":
-        """exp(ln_magnitude) * exp(i*phase) to ~1 ulp of magnitude: the split
-        of :func:`exp_pow2` in scalar arithmetic, which costs a tenth of a
-        numpy call on one value.  Its math.exp and exp_pow2's np.exp differ in
-        the last mantissa bit on about 4.6% of arguments, so the two are not
-        bit-equal."""
+        """exp(ln_magnitude) * exp(i*phase), raised by :func:`exp_pow2`; 0 for
+        ln_magnitude = -inf."""
         if ln_magnitude == -math.inf:
             return cls()
-        if not abs(ln_magnitude) < 2.0**52:
-            raise SaturationError(f"log magnitude {ln_magnitude!r} non-finite or beyond 2**52")
-        n = math.floor(ln_magnitude / math.log(2.0))
-        k, r = divmod(n, BASE_LOG2)
-        f = math.exp((ln_magnitude - n * _LN2_HI) - n * _LN2_LO)
-        return cls(math.ldexp(f, r) * complex(math.cos(phase), math.sin(phase)), k)
+        f, n = exp_pow2(np.array([ln_magnitude]))
+        unit = complex(math.cos(phase), math.sin(phase))
+        return cls(complex(np.ldexp(f[0], n[0] % BASE_LOG2)) * unit, int(n[0] // BASE_LOG2))
 
     # ---------------------------------------------------------------- queries
 
@@ -208,26 +197,17 @@ class ScaledValue:
 
     def ln_abs(self) -> float:
         """log|value|, or -inf for zero."""
-        if self.is_zero:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.exponent * LN_BASE
+        return float(ln_abs(np.array([self.mantissa]), self.exponent)[0])
 
     def to_complex(self) -> complex:
         """Down-convert; raises SaturationError when out of double range.
 
         Values far below the double range quietly become 0.0.
         """
-        if self.exponent == 0:
-            return self.mantissa
-        shift = self.exponent * BASE_LOG2
-        if shift > 0 and self.ln_abs() > 709.0:
-            raise SaturationError(
-                f"value with log-magnitude {self.ln_abs():.6g} exceeds double range"
-            )
-        try:
-            return _ldexp_complex(self.mantissa, shift)
-        except OverflowError as exc:  # component overflow
-            raise SaturationError(str(exc)) from exc
+        # past |exponent| = 10 every value overflows or is 0: the clip keeps an
+        # exponent of any size within int64
+        exponent = max(-10, min(self.exponent, 10))
+        return complex(to_complex((np.array([self.mantissa]), exponent))[0])
 
     __complex__ = to_complex
 

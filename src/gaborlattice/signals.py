@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
-from .scaled import LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, sum_rows
+from .scaled import BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, sum_rows
 
 LN_TWO_PI = math.log(2.0 * math.pi)
 LN_FOUR = math.log(4.0)
@@ -369,9 +369,8 @@ def gamma_quadrature(
     The second term of the max is the roundoff floor of summing
     double-precision samples: where oscillation cancels |gamma| far below
     S, no double-precision rule meets quad.tol relative, and the bound
-    says so.  The last term covers the rounding of the scale's exponent
-    and of ScaledValue.from_ln.  A row whose samples all vanish keeps
-    only its tail bound.
+    says so.  The last term covers the rounding of the scale's exponent.
+    A row whose samples all vanish keeps only its tail bound.
     """
     rows, cols = np.array(m, ndmin=1), np.array(k, ndmin=1)
     lineage = lineage or _Lineage()
@@ -409,10 +408,10 @@ def gamma_quadrature(
     err = np.where(vanished, 1.0,
                    np.maximum(quad.tol * np.abs(value), ROUNDING_C * EPS * s[:, None])
                    + EPS * (2.0 * ln_scale[:, None] + LN_BASE) * np.abs(value))
-    # each row's scale by ScaledValue.from_ln: np.exp and math.exp differ in the last bit
-    scales = [ScaledValue.from_ln(v) for v in (ln_scale + ln_tail).tolist()]
-    f, n = np.array([[v.mantissa.real for v in scales], [v.exponent for v in scales]])
-    mant, exps = normalise_array(np.stack([value, err]) * f[:, None], n.astype(np.int64)[:, None])
+    # each row's scale as f 2**bits; f = 0 scales every row to 0
+    f, bits = exp_pow2(np.where(vanishes, 0.0, ln_scale + ln_tail))
+    row_scale = np.where(vanishes, 0.0, np.ldexp(f, bits % BASE_LOG2))[:, None]
+    mant, exps = normalise_array(np.stack([value, err]) * row_scale, (bits // BASE_LOG2)[:, None])
     return _entries(mant, exps, np.ndim(m) == np.ndim(k) == 0)
 
 

@@ -80,12 +80,19 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_payload(self) -> dict:
+        """The report as JSON data; a non-finite residual or threshold is None
+        (null), so the CLI's report is RFC 8259 JSON."""
         return {
             "suite": self.suite,
             "tau": self.tau,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{**asdict(c), "residual": _finite(c.residual),
+                        "threshold": _finite(c.threshold)} for c in self.checks],
         }
+
+
+def _finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _record(checks: list, name: str, residual: float, threshold: float, note: str = ""):
@@ -103,9 +110,11 @@ def _is_zero_signal(signal: SignalModel) -> bool:
 # --------------------------------------------------------------------- theta
 
 
-def _circle(radius: float, count: int, offset: float = 0.0) -> np.ndarray:
-    """count uniform points on |z| = radius at angles 2 pi (t + offset) / count."""
-    return radius * np.exp(2j * math.pi * (np.arange(count) + offset) / count)
+def _circles(powers, ln_q: float, count: int, offset: float = 0.0) -> np.ndarray:
+    """count uniform points at angles 2 pi (t + offset) / count on each circle
+    |z| = q^power, circle after circle."""
+    radii = np.exp(np.asarray(powers, dtype=float) * ln_q)[:, None]
+    return (radii * np.exp(2j * math.pi * (np.arange(count) + offset) / count)).ravel()
 
 
 def _over_eta(theta: tuple, zs: np.ndarray, q: float) -> np.ndarray:
@@ -121,8 +130,7 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     checks: list[CheckRecord] = []
     q = params.q
     # product vs series on the circles |z| = q^{1/2}, 1, q^{-1/2}
-    zs = np.concatenate([_circle(math.exp(power * params.ln_q), 32, 0.5)
-                         for power in (0.5, 0.0, -0.5)])
+    zs = _circles([0.5, 0.0, -0.5], params.ln_q, 32, 0.5)
     ts, tp = theta_series(zs, q, ctrl), theta_product(zs, q, ctrl)
     _record(checks, "triple_product_identity", np.max(np.abs(ts - tp) / (1.0 + np.abs(ts))), 1e-12,
             "|z| in {sqrt(q), 1, 1/sqrt(q)}, 32 angles, at the given tau")
@@ -202,7 +210,7 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
         f"reference {ref_1.real:.6g} (relative miss {miss:.3e})"))
 
     # circle maxima of |Theta| / eta are k-independent
-    zs = np.concatenate([_circle(math.exp((k + 0.5) * params.ln_q), 64) for k in range(-5, 6)])
+    zs = _circles(np.arange(-5, 6) + 0.5, params.ln_q, 64)
     maxima = _over_eta(theta_series_scaled(zs, q, ctrl), zs, q).reshape(11, -1).max(1)
     spread = (maxima.max() - maxima.min()) / maxima.min()
     _record(checks, "envelope_circle_maxima_constant", spread, 1e-8, "k in [-5, 5]")
@@ -220,9 +228,10 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
     # below the dominant mode, so the extraction noise there is about
     # q^{-m^2/2} * eps; only m with that bound well under the threshold
     # can take part (for tiny nomes that limits the list to small m).
-    tested = [m for m in (0, 1, 2) if math.exp(-m * m / 2.0 * params.ln_q) * 5e-16 <= 1e-11]
-    alts = [(m, ContourSpec(radius=math.exp(power * params.ln_q)))
-            for m in tested for power in (m - 0.5, m - 0.75)]
+    small = np.arange(3)
+    tested = small[np.exp(-small * small / 2.0 * params.ln_q) * 5e-16 <= 1e-11].tolist()
+    radii = np.exp(np.add.outer(tested, [-0.5, -0.75]) * params.ln_q).tolist()
+    alts = [(m, ContourSpec(radius=r)) for m, row in zip(tested, radii) for r in row]
     pairs = [(int(m), balanced) for m in ms] + alts
     # one laurent_c0 call for every (m, circle); a circle near a theta zero is left out
     refused = {}
@@ -324,7 +333,7 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     _record(checks, "interpolation_node_exactness", worst, 1e-10, "")
 
     # off-node identity on the circles |z| = q^{1/2}, q^{-1/2}, both in one call
-    zs = np.concatenate([_circle(math.exp(power * params.ln_q), 32, 0.5) for power in (0.5, -0.5)])
+    zs = _circles([0.5, -0.5], params.ln_q, 32, 0.5)
     g = to_complex(G_series(zs, x, signal, params, ctrl)).reshape(2, -1)
     gt = to_complex(lagrange_interpolant(zs, samples, params, ctrl)).reshape(2, -1)
     worst = float(np.max(np.max(np.abs(g - gt), axis=1) / np.max(np.abs(g), axis=1)))

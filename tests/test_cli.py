@@ -18,6 +18,11 @@ def write_json(path, payload):
     return str(path)
 
 
+def _no_constant(constant):
+    """parse_constant for json.loads: NaN and Infinity are not RFC 8259 JSON."""
+    raise ValueError(f"{constant} in the report")
+
+
 @pytest.fixture
 def forward_config(tmp_path):
     return write_json(tmp_path / "fwd.json",
@@ -257,20 +262,15 @@ class TestVerify:
 
     def test_coeffs_at_large_tau_records_no_nan(self, tmp_path):
         # E_8 ~ q^36 underflows the contour oracle to 0 at tau = 8: the two
-        # coefficient records fail with residual inf and name the m
-        def no_nan(constant):
-            if constant == "NaN":
-                raise ValueError("NaN in the report")
-            return float(constant)
-
+        # coefficient records fail with residual null and name the m
         out = tmp_path / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(["verify", "--tau", "8", "--suite", "coeffs", "--output", str(out)])
         assert rc == 1
-        checks = json.loads(out.read_text(), parse_constant=no_nan)["checks"]
+        checks = json.loads(out.read_text(), parse_constant=_no_constant)["checks"]
         for check in checks[:2]:
-            assert check["residual"] == math.inf and not check["passed"]
+            assert check["residual"] is None and not check["passed"]
             assert check["note"] == \
                 "contour oracle is 0 or not finite at m = [-8, -7, -6, -5, 5, 6, 7, 8]"
         assert checks[2]["passed"]
@@ -278,6 +278,17 @@ class TestVerify:
         usual = run_suite("coeffs", 1.0).checks
         assert all(c.passed and math.isfinite(c.residual) for c in usual)
         assert usual[0].note == "exponent m(m+1)/2 candidate, m in [-8, 8]"
+
+    def test_report_is_strict_json(self, tmp_path):
+        # the printed candidates' thresholds are inf in memory and null in the report
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--tau", "1", "--suite", "all", "--output", str(out)])
+        assert rc == 0
+        checks = json.loads(out.read_text(), parse_constant=_no_constant)["checks"]
+        unbounded = [c.name for c in run_suite("all", 1.0).checks if c.threshold == math.inf]
+        assert "lattice_derivative_printed_candidate_rejected" in unbounded
+        assert [c["name"] for c in checks if c["threshold"] is None] == unbounded
+        assert all(isinstance(c["residual"], float) for c in checks)
 
     @pytest.mark.parametrize("tau", ["0.03", "0.05", "0.06"])
     def test_coeffs_at_small_tau_adjudicates(self, tmp_path, tau):

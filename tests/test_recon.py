@@ -24,6 +24,7 @@ from gaborlattice import (
     reconstruct_point,
     recon,
     round_trip,
+    scaled,
 )
 
 
@@ -189,14 +190,14 @@ def stepwise_truncation(signal, params, tol, x_max):
     pair per step, each step its own forward_table call, then the guard ring.
     Returns (M, K, tail_estimate, table) or raises as auto_truncation does."""
     tau, M_cap, K_cap = params.tau, recon.MAX_M, recon.MAX_K
-    coeffs_ln = recon._ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))
+    coeffs_ln = scaled.ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))
     table = None
 
     def cells(M, K):
         nonlocal table
         table = forward_table(signal, tau, M, K, base=table)
         return (coeffs_ln[M_cap - M: M_cap + M + 1, None]
-                + recon._ln_abs(table.mantissa, table.exponent))
+                + scaled.ln_abs(table.mantissa, table.exponent))
 
     M = min(max(1, math.ceil(math.sqrt(math.log(10.0 / tol) / (tau * (math.pi - tau))))), M_cap)
     K, ln_tol = min(2, K_cap), math.log(tol)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gaborlattice import SaturationError, ScaledValue
-from gaborlattice.scaled import BASE_LOG2, LN_BASE, normalise_array, sub_arrays, sum_rows
+from gaborlattice import scaled
+from gaborlattice.scaled import (BASE_LOG2, LN_BASE, exp_pow2, normalise_array, sub_arrays,
+                                 sum_rows)
 
 
 def test_normalisation_invariant():
@@ -81,9 +83,58 @@ def test_underflow_downconvert_is_zero():
     assert ScaledValue.from_ln(-1e5).to_complex() == 0j
 
 
+def test_downconvert_up_to_the_largest_double():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        got = ScaledValue.from_ln(709.5).to_complex()  # e^709.5 ~ 1.35e308
+        exact = mp.exp(mp.mpf(709.5))
+        assert got.imag == 0 and abs(got.real - exact) <= 2 * np.finfo(float).eps * exact
+    with pytest.raises(SaturationError):  # ln(DBL_MAX) ~ 709.78
+        ScaledValue.from_ln(709.79).to_complex()
+
+
+def test_exponent_of_any_size():
+    assert ScaledValue(1.5, 10**30).exponent == 10**30
+    assert ScaledValue(1.5, -10**30).to_complex() == 0j
+    with pytest.raises(SaturationError):
+        ScaledValue(1.5, 10**30).to_complex()
+    assert ScaledValue(1.0, 10**30).ln_abs() == pytest.approx(10**30 * LN_BASE, rel=1e-15)
+
+
+def test_exp_pow2_within_two_ulp_of_mpmath():
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(19)
+    t = np.concatenate([rng.uniform(-5e4, 5e4, 500), rng.uniform(-50.0, 50.0, 500),
+                        [0.0, -0.0, 5e4, -5e4, math.log(2.0), -math.log(2.0)]])
+    with mp.workdps(40):
+        for t_lo in (0.0, rng.uniform(-1e-3, 1e-3, len(t))):
+            f, n = exp_pow2(t, t_lo)
+            assert f.shape == n.shape == t.shape and n.dtype == np.int64
+            for ti, lo, fi, ni in zip(t, np.broadcast_to(t_lo, t.shape), f, n.tolist()):
+                exact = mp.exp(mp.mpf(float(ti)) + mp.mpf(float(lo)))
+                got = mp.mpf(float(fi)) * mp.mpf(2) ** ni
+                assert abs(got - exact) <= 2 * eps * exact, (ti, lo)
+                assert 1.0 - eps <= fi < 2.0 + 2 * eps
+
+
+@pytest.mark.parametrize("bad", [2.0**52, -2.0**52, math.nan, math.inf, -math.inf])
+def test_exp_pow2_refuses(bad):
+    with pytest.raises(SaturationError):
+        exp_pow2(np.array([0.0, bad]))
+    with pytest.raises(SaturationError):
+        exp_pow2(bad, 0.5)
+
+
 def test_non_finite_mantissa_rejected():
     with pytest.raises(SaturationError):
         ScaledValue(complex(math.inf, 0.0))
+
+
+@pytest.mark.parametrize("mantissa", [complex(math.nan, 1.0), complex(1.7e308, 1.7e308)])
+def test_mantissa_without_a_finite_modulus_rejected(mantissa):
+    with pytest.raises(SaturationError):
+        ScaledValue(mantissa)
 
 
 def test_equality_is_exact_representation():
@@ -142,3 +193,33 @@ def test_sub_arrays_edge_cases():
     mant, exps = sub_arrays(minus_zero, zero)
     assert not np.signbit(mant.real[0]) and mant.imag[0] == 1.0 and exps[0] == 0
     assert _bits(sub_arrays(tiny, zero)) == _bits(tiny)
+
+
+def test_ln_abs_within_two_ulp_of_mpmath():
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20)
+    mant, exps = normalise_array(
+        rng.normal(size=400) * 2.0 ** rng.integers(-300, 300, 400) + 1j * rng.normal(size=400),
+        rng.integers(-1000, 1001, 400))
+    mant[::50], exps[1], exps[2] = 0j, 1000, -1000
+    got = scaled.ln_abs(mant, exps)
+    assert got.shape == mant.shape and np.all(got[mant == 0] == -math.inf)
+    with mp.workdps(40):
+        for value, m, e in zip(got, mant, exps.tolist()):
+            if m != 0:
+                ln_m = mp.log(abs(mp.mpc(m)))
+                exact = ln_m + e * BASE_LOG2 * mp.log(2)
+                assert abs(value - exact) <= 2 * eps * (abs(ln_m) + abs(e) * LN_BASE), (m, e)
+
+
+@pytest.mark.parametrize("mantissa", [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, 0.0), complex(-3e-310, 2e-320),
+    complex(2.0**BASE_LOG2, 0.0), complex(0.0, -2.0**BASE_LOG2),
+    complex(np.nextafter(2.0**BASE_LOG2, 0.0), 0.0), complex(1.0, -0.0), complex(-0.75, 1e300)])
+@pytest.mark.parametrize("exponent", [0, 3, -7])
+def test_scaled_value_is_the_normalise_array_element(mantissa, exponent):
+    v = ScaledValue(mantissa, exponent)
+    mant, exps = normalise_array(np.array([mantissa]), np.array([exponent]))
+    assert _bits((np.array([v.mantissa]), [v.exponent])) == _bits((mant, exps))
+    assert type(v.exponent) is int
