@@ -62,12 +62,13 @@ print("Cardinal interpolation through the lattice samples")
 print("=" * 72)
 x = 0.3
 extent = 7
-samples = [(n, spatial_A(n, x, signal, params)) for n in range(-extent, extent + 1)]
+ns = np.arange(-extent, extent + 1)
+samples = spatial_A(ns, x, signal, params)
 node = params.q ** 3
-got = lagrange_interpolant(node, samples, params)
-want = samples[3 + extent][1]
+got = lagrange_interpolant(node, ns, samples, params)
+want = to_complex((samples[0][3 + extent], samples[1][3 + extent]))
 print(f"on the node q^3:  interpolant {got.to_complex().real:.12e}")
-print(f"                  sample      {want.to_complex().real:.12e}")
+print(f"                  sample      {want.real:.12e}")
 
 print("off the nodes (circle |z| = q^{-1/2}):")
 radius = math.exp(-0.5 * params.ln_q)
@@ -76,7 +77,7 @@ for t in range(8):
     angle = 2 * math.pi * (t + 0.5) / 8
     z = radius * complex(math.cos(angle), math.sin(angle))
     g = G_series(z, x, signal, params).to_complex()
-    it = lagrange_interpolant(z, samples, params).to_complex()
+    it = lagrange_interpolant(z, ns, samples, params).to_complex()
     worst = max(worst, abs(g - it) / abs(g))
     print(f"  angle {angle:4.2f}: direct series {g:.6e}   interpolant {it:.6e}")
 print(f"worst relative gap: {worst:.2e}")

@@ -28,10 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .qtheta import (SUPERCRITICAL, LatticeParams, SeriesControl, theta_prime_lattice,
-                     theta_series_scaled, z_array)
+from .qtheta import (SUPERCRITICAL, LatticeParams, SeriesControl, theta_on_circles,
+                     theta_prime_lattice, theta_series_scaled, z_array)
 from .recon import auto_truncation
-from .scaled import (BASE_LOG2, ScaledValue, exp_pow2, ln_abs, ln_split, log2_split,
+from .scaled import (BASE_LOG2, exp_pow2, laurent_on_circles, ln_abs, ln_split, log2_split,
                      normalise_array, pack, sub_arrays, sum_rows, to_complex)
 from .signals import SignalModel, windowed_sample_scaled
 
@@ -72,20 +72,22 @@ def balanced_contour(params: LatticeParams, nodes: int = 128) -> ContourSpec:
     return ContourSpec(radius=math.exp(-0.5 * params.ln_q), nodes=nodes)
 
 
-def _sum_aliased(signal: SignalModel, x: float, w_split: tuple, arg_w: np.ndarray,
-                 ctrl: SeriesControl, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """sum_j g(x + 2 pi j) w^j for each weight w, given by arg_w and
-    w_split = (e, ln r) with |w| = 2**e r (scaled.log2_split).
+def _aliased_terms(signal: SignalModel, x: float, w_split: tuple, ctrl: SeriesControl,
+                   label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of sum_j g(x + 2 pi j) w^j at each w = 2**e r > 0, w_split = (e, ln r)
+    (scaled.log2_split): (j, mant, bits), the term with w^j being mant * 2**bits.
 
     Termination is driven by the declared signal envelope: for each w, j
     runs at least min_terms per side and one term past the last whose
-    envelope bound is within abs_tol of that w's largest.  The envelope is
-    log-concave in j per side, so this is safe for oscillating callbacks
-    whose samples may vanish.  Each g(x + 2 pi j) is sampled once per call.
+    envelope bound is within abs_tol of that w's largest (other columns are
+    zeros).  The envelope is log-concave in j per side, so this is safe for
+    oscillating callbacks whose samples may vanish.  Each g(x + 2 pi j) is
+    sampled once per call.
     """
     ln_c, alpha = signal.envelope_ln()
     if ln_c == -math.inf:  # identically zero signal
-        return np.zeros(len(arg_w), dtype=complex), np.zeros(len(arg_w), dtype=np.int64)
+        return (np.zeros(1, dtype=np.int64), np.zeros((len(w_split[0]), 1), dtype=complex),
+                np.zeros((len(w_split[0]), 1), dtype=np.int64))
     e_w, lnr_w = w_split[0][:, None], w_split[1][:, None]
     ln_w = e_w * math.log(2.0) + lnr_w
     reach = ctrl.min_terms
@@ -106,8 +108,14 @@ def _sum_aliased(signal: SignalModel, x: float, w_split: tuple, arg_w: np.ndarra
     j = np.arange(lo.min(initial=0), hi.max(initial=0) + 1)
     g_mant, g_exps = windowed_sample_scaled(signal, x + 2.0 * math.pi * j)
     f, bits = exp_pow2(j * lnr_w)
-    mant = np.where((j >= lo) & (j <= hi), g_mant * f * np.exp(1j * j * arg_w[:, None]), 0.0)
-    return sum_rows(mant, g_exps * BASE_LOG2 + bits + j * e_w)
+    return j, np.where((j >= lo) & (j <= hi), g_mant * f, 0.0), g_exps * BASE_LOG2 + bits + j * e_w
+
+
+def _sum_aliased(signal: SignalModel, x: float, w_split: tuple, arg_w: np.ndarray,
+                 ctrl: SeriesControl, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The _aliased_terms sum at each w = 2**e r e^{i arg_w}, by scaled.sum_rows."""
+    j, mant, bits = _aliased_terms(signal, x, w_split, ctrl, label)
+    return sum_rows(mant * np.exp(1j * j * arg_w[:, None]), bits)
 
 
 def spatial_A(m, x: float, signal: SignalModel, params: LatticeParams,
@@ -154,31 +162,27 @@ def _cardinal_sum(diff: tuple, weights: tuple) -> tuple[np.ndarray, np.ndarray]:
     return sum_rows(weights[0] / diff[0], (weights[1] - diff[1]) * BASE_LOG2)
 
 
-def lagrange_interpolant(
-    z,
-    samples: Sequence[tuple[int, ScaledValue]],
-    params: LatticeParams,
-    ctrl: SeriesControl = _DEFAULT_CTRL,
-):
-    """Cardinal-function interpolant through the lattice samples:
+def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
+                         ctrl: SeriesControl = _DEFAULT_CTRL):
+    """Cardinal-function interpolant through the lattice samples A_n at the nodes n of
+    ``ns``, ``samples`` their (mantissa, exponent) arrays as spatial_A(ns, ...) gives them:
 
         sum_n A_n * Theta(z; q) / ((z - q^n) Theta'(q^n; q)).
 
     A ScaledValue for a scalar z, (mantissa, exponent) arrays for a 1-d
-    array of z; the sum is a (z, n) matrix.  The node derivatives come from
-    the verified
+    array of z; the sum is a (z, n) matrix, its columns in the order of ns.
+    The node derivatives come from the verified
     :func:`~gaborlattice.qtheta.theta_prime_lattice` reference (the
     printed closed-form prefactor would inherit its sign/exponent slip).
     Exactly at a node the analytic limit A_n is returned; within a 5%
     relative distance of a node it is not on, evaluation refuses.
     """
     zs, scalar = z_array(z, "the interpolant")
-    q = params.q
-    ordered = sorted(samples, key=lambda item: item[0])
-    ns = np.array([n for n, _ in ordered], dtype=np.int64)
-    values = [a if isinstance(a, ScaledValue) else ScaledValue.from_complex(a) for _, a in ordered]
-    a_mant = np.array([[v.mantissa for v in values]])
-    a_exps = np.array([[v.exponent for v in values]], dtype=np.int64)
+    q, ns = params.q, np.asarray(ns, dtype=np.int64).reshape(-1)
+    a_mant, a_exps = normalise_array(np.asarray(samples[0], dtype=complex).reshape(-1),
+                                     np.asarray(samples[1], dtype=np.int64).reshape(-1))
+    if len(a_mant) != len(ns):
+        raise InvalidParameterError("give one sample per node index")
     node = [part[None, :] for part in _lattice_nodes(ns, q)]
     diff = sub_arrays((zs[:, None], 0), node)
     # relative distance |z - q^n| / max(|z|, q^n)
@@ -189,7 +193,7 @@ def lagrange_interpolant(
         raise DomainError("z is within 5% of an interpolation node q^n; "
                           "evaluate exactly on the node or farther away")
     node = np.argmax(on_node, axis=1)  # the node a row sits on, if any
-    mant, exps = a_mant[0, node], a_exps[0, node]
+    mant, exps = a_mant[node], a_exps[node]
     off = ~on_node.any(axis=1)
     if off.any():
         t_mant, t_exps = theta_series_scaled(zs[off], q, ctrl)
@@ -217,8 +221,8 @@ def laurent_c0(
     decays like q^{N^2/2}.
 
     ``contour`` is one circle for every m, or a sequence of circles with
-    the same number of nodes, one per element of the array m.  Theta is
-    evaluated once on the nodes of all distinct circles, and each
+    the same number of nodes, one per element of the array m.  Theta comes
+    from one FFT per distinct circle (qtheta.theta_on_circles), and each
     coefficient is the same bits as a call with its m and circle alone.
     Every circle is validated first.
     """
@@ -233,9 +237,9 @@ def laurent_c0(
         raise InvalidParameterError("the contours of one call need the same number of nodes")
     for c in circles:
         c.validate(params)
-    zs = np.concatenate([c.radius * np.exp(2j * math.pi * np.arange(width) / width)
-                         for c in circles])
-    t_mant, t_exps = theta_series_scaled(zs, q, ctrl)
+    angles = np.exp(2j * math.pi * np.arange(width) / width)
+    zs = np.concatenate([c.radius * angles for c in circles])
+    t_mant, t_exps = theta_on_circles([c.radius for c in circles], q, width, ctrl=ctrl)
     which = np.zeros(len(ms), dtype=np.int64) if single else \
         np.array([circles.index(c) for c in contours], dtype=np.int64)
     at = which[:, None] * width + np.arange(width)  # row i: the nodes of m_i's circle
@@ -253,9 +257,8 @@ GTILDE_OVER_THETA = "Gtilde_over_theta"
 RESIDUAL_ALPHA = "residual_alpha"
 TRACE_KINDS = (G_OVER_THETA, GTILDE_OVER_THETA, RESIDUAL_ALPHA)
 
-#: angles per circle, and circles per block of a trace: a block's (row, node)
-#: temporaries stay small
-_TRACE_ANGLES, _TRACE_CIRCLES = 64, 4
+#: angles per circle of a trace
+_TRACE_ANGLES = 64
 
 
 def mk_trace(
@@ -275,11 +278,13 @@ def mk_trace(
     functions), or the normalised interpolation residual
     |G_x - Gtilde_x| / |Theta|.  Maxima are over 64 uniform angles --
     the traced functions vary on O(1) angular scales, so that
-    resolution is enough for the documented trend thresholds.
+    resolution is enough for the documented trend thresholds.  Where
+    Theta comes out 0, the kinds that divide by it have maximum inf.
 
     A sequence of kinds is traced in one pass and gives a dict kind ->
-    trace: each circle's G_x, Theta and cardinal sum are evaluated once
-    for all of them, and each trace is the same bits as its own call.
+    trace: G_x and Theta come from one FFT per circle of their series
+    terms (scaled.laurent_on_circles), the cardinal sums from one (point,
+    node) matrix, and each circle's maximum is the same bits as its own call.
 
     ``sample_extent`` is the interpolant's node range N; by default the
     automatic truncation order for the signal plus 2 guard terms.
@@ -292,31 +297,28 @@ def mk_trace(
             raise InvalidParameterError(f"unknown trace kind {name!r}")
     quotient = G_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
     cardinal = GTILDE_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
-    q = params.q
+    q, ks = params.q, list(k_range)
+    radii = np.exp((np.array(ks, dtype=float) + 0.5) * params.ln_q)
+    ln = {}  # ln|Phi| at each point, for each kind
+    if quotient:
+        g = laurent_on_circles(*_aliased_terms(signal, x, log2_split(radii), ctrl, "G_series"),
+                               _TRACE_ANGLES)
+        theta = theta_on_circles(radii, q, _TRACE_ANGLES, ctrl=ctrl)
+        zero = theta[0] == 0
+        divisor = np.where(zero, 1.0, theta[0])
+        ln[G_OVER_THETA] = np.where(zero, np.inf, ln_abs(g[0] / divisor, g[1] - theta[1]))
     if cardinal:
         if sample_extent is None:
             sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
         ns = np.arange(-sample_extent, sample_extent + 1)
         weights = _node_weights(ns, *spatial_A(ns, x, signal, params, ctrl), q, ctrl)
-        node = [part[None, :] for part in _lattice_nodes(ns, q)]
-    ks, traces = list(k_range), {name: [] for name in kinds}
-    angles = np.exp(2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
-    radii = np.exp((np.array(ks, dtype=float) + 0.5) * params.ln_q)[:, None]
-    for i in range(0, len(ks), _TRACE_CIRCLES):
-        block = ks[i:i + _TRACE_CIRCLES]
-        zs = (radii[i:i + _TRACE_CIRCLES] * angles).ravel()
-        values = {}
-        if quotient:
-            g = G_series(zs, x, signal, params, ctrl)
-            theta = theta_series_scaled(zs, q, ctrl)
-            values[G_OVER_THETA] = normalise_array(g[0] / theta[0], g[1] - theta[1])
-        if cardinal:
-            gaps = sub_arrays((zs[:, None], 0), node)
-            total = values[GTILDE_OVER_THETA] = _cardinal_sum(gaps, weights)
-        if RESIDUAL_ALPHA in kinds:
-            gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))
-            values[RESIDUAL_ALPHA] = normalise_array(gap[0] / theta[0], gap[1] - theta[1])
-        for name, trace in traces.items():
-            best = ln_abs(*values[name]).reshape(-1, _TRACE_ANGLES).max(1)
-            trace += zip(block, np.exp(best).tolist())
+        zs = radii[:, None] * np.exp(2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
+        gaps = sub_arrays((zs.reshape(-1, 1), 0), [part[None, :] for part in _lattice_nodes(ns, q)])
+        total = _cardinal_sum(gaps, weights)
+        ln[GTILDE_OVER_THETA] = ln_abs(*total)
+    if RESIDUAL_ALPHA in kinds:
+        gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))
+        ln[RESIDUAL_ALPHA] = np.where(zero, np.inf, ln_abs(gap[0] / divisor, gap[1] - theta[1]))
+    traces = {name: list(zip(ks, np.exp(ln[name].reshape(-1, _TRACE_ANGLES).max(1)).tolist()))
+              for name in kinds}
     return traces[kind] if isinstance(kind, str) else traces

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
-from .scaled import (BASE_LOG2, exp_pow2, ldexp_array, ln_split, log2_split, normalise_array,
-                     pack, sum_rows, to_complex)
+from .scaled import (BASE_LOG2, exp_pow2, laurent_on_circles, ldexp_array, ln_split, log2_split,
+                     normalise_array, pack, sum_rows, to_complex)
 
 CRITICAL_TAU = math.pi
 REGIME_TOLERANCE = 1e-12
@@ -201,21 +201,21 @@ def theta_product(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     return to_complex(theta_product_scaled(z, q, ctrl))
 
 
-def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split, ctrl: SeriesControl,
-                label: str, derivative: bool = False, lattice=0):
-    """sum_n (-1)^n z^n q^{n(n-1)/2} (with derivative=True its z-derivative
-    sum_n (-1)^n n z^{n-1} q^{n(n-1)/2}) for each z = q^lattice 2**e r e^{i arg_z},
-    z_split = (e, ln r) (scaled.log2_split), q_split the _q_split of each row's q
-    and lattice an int or a (rows, 1) column, as normalised arrays.
+def _series_terms(z_split: tuple, q_split, ctrl: SeriesControl, label: str,
+                  derivative: bool = False, lattice=0):
+    """The terms of sum_n (-1)^n z^n q^{n(n-1)/2} (with derivative=True of its z-derivative
+    sum_n (-1)^n n z^{n-1} q^{n(n-1)/2}) at each z = q^lattice 2**e r > 0, z_split = (e, ln r)
+    (scaled.log2_split), q_split the _q_split of each row's q and lattice an int or a
+    (rows, 1) column: (power, mant, bits), the term with z^power being mant * 2**bits.
 
     ln|z^n q^{n(n-1)/2}| = n ln|z| - a n(n-1)/2 (a = -ln q) peaks at
     n* = ln|z|/a + 1/2 and is below abs_tol of its top for |n - n*| > d,
-    d^2 = 2(a/8 - ln abs_tol)/a.  Each z sums n* - d - 1 .. n* + d + 1 and at
+    d^2 = 2(a/8 - ln abs_tol)/a.  Each z takes n* - d - 1 .. n* + d + 1 and at
     least -min_terms .. min_terms (a side past max_terms raises
-    NonConvergenceError) as one exp/phase matrix, powers of two and of q
-    split off exactly (scaled.ln_split), each row summed by scaled.sum_rows.
+    NonConvergenceError) as one exp matrix, powers of two and of q split off
+    exactly (scaled.ln_split); a row's other columns are zeros.
     """
-    e_z, lnr_z, arg = z_split[0][:, None], z_split[1][:, None], arg_z[:, None]
+    e_z, lnr_z = z_split[0][:, None], z_split[1][:, None]
     e_q, hi_q, lo_q = (part[:, None] for part in q_split)
     a = -(e_q * math.log(2.0) + hi_q + lo_q)
     u = e_z * math.log(2.0) + lnr_z - lattice * a
@@ -233,8 +233,14 @@ def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split, ctrl: SeriesControl,
     f, bits = exp_pow2(pairs * hi_q, power * lnr_z + pairs * lo_q)
     bits += power * e_z + pairs * e_q
     weight = np.where(n % 2, -1.0, 1.0) * (n if derivative else 1.0)
-    mant = np.where((n >= lo) & (n <= hi), weight * f * np.exp(1j * power * arg), 0.0)
-    return sum_rows(mant, bits)
+    return power, np.where((n >= lo) & (n <= hi), weight * f, 0.0), bits
+
+
+def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split, ctrl: SeriesControl,
+                label: str, derivative: bool = False, lattice=0):
+    """The _series_terms sum at each z = q^lattice 2**e r e^{i arg_z}, by scaled.sum_rows."""
+    power, mant, bits = _series_terms(z_split, q_split, ctrl, label, derivative, lattice)
+    return sum_rows(mant * np.exp(1j * power * arg_z[:, None]), bits)
 
 
 def theta_series_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
@@ -245,6 +251,16 @@ def theta_series_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
                          "theta_series")
              for b in (slice(i, i + _SERIES_ROWS) for i in range(0, max(len(zs), 1), _SERIES_ROWS))]
     return pack(*map(np.concatenate, zip(*parts)), scalar)
+
+
+def theta_on_circles(radii, q: float, count: int, offset: float = 0.0,
+                     ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
+    """The theta series at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each
+    r of ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    split = _q_split(np.full(len(radii), _check_q_open(q)))
+    return laurent_on_circles(*_series_terms(log2_split(radii), split, ctrl, "theta_series"),
+                              count, offset)
 
 
 def theta_series(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):

@@ -81,6 +81,24 @@ def sum_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return normalise_array(totals[:, -1] + np.cumsum(before, axis=1, out=before)[:, -1], exps)
 
 
+def laurent_on_circles(power: np.ndarray, mant: np.ndarray, bits: np.ndarray, count: int,
+                       offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n c_n e^{2 pi i n (t + offset) / count}, t = 0 .. count-1, for each row of terms
+    c_n = mant * 2**bits at the increasing powers n (a series on |z| = r from its terms at
+    z = r), as normalised arrays, row after row: each row shifted as sum_rows shifts it,
+    folded by n mod count from a zero start (zero columns leave its bits alone) and taken
+    through one inverse FFT, accurate to a few ulp of the row's sum of |c_n|."""
+    _, mag = np.frexp(np.abs(mant))
+    exps = masked_max(bits + mag, mant != 0, axis=1) // BASE_LOG2
+    terms = ldexp_array(mant, bits - (exps * BASE_LOG2)[:, None])
+    first = power[0] - power[0] % count  # a multiple of count: the fold keeps n mod count
+    padded = np.zeros((len(terms), (power[-1] - first) // count * count + count), dtype=complex)
+    padded[:, power - first] = terms * np.exp(2j * math.pi * offset / count * power)
+    folded = sum(np.hsplit(padded, padded.shape[1] // count), np.zeros((len(terms), count)))
+    values = np.fft.ifft(folded, norm="forward")
+    return normalise_array(values.ravel(), np.repeat(exps, count))
+
+
 def sub_arrays(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     """a - b for (mantissa, exponent) arrays of broadcastable shapes.
 

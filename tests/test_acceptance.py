@@ -186,14 +186,14 @@ def test_criterion_08_interpolation_lemma():
     gauss = SignalModel.gaussian([(1.0, 0.0, 0.0)])
     x = 0.3
     extent = 7
-    samples = [(n, spatial_A(n, x, gauss, params, CTRL))
-               for n in range(-extent, extent + 1)]
+    ns = np.arange(-extent, extent + 1)
+    samples = spatial_A(ns, x, gauss, params, CTRL)
 
     node_worst = 0.0
     for n in (-3, 0, 2):
         node = params.q ** n
-        got = lagrange_interpolant(node, samples, params, CTRL)
-        want = samples[n + extent][1]
+        got = lagrange_interpolant(node, ns, samples, params, CTRL)
+        want = spatial_A(n, x, gauss, params, CTRL)
         gap = sub_arrays((got.mantissa, got.exponent), (want.mantissa, want.exponent))
         node_worst = max(node_worst, abs(to_complex(gap)) / abs(want.to_complex()))
 

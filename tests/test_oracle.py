@@ -146,13 +146,14 @@ class TestLaurent:
 
 class TestInterpolant:
     def fixture_samples(self, signal, params, x=0.3, extent=7):
-        return [(n, spatial_A(n, x, signal, params)) for n in range(-extent, extent + 1)]
+        ns = np.arange(-extent, extent + 1)
+        return ns, spatial_A(ns, x, signal, params)
 
     def test_cardinal_property(self, unit_gaussian, params_tau1):
         samples = self.fixture_samples(unit_gaussian, params_tau1)
         node = params_tau1.q ** 3
-        got = lagrange_interpolant(node, samples, params_tau1)
-        want = samples[3 + 7][1]
+        got = lagrange_interpolant(node, *samples, params_tau1)
+        want = spatial_A(3, 0.3, unit_gaussian, params_tau1)
         gap = sub_arrays((got.mantissa, got.exponent), (want.mantissa, want.exponent))
         assert abs(to_complex(gap)) <= 1e-10 * abs(want.to_complex())
 
@@ -162,7 +163,7 @@ class TestInterpolant:
 
         q = params_tau1.q
         z = math.sqrt(q)
-        got = lagrange_interpolant(z, [(0, ScaledValue(1.0))], params_tau1)
+        got = lagrange_interpolant(z, [0], ([1.0], [0]), params_tau1)
         want = theta_series(z, q) / ((z - 1.0) * theta_prime_one(q))
         assert got.to_complex() == pytest.approx(want, rel=1e-12)
 
@@ -177,7 +178,7 @@ class TestInterpolant:
                 angle = 2.0 * math.pi * (t + 0.5) / 32
                 z = radius * complex(math.cos(angle), math.sin(angle))
                 g = G_series(z, 0.3, unit_gaussian, params_tau1)
-                interp = lagrange_interpolant(z, samples, params_tau1)
+                interp = lagrange_interpolant(z, *samples, params_tau1)
                 scale = max(scale, abs(g.to_complex()))
                 diff = sub_arrays((g.mantissa, g.exponent), (interp.mantissa, interp.exponent))
                 gap = max(gap, abs(to_complex(diff)))
@@ -187,7 +188,7 @@ class TestInterpolant:
         samples = self.fixture_samples(unit_gaussian, params_tau1)
         q = params_tau1.q
         with pytest.raises(DomainError):
-            lagrange_interpolant(q ** 2 * 1.01, samples, params_tau1)
+            lagrange_interpolant(q ** 2 * 1.01, *samples, params_tau1)
 
 
 class TestTraces:
@@ -255,8 +256,7 @@ def _circles(params, powers=(0.5, -0.5, 1.5), count=16):
 class TestArrayPath:
     def samples(self, signal, params, extent=7):
         ns = np.arange(-extent, extent + 1)
-        return [(int(n), ScaledValue(m, int(e)))
-                for n, m, e in zip(ns, *spatial_A(ns, 0.3, signal, params))]
+        return ns, spatial_A(ns, 0.3, signal, params)
 
     def test_spatial_A_array_of_m(self, two_component, params_tau1):
         ms = np.arange(-4, 5)
@@ -273,10 +273,11 @@ class TestArrayPath:
     def test_interpolant_array_matches_scalar_calls(self, two_component, params_tau1):
         samples = self.samples(two_component, params_tau1)
         zs = np.concatenate([_circles(params_tau1), [params_tau1.q ** 3, 1.0]])
-        mant, exps = lagrange_interpolant(zs, samples, params_tau1)
+        mant, exps = lagrange_interpolant(zs, *samples, params_tau1)
         assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
-            [lagrange_interpolant(z, samples, params_tau1) for z in zs]
-        assert ScaledValue(mant[-2], int(exps[-2])) == samples[3 + 7][1]
+            [lagrange_interpolant(z, *samples, params_tau1) for z in zs]
+        assert ScaledValue(mant[-2], int(exps[-2])) == spatial_A(3, 0.3, two_component,
+                                                                 params_tau1)
 
     def test_laurent_array_of_m_is_scalar_calls(self, params_tau1):
         ms = np.arange(-8, 9)
@@ -309,12 +310,12 @@ class TestArrayPath:
         with pytest.raises(DomainError):
             G_series(zs, 0.0, unit_gaussian, params_tau1)
         with pytest.raises(DomainError):
-            lagrange_interpolant(zs, self.samples(unit_gaussian, params_tau1), params_tau1)
+            lagrange_interpolant(zs, *self.samples(unit_gaussian, params_tau1), params_tau1)
 
     def test_any_near_node_element_refused(self, unit_gaussian, params_tau1):
         zs = np.array([0.5j, params_tau1.q ** 2 * 1.01])
         with pytest.raises(DomainError):
-            lagrange_interpolant(zs, self.samples(unit_gaussian, params_tau1), params_tau1)
+            lagrange_interpolant(zs, *self.samples(unit_gaussian, params_tau1), params_tau1)
 
     def test_non_convergence(self, unit_gaussian, params_tau1):
         # the weight e^{300 j} moves the peak of the aliased sum past 8 terms
@@ -323,5 +324,5 @@ class TestArrayPath:
                      SeriesControl(max_terms=8))
         samples = self.samples(unit_gaussian, params_tau1)
         with pytest.raises(NonConvergenceError):
-            lagrange_interpolant(_circles(params_tau1), samples, params_tau1,
+            lagrange_interpolant(_circles(params_tau1), *samples, params_tau1,
                                  SeriesControl(max_terms=4, min_terms=4))

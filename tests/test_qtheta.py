@@ -23,7 +23,7 @@ from gaborlattice import (
     theta_series,
     theta_series_scaled,
 )
-from gaborlattice.qtheta import ln_eta, theta_product_scaled
+from gaborlattice.qtheta import ln_eta, theta_on_circles, theta_product_scaled
 from gaborlattice.scaled import normalise_array, sub_arrays, to_complex
 
 
@@ -401,6 +401,65 @@ class TestArrayPath:
     def test_non_convergence(self, form):
         with pytest.raises(NonConvergenceError):
             form(np.array([0.5, 1.5j]), 0.9, SeriesControl(max_terms=10))
+
+
+#: circles |z| = q^p for these p: one whose terms leave the double range at tau=1
+CIRCLE_POWERS = (-20.5, -2.5, 0.5, 3.5)
+
+
+def _theta_terms(r, q):
+    """(n, (-1)^n q^{n(n-1)/2} r^n) at 60 digits, n well past both sides of the peak."""
+    mp = pytest.importorskip("mpmath")
+    centre = round(math.log(r) / -math.log(q) + 0.5)
+    width = int(math.sqrt(2.0 * 100.0 / -math.log(q))) + 10
+    with mp.workdps(60):
+        r, q = mp.mpf(r), mp.mpf(q)
+        return [(n, (-1) ** n * q ** (n * (n - 1) // 2) * r ** n)
+                for n in range(centre - width, centre + width + 1)]
+
+
+class TestThetaOnCircles:
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 0.05, 0.01])
+    def test_against_mpmath(self, tau, ctrl):
+        mp = pytest.importorskip("mpmath")
+        eps, count, params = np.finfo(float).eps, 64, nome_from_tau(tau)
+        radii = np.exp(np.array(CIRCLE_POWERS) * params.ln_q)
+        mant, exps = theta_on_circles(radii, params.q, count, ctrl=ctrl)
+        with mp.workdps(60):
+            for i, r in enumerate(radii):
+                terms = _theta_terms(r, params.q)
+                scale = mp.fsum(abs(c) for _, c in terms)
+                if tau == 0.01:  # the folding case: more terms than angles
+                    assert sum(abs(c) > 1e-17 * scale for _, c in terms) > count
+                high_first = [c for _, c in reversed(terms)]
+                for t in range(count):
+                    w = mp.expjpi(mp.mpf(2 * t) / count)
+                    exact = w ** terms[0][0] * mp.polyval(high_first, w)
+                    j = i * count + t
+                    got = mp.mpc(mant[j]) * mp.mpf(2) ** (128 * int(exps[j]))
+                    assert abs(got - exact) <= 16 * eps * scale, (r, t)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 0.05, 0.01])
+    def test_offset_half_is_the_per_point_series(self, tau, ctrl):
+        eps, params = np.finfo(float).eps, nome_from_tau(tau)
+        radii = np.exp(np.array([0.5, 0.0, -0.5]) * params.ln_q)
+        zs = (radii[:, None] * np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)).ravel()
+        gap = to_complex(sub_arrays(theta_on_circles(radii, params.q, 32, 0.5, ctrl),
+                                    theta_series_scaled(zs, params.q, ctrl)))
+        n = np.arange(-400, 401)
+        scale = np.exp(np.log(radii)[:, None] * n + params.ln_q * n * (n - 1) / 2).sum(1)
+        assert np.all(np.abs(gap).reshape(3, -1) <= 16 * eps * scale[:, None])
+
+    def test_each_circle_alone_is_its_block_row_bit_for_bit(self, ctrl):
+        for tau in (1.0, 0.01):
+            params = nome_from_tau(tau)
+            radii = np.exp(np.array(CIRCLE_POWERS) * params.ln_q)
+            for offset in (0.0, 0.5):
+                block = theta_on_circles(radii, params.q, 64, offset, ctrl)
+                alone = [theta_on_circles(r, params.q, 64, offset, ctrl) for r in radii]
+                assert block[0].view(np.uint64).tolist() == \
+                    np.concatenate([a[0] for a in alone]).view(np.uint64).tolist()
+                assert block[1].tolist() == np.concatenate([a[1] for a in alone]).tolist()
 
 
 NOMES = (0.05, 0.5, 0.9)

@@ -223,3 +223,43 @@ def test_scaled_value_is_the_normalise_array_element(mantissa, exponent):
     mant, exps = normalise_array(np.array([mantissa]), np.array([exponent]))
     assert _bits((np.array([v.mantissa]), [v.exponent])) == _bits((mant, exps))
     assert type(v.exponent) is int
+
+
+def test_laurent_on_circles_within_eps_of_mpmath():
+    """More powers than angles (folded), a half-step offset, and rows far beyond the
+    double range: within 16 eps of each row's sum of |terms|, against 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(21)
+    power = np.arange(-13, 11)
+    mant = rng.normal(size=(3, 24)) + 1j * rng.normal(size=(3, 24))
+    mant[1, :5] = 0.0
+    bits = rng.integers(-40, 40, (3, 24)) + np.array([[0], [2000], [-3000]])
+    count, offset = 8, 0.5
+    got_mant, got_exps = scaled.laurent_on_circles(power, mant, bits, count, offset)
+    assert got_mant.shape == got_exps.shape == (3 * count,)
+    with mp.workdps(60):
+        for row in range(3):
+            coeffs = [mp.mpc(m) * mp.mpf(2) ** int(b) for m, b in zip(mant[row], bits[row])]
+            scale = mp.fsum(abs(c) for c in coeffs)
+            for t in range(count):
+                exact = mp.fsum(c * mp.expjpi(mp.mpf(n * (2 * t + 2 * offset)) / count)
+                                for c, n in zip(coeffs, power.tolist()))
+                i = row * count + t
+                got = mp.mpc(got_mant[i]) * mp.mpf(2) ** (BASE_LOG2 * int(got_exps[i]))
+                assert abs(got - exact) <= 16 * eps * scale, (row, t)
+
+
+def test_laurent_on_circles_row_is_its_own_call_bit_for_bit():
+    rng = np.random.default_rng(22)
+    power = np.arange(-13, 11)
+    mant = rng.normal(size=(3, 24)) + 1j * rng.normal(size=(3, 24))
+    mant[1, :5] = mant[1, -3:] = 0.0
+    bits = rng.integers(-40, 40, (3, 24)) * 20
+    for offset in (0.0, 0.5):
+        block = scaled.laurent_on_circles(power, mant, bits, 8, offset)
+        # row 1 alone, with its zero columns and without them
+        for cols in (slice(None), slice(5, -3)):
+            alone = scaled.laurent_on_circles(power[cols], mant[1:2, cols], bits[1:2, cols], 8,
+                                              offset)
+            assert _bits(alone) == _bits((block[0][8:16], block[1][8:16]))

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +184,26 @@ def test_theta_suite_runs_at_the_given_nome_only(monkeypatch):
     assert off_nome == [("theta_prime_lattice", 0.1)]
     assert {name for name, _ in calls} == {
         "theta_series_scaled", "theta_product_scaled", "theta_prime_lattice"}
+
+
+def test_small_tau_records_no_nan():
+    """At tau=0.02 Theta's series terms cancel below double precision on the traced
+    circles: a record with nothing to divide by reads inf, never NaN."""
+    report = run_suite("all", 0.02)
+    assert [c.name for c in report.checks if math.isnan(c.residual)] == []
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_all_suites_pass_on_benchmark_families(index):
+    """run_suite("all", 1.0) on signals drawn as the verify_all benchmark draws them."""
+    family = _bench_workloads().op_family(1, index)
+    report = run_suite("all", 1.0, SignalModel.gaussian(family))
+    assert report.passed, [c.name for c in report.checks if not c.passed]
