@@ -12,7 +12,9 @@ Contracts: exit 0 on success, 1 when a verification check fails, 2 on
 validation problems, 3 on numerical non-convergence.  Data outputs are
 byte-deterministic for a fixed config (timings live in a separate
 "meta" object excluded from comparisons); error paths never leave
-partial files behind.
+partial files behind, as each file is written to a temp file renamed at
+the end.  CSV numbers are ``format(v, ".17g")``; ``reconstruct`` streams
+its rows from :func:`~gaborlattice.fmt17.csv_rows` a block at a time.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import cmath
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
 import warnings
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -56,11 +60,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, chunks: Iterable[str]):
+    """Write the text chunks to ``path`` through a temp file renamed at the
+    end; on any failure, mid-stream too, neither file is left behind."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -70,11 +76,11 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _emit(path: str | None, data: str):
+def _emit(path: str | None, chunks: Iterable[str]):
     if path is None:
-        sys.stdout.write(data)
+        sys.stdout.writelines(chunks)
     else:
-        _atomic_write(path, data)
+        _atomic_write(path, chunks)
 
 
 def _json_dumps(payload: dict) -> str:
@@ -230,7 +236,7 @@ def cmd_coeffs(args) -> int:
         "tool_version": __version__,
     }
     if args.format == "json":
-        _emit(args.output, _json_dumps({"meta": meta, "rows": rows}))
+        _emit(args.output, [_json_dumps({"meta": meta, "rows": rows})])
     else:
         header = list(rows[0]) if rows else [
             "m", "mantissa_re", "mantissa_im", "exponent", "value_re", "value_im",
@@ -242,7 +248,7 @@ def cmd_coeffs(args) -> int:
              for key in header]
             for row in rows
         ]
-        _emit(args.output, _csv_dump(header, table))
+        _emit(args.output, [_csv_dump(header, table)])
         for note in recorded:
             print(f"warning: {note}", file=sys.stderr)
     return 0
@@ -262,6 +268,19 @@ def _table_document(table: GammaTable, signal_spec: dict | None) -> dict:
         },
         "data": table.to_payload(),
     }
+
+
+def _table_json(table: GammaTable, signal_spec: dict | None) -> str:
+    """``_json_dumps`` of the table document.  json's encoder is pure Python
+    with ``indent``, so the (never empty) data lists are written by ``repr``,
+    which is how json writes ints and finite floats."""
+    doc = _table_document(table, signal_spec)
+    data, doc["data"] = doc["data"], {key: f"@{key}@" for key in doc["data"]}
+    text = _json_dumps(doc)
+    for key, values in data.items():
+        body = ",\n      ".join(map(repr, values))
+        text = text.replace(f'"@{key}@"', "[\n      " + body + "\n    ]")
+    return text
 
 
 def _table_from_document(doc: dict, where: str) -> GammaTable:
@@ -293,7 +312,7 @@ def cmd_forward(args) -> int:
         table = auto_truncation(signal, nome_from_tau(tau), tol, x_max=x_max).table
     else:
         table = forward_table(signal, tau, *truncation)
-    _emit(args.output, _json_dumps(_table_document(table, signal_to_spec(signal))))
+    _emit(args.output, [_table_json(table, signal_to_spec(signal))])
     return 0
 
 
@@ -328,13 +347,8 @@ def cmd_reconstruct(args) -> int:
         diff = rec - ref
         # np.hypot rounds as abs(complex) does; np.abs on arrays need not
         columns = (ref.real, ref.imag, rec.real, rec.imag, np.hypot(diff.real, diff.imag))
-        line = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
     else:
-        columns = (rec.real, rec.imag)
-        line = "%.17g,,,%.17g,%.17g,\n"
-    # '%.17g' % x is format(x, ".17g"), as _fmt writes it, for every float
-    rows = zip(report.xs.tolist(), *(col.tolist() for col in columns))
-    csv_text = "x,f_ref_re,f_ref_im,f_rec_re,f_rec_im,abs_err\n" + "".join(line % r for r in rows)
+        columns = (None, None, rec.real, rec.imag, None)
     summary = {
         "summary": {
             "tau": params.tau,
@@ -347,9 +361,13 @@ def cmd_reconstruct(args) -> int:
         },
         "meta": {"elapsed_seconds": elapsed, "tool_version": __version__},
     }
-    _emit(args.output, csv_text)
+    # imported on use, like its tables: only this command needs the formatter
+    from . import fmt17
+
+    header = "x,f_ref_re,f_ref_im,f_rec_re,f_rec_im,abs_err\n"
+    _emit(args.output, itertools.chain([header], fmt17.csv_rows([report.xs, *columns])))
     summary_path = args.summary or (f"{args.output}.summary.json" if args.output else None)
-    _emit(summary_path, _json_dumps(summary))
+    _emit(summary_path, [_json_dumps(summary)])
     return 0
 
 
@@ -366,7 +384,7 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     report = run_suite(args.suite, args.tau, signal=signal)
     meta = {"elapsed_seconds": time.perf_counter() - start, "tool_version": __version__}
-    _emit(args.output, _json_dumps({**report.to_payload(), "meta": meta}))
+    _emit(args.output, [_json_dumps({**report.to_payload(), "meta": meta})])
     return 0 if report.passed else 1
 
 
@@ -402,7 +420,7 @@ def cmd_sweep(args) -> int:
         except RegimeError as exc:
             rows.append([_fmt(tau), params.regime, "refused",
                          "", "", "", "", "", str(exc)])
-    _emit(args.output, _csv_dump(header, rows))
+    _emit(args.output, [_csv_dump(header, rows)])
     return 0
 
 

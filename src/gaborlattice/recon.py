@@ -59,7 +59,7 @@ class ReconConfig:
         if not (0 < self.tol < 1):
             raise InvalidParameterError("tol must lie in (0, 1)")
         x_min, x_max, step = self.grid
-        if not (math.isfinite(x_min) and math.isfinite(x_max) and step > 0):
+        if not (all(map(math.isfinite, self.grid)) and step > 0):
             raise InvalidParameterError(f"bad grid {self.grid!r}")
         if self.truncation is not None:
             M, K = self.truncation
@@ -203,6 +203,14 @@ def _tail_ln(cells: np.ndarray, tau: float, x_max: float) -> float:
     return max(cells[[0, -1]].max() + M * tau * x_max, cells[:, [0, -1]].max()) - scale
 
 
+def _tail(cells: np.ndarray, tau: float, x_max: float) -> float:
+    """e^{_tail_ln}; SaturationError where that leaves the double range."""
+    try:
+        return math.exp(_tail_ln(cells, tau, x_max))
+    except OverflowError:
+        raise SaturationError(f"tail estimate exceeds double range on |x| <= {x_max:.6g}") from None
+
+
 def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
               K_cap: int) -> tuple[int, int, float, bool]:
     """The truncation growth loop, within the caps on M and K.
@@ -249,7 +257,7 @@ def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
             break
     converged = _tail_ln(block, tau, x_max) < ln_tol
     M, K = ring(M, K)
-    return M, K, math.exp(_tail_ln(cells(M, K, (M, K)), tau, x_max)), converged
+    return M, K, _tail(cells(M, K, (M, K)), tau, x_max), converged
 
 
 def auto_truncation(
@@ -344,7 +352,7 @@ def reconstruct_grid(
     block = (ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))[:, None]
              + ln_abs(table.mantissa[used], table.exponent[used]))
     if config.truncation is not None:
-        M, K, tail = M_cap, K_cap, math.exp(_tail_ln(block, params.tau, x_reach))
+        M, K, tail = M_cap, K_cap, _tail(block, params.tau, x_reach)
     else:
         M, K, tail, _ = _truncate(
             lambda M, K, reach: block[M_cap - M: M_cap + M + 1, K_cap - K: K_cap + K + 1],

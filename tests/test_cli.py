@@ -5,12 +5,16 @@ import warnings
 
 import pytest
 
+import numpy as np
+
+from gaborlattice import GammaTable, SignalModel, forward_table
 from gaborlattice.cli import main
 from gaborlattice.verify import run_suite
 
 COLUMNS = ("m", "k", "mantissa_re", "mantissa_im", "exponent")
 GAUSSIAN = {"kind": "gaussian_family",
             "components": [{"amplitude": 1.0, "center": 0.0, "modulation": 0.0}]}
+FAMILY = [(0.8 - 0.3j, 0.4, -0.9), (0.5, -1.1, 1.3)]  # (amplitude, centre, modulation)
 
 
 def write_json(path, payload):
@@ -82,6 +86,33 @@ class TestForward:
         again = _table_document(table, doc["meta"]["signal"])
         assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda tau=tau: forward_table(SignalModel.gaussian(FAMILY), tau, 4, 7),
+                     id=f"tau={tau}") for tau in (0.3, 1.0, 3.1)
+    ] + [
+        pytest.param(lambda: forward_table(SignalModel.gaussian([(0.0, 0.0, 0.0)]), 1.0, 1, 1),
+                     id="zero_signal"),
+        pytest.param(lambda: forward_table(SignalModel.callback(
+            lambda x: np.exp(-x * x / 2) * np.cos(x), bound=1.0, growth=0.0), 0.6, 2, 5),
+            id="callback"),
+        pytest.param(lambda: GammaTable(0, 1, 1.0, [-0.0, complex(0.5, -0.0), complex(-0.0, -0.0)],
+                                        [0, -1, 0]), id="negative_zero"),
+    ])
+    def test_table_json_is_json_dumps(self, build):
+        from gaborlattice.cli import _table_document, _table_json, signal_to_spec
+
+        table = build()
+        doc = _table_document(table, signal_to_spec(SignalModel.gaussian(FAMILY)))
+        text = _table_json(table, doc["meta"]["signal"])
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if table.M == 0:  # the hand-made table: -0.0 is written as json writes it
+            assert text.count("-0.0") == 4
+
+    def test_table_file_bytes_are_json_dumps(self, table_path):
+        with open(table_path, "rb") as fh:
+            data = fh.read()
+        assert data == (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
+
     @pytest.mark.parametrize("x_max", [math.nan, -1.0])
     def test_bad_x_max_exit_2_no_output(self, tmp_path, x_max):
         cfg = write_json(tmp_path / "fwd.json", {"tau": 1.0, "signal": GAUSSIAN,
@@ -151,6 +182,48 @@ class TestReconstruct:
                     ref, rec = (complex(float(row[i]), float(row[i + 1])) for i in (1, 3))
                     assert float(row[5]) == abs(rec - ref)
         assert [row[0] for row in rows] == ["-1", "-0.5", "0", "0.5", "1"]
+
+    def test_failure_mid_stream_leaves_no_files(self, monkeypatch, tmp_path, table_path):
+        # the CSV is written block by block; a failure in the second block
+        # leaves neither the output, its temp file nor the summary behind
+        import gaborlattice.fmt17 as fmt17
+
+        real, calls = fmt17._block, []
+
+        def failing_block(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed")
+            return real(*args)
+
+        monkeypatch.setattr(fmt17, "_block", failing_block)
+        cfg = write_json(tmp_path / "c.json", {
+            "tau": 1.0, "grid": {"min": -3.0, "max": 3.0, "step": 0.005}})
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            main(["reconstruct", "--config", cfg, "--table", table_path,
+                  "--output", str(tmp_path / "pts.csv")])
+        assert len(calls) == 2
+        assert not any(p.name.startswith("pts.csv") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("truncation", ["auto", {"M": 5, "K": 9}])
+    def test_wide_grid_saturates_exit_3_no_partial_output(self, tmp_path, table_path,
+                                                          truncation):
+        cfg = write_json(tmp_path / "c.json", {
+            "tau": 1.0, "grid": {"min": 800.0, "max": 800.0, "step": 1.0},
+            "truncation": truncation})
+        out = tmp_path / "pts.csv"
+        assert main(["reconstruct", "--config", cfg, "--table", table_path,
+                     "--output", str(out)]) == 3
+        assert not any(p.name.startswith("pts.csv") for p in tmp_path.iterdir())
+
+    def test_infinite_step_exit_2(self, tmp_path, table_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"tau": 1.0, "grid": {"min": -1.0, "max": 1.0, "step": Infinity}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reconstruct", "--config", str(cfg), "--table", table_path,
+                         "--output", str(tmp_path / "pts.csv")]) == 2
+        assert not any(p.name.startswith("pts.csv") for p in tmp_path.iterdir())
 
     def test_auto_truncation_inside_table_meets_tol(self, tmp_path):
         # a family on which choosing (M, K) inside the table without the

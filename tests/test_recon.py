@@ -452,6 +452,20 @@ class TestGridDriver:
         with pytest.raises(InvalidParameterError, match="desk-scale"):
             reconstruct_grid(cfg, table, params_tau1)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.5])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(InvalidParameterError, match="bad grid"):
+            ReconConfig(grid=(-1.0, 1.0, step))
+
+    @pytest.mark.parametrize("reach", [200.0, 800.0])
+    @pytest.mark.parametrize("truncation", [None, (5, 9)])
+    def test_wide_grid_saturates(self, unit_gaussian, reach, truncation):
+        # e^{M tau |x|} of the tail estimate leaves the double range here:
+        # a SaturationError, not a builtin OverflowError
+        cfg = ReconConfig(grid=(-reach, reach, reach / 4), truncation=truncation)
+        with pytest.raises(SaturationError):
+            round_trip(unit_gaussian, 1.0, cfg)
+
 
 def test_calibration_recovers_one_over_two_pi():
     fitted = calibrate_constant()

@@ -10,7 +10,8 @@ not edited).  For each seeded Gaussian family it hashes:
 * the ``mk_trace`` traces of all three kinds, k in [-6, 6], at x = 0.3 and
   tau in {0.6, 1};
 * the CLI forward/reconstruct outputs of ``cli_grid`` on 201 points: the
-  table file and the summary without ``meta``, and the CSV;
+  summary without ``meta``, then the raw bytes of the table file, the CSV
+  and the CSV of the same reconstruction without a reference signal;
 * the callback round trip of ``callback_roundtrip``: the reconstruction,
   ``M_used``, ``K_used``, ``tail_estimate`` and ``sup_error``;
 * the callback tables, values and error bounds: ``forward_table`` at
@@ -43,7 +44,8 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from gaborlattice import (  # noqa: E402
-    NonConvergenceError, QuadratureControl, SignalModel, auto_truncation, forward_table, oracle)
+    NonConvergenceError, QuadratureControl, SignalModel, auto_truncation, cli, forward_table,
+    oracle)
 from gaborlattice.qtheta import nome_from_tau  # noqa: E402
 
 TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
@@ -74,14 +76,23 @@ def cli_outputs(family, workdir: str) -> bytes:
     state = workload.prepare(family, step=10 * workload.step)
     if workload.run(state) != (0, 0):
         raise SystemExit("error: the CLI forward/reconstruct run failed")
-    out = b""
-    for key in ("table.json", "points.csv.summary.json"):
-        with open(workload.paths[key], encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc.pop("meta", None)
-        out += json.dumps(doc, sort_keys=True).encode()
-    with open(workload.paths["points.csv"], "rb") as fh:
-        return out + fh.read()
+    with open(workload.paths["reconstruct.json"], encoding="utf-8") as fh:
+        config = json.load(fh)
+    config.pop("signal")
+    no_ref = {key: os.path.join(workdir, f"no_ref_{key}") for key in ("config.json", "points.csv")}
+    with open(no_ref["config.json"], "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    if cli.main(["reconstruct", "--config", no_ref["config.json"], "--table",
+                 workload.paths["table.json"], "--output", no_ref["points.csv"]]) != 0:
+        raise SystemExit("error: the CLI reconstruct run without a reference failed")
+    with open(workload.paths["points.csv.summary.json"], encoding="utf-8") as fh:
+        summary = json.load(fh)
+    summary.pop("meta", None)
+    out = json.dumps(summary, sort_keys=True).encode()
+    for path in (workload.paths["table.json"], workload.paths["points.csv"], no_ref["points.csv"]):
+        with open(path, "rb") as fh:
+            out += fh.read()
+    return out
 
 
 def round_trip(family) -> bytes:
