@@ -367,7 +367,10 @@ def cmd_reconstruct(args) -> int:
     header = "x,f_ref_re,f_ref_im,f_rec_re,f_rec_im,abs_err\n"
     _emit(args.output, itertools.chain([header], fmt17.csv_rows([report.xs, *columns])))
     summary_path = args.summary or (f"{args.output}.summary.json" if args.output else None)
-    _emit(summary_path, [_json_dumps(summary)])
+    if summary_path is None:  # stdout carries the CSV alone
+        sys.stderr.write(_json_dumps(summary))
+    else:
+        _atomic_write(summary_path, [_json_dumps(summary)])
     return 0
 
 
@@ -458,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="reconstruct from a stored table")
     p.add_argument("--config", required=True)
     p.add_argument("--table", required=True)
-    p.add_argument("--summary", help="summary JSON path "
-                                     "(default: <output>.summary.json)")
+    p.add_argument("--summary", help="summary JSON path (default: <output>.summary.json, "
+                                     "or standard error when the CSV goes to standard output)")
     add_common(p, tol_help="override the config's target accuracy")
     p.set_defaults(func="cmd_reconstruct")
 

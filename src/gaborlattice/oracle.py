@@ -11,7 +11,8 @@ None of these share a code path with the fast routes they check:
   G_x(z) = sum_j g(x + 2 pi j) z^j, so G_x(q^m) = A_m(x).
 * :func:`lagrange_interpolant` rebuilds G_x from its lattice samples
   with theta cardinal functions; agreement off the nodes is the
-  residual-alpha check.
+  residual-alpha check.  :func:`cardinal_on_circles` gives its cardinal
+  sums on uniform circles by FFT.
 * :func:`laurent_c0` extracts the z^0 Laurent coefficient of the
   cardinal function by an averaged contour integral -- the definitional
   oracle for coeff_E.
@@ -111,23 +112,32 @@ def _aliased_terms(signal: SignalModel, x: float, w_split: tuple, ctrl: SeriesCo
     return j, np.where((j >= lo) & (j <= hi), g_mant * f, 0.0), g_exps * BASE_LOG2 + bits + j * e_w
 
 
-def _sum_aliased(signal: SignalModel, x: float, w_split: tuple, arg_w: np.ndarray,
+def _sum_aliased(signal: SignalModel, xs, w_split: tuple, arg_w: np.ndarray,
                  ctrl: SeriesControl, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """The _aliased_terms sum at each w = 2**e r e^{i arg_w}, by scaled.sum_rows."""
-    j, mant, bits = _aliased_terms(signal, x, w_split, ctrl, label)
-    return sum_rows(mant * np.exp(1j * j * arg_w[:, None]), bits)
+    """The _aliased_terms sums at w = 2**e r e^{i arg_w} for each x of xs: one sum_rows."""
+    parts = [_aliased_terms(signal, x, w_split, ctrl, label) for x in xs]
+    first = min(j[0] for j, _, _ in parts)
+    width = max(j[-1] for j, _, _ in parts) + 1 - first
+    mant, bits = (np.zeros((len(parts), len(arg_w), width), dtype=t) for t in (complex, np.int64))
+    for i, (j, m, b) in enumerate(parts):
+        mant[i][:, j - first], bits[i][:, j - first] = m * np.exp(1j * j * arg_w[:, None]), b
+    return sum_rows(mant.reshape(-1, width), bits.reshape(-1, width))
 
 
-def spatial_A(m, x: float, signal: SignalModel, params: LatticeParams,
+def spatial_A(m, x, signal: SignalModel, params: LatticeParams,
               ctrl: SeriesControl = _DEFAULT_CTRL):
     """A_m(x) = sum_j g(x + 2 pi j) q^{m j} with g = (1/2pi) f e^{-x^2/4}: a
-    ScaledValue for an integer m, (mantissa, exponent) arrays for an array."""
+    ScaledValue for an integer m and a float x, (mantissa, exponent) arrays for an
+    array of m, and (x, m) arrays for a 1-d array of x."""
     ms = np.asarray(m).reshape(-1)
     if params.regime == SUPERCRITICAL and np.any(np.abs(ms) > 8):
         raise InvalidParameterError("spatial sums with |m| > 8 diverge when tau is supercritical")
     e_q, lnr_q = log2_split(params.q)
-    return pack(*_sum_aliased(signal, x, (ms * e_q, ms * lnr_q), np.zeros(len(ms)), ctrl,
-                              "spatial_A"), np.ndim(m) == 0)
+    mant, exps = _sum_aliased(signal, np.reshape(x, -1).tolist(), (ms * e_q, ms * lnr_q),
+                              np.zeros(len(ms)), ctrl, "spatial_A")
+    if np.ndim(x):
+        return mant.reshape(-1, len(ms)), exps.reshape(-1, len(ms))
+    return pack(mant, exps, np.ndim(m) == 0)
 
 
 def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
@@ -139,8 +149,16 @@ def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
     for every z != 0.
     """
     zs, scalar = z_array(z, "G")
-    return pack(*_sum_aliased(signal, x, log2_split(np.abs(zs)), np.angle(zs), ctrl,
+    return pack(*_sum_aliased(signal, [x], log2_split(np.abs(zs)), np.angle(zs), ctrl,
                               "G_series"), scalar)
+
+
+def G_on_circles(radii, x: float, signal: SignalModel, count: int, offset: float = 0.0,
+                 ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
+    """G_x at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each r of
+    ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
+    split = log2_split(np.asarray(radii, dtype=float).reshape(-1))
+    return laurent_on_circles(*_aliased_terms(signal, x, split, ctrl, "G_series"), count, offset)
 
 
 def _lattice_nodes(ns, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,15 +169,53 @@ def _lattice_nodes(ns, q: float) -> tuple[np.ndarray, np.ndarray]:
     return sum_rows(f[:, None], (bits + ns * e)[:, None])
 
 
-def _node_weights(ns, a_mant: np.ndarray, a_exps: np.ndarray, q: float, ctrl: SeriesControl):
-    """A_n / Theta'(q^n; q) for each node n, the derivatives in one call."""
+def cardinal_weights(ns, samples: tuple, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+    """w_n = A_n / Theta'(q^n; q) for each node n of ``ns``, ``samples`` the (mantissa,
+    exponent) arrays of A_n as spatial_A(ns, ...) gives them; the derivatives in one call."""
     d_mant, d_exps = theta_prime_lattice(ns, q, ctrl)
-    return normalise_array(a_mant / d_mant, a_exps - d_exps)
+    return normalise_array(samples[0] / d_mant, samples[1] - d_exps)
 
 
-def _cardinal_sum(diff: tuple, weights: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """sum_n w_n / (z - q^n) over the columns of diff = z - q^n."""
-    return sum_rows(weights[0] / diff[0], (weights[1] - diff[1]) * BASE_LOG2)
+def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int, offset: float = 0.0,
+                        ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n w_n / (z - q^n) at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for
+    each r of ``radii``, circle after circle; ``weights`` are w_n at the nodes ``ns``.
+
+    Each 1/(z - q^n) is its geometric Laurent series on |z| = r, sum_l q^{nl} z^{-l-1} for a
+    node inside the circle, -sum_l z^l q^{-n(l+1)} outside, cut where its tail falls below
+    abs_tol of its largest term (NonConvergenceError past max_terms terms); past count terms
+    it folds onto the first count with the factor 1 / (1 - rho^count e^{-+2 pi i offset}), as
+    z^count is the same at every sample point.  The terms are summed power by power (sum_rows)
+    and taken through one laurent_on_circles FFT per circle: a circle alone is its block row.
+    """
+    radii, ns = np.asarray(radii, dtype=float).reshape(-1), np.asarray(ns).reshape(-1)
+    if not (np.all(np.isfinite(radii) & (radii > 0)) and np.shape(weights[0]) == ns.shape != (0,)):
+        raise InvalidParameterError("give positive finite radii and one weight per node")
+    if len(radii) == 0:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int64)
+    e_q, hi_q, lo_q = ln_split(q)
+    e_r, lnr = (part[:, None, None] for part in log2_split(radii))
+    # ln(q^n / r) for each (circle, node): negative for a node inside the circle
+    ln_ratio = ns * (e_q * math.log(2.0) + hi_q + lo_q) - (e_r * math.log(2.0) + lnr)[:, 0]
+    inside, ln_rho = ln_ratio < 0, -np.abs(ln_ratio)
+    with np.errstate(divide="ignore"):  # a node on the circle needs inf terms
+        length = np.ceil((math.log(ctrl.abs_tol) + np.log1p(-np.exp(ln_rho))) / ln_rho)
+    if not np.all(length <= ctrl.max_terms):
+        raise NonConvergenceError(f"cardinal_on_circles: a series passes {ctrl.max_terms} terms")
+    fold = np.where(length > count, 1.0 / (1.0 - np.exp(
+        count * ln_rho + 2j * math.pi * offset * np.where(inside, -1, 1))), 1.0)[:, None]
+    length = np.clip(length, 1, count).astype(np.int64)
+    power = np.arange(-np.max(length * inside), np.max(length * ~inside))
+    # the term with z^power of node n at z = r: +-w_n q^{-n(power+1)} r^power, where its
+    # index l is -power-1 inside the circle and power outside
+    l, pairs = np.where(power < 0, -power - 1, power)[:, None], -ns * (power[:, None] + 1)
+    live = (inside[:, None] == (power < 0)[:, None]) & (l < length[:, None])
+    f, bits = exp_pow2(pairs * hi_q, power[:, None] * lnr + pairs * lo_q)
+    bits += power[:, None] * e_r + pairs * e_q + weights[1] * BASE_LOG2
+    terms = np.where(live, np.where(power < 0, 1.0, -1.0)[:, None] * weights[0] * fold * f, 0.0)
+    mant, exps = sum_rows(terms.reshape(-1, len(ns)), bits.reshape(-1, len(ns)))
+    return laurent_on_circles(power, mant.reshape(len(radii), -1),
+                              exps.reshape(len(radii), -1) * BASE_LOG2, count, offset)
 
 
 def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
@@ -197,8 +253,9 @@ def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
     off = ~on_node.any(axis=1)
     if off.any():
         t_mant, t_exps = theta_series_scaled(zs[off], q, ctrl)
-        weights = _node_weights(ns, a_mant, a_exps, q, ctrl)
-        s_mant, s_exps = _cardinal_sum((diff[0][off], diff[1][off]), weights)
+        weights = cardinal_weights(ns, (a_mant, a_exps), q, ctrl)
+        s_mant, s_exps = sum_rows(weights[0] / diff[0][off],
+                                  (weights[1] - diff[1][off]) * BASE_LOG2)
         mant[off], exps[off] = normalise_array(t_mant * s_mant, t_exps + s_exps)
     return pack(mant, exps, scalar)
 
@@ -243,7 +300,7 @@ def laurent_c0(
     which = np.zeros(len(ms), dtype=np.int64) if single else \
         np.array([circles.index(c) for c in contours], dtype=np.int64)
     at = which[:, None] * width + np.arange(width)  # row i: the nodes of m_i's circle
-    w_mant, w_exps = _node_weights(ms, np.ones(1), np.zeros(1, dtype=np.int64), q, ctrl)
+    w_mant, w_exps = cardinal_weights(ms, (np.ones(1), np.zeros(1, dtype=np.int64)), q, ctrl)
     node = _lattice_nodes(ms, q)
     d_mant, d_exps = sub_arrays((zs[at], 0), (node[0][:, None], node[1][:, None]))
     total = sum_rows(t_mant[at] * (w_mant[:, None] / d_mant),
@@ -269,6 +326,7 @@ def mk_trace(
     params: LatticeParams,
     ctrl: SeriesControl = _DEFAULT_CTRL,
     sample_extent: int | None = None,
+    weights: tuple | None = None,
 ):
     """Circle maxima max_{|z| = q^{k+1/2}} |Phi(z)| for each k, as a list
     of (k, maximum).
@@ -282,12 +340,14 @@ def mk_trace(
     Theta comes out 0, the kinds that divide by it have maximum inf.
 
     A sequence of kinds is traced in one pass and gives a dict kind ->
-    trace: G_x and Theta come from one FFT per circle of their series
-    terms (scaled.laurent_on_circles), the cardinal sums from one (point,
-    node) matrix, and each circle's maximum is the same bits as its own call.
+    trace: G_x, Theta and the cardinal sums come from one FFT per circle
+    (G_on_circles, qtheta.theta_on_circles, cardinal_on_circles), and each
+    circle's maximum is the same bits as its own call.
 
     ``sample_extent`` is the interpolant's node range N; by default the
     automatic truncation order for the signal plus 2 guard terms.
+    ``weights`` are the cardinal_weights of the nodes -N .. N, if already
+    made (sample_extent is then required).
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
     if params.regime == SUPERCRITICAL:
@@ -295,14 +355,15 @@ def mk_trace(
     for name in kinds:
         if name not in TRACE_KINDS:
             raise InvalidParameterError(f"unknown trace kind {name!r}")
+    if weights is not None and sample_extent is None:
+        raise InvalidParameterError("give sample_extent with weights")
     quotient = G_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
     cardinal = GTILDE_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
     q, ks = params.q, list(k_range)
     radii = np.exp((np.array(ks, dtype=float) + 0.5) * params.ln_q)
     ln = {}  # ln|Phi| at each point, for each kind
     if quotient:
-        g = laurent_on_circles(*_aliased_terms(signal, x, log2_split(radii), ctrl, "G_series"),
-                               _TRACE_ANGLES)
+        g = G_on_circles(radii, x, signal, _TRACE_ANGLES, ctrl=ctrl)
         theta = theta_on_circles(radii, q, _TRACE_ANGLES, ctrl=ctrl)
         zero = theta[0] == 0
         divisor = np.where(zero, 1.0, theta[0])
@@ -311,10 +372,9 @@ def mk_trace(
         if sample_extent is None:
             sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
         ns = np.arange(-sample_extent, sample_extent + 1)
-        weights = _node_weights(ns, *spatial_A(ns, x, signal, params, ctrl), q, ctrl)
-        zs = radii[:, None] * np.exp(2j * math.pi * np.arange(_TRACE_ANGLES) / _TRACE_ANGLES)
-        gaps = sub_arrays((zs.reshape(-1, 1), 0), [part[None, :] for part in _lattice_nodes(ns, q)])
-        total = _cardinal_sum(gaps, weights)
+        if weights is None:
+            weights = cardinal_weights(ns, spatial_A(ns, x, signal, params, ctrl), q, ctrl)
+        total = cardinal_on_circles(radii, ns, weights, q, _TRACE_ANGLES, ctrl=ctrl)
         ln[GTILDE_OVER_THETA] = ln_abs(*total)
     if RESIDUAL_ALPHA in kinds:
         gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))

@@ -33,12 +33,16 @@ LN_BASE = BASE_LOG2 * math.log(2.0)
 # for log-magnitudes in the tens of thousands.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+_INT64_MIN = np.iinfo(np.int64).min
 
 
 def ldexp_array(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """values * 2**shift for a complex array and integer shifts (exact barring
     underflow into subnormals; overflow gives inf, for the caller to check)."""
     out = np.empty(np.broadcast(values, shift).shape, dtype=complex)
+    if out.size > 512:  # np.ldexp's int32 loop is several times faster than its int64 one;
+        # past |shift| = 2100 a finite double is already inf or 0, so the clip is exact
+        shift = np.maximum(np.minimum(shift, 4096), -4096).astype(np.int32)
     with np.errstate(over="ignore"):
         out.real = np.ldexp(values.real, shift)
         out.imag = np.ldexp(values.imag, shift)
@@ -57,8 +61,8 @@ def normalise_array(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.
 
 def masked_max(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
     """Max of values where mask holds along axis; 0 where it never holds."""
-    top = np.where(mask, values, np.iinfo(np.int64).min).max(axis=axis)
-    return np.where(mask.any(axis=axis), top, 0)
+    top = np.where(mask, values, _INT64_MIN).max(axis=axis)
+    return np.where(top == _INT64_MIN, 0, top)
 
 
 def sum_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +78,8 @@ def sum_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
     exps = top // BASE_LOG2
     terms = ldexp_array(mant, bits - (exps * BASE_LOG2)[:, None])
     totals = np.cumsum(terms, axis=1)  # adds in column order: the running sums
-    before = np.hstack([np.zeros((len(terms), 1)), totals[:, :-1]])
+    before = np.empty_like(totals)
+    before[:, 0], before[:, 1:] = 0.0, totals[:, :-1]
     part = totals - before
     before -= totals - part  # becomes the rounding error of each addition
     before += terms - part

@@ -357,6 +357,10 @@ def gamma_quadrature(
     and halves the spacing, reusing every sample, until successive sums
     agree to quad.tol or to 1e-15 S_m; an analytic, Gaussian-windowed
     integrand converges geometrically, so usually at the first halving.
+    Agreement is no proof: content of f at frequency nu = k +- 2 pi / h_{j+1}
+    aliases identically into levels j and j+1 (nu = k +- 50.27 for the columns
+    |k| <= 5, which start at level 0), so such an entry stops at a wrong value
+    with a small bound, and nothing in the envelope metadata flags it.
     The levels run over the whole block: level j sums every row with an
     entry left there, with one fetch and one e^{-ikx} per run of
     overlapping windows.  An entry that reaches quad.max_refinements

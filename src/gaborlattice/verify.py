@@ -24,8 +24,11 @@ from .oracle import (
     G_OVER_THETA,
     GTILDE_OVER_THETA,
     RESIDUAL_ALPHA,
+    G_on_circles,
     G_series,
     balanced_contour,
+    cardinal_on_circles,
+    cardinal_weights,
     lagrange_interpolant,
     laurent_c0,
     mk_trace,
@@ -43,7 +46,6 @@ from .qtheta import (
     theta_on_circles,
     theta_prime_lattice,
     theta_product,
-    theta_series,
     theta_series_scaled,
 )
 from .scaled import (BASE_LOG2, exp_pow2, ldexp_array, ln_split, log2_split,
@@ -137,18 +139,34 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     _record(checks, "triple_product_identity", np.max(np.abs(ts - tp) / (1.0 + np.abs(ts))), 1e-12,
             "|z| in {sqrt(q), 1, 1/sqrt(q)}, 32 angles, at the given tau")
 
+    # The five pointwise checks below take Theta from one theta_series_scaled call over
+    # all their points, split per check: a row's sum depends on no other row.  Each
+    # seeded check draws its points as rows, in the stream's order.
+    rng = np.random.default_rng(2026)
+    power, angle = rng.uniform([-0.5, 0.0], [0.5, 2.0 * math.pi], (100, 2)).T
+    z_step = q ** power * np.exp(1j * angle)
+    angle, power = rng.uniform([0.0, -0.5], [2.0 * math.pi, 0.5], (20, 2)).T
+    z_iter, n = q ** power * np.exp(1j * angle), np.arange(-6, 7)
+    re, im = rng.uniform(-2.0, 2.0, (20, 2)).T
+    z_conj = np.where((re == 0) & (im == 0), 1.0, re + 1j * im)
+    zeros, ns = q ** np.arange(-5.0, 6.0), np.arange(-4, 5)
+    h = q ** ns * 1e-3
+    points = [np.concatenate([q * z_step, z_step]),
+              np.concatenate([z_iter, (q ** n * z_iter[:, None]).ravel()]),
+              np.concatenate([z_conj.conjugate(), z_conj]), zeros,
+              (q ** ns + np.outer([1.0, -1.0, 0.5, -0.5], h)).ravel()]
+    mant, exps = theta_series_scaled(np.concatenate(points), q, ctrl)
+    at = np.cumsum([len(p) for p in points])[:-1]
+    step, iterated, conj, on_zeros, fd_values = zip(np.split(mant, at), np.split(exps, at))
+
     # one-step quasi-periodicity at 100 seeded random points.  Residuals
     # are measured against the envelope scale eta: near q -> 1 (and near
     # the zeros) |Theta| sits a dozen orders below its own series terms,
     # so a pointwise-relative comparison would test conditioning rather
-    # than the identity.  eta is the natural yardstick for that.  Each seeded
-    # check draws its points as rows, in the stream's order.
-    rng = np.random.default_rng(2026)
-    power, angle = rng.uniform([-0.5, 0.0], [0.5, 2.0 * math.pi], (100, 2)).T
-    z = q ** power * np.exp(1j * angle)
-    lhs, ts = theta_series(np.concatenate([q * z, z]), q, ctrl).reshape(2, -1)
-    scale = eta(q * z, q) + eta(z, q) / np.abs(z)
-    _record(checks, "one_step_quasi_periodicity", np.max(np.abs(lhs + ts / z) / scale), 1e-12,
+    # than the identity.  eta is the natural yardstick for that.
+    lhs, ts = to_complex(step).reshape(2, -1)
+    scale = eta(q * z_step, q) + eta(z_step, q) / np.abs(z_step)
+    _record(checks, "one_step_quasi_periodicity", np.max(np.abs(lhs + ts / z_step) / scale), 1e-12,
             "100 seeded random z at the given tau, residual relative to the eta envelope")
 
     # iterated quasi-periodicity Theta(q^n z) = factor * Theta(z), factor = (-z)^{-n}
@@ -157,9 +175,7 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     # is the eta-relative residual at q^n z.  1/factor = (-z/|z|)^n |z|^n q^{n(n-1)/2} comes
     # from the split logarithms of |z| and q, as in the theta series: it never leaves the
     # double range.
-    angle, power = rng.uniform([0.0, -0.5], [2.0 * math.pi, 0.5], (20, 2)).T
-    z, n = q ** power * np.exp(1j * angle), np.arange(-6, 7)
-    mant, exps = theta_series_scaled(np.concatenate([z, (q ** n * z[:, None]).ravel()]), q, ctrl)
+    z, (mant, exps) = z_iter, iterated
     theta_z = mant[:len(z), None], exps[:len(z), None]
     e_z, lnr_z = (part[:, None] for part in log2_split(np.abs(z)))
     e_q, hi_q, lo_q = ln_split(q)
@@ -176,25 +192,19 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
             "n in [-6, 6], 20 seeded random z at the given tau, eta-relative")
 
     # conjugation symmetry
-    re, im = rng.uniform(-2.0, 2.0, (20, 2)).T
-    z = np.where((re == 0) & (im == 0), 1.0, re + 1j * im)
-    a, b = theta_series(np.concatenate([z.conjugate(), z]), q, ctrl).reshape(2, -1)
+    a, b = to_complex(conj).reshape(2, -1)
     _record(checks, "conjugation_symmetry",
             np.max(np.abs(a - b.conjugate()) / np.maximum(np.abs(b), 1e-300)), 1e-13, "")
 
     # zero set at this tau
-    zs = q ** np.arange(-5.0, 6.0)
-    _record(checks, "lattice_zero_set", np.max(_over_eta(theta_series_scaled(zs, q, ctrl), zs, q)),
+    _record(checks, "lattice_zero_set", np.max(_over_eta(on_zeros, zeros, q)),
             1e-10, "n in [-5, 5] at the given tau")
 
     # derivative contract + adjudication of the closed-form candidates
-    ns = np.arange(-4, 5)
     ref = theta_prime_lattice(ns, q, ctrl)
     ref_c = to_complex(ref)
     # independent estimate: Richardson-extrapolated central differences
-    h = q ** ns * 1e-3
-    up, down, up2, down2 = theta_series(
-        q ** ns + np.outer([1.0, -1.0, 0.5, -0.5], h), q, ctrl).reshape(4, -1)
+    up, down, up2, down2 = to_complex(fd_values).reshape(4, -1)
     fd = (4.0 * (up2 - down2) / h - (up - down) / (2 * h)) / 3.0
     _record(checks, "lattice_derivative_vs_finite_difference",
             np.max(np.abs(ref_c - fd) / np.abs(ref_c)), 1e-6,
@@ -296,7 +306,7 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
     K = 12
     table = forward_table(signal, params.tau, 3, K, base=base)
     ms, xs = np.arange(-3, 4), np.array([0.0, 0.3, 1.1])
-    rhs = np.stack([to_complex(spatial_A(ms, x, signal, params, ctrl)) for x in xs], axis=1)
+    rhs = to_complex(spatial_A(ms, xs, signal, params, ctrl)).T
     # rows |m| <= 3 grow at most like e^{9 tau^2} < e^{89} times the signal's size, so they
     # are down-converted whole (to_complex raises beyond the double range)
     inner = inner_fourier_sum(to_complex((table.mantissa, table.exponent)), xs, K)
@@ -326,17 +336,21 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     ns = np.arange(-extent, extent + 1)
     samples = spatial_A(ns, x, signal, params, ctrl)
 
-    # cardinal property on the nodes
-    nodes = np.array([-2, 0, 3])
-    values = to_complex(lagrange_interpolant(params.q ** nodes, ns, samples, params, ctrl))
-    refs = to_complex((samples[0][nodes + extent], samples[1][nodes + extent]))
+    # cardinal property on the nodes, against G_x(q^n) summed apart from spatial_A
+    zs = params.q ** np.array([-2, 0, 3])
+    values = to_complex(lagrange_interpolant(zs, ns, samples, params, ctrl))
+    refs = to_complex(G_series(zs, x, signal, params, ctrl))
     worst = np.max(np.abs(values - refs) / np.abs(refs))
     _record(checks, "interpolation_node_exactness", worst, 1e-10, "")
 
-    # off-node identity on the circles |z| = q^{1/2}, q^{-1/2}, both in one call
-    _, zs = _circles([0.5, -0.5], params.ln_q, 32, 0.5)
-    g = to_complex(G_series(zs, x, signal, params, ctrl)).reshape(2, -1)
-    gt = to_complex(lagrange_interpolant(zs, ns, samples, params, ctrl)).reshape(2, -1)
+    # off-node identity on |z| = q^{1/2}, q^{-1/2}, from one FFT per circle; the weights are
+    # the traces' too
+    weights = cardinal_weights(ns, samples, params.q, ctrl)
+    radii, _ = _circles([0.5, -0.5], params.ln_q, 32, 0.5)
+    g = to_complex(G_on_circles(radii, x, signal, 32, 0.5, ctrl)).reshape(2, -1)
+    theta = theta_on_circles(radii, params.q, 32, 0.5, ctrl)
+    cardinal = cardinal_on_circles(radii, ns, weights, params.q, 32, 0.5, ctrl)
+    gt = to_complex(normalise_array(theta[0] * cardinal[0], theta[1] + cardinal[1])).reshape(2, -1)
     worst = float(np.max(np.max(np.abs(g - gt), axis=1) / np.max(np.abs(g), axis=1)))
     _record(checks, "interpolation_global_identity", worst, 1e-8,
             "|G - interpolant| on |z| = q^{1/2}, q^{-1/2}")
@@ -347,7 +361,7 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     # terms down to a quotient of ~1e-19 there, an 18-digit cancellation,
     # so its noise floor sits far above 1e-8 of that circle's quotient.)
     # All three traces come from one pass over k in [-6, 6].
-    traces = mk_trace(TRACE_KINDS, range(-6, 7), x, signal, params, ctrl, sample_extent=extent)
+    traces = mk_trace(TRACE_KINDS, range(-6, 7), x, signal, params, ctrl, extent, weights)
     gq = traces[G_OVER_THETA]
     scale = max(ref for k, ref in gq if -4 <= k <= 4)
     note = "residual maxima relative to the quotient scale, k in [-4, 4]"

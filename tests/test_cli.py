@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -141,6 +143,27 @@ class TestReconstruct:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,f_ref_re,f_ref_im,f_rec_re,f_rec_im,abs_err"
         assert len(lines) == 122
+
+    def test_stdout_is_the_csv_alone(self, capsys, table_path, reconstruct_config):
+        # with no --output and no --summary the summary goes to stderr
+        assert main(["reconstruct", "--config", reconstruct_config, "--table", table_path]) == 0
+        out, err = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["x", "f_ref_re", "f_ref_im", "f_rec_re", "f_rec_im", "abs_err"]
+        assert len(rows) == 122 and all(len(row) == 6 for row in rows)
+        assert [float(v) for v in rows[1]]  # every field a number
+        summary = json.loads(err)
+        assert summary["summary"]["points"] == 121
+        assert summary["summary"]["sup_error"] <= 1e-6
+
+    def test_summary_path_without_output(self, capsys, tmp_path, table_path,
+                                         reconstruct_config):
+        path = tmp_path / "s.json"
+        assert main(["reconstruct", "--config", reconstruct_config, "--table", table_path,
+                     "--summary", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert len(list(csv.reader(io.StringIO(out)))) == 122 and err == ""
+        assert json.loads(path.read_text())["summary"]["points"] == 121
 
     def test_empty_grid(self, tmp_path, table_path):
         cfg = write_json(tmp_path / "c.json", {

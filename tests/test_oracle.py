@@ -22,7 +22,9 @@ from gaborlattice import (
     nome_from_tau,
     spatial_A,
 )
-from gaborlattice.oracle import G_OVER_THETA, RESIDUAL_ALPHA, TRACE_KINDS
+from gaborlattice.oracle import (G_OVER_THETA, RESIDUAL_ALPHA, TRACE_KINDS, G_on_circles,
+                                 cardinal_on_circles, cardinal_weights)
+from gaborlattice.qtheta import theta_on_circles
 from gaborlattice.scaled import sub_arrays, to_complex
 
 
@@ -326,3 +328,95 @@ class TestArrayPath:
         with pytest.raises(NonConvergenceError):
             lagrange_interpolant(_circles(params_tau1), *samples, params_tau1,
                                  SeriesControl(max_terms=4, min_terms=4))
+
+
+class TestCardinalOnCircles:
+    """oracle.cardinal_on_circles: sum_n w_n / (z - q^n) on uniform circles by FFT."""
+
+    @staticmethod
+    def basis(signal, params, extent=7):
+        ns = np.arange(-extent, extent + 1)
+        return ns, cardinal_weights(ns, spatial_A(ns, 0.3, signal, params), params.q)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 0.05])
+    @pytest.mark.parametrize("count, offset", [(32, 0.5), (64, 0.0)])
+    def test_against_mpmath(self, tau, count, offset, two_component):
+        mp = pytest.importorskip("mpmath")
+        eps, params = np.finfo(float).eps, nome_from_tau(tau)
+        ns, weights = self.basis(two_component, params)
+        radii = np.exp((np.array([-6, 0, 5]) + 0.5) * params.ln_q)
+        mant, exps = cardinal_on_circles(radii, ns, weights, params.q, count, offset)
+        with mp.workdps(60):
+            nodes = [mp.mpf(params.q) ** int(n) for n in ns]
+            w = [mp.mpc(m) * mp.mpf(2) ** (128 * int(e)) for m, e in zip(*weights)]
+            for i, r in enumerate(radii):
+                # the sum of |terms| of the nodes' geometric series on |z| = r
+                scale = mp.fsum(abs(wn) / abs(r - node) for wn, node in zip(w, nodes))
+                for t in range(count):
+                    z = r * mp.expjpi(2 * (t + mp.mpf(offset)) / count)
+                    exact = mp.fsum(wn / (z - node) for wn, node in zip(w, nodes))
+                    j = i * count + t
+                    got = mp.mpc(mant[j]) * mp.mpf(2) ** (128 * int(exps[j]))
+                    assert abs(got - exact) <= 16 * eps * scale, (tau, r, t)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.05])
+    def test_each_circle_alone_is_its_block_row_bit_for_bit(self, tau, two_component):
+        params = nome_from_tau(tau)
+        ns, weights = self.basis(two_component, params)
+        radii = np.exp((np.arange(-6, 7) + 0.5) * params.ln_q)
+        for offset in (0.0, 0.5):
+            block = cardinal_on_circles(radii, ns, weights, params.q, 64, offset)
+            alone = [cardinal_on_circles([r], ns, weights, params.q, 64, offset) for r in radii]
+            assert block[0].view(np.uint64).tolist() == \
+                np.concatenate([a[0] for a in alone]).view(np.uint64).tolist()
+            assert block[1].tolist() == np.concatenate([a[1] for a in alone]).tolist()
+
+    def test_close_to_the_per_point_sums(self, two_component, params_tau1):
+        ns, weights = self.basis(two_component, params_tau1)
+        samples = spatial_A(ns, 0.3, two_component, params_tau1)
+        radii = params_tau1.q ** np.array([0.5, -0.5])
+        zs = (radii[:, None] * np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)).ravel()
+        theta = to_complex(theta_on_circles(radii, params_tau1.q, 32, 0.5))
+        got = theta * to_complex(cardinal_on_circles(radii, ns, weights, params_tau1.q, 32, 0.5))
+        want = to_complex(lagrange_interpolant(zs, ns, samples, params_tau1))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_refusals(self, two_component, params_tau1):
+        ns, weights = self.basis(two_component, params_tau1)
+        q = params_tau1.q
+        with pytest.raises(NonConvergenceError):  # a circle through a node
+            cardinal_on_circles([q ** 3], ns, weights, q, 64)
+        with pytest.raises(NonConvergenceError):
+            cardinal_on_circles([q ** 0.5], ns, weights, q, 64, ctrl=SeriesControl(max_terms=8))
+        with pytest.raises(InvalidParameterError):
+            cardinal_on_circles([q ** 0.5], ns[1:], weights, q, 64)
+        with pytest.raises(InvalidParameterError):
+            cardinal_on_circles([0.0], ns, weights, q, 64)
+        empty = cardinal_on_circles([], ns, weights, q, 64)
+        assert empty[0].shape == empty[1].shape == (0,)
+
+    def test_trace_takes_the_weights_it_is_given(self, two_component, params_tau1):
+        ns, weights = self.basis(two_component, params_tau1, extent=9)
+        assert mk_trace(TRACE_KINDS, range(-6, 7), 0.3, two_component, params_tau1,
+                        sample_extent=9, weights=weights) == \
+            mk_trace(TRACE_KINDS, range(-6, 7), 0.3, two_component, params_tau1, sample_extent=9)
+        with pytest.raises(InvalidParameterError):
+            mk_trace(G_OVER_THETA, [0], 0.3, two_component, params_tau1, weights=weights)
+
+    def test_G_on_circles_is_the_per_point_series(self, two_component, params_tau1):
+        radii = params_tau1.q ** np.array([0.5, -0.5, 2.5])
+        zs = (radii[:, None] * np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)).ravel()
+        got = to_complex(G_on_circles(radii, 0.3, two_component, 32, 0.5))
+        want = to_complex(G_series(zs, 0.3, two_component, params_tau1))
+        assert np.all(np.abs(got - want).reshape(3, -1)
+                      <= 1e-14 * np.max(np.abs(want).reshape(3, -1), axis=1, keepdims=True))
+
+    def test_spatial_A_array_of_x_is_one_call_per_x_bit_for_bit(self, two_component,
+                                                                 params_tau1):
+        ms, xs = np.arange(-3, 4), np.array([0.0, 0.3, 1.1, -2.0])
+        mant, exps = spatial_A(ms, xs, two_component, params_tau1)
+        assert mant.shape == exps.shape == (len(xs), len(ms))
+        for row, x in enumerate(xs):
+            alone = spatial_A(ms, x, two_component, params_tau1)
+            assert mant[row].view(np.uint64).tolist() == alone[0].view(np.uint64).tolist()
+            assert exps[row].tolist() == alone[1].tolist()

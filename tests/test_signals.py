@@ -470,3 +470,33 @@ class TestForwardTable:
         table = forward_table(unit_gaussian, 1.0, 1, 1)
         with pytest.raises(InvalidParameterError):
             table.get(2, 0)
+
+
+def test_callback_quadrature_aliases_content_at_the_level_period():
+    """A known hole, pinned as it stands: an entry stops when levels j and j+1
+    agree, and content at nu = k +- 2 pi / h_1 (+-50.27 for the columns |k| <= 5,
+    which start at level 0, h_0 = H0) aliases identically into both levels.  The
+    unit Gaussian modulated by e^{-48ix} therefore comes back wrong by orders of
+    magnitude more than its stated bounds, and round_trip reports a tiny tail."""
+    from gaborlattice import ReconConfig, round_trip
+    from gaborlattice.scaled import to_complex
+
+    def sampler(x):
+        return math.exp(-x * x / 4.0) * cmath.exp(-48j * x)
+
+    callback = SignalModel.callback(sampler, 1.0, 0.0)
+    table = forward_table(callback, 1.0, 1, 4)
+    exact = to_complex(_mant_exp(forward_table(SignalModel.gaussian([(1.0, 0.0, -48.0)]),
+                                               1.0, 1, 4)))
+    miss = np.abs(to_complex(_mant_exp(table)) - exact)
+    bound = to_complex(_mant_exp(table.errors)).real
+    # entries (m, 2) carry the aliased mode: off by O(1) with bounds below 1e-9
+    assert np.all(miss[:, 2 + 4] > 1.0) and np.all(bound[:, 2 + 4] < 1e-9)
+    assert np.max(miss / bound) > 1e9
+    report = round_trip(callback, 1.0, ReconConfig(tol=1e-8, grid=(-3.0, 3.0, 0.05)))
+    assert (report.M_used, report.K_used) == (5, 8)
+    assert report.tail_estimate < 1e-16 and report.sup_error > 1.0
+
+
+def _mant_exp(table):
+    return table.mantissa, table.exponent
