@@ -76,9 +76,9 @@ def _atomic_write(path: str, chunks: Iterable[str]):
         raise
 
 
-def _emit(path: str | None, chunks: Iterable[str]):
+def _emit(path: str | None, chunks: Iterable[str], stream=None):
     if path is None:
-        sys.stdout.writelines(chunks)
+        (stream or sys.stdout).writelines(chunks)
     else:
         _atomic_write(path, chunks)
 
@@ -367,10 +367,7 @@ def cmd_reconstruct(args) -> int:
     header = "x,f_ref_re,f_ref_im,f_rec_re,f_rec_im,abs_err\n"
     _emit(args.output, itertools.chain([header], fmt17.csv_rows([report.xs, *columns])))
     summary_path = args.summary or (f"{args.output}.summary.json" if args.output else None)
-    if summary_path is None:  # stdout carries the CSV alone
-        sys.stderr.write(_json_dumps(summary))
-    else:
-        _atomic_write(summary_path, [_json_dumps(summary)])
+    _emit(summary_path, [_json_dumps(summary)], sys.stderr)  # stdout carries the CSV alone
     return 0
 
 

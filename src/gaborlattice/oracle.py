@@ -345,9 +345,8 @@ def mk_trace(
     circle's maximum is the same bits as its own call.
 
     ``sample_extent`` is the interpolant's node range N; by default the
-    automatic truncation order for the signal plus 2 guard terms.
-    ``weights`` are the cardinal_weights of the nodes -N .. N, if already
-    made (sample_extent is then required).
+    automatic truncation order for the signal plus 2 guard terms.  Given
+    ``weights``, the cardinal_weights of the 2N + 1 nodes -N .. N, N is theirs.
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
     if params.regime == SUPERCRITICAL:
@@ -355,8 +354,6 @@ def mk_trace(
     for name in kinds:
         if name not in TRACE_KINDS:
             raise InvalidParameterError(f"unknown trace kind {name!r}")
-    if weights is not None and sample_extent is None:
-        raise InvalidParameterError("give sample_extent with weights")
     quotient = G_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
     cardinal = GTILDE_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
     q, ks = params.q, list(k_range)
@@ -369,11 +366,12 @@ def mk_trace(
         divisor = np.where(zero, 1.0, theta[0])
         ln[G_OVER_THETA] = np.where(zero, np.inf, ln_abs(g[0] / divisor, g[1] - theta[1]))
     if cardinal:
-        if sample_extent is None:
-            sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
-        ns = np.arange(-sample_extent, sample_extent + 1)
         if weights is None:
+            if sample_extent is None:
+                sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
+            ns = np.arange(-sample_extent, sample_extent + 1)
             weights = cardinal_weights(ns, spatial_A(ns, x, signal, params, ctrl), q, ctrl)
+        ns = np.arange(len(weights[0])) - len(weights[0]) // 2  # the nodes -N .. N
         total = cardinal_on_circles(radii, ns, weights, q, _TRACE_ANGLES, ctrl=ctrl)
         ln[GTILDE_OVER_THETA] = ln_abs(*total)
     if RESIDUAL_ALPHA in kinds:

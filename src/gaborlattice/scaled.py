@@ -40,8 +40,8 @@ def ldexp_array(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """values * 2**shift for a complex array and integer shifts (exact barring
     underflow into subnormals; overflow gives inf, for the caller to check)."""
     out = np.empty(np.broadcast(values, shift).shape, dtype=complex)
-    if out.size > 512:  # np.ldexp's int32 loop is several times faster than its int64 one;
-        # past |shift| = 2100 a finite double is already inf or 0, so the clip is exact
+    if out.size > 512:  # the int32 clip costs ~1.5 us, repaid by np.ldexp's faster int32 loop
+        # from a few hundred elements on; past |shift| = 2100 a double is inf or 0: an exact clip
         shift = np.maximum(np.minimum(shift, 4096), -4096).astype(np.int32)
     with np.errstate(over="ignore"):
         out.real = np.ldexp(values.real, shift)

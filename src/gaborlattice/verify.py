@@ -336,15 +336,14 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     ns = np.arange(-extent, extent + 1)
     samples = spatial_A(ns, x, signal, params, ctrl)
 
-    # cardinal property on the nodes, against G_x(q^n) summed apart from spatial_A
     zs = params.q ** np.array([-2, 0, 3])
     values = to_complex(lagrange_interpolant(zs, ns, samples, params, ctrl))
     refs = to_complex(G_series(zs, x, signal, params, ctrl))
     worst = np.max(np.abs(values - refs) / np.abs(refs))
-    _record(checks, "interpolation_node_exactness", worst, 1e-10, "")
+    _record(checks, "interpolation_node_samples_vs_G_series", worst, 1e-10,
+            "spatial_A's A_n (the interpolant at q^n, n in {-2, 0, 3}) against G_series' G_x(q^n)")
 
-    # off-node identity on |z| = q^{1/2}, q^{-1/2}, from one FFT per circle; the weights are
-    # the traces' too
+    # off-node identity on |z| = q^{1/2}, q^{-1/2}, one FFT per circle; the traces share the weights
     weights = cardinal_weights(ns, samples, params.q, ctrl)
     radii, _ = _circles([0.5, -0.5], params.ln_q, 32, 0.5)
     g = to_complex(G_on_circles(radii, x, signal, 32, 0.5, ctrl)).reshape(2, -1)
@@ -361,7 +360,7 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     # terms down to a quotient of ~1e-19 there, an 18-digit cancellation,
     # so its noise floor sits far above 1e-8 of that circle's quotient.)
     # All three traces come from one pass over k in [-6, 6].
-    traces = mk_trace(TRACE_KINDS, range(-6, 7), x, signal, params, ctrl, extent, weights)
+    traces = mk_trace(TRACE_KINDS, range(-6, 7), x, signal, params, ctrl, weights=weights)
     gq = traces[G_OVER_THETA]
     scale = max(ref for k, ref in gq if -4 <= k <= 4)
     note = "residual maxima relative to the quotient scale, k in [-4, 4]"

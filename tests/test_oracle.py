@@ -398,10 +398,8 @@ class TestCardinalOnCircles:
     def test_trace_takes_the_weights_it_is_given(self, two_component, params_tau1):
         ns, weights = self.basis(two_component, params_tau1, extent=9)
         assert mk_trace(TRACE_KINDS, range(-6, 7), 0.3, two_component, params_tau1,
-                        sample_extent=9, weights=weights) == \
+                        weights=weights) == \
             mk_trace(TRACE_KINDS, range(-6, 7), 0.3, two_component, params_tau1, sample_extent=9)
-        with pytest.raises(InvalidParameterError):
-            mk_trace(G_OVER_THETA, [0], 0.3, two_component, params_tau1, weights=weights)
 
     def test_G_on_circles_is_the_per_point_series(self, two_component, params_tau1):
         radii = params_tau1.q ** np.array([0.5, -0.5, 2.5])

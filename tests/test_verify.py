@@ -121,7 +121,7 @@ def test_closed_form_entries_computed_once(monkeypatch):
     assert keys and len(keys) == len(set(keys))
     names = [c.name for c in report.checks]  # the records keep the suite order
     assert names.index("contour_radius_independence") + 1 == names.index("poisson_consistency") \
-        == names.index("interpolation_node_exactness") - 1
+        == names.index("interpolation_node_samples_vs_G_series") - 1
 
 
 THETA_RECORDS = [
