@@ -25,6 +25,7 @@ from gaborlattice import (
     nome_from_tau,
     spatial_A,
 )
+from gaborlattice.oracle import cardinal_weights
 from gaborlattice.scaled import to_complex
 
 params = nome_from_tau(1.0)
@@ -88,10 +89,9 @@ print("Circle maxima traces (the shape of the convergence argument)")
 print("=" * 72)
 print(f"{'k':>3} {'|G/Theta|':>12} {'|interp/Theta|':>15} {'residual':>12}")
 gq = dict(mk_trace("G_over_theta", range(-5, 6), x, signal, params))
-gt = dict(mk_trace("Gtilde_over_theta", range(-5, 6), x, signal, params,
-                   sample_extent=extent))
-ra = dict(mk_trace("residual_alpha", range(-5, 6), x, signal, params,
-                   sample_extent=extent))
+weights = cardinal_weights(ns, samples, params.q)
+gt = dict(mk_trace("Gtilde_over_theta", range(-5, 6), x, signal, params, weights=weights))
+ra = dict(mk_trace("residual_alpha", range(-5, 6), x, signal, params, weights=weights))
 for k in range(-5, 6):
     print(f"{k:>3} {gq[k]:>12.2e} {gt[k]:>15.2e} {ra[k]:>12.2e}")
 print("the quotient dies off in both directions; the residual is noise-level")

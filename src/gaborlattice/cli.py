@@ -26,7 +26,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -200,8 +199,6 @@ def _load_config(path: str) -> dict:
 
 
 def cmd_coeffs(args) -> int:
-    if not (math.isfinite(args.tau) and args.tau > 0):
-        raise InvalidParameterError(f"--tau must be a positive real, got {args.tau!r}")
     params = nome_from_tau(args.tau)
     ctrl = SeriesControl(abs_tol=args.tol) if args.tol is not None else SeriesControl()
     ms = np.arange(args.m_min, args.m_max + 1)
@@ -412,7 +409,7 @@ def cmd_sweep(args) -> int:
         params = nome_from_tau(tau)
         try:
             report = round_trip(
-                signal, params, ReconConfig(tol=tol, grid=grid, truncation=truncation))
+                signal, tau, ReconConfig(tol=tol, grid=grid, truncation=truncation))
             rows.append([_fmt(tau), params.regime, "ok",
                          _fmt(report.sup_error), _fmt(report.l2_error),
                          str(report.M_used), str(report.K_used),

@@ -325,7 +325,6 @@ def mk_trace(
     signal: SignalModel,
     params: LatticeParams,
     ctrl: SeriesControl = _DEFAULT_CTRL,
-    sample_extent: int | None = None,
     weights: tuple | None = None,
 ):
     """Circle maxima max_{|z| = q^{k+1/2}} |Phi(z)| for each k, as a list
@@ -344,9 +343,9 @@ def mk_trace(
     (G_on_circles, qtheta.theta_on_circles, cardinal_on_circles), and each
     circle's maximum is the same bits as its own call.
 
-    ``sample_extent`` is the interpolant's node range N; by default the
-    automatic truncation order for the signal plus 2 guard terms.  Given
-    ``weights``, the cardinal_weights of the 2N + 1 nodes -N .. N, N is theirs.
+    ``weights`` are the interpolant's cardinal_weights at the 2N + 1 nodes
+    -N .. N, which sets its node range N; by default N is the automatic
+    truncation order for the signal plus 2 guard terms.
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
     if params.regime == SUPERCRITICAL:
@@ -367,9 +366,8 @@ def mk_trace(
         ln[G_OVER_THETA] = np.where(zero, np.inf, ln_abs(g[0] / divisor, g[1] - theta[1]))
     if cardinal:
         if weights is None:
-            if sample_extent is None:
-                sample_extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
-            ns = np.arange(-sample_extent, sample_extent + 1)
+            extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
+            ns = np.arange(-extent, extent + 1)
             weights = cardinal_weights(ns, spatial_A(ns, x, signal, params, ctrl), q, ctrl)
         ns = np.arange(len(weights[0])) - len(weights[0]) // 2  # the nodes -N .. N
         total = cardinal_on_circles(radii, ns, weights, q, _TRACE_ANGLES, ctrl=ctrl)

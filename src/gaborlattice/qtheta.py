@@ -12,9 +12,10 @@ functional equation Theta(qz; q) = -Theta(z; q)/z.  Both
 representations are implemented independently; the test suite holds
 them against each other.
 
-The theta forms, the lattice derivatives and eta take scalars or 1-d arrays
-(z and q broadcast; n) and give a ScaledValue (eta a float) or normalised
-(mantissa, exponent) arrays; a scalar call equals an array call's element.
+Every call runs at one nome q, a number (an array of nomes is refused).  The
+theta forms, the lattice derivatives and eta take a scalar or a 1-d array of z
+(of integer n) and give a ScaledValue (eta a float) or normalised (mantissa,
+exponent) arrays; a scalar call equals an array call's element.
 
 Two printed closed forms from the source material carry slips and are
 kept only as diagnostic candidates:
@@ -99,8 +100,8 @@ class SeriesControl:
     min_terms: int = 8
 
     def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise InvalidParameterError("abs_tol must be positive")
+        if not (0 < self.abs_tol < 1):
+            raise InvalidParameterError(f"abs_tol must lie in (0, 1), got {self.abs_tol!r}")
         if self.min_terms > self.max_terms or self.min_terms < 1:
             raise InvalidParameterError("need 1 <= min_terms <= max_terms")
 
@@ -108,12 +109,11 @@ class SeriesControl:
 _DEFAULT_CTRL = SeriesControl()
 
 
-def _check_q_open(q):
-    """q as a float, or a float array for an array, with every entry in (0, 1)."""
-    array = isinstance(q, np.ndarray) and q.dtype.kind == "f"
-    if not (array or isinstance(q, (int, float))) or not np.all((q > 0) & (q < 1)):
-        raise InvalidParameterError(f"q must lie in (0, 1), got {q!r}")
-    return q.astype(float) if array else float(q)
+def _check_q_open(q) -> float:
+    """q as a float in (0, 1)."""
+    if not isinstance(q, (int, float)) or not 0 < q < 1:
+        raise InvalidParameterError(f"q must be a number in (0, 1), got {q!r:.40}")
+    return float(q)
 
 
 def euler_product(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
@@ -146,21 +146,6 @@ def z_array(z, what: str = "theta") -> tuple[np.ndarray, bool]:
     return zs.reshape(-1), zs.ndim == 0
 
 
-def _z_and_q(z, q) -> tuple[np.ndarray, np.ndarray, bool]:
-    """z (z_array) and q broadcast to one 1-d length; whether both were scalars."""
-    zs, scalar = z_array(z)
-    q = _check_q_open(q)
-    zs, qs = np.broadcast_arrays(zs, np.reshape(q, -1))
-    return zs, qs, scalar and np.ndim(q) == 0
-
-
-def _q_split(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """scaled.ln_split of each q as (e, hi, lo) rows, taken once per distinct q."""
-    split = {q: ln_split(q) for q in set(qs.tolist())}
-    parts = np.array([split[q] for q in qs.tolist()]).reshape(-1, 3)
-    return parts[:, 0].astype(np.int64), parts[:, 1], parts[:, 2]
-
-
 #: factors per column chunk of the triple product's (z, n) factor matrix, and rows
 #: per matrix of the theta series: a call's temporaries stay bounded
 _PRODUCT_CHUNK, _SERIES_ROWS = 32, 128
@@ -174,8 +159,9 @@ def theta_product_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     each factor split into a mantissa and an exact power of two; a row leaves
     the matrix once its factors are done.
     """
-    zs, qs, scalar = _z_and_q(z, q)
-    ln_q, ln_big = np.log(qs), np.abs(np.log(np.abs(zs)))
+    zs, scalar = z_array(z)
+    q = _check_q_open(q)
+    ln_q, ln_big = np.log(q), np.abs(np.log(np.abs(zs)))
     last = np.maximum(np.floor((math.log(ctrl.abs_tol) - ln_big) / ln_q) + 1, ctrl.min_terms)
     if np.any(last > ctrl.max_terms):
         raise NonConvergenceError(f"theta_product: {int(last.max())} factors needed, more than "
@@ -185,7 +171,7 @@ def theta_product_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     for first in range(1, int(last.max(initial=0)) + 1, _PRODUCT_CHUNK):
         rows = np.flatnonzero(last >= first)
         n = np.arange(first, first + _PRODUCT_CHUNK)
-        qn = qs[rows, None] ** n
+        qn = q ** n
         factors = (1.0 - qn) * (1.0 - zs[rows, None] * qn) * (1.0 - zinv[rows, None] * qn)
         _, e2 = np.frexp(np.abs(factors))
         live = n <= last[rows, None]
@@ -201,11 +187,11 @@ def theta_product(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     return to_complex(theta_product_scaled(z, q, ctrl))
 
 
-def _series_terms(z_split: tuple, q_split, ctrl: SeriesControl, label: str,
+def _series_terms(z_split: tuple, q_split: tuple, ctrl: SeriesControl, label: str,
                   derivative: bool = False, lattice=0):
     """The terms of sum_n (-1)^n z^n q^{n(n-1)/2} (with derivative=True of its z-derivative
     sum_n (-1)^n n z^{n-1} q^{n(n-1)/2}) at each z = q^lattice 2**e r > 0, z_split = (e, ln r)
-    (scaled.log2_split), q_split the _q_split of each row's q and lattice an int or a
+    (scaled.log2_split), q_split the scaled.ln_split of q and lattice an int or a
     (rows, 1) column: (power, mant, bits), the term with z^power being mant * 2**bits.
 
     ln|z^n q^{n(n-1)/2}| = n ln|z| - a n(n-1)/2 (a = -ln q) peaks at
@@ -216,11 +202,11 @@ def _series_terms(z_split: tuple, q_split, ctrl: SeriesControl, label: str,
     exactly (scaled.ln_split); a row's other columns are zeros.
     """
     e_z, lnr_z = z_split[0][:, None], z_split[1][:, None]
-    e_q, hi_q, lo_q = (part[:, None] for part in q_split)
+    e_q, hi_q, lo_q = q_split
     a = -(e_q * math.log(2.0) + hi_q + lo_q)
     u = e_z * math.log(2.0) + lnr_z - lattice * a
     centre = u / a + 0.5
-    reach = np.sqrt(2.0 * (a / 8.0 - math.log(ctrl.abs_tol)) / a) + 1.0
+    reach = math.sqrt(2.0 * (a / 8.0 - math.log(ctrl.abs_tol)) / a) + 1.0
     lo = np.minimum(np.floor(centre - reach), -ctrl.min_terms)
     hi = np.maximum(np.ceil(centre + reach), ctrl.min_terms)
     terms = max(hi.max(initial=0), -lo.min(initial=0))
@@ -236,7 +222,7 @@ def _series_terms(z_split: tuple, q_split, ctrl: SeriesControl, label: str,
     return power, np.where((n >= lo) & (n <= hi), weight * f, 0.0), bits
 
 
-def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split, ctrl: SeriesControl,
+def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split: tuple, ctrl: SeriesControl,
                 label: str, derivative: bool = False, lattice=0):
     """The _series_terms sum at each z = q^lattice 2**e r e^{i arg_z}, by scaled.sum_rows."""
     power, mant, bits = _series_terms(z_split, q_split, ctrl, label, derivative, lattice)
@@ -245,10 +231,9 @@ def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split, ctrl: SeriesControl,
 
 def theta_series_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     """Series form sum_n (-1)^n z^n q^{n(n-1)/2} in scaled arithmetic."""
-    zs, qs, scalar = _z_and_q(z, q)
-    split = _q_split(qs)
-    parts = [_series_sum(log2_split(np.abs(zs[b])), np.angle(zs[b]), [p[b] for p in split], ctrl,
-                         "theta_series")
+    zs, scalar = z_array(z)
+    split = ln_split(_check_q_open(q))
+    parts = [_series_sum(log2_split(np.abs(zs[b])), np.angle(zs[b]), split, ctrl, "theta_series")
              for b in (slice(i, i + _SERIES_ROWS) for i in range(0, max(len(zs), 1), _SERIES_ROWS))]
     return pack(*map(np.concatenate, zip(*parts)), scalar)
 
@@ -258,15 +243,14 @@ def theta_on_circles(radii, q: float, count: int, offset: float = 0.0,
     """The theta series at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each
     r of ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
     radii = np.asarray(radii, dtype=float).reshape(-1)
-    split = _q_split(np.full(len(radii), _check_q_open(q)))
-    return laurent_on_circles(*_series_terms(log2_split(radii), split, ctrl, "theta_series"),
-                              count, offset)
+    return laurent_on_circles(*_series_terms(log2_split(radii), ln_split(_check_q_open(q)), ctrl,
+                                             "theta_series"), count, offset)
 
 
 def theta_series(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     """Series form of Theta(z; q) (complex, or a complex array for an array
-    of z or of q); overflow-safe internally for log|z| up to at least
-    10 * |log q| (and far beyond)."""
+    of z); overflow-safe internally for log|z| up to at least 10 * |log q|
+    (and far beyond)."""
     return to_complex(theta_series_scaled(z, q, ctrl))
 
 
@@ -275,12 +259,14 @@ def theta_prime_one(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
     return -euler_product(q, ctrl) ** 3
 
 
-def _check_lattice_index(n: int) -> int:
-    if not isinstance(n, int) or abs(n) > MAX_LATTICE_INDEX:
+def _lattice_indices(n) -> np.ndarray:
+    """An integer n, or an integer array of them, as a 1-d int64 array; each |n| is at most
+    MAX_LATTICE_INDEX (bools and floats are refused)."""
+    ns, bound = np.asarray(n), MAX_LATTICE_INDEX
+    if ns.dtype.kind not in "iu" or not np.all((-bound <= ns) & (ns <= bound)):
         raise InvalidParameterError(
-            f"lattice index must be an integer with |n| <= {MAX_LATTICE_INDEX}, got {n!r}"
-        )
-    return n
+            f"lattice indices must be integers with |n| <= {bound}, got {n!r:.40}")
+    return ns.astype(np.int64).reshape(-1)
 
 
 def theta_prime_lattice(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
@@ -292,11 +278,11 @@ def theta_prime_lattice(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
     :func:`lattice_derivative_candidate` are candidates to be checked
     against it.
     """
-    ns = np.array([_check_lattice_index(k) for k in np.reshape(n, -1).tolist()], dtype=np.int64)
+    ns = _lattice_indices(n)
     zero = np.zeros(len(ns), dtype=np.int64)
-    split = _q_split(np.full(len(ns), _check_q_open(q)))
-    return pack(*_series_sum((zero, zero * 0.0), zero * 0.0, split, ctrl, "theta_prime_lattice",
-                             derivative=True, lattice=ns[:, None]), np.ndim(n) == 0)
+    return pack(*_series_sum((zero, zero * 0.0), zero * 0.0, ln_split(_check_q_open(q)), ctrl,
+                             "theta_prime_lattice", derivative=True, lattice=ns[:, None]),
+                np.ndim(n) == 0)
 
 
 def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL,
@@ -308,7 +294,7 @@ def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTR
     variant="printed":   (-1)^{n+1} q^{-n(n-1)/2} Theta'(1; q)  (kept for
     diagnosis; fails already at n=1, q=0.1).
     """
-    ns = np.array([_check_lattice_index(k) for k in np.reshape(n, -1).tolist()], dtype=np.int64)
+    ns = _lattice_indices(n)
     q = _check_q_open(q)
     tp1 = theta_prime_one(q, ctrl)
     shift = {"corrected": 1, "printed": -1}.get(variant)
@@ -339,14 +325,14 @@ def eta(z, q):
         values = np.exp(ln_values)
     if not np.all(np.isfinite(values)):
         raise SaturationError(f"eta: log-magnitude {ln_values.max():.6g} beyond the double range")
-    return float(values[0]) if np.ndim(z) == 0 and np.ndim(q) == 0 else values
+    return float(values[0]) if np.ndim(z) == 0 else values
 
 
 def ln_eta(z, q) -> np.ndarray:
     """ln eta(z) for the arguments of :func:`eta`, as a 1-d array: it never saturates."""
-    zs, qs, _ = _z_and_q(z, q)
+    zs, _ = z_array(z)
     u = np.log(np.abs(zs))
-    return -u * u / (2.0 * np.log(qs)) + 0.5 * u
+    return -u * u / (2.0 * np.log(_check_q_open(q))) + 0.5 * u
 
 
 def _coefficient_tail_sum(ns: np.ndarray, q: float, ctrl: SeriesControl) -> np.ndarray:
@@ -379,7 +365,7 @@ def coeff_E(
 ):
     """Reconstruction coefficients E_m: the z^0 Laurent coefficient of
     Theta(z; q) / ((z - q^m) Theta'(q^m; q)).  A ScaledValue for an int m,
-    normalised (mantissa, exponent) arrays for an array of m.
+    normalised (mantissa, exponent) arrays for an integer array of m.
 
     Closed form (variant="corrected", the one matching the contour
     oracle):
@@ -399,7 +385,7 @@ def coeff_E(
     differs from the corrected value by exactly q^{-m}; it is retained
     for the adjudication reports only.
     """
-    ms = np.array([_check_lattice_index(n) for n in np.reshape(m, -1).tolist()], dtype=np.int64)
+    ms = _lattice_indices(m)
     shift = {"corrected": 0, "printed": 1}.get(variant)
     if shift is None:
         raise InvalidParameterError(f"unknown variant {variant!r}")

@@ -34,7 +34,8 @@ import numpy as np
 from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
 from .scaled import BASE_LOG2, exp_pow2, ldexp_array, ln_abs, masked_max
-from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
+from .signals import (GammaTable, QuadratureControl, SignalModel, check_counts, eval_signal,
+                      forward_table)
 
 #: global normalisation of the reconstruction formula (see calibrate_constant)
 RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
@@ -63,8 +64,7 @@ class ReconConfig:
             raise InvalidParameterError(f"bad grid {self.grid!r}")
         if self.truncation is not None:
             M, K = self.truncation
-            if M < 0 or K < 0:
-                raise InvalidParameterError("explicit truncation orders must be >= 0")
+            check_counts("truncation orders", M, K)
 
 
 @dataclass
@@ -157,6 +157,7 @@ def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: in
     SaturationError where the value itself leaves the double range.
     """
     _require_subcritical(params)
+    check_counts("M and K", M, K)
     if M > table.M or K > table.K:
         raise InvalidParameterError(
             f"requested truncation (M={M}, K={K}) exceeds table extents "
@@ -390,7 +391,7 @@ def reconstruct_grid(
 
 def round_trip(
     signal: SignalModel,
-    tau: float | LatticeParams,
+    tau: float,
     config: ReconConfig | None = None,
     quad: QuadratureControl | None = None,
     threads: int = 1,
@@ -403,7 +404,7 @@ def round_trip(
     the original signal.  ``threads`` is accepted and ignored: the
     computation runs in one thread.
     """
-    params = tau if isinstance(tau, LatticeParams) else nome_from_tau(tau)
+    params = nome_from_tau(tau)
     config = config or ReconConfig()
     if config.truncation is not None:
         table = forward_table(signal, params.tau, *config.truncation, quad)

@@ -155,9 +155,9 @@ class QuadratureControl:
 
     An entry halves its spacing until two successive sums agree to ``tol``
     relative (or to its row's roundoff floor); ``tol`` is also the relative
-    part of its bound (see :func:`gamma_quadrature`).  ``max_refinements``
-    caps the halvings past the entry's start level: a sampler too rough to
-    converge within it raises NonConvergenceError.
+    part of its bound (see :func:`gamma_quadrature`).  ``max_refinements``,
+    an integer >= 1, caps the halvings past the entry's start level: a
+    sampler too rough to converge within it raises NonConvergenceError.
     """
 
     tol: float = 1e-10
@@ -166,6 +166,14 @@ class QuadratureControl:
     def __post_init__(self):
         if not (0 < self.tol < 1):
             raise InvalidParameterError("quadrature tol must lie in (0, 1)")
+        check_counts("max_refinements", self.max_refinements, least=1)
+
+
+def check_counts(what: str, *values, least: int = 0):
+    """Refuse values that are not integers >= least (a bool is refused)."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise InvalidParameterError(f"{what} must be integers >= {least}, got {value!r}")
 
 
 _DEFAULT_QUAD = QuadratureControl()
@@ -488,8 +496,7 @@ class GammaTable:
     def from_payload(cls, M: int, K: int, tau: float, payload: dict) -> "GammaTable":
         """Inverse of :meth:`to_payload`.  The entries may come in any order,
         but every (m, k) of the table exactly once; anything else is refused."""
-        if M < 0 or K < 0:
-            raise InvalidParameterError("M and K must be non-negative")
+        check_counts("M and K", M, K)
         width, size = 2 * K + 1, (2 * M + 1) * (2 * K + 1)
         m, k, exps = (_column(payload, key, "iu", size) for key in ("m", "k", "exponent"))
         re, im = (_column(payload, key, "iuf", size) for key in ("mantissa_re", "mantissa_im"))
@@ -535,8 +542,7 @@ def forward_table(
     callback, each is one block call of :func:`gamma_quadrature`, which
     reuses the samples and row windows that ``base`` carries.
     """
-    if M < 0 or K < 0:
-        raise InvalidParameterError("M and K must be non-negative")
+    check_counts("M and K", M, K)
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidParameterError(f"tau must be a finite positive real, got {tau!r}")
     quad = quad or _DEFAULT_QUAD

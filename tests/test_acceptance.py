@@ -36,6 +36,7 @@ from gaborlattice import (
 )
 from gaborlattice import G_series
 from gaborlattice.cli import main
+from gaborlattice.oracle import cardinal_weights
 from gaborlattice.scaled import normalise_array, sub_arrays, to_complex
 
 CTRL = SeriesControl()
@@ -198,7 +199,7 @@ def test_criterion_08_interpolation_lemma():
         node_worst = max(node_worst, abs(to_complex(gap)) / abs(want.to_complex()))
 
     trace = mk_trace("residual_alpha", range(-4, 5), x, gauss, params, CTRL,
-                     sample_extent=extent)
+                     weights=cardinal_weights(ns, samples, params.q, CTRL))
     quot = mk_trace("G_over_theta", range(-4, 5), x, gauss, params, CTRL)
     alpha_worst = max(v for _, v in trace) / max(v for _, v in quot)
 

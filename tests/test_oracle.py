@@ -12,6 +12,7 @@ from gaborlattice import (
     ScaledValue,
     SeriesControl,
     SignalModel,
+    auto_truncation,
     balanced_contour,
     coeff_E,
     forward_table,
@@ -193,6 +194,12 @@ class TestInterpolant:
             lagrange_interpolant(q ** 2 * 1.01, *samples, params_tau1)
 
 
+def _basis(signal, params, extent=7):
+    """The nodes -extent .. extent and their cardinal weights at x = 0.3."""
+    ns = np.arange(-extent, extent + 1)
+    return ns, cardinal_weights(ns, spatial_A(ns, 0.3, signal, params), params.q)
+
+
 class TestTraces:
     def test_residual_alpha_is_noise_level(self, unit_gaussian, params_tau1):
         trace = mk_trace("residual_alpha", range(-4, 5), 0.3, unit_gaussian, params_tau1)
@@ -217,11 +224,12 @@ class TestTraces:
     def test_blocked_trace_is_single_circle_calls_bit_for_bit(self, kind, two_component,
                                                                params_tau1):
         # 13 circles span several blocks of circles, the last one partly filled
-        trace = mk_trace(kind, range(-6, 7), 0.3, two_component, params_tau1, sample_extent=9)
+        _, weights = _basis(two_component, params_tau1, extent=9)
+        trace = mk_trace(kind, range(-6, 7), 0.3, two_component, params_tau1, weights=weights)
         assert trace == [item for k in range(-6, 7) for item in
-                         mk_trace(kind, [k], 0.3, two_component, params_tau1, sample_extent=9)]
-        assert mk_trace(kind, [], 0.3, two_component, params_tau1, sample_extent=9) == []
-        assert mk_trace(kind, [3, -2], 0.3, two_component, params_tau1, sample_extent=9) == \
+                         mk_trace(kind, [k], 0.3, two_component, params_tau1, weights=weights)]
+        assert mk_trace(kind, [], 0.3, two_component, params_tau1, weights=weights) == []
+        assert mk_trace(kind, [3, -2], 0.3, two_component, params_tau1, weights=weights) == \
             [trace[3 + 6], trace[-2 + 6]]
 
     @pytest.mark.parametrize("tau", [0.6, 1.0])
@@ -333,17 +341,12 @@ class TestArrayPath:
 class TestCardinalOnCircles:
     """oracle.cardinal_on_circles: sum_n w_n / (z - q^n) on uniform circles by FFT."""
 
-    @staticmethod
-    def basis(signal, params, extent=7):
-        ns = np.arange(-extent, extent + 1)
-        return ns, cardinal_weights(ns, spatial_A(ns, 0.3, signal, params), params.q)
-
     @pytest.mark.parametrize("tau", [1.0, 0.3, 0.05])
     @pytest.mark.parametrize("count, offset", [(32, 0.5), (64, 0.0)])
     def test_against_mpmath(self, tau, count, offset, two_component):
         mp = pytest.importorskip("mpmath")
         eps, params = np.finfo(float).eps, nome_from_tau(tau)
-        ns, weights = self.basis(two_component, params)
+        ns, weights = _basis(two_component, params)
         radii = np.exp((np.array([-6, 0, 5]) + 0.5) * params.ln_q)
         mant, exps = cardinal_on_circles(radii, ns, weights, params.q, count, offset)
         with mp.workdps(60):
@@ -362,7 +365,7 @@ class TestCardinalOnCircles:
     @pytest.mark.parametrize("tau", [1.0, 0.05])
     def test_each_circle_alone_is_its_block_row_bit_for_bit(self, tau, two_component):
         params = nome_from_tau(tau)
-        ns, weights = self.basis(two_component, params)
+        ns, weights = _basis(two_component, params)
         radii = np.exp((np.arange(-6, 7) + 0.5) * params.ln_q)
         for offset in (0.0, 0.5):
             block = cardinal_on_circles(radii, ns, weights, params.q, 64, offset)
@@ -372,7 +375,7 @@ class TestCardinalOnCircles:
             assert block[1].tolist() == np.concatenate([a[1] for a in alone]).tolist()
 
     def test_close_to_the_per_point_sums(self, two_component, params_tau1):
-        ns, weights = self.basis(two_component, params_tau1)
+        ns, weights = _basis(two_component, params_tau1)
         samples = spatial_A(ns, 0.3, two_component, params_tau1)
         radii = params_tau1.q ** np.array([0.5, -0.5])
         zs = (radii[:, None] * np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)).ravel()
@@ -382,7 +385,7 @@ class TestCardinalOnCircles:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_refusals(self, two_component, params_tau1):
-        ns, weights = self.basis(two_component, params_tau1)
+        ns, weights = _basis(two_component, params_tau1)
         q = params_tau1.q
         with pytest.raises(NonConvergenceError):  # a circle through a node
             cardinal_on_circles([q ** 3], ns, weights, q, 64)
@@ -396,10 +399,12 @@ class TestCardinalOnCircles:
         assert empty[0].shape == empty[1].shape == (0,)
 
     def test_trace_takes_the_weights_it_is_given(self, two_component, params_tau1):
-        ns, weights = self.basis(two_component, params_tau1, extent=9)
+        # by default the basis of the automatic truncation order plus 2 guard terms
+        extent = auto_truncation(two_component, params_tau1, 1e-10, x_max=0.3).M + 2
+        _, weights = _basis(two_component, params_tau1, extent=extent)
         assert mk_trace(TRACE_KINDS, range(-6, 7), 0.3, two_component, params_tau1,
                         weights=weights) == \
-            mk_trace(TRACE_KINDS, range(-6, 7), 0.3, two_component, params_tau1, sample_extent=9)
+            mk_trace(TRACE_KINDS, range(-6, 7), 0.3, two_component, params_tau1)
 
     def test_G_on_circles_is_the_per_point_series(self, two_component, params_tau1):
         radii = params_tau1.q ** np.array([0.5, -0.5, 2.5])

@@ -271,6 +271,13 @@ class TestEta:
         assert math.isfinite(eta(math.exp(31.0), 0.5))
         with pytest.raises(SaturationError, match="log-magnitude 8"):
             eta(math.exp(33.0), 0.5)
+        with pytest.raises(SaturationError, match="log-magnitude 8"):
+            eta(np.array([1.0, math.exp(31.0), math.exp(33.0)]), 0.5)
+
+    def test_scalar_is_array_element_bit_for_bit(self):
+        for q in (0.05, 0.5, 0.9):
+            zs = _points(q)
+            assert eta(zs, q).tolist() == [eta(z, q) for z in zs]
 
     def test_log_form_past_the_double_range(self):
         assert ln_eta(math.exp(31.0), 0.5)[0] == pytest.approx(math.log(eta(math.exp(31.0), 0.5)),
@@ -315,10 +322,9 @@ class TestCoefficients:
             coeff_E(0, p, ctrl)
 
     def test_index_bound(self, params_tau1, ctrl):
-        with pytest.raises(InvalidParameterError):
-            coeff_E(100, params_tau1, ctrl)
-        with pytest.raises(InvalidParameterError):
-            coeff_E(np.array([0, 65]), params_tau1, ctrl)
+        for bad in (100, np.array([0, 65]), np.array([0.0, 1.0]), np.array([True, False]), True):
+            with pytest.raises(InvalidParameterError):
+                coeff_E(bad, params_tau1, ctrl)
 
     @pytest.mark.parametrize("variant", ["corrected", "printed"])
     def test_array_is_scalar_calls_bit_for_bit(self, variant):
@@ -462,61 +468,39 @@ class TestThetaOnCircles:
                 assert block[1].tolist() == np.concatenate([a[1] for a in alone]).tolist()
 
 
-NOMES = (0.05, 0.5, 0.9)
-
-
-def _rows():
-    """The points of _points for each nome in NOMES, with each row's nome."""
-    zs = [_points(q) for q in NOMES]
-    return np.concatenate(zs), np.repeat(NOMES, [len(z) for z in zs])
+#: each form that takes a nome, called with it
+NOME_FORMS = {
+    "theta_series": lambda q: theta_series(0.3j, q),
+    "theta_series_scaled": lambda q: theta_series_scaled(0.3j, q),
+    "theta_product": lambda q: theta_product(0.3j, q),
+    "theta_product_scaled": lambda q: theta_product_scaled(0.3j, q),
+    "eta": lambda q: eta(0.3j, q),
+    "ln_eta": lambda q: ln_eta(0.3j, q),
+    "theta_on_circles": lambda q: theta_on_circles([1.0], q, 64),
+    "theta_prime_lattice": lambda q: theta_prime_lattice(1, q),
+    "lattice_derivative_candidate": lambda q: lattice_derivative_candidate(1, q),
+}
 
 
 class TestArrayOfNomes:
-    @pytest.mark.parametrize("form", SCALED_FORMS)
-    def test_against_mpmath(self, form, ctrl):
-        # one call over every nome: each row sums its own series or product
-        zs, qs = _rows()
-        values = to_complex(form(zs, qs, ctrl))
-        worst = max(abs(v - _mp_theta(z, q)) / eta(z, q) for z, q, v in zip(zs, qs, values))
-        assert worst <= 1e-12
+    """A call runs at one nome: an array or list of nomes is refused."""
 
-    @pytest.mark.parametrize("form", SCALED_FORMS)
-    def test_scalar_is_array_element_bit_for_bit(self, form, ctrl):
-        zs, qs = _rows()
-        mant, exps = form(zs, qs, ctrl)
-        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
-            [form(z, float(q), ctrl) for z, q in zip(zs, qs)]
-        mant, exps = form(zs[3], np.array(NOMES), ctrl)  # one z against an array of q
-        assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
-            [form(zs[3], q, ctrl) for q in NOMES]
-
-    def test_triple_product_layout_is_per_nome_calls_bit_for_bit(self, ctrl):
-        # the verify suite's triple-product check: 3 nomes per call, each nome's
-        # circles |z| = q^{1/2}, 1, q^{-1/2} at 32 angles
-        angles = np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)
-        for first in range(1, 19, 3):
-            qs = [0.05 * i for i in range(first, first + 3)]
-            per_nome = [np.concatenate([q ** p * angles for p in (0.5, 0.0, -0.5)]) for q in qs]
-            zs = np.concatenate(per_nome)
-            for form in (theta_series, theta_product):
-                assert np.array_equal(form(zs, np.repeat(qs, 96), ctrl),
-                                      np.concatenate([form(z, q, ctrl)
-                                                      for z, q in zip(per_nome, qs)]))
-
-    def test_eta_scalar_is_array_element_bit_for_bit(self):
-        zs, qs = _rows()
-        assert eta(zs, qs).tolist() == [eta(z, float(q)) for z, q in zip(zs, qs)]
-
-    def test_eta_array_beyond_double_range_saturates(self):
-        with pytest.raises(SaturationError, match="log-magnitude 8"):
-            eta(np.array([1.0, math.exp(31.0), math.exp(33.0)]), 0.5)
-        with pytest.raises(SaturationError):
-            eta(math.exp(31.0), np.array([0.5, 0.9]))
+    @pytest.mark.parametrize("name", NOME_FORMS)
+    def test_array_or_list_nome_refused(self, name):
+        NOME_FORMS[name](0.5)
+        for q in (np.array([0.5]), np.array([0.3, 0.5]), [0.5], np.array(0.5)):
+            with pytest.raises(InvalidParameterError):
+                NOME_FORMS[name](q)
 
     def test_invalid_nome_element_refused(self, ctrl):
         for bad in (0.0, 1.0, math.nan):
             with pytest.raises(InvalidParameterError):
                 theta_series_scaled(np.array([0.5, 2.0j]), np.array([0.5, bad]), ctrl)
+
+
+def _coeff_at_nome(m, q, ctrl):
+    """coeff_E at the lattice whose nome is (up to rounding) q."""
+    return coeff_E(m, nome_from_tau(-math.log(q) / (2.0 * math.pi)), ctrl)
 
 
 class TestArrayOfLatticeIndices:
@@ -535,5 +519,15 @@ class TestArrayOfLatticeIndices:
     def test_index_bound_on_arrays(self, form, ctrl):
         with pytest.raises(InvalidParameterError):
             form(np.array([0, 65]), 0.5, ctrl)
-        with pytest.raises(InvalidParameterError):
-            form(np.array([0.0, 1.0]), 0.5, ctrl)
+        for bad in (np.array([0.0, 1.0]), np.array([True, False]), True, 1.0, [1, 2.0]):
+            with pytest.raises(InvalidParameterError):
+                form(bad, 0.5, ctrl)
+
+    @pytest.mark.parametrize("form", FORMS + [_coeff_at_nome])
+    def test_any_integer_width_and_the_empty_array(self, form, ctrl):
+        ns = np.arange(-64, 65)
+        wide, narrow = form(ns, 0.5, ctrl), form(ns.astype(np.int32), 0.5, ctrl)
+        assert wide[0].view(np.uint64).tolist() == narrow[0].view(np.uint64).tolist()
+        assert wide[1].tolist() == narrow[1].tolist()
+        mant, exps = form(np.array([], dtype=np.int64), 0.5, ctrl)
+        assert mant.shape == exps.shape == (0,)

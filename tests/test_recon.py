@@ -56,6 +56,12 @@ class TestReconstructPoint:
         for x in (-1.0, 0.0, 2.0):
             assert reconstruct_point(x, table, params_tau1, 2, 2) == 0j
 
+    @pytest.mark.parametrize("M, K", [(-1, 2), (2, -1), (True, 2), (1.0, 2), (2, 1.5)])
+    def test_orders_must_be_integers_at_least_zero(self, unit_gaussian, params_tau1, M, K):
+        table = forward_table(unit_gaussian, 1.0, 2, 2)
+        with pytest.raises(InvalidParameterError):
+            reconstruct_point(0.0, table, params_tau1, M, K)
+
     def test_supercritical_refused(self):
         params = nome_from_tau(3.5)
         zero = SignalModel.gaussian([(0.0, 0.0, 0.0)])
@@ -451,6 +457,11 @@ class TestGridDriver:
         cfg = ReconConfig(grid=(0.0, 1e6, 1e-2), truncation=(1, 1))
         with pytest.raises(InvalidParameterError, match="desk-scale"):
             reconstruct_grid(cfg, table, params_tau1)
+
+    @pytest.mark.parametrize("truncation", [(2.5, 3), (True, 3), (3, False), (-1, 3), (3, -2)])
+    def test_truncation_orders_must_be_integers_at_least_zero(self, truncation):
+        with pytest.raises(InvalidParameterError, match="truncation"):
+            ReconConfig(truncation=truncation)
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.5])
     def test_step_must_be_finite_and_positive(self, step):

@@ -278,6 +278,12 @@ class TestQuadrature:
                     assert (err.mantissa, err.exponent) == (mant[1, i, j], exps[1, i, j])
         assert len({radius for radius, _, _ in lineage.rows.values()}) == len(rows)
 
+    @pytest.mark.parametrize("bad", [-1, -3, 0, 2.5, True])
+    def test_refinement_cap_must_be_a_positive_integer(self, bad):
+        # a negative cap once ran no level at all and gave every entry as 0
+        with pytest.raises(InvalidParameterError, match="max_refinements"):
+            QuadratureControl(max_refinements=bad)
+
     def test_refinement_cap_names_the_first_capped_row(self):
         jump = SignalModel.callback(lambda x: 1.0 if x > 0.1 else 0.0, bound=1.0, growth=0.0)
         quad = QuadratureControl(max_refinements=2)
@@ -465,8 +471,9 @@ class TestForwardTable:
         assert clone == closed and clone.errors is None
 
     def test_invalid_extents(self, unit_gaussian):
-        with pytest.raises(InvalidParameterError):
-            forward_table(unit_gaussian, 1.0, -1, 0)
+        for M, K in ((-1, 0), (0, -1), (2.5, 3), (True, 3), (1, 2.0)):
+            with pytest.raises(InvalidParameterError):
+                forward_table(unit_gaussian, 1.0, M, K)
         table = forward_table(unit_gaussian, 1.0, 1, 1)
         with pytest.raises(InvalidParameterError):
             table.get(2, 0)

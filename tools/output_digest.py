@@ -21,7 +21,14 @@ not edited).  For each seeded Gaussian family it hashes:
 * the truncation choices: ``auto_truncation``'s (M, K), ``tail_estimate``,
   table values and error bounds (or the refusal's diagnostics) for the
   family and for a sampler hiding it, at tau in {0.3, 0.6, 1, 2, 3.1},
-  tol in {1e-4, 1e-8, 1e-10} and x_max in {0, 0.3, 3, 2 pi}.
+  tol in {1e-4, 1e-8, 1e-10} and x_max in {0, 0.3, 3, 2 pi};
+* the theta layer, the same for every family: at q in {0.05, 0.3, 0.5, 0.8,
+  0.9, 0.95}, the series and product forms, ``eta`` and ``ln_eta`` at 62
+  points with |ln z| up to 10 |ln q| and the zeros q^n, |n| <= 10, then
+  ``theta_on_circles`` on |z| = q^p, p in {-2.5, -0.5, 0.5, 3.5}, at offsets
+  0 and 1/2, and Theta'(q^n) with both closed-form candidates for |n| <= 64;
+  ``coeff_E`` for |m| <= 64, both variants, at tau in {0.02, 0.05, 0.3, 1, 3};
+  a refusal contributes its class name and message.
 
 Each part's sha256 is printed on its own line, then the combined one on
 the last line.  Two checkouts whose last lines agree give these outputs
@@ -29,6 +36,7 @@ bit for bit.  Standard library plus the package and numpy.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -44,14 +52,16 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from gaborlattice import (  # noqa: E402
-    NonConvergenceError, QuadratureControl, SignalModel, auto_truncation, cli, forward_table,
-    oracle)
+    GaborLatticeError, NonConvergenceError, QuadratureControl, SignalModel, auto_truncation, cli,
+    forward_table, oracle, qtheta)
 from gaborlattice.qtheta import nome_from_tau  # noqa: E402
 
 TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
 CALLBACK_SETTINGS = ((0.6, 1e-6, 0.0), (1.0, 1e-10, 0.0), (0.3, 1e-8, 0.5))
 TRUNCATION_GRID = tuple((tau, tol, x_max) for tau in (0.3, 0.6, 1.0, 2.0, 3.1)
                         for tol in (1e-4, 1e-8, 1e-10) for x_max in (0.0, 0.3, 3.0, 2.0 * math.pi))
+QTHETA_NOMES = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95)
+QTHETA_TAUS = (0.02, 0.05, 0.3, 1.0, 3.0)
 
 
 def verify_payloads(family) -> bytes:
@@ -136,6 +146,40 @@ def truncations(family) -> bytes:
     return out
 
 
+def call_bytes(call, *args, **kwargs) -> bytes:
+    """The arrays a call gives, each as little-endian bytes, or its refusal."""
+    try:
+        values = call(*args, **kwargs)
+    except GaborLatticeError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    return b"".join(np.asarray(v, dtype=np.asarray(v).dtype.newbyteorder("<")).tobytes()
+                    for v in values)
+
+
+@functools.cache
+def qtheta_values() -> bytes:
+    out = b""
+    for q in QTHETA_NOMES:
+        ln_q = math.log(q)
+        zs = np.exp(np.linspace(10 * ln_q, -10 * ln_q, 41) + 1j * np.linspace(0.1, 6.0, 41))
+        zs = np.concatenate([zs, [q ** n for n in range(-10, 11)]])
+        for form in (qtheta.theta_series_scaled, qtheta.theta_product_scaled):
+            out += call_bytes(form, zs, q)
+        out += call_bytes(lambda: (qtheta.eta(zs, q), qtheta.ln_eta(zs, q)))
+        radii = np.exp(np.array([-2.5, -0.5, 0.5, 3.5]) * ln_q)
+        for offset in (0.0, 0.5):
+            out += call_bytes(qtheta.theta_on_circles, radii, q, 64, offset)
+        ns = np.arange(-64, 65)
+        out += call_bytes(qtheta.theta_prime_lattice, ns, q)
+        for variant in ("corrected", "printed"):
+            out += call_bytes(qtheta.lattice_derivative_candidate, ns, q, variant=variant)
+    for tau in QTHETA_TAUS:
+        for variant in ("corrected", "printed"):
+            out += call_bytes(qtheta.coeff_E, np.arange(-64, 65), nome_from_tau(tau),
+                              variant=variant)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="seed of the input families")
@@ -147,7 +191,8 @@ def main(argv=None) -> int:
         parts = {"verify_all": verify_payloads, "mk_trace": traces,
                  "cli": lambda family: cli_outputs(family, workdir),
                  "callback_round_trip": round_trip, "callback_table": callback_tables,
-                 "truncation": truncations}
+                 "truncation": truncations,
+                 "qtheta": lambda family: qtheta_values()}
         for name, part in parts.items():
             digest = hashlib.sha256(b"".join(part(family) for family in families)).hexdigest()
             print(f"{name} {digest}")
