@@ -271,8 +271,6 @@ class TestEta:
         assert math.isfinite(eta(math.exp(31.0), 0.5))
         with pytest.raises(SaturationError, match="log-magnitude 8"):
             eta(math.exp(33.0), 0.5)
-        with pytest.raises(SaturationError, match="log-magnitude 8"):
-            eta(np.array([1.0, math.exp(31.0), math.exp(33.0)]), 0.5)
 
     def test_scalar_is_array_element_bit_for_bit(self):
         for q in (0.05, 0.5, 0.9):
@@ -491,6 +489,12 @@ class TestArrayOfNomes:
         for q in (np.array([0.5]), np.array([0.3, 0.5]), [0.5], np.array(0.5)):
             with pytest.raises(InvalidParameterError):
                 NOME_FORMS[name](q)
+
+    def test_eta_array_beyond_double_range_saturates(self):
+        with pytest.raises(SaturationError, match="log-magnitude 8"):
+            eta(np.array([1.0, math.exp(31.0), math.exp(33.0)]), 0.5)
+        with pytest.raises(InvalidParameterError):
+            eta(math.exp(31.0), np.array([0.5, 0.9]))
 
     def test_invalid_nome_element_refused(self, ctrl):
         for bad in (0.0, 1.0, math.nan):
