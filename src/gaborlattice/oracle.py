@@ -28,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NonConvergenceError
-from .qtheta import (SUPERCRITICAL, LatticeParams, SeriesControl, theta_on_circles,
-                     theta_prime_lattice, theta_series_scaled, z_array)
+from .errors import (DomainError, InvalidParameterError, NonConvergenceError, check_counts,
+                     check_indices, check_points, check_real)
+from .qtheta import (MAX_LATTICE_INDEX, SUPERCRITICAL, LatticeParams, SeriesControl,
+                     theta_on_circles, theta_prime_lattice, theta_series_scaled)
 from .recon import auto_truncation
 from .scaled import (BASE_LOG2, exp_pow2, laurent_on_circles, ln_abs, ln_split, log2_split,
                      normalise_array, pack, sub_arrays, sum_rows, to_complex)
@@ -52,11 +53,13 @@ class ContourSpec:
     radius: float
     nodes: int = 128
 
-    def validate(self, params: LatticeParams):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise InvalidParameterError(f"radius must be positive, got {self.radius!r}")
-        if self.nodes < 64 or self.nodes & (self.nodes - 1):
+    def __post_init__(self):
+        check_real("radius", self.radius, 0.0)
+        check_counts("nodes", self.nodes, least=64)
+        if self.nodes & (self.nodes - 1):
             raise InvalidParameterError("nodes must be a power of two >= 64")
+
+    def validate(self, params: LatticeParams):
         n_near = round(math.log(self.radius) / params.ln_q)
         for n in (n_near - 1, n_near, n_near + 1):
             zero = math.exp(n * params.ln_q)
@@ -129,13 +132,13 @@ def spatial_A(m, x, signal: SignalModel, params: LatticeParams,
     """A_m(x) = sum_j g(x + 2 pi j) q^{m j} with g = (1/2pi) f e^{-x^2/4}: a
     ScaledValue for an integer m and a float x, (mantissa, exponent) arrays for an
     array of m, and (x, m) arrays for a 1-d array of x."""
-    ms = np.asarray(m).reshape(-1)
+    ms, (xs, scalar) = check_indices(m), check_points(x, "x", real=True)
     if params.regime == SUPERCRITICAL and np.any(np.abs(ms) > 8):
         raise InvalidParameterError("spatial sums with |m| > 8 diverge when tau is supercritical")
     e_q, lnr_q = log2_split(params.q)
-    mant, exps = _sum_aliased(signal, np.reshape(x, -1).tolist(), (ms * e_q, ms * lnr_q),
-                              np.zeros(len(ms)), ctrl, "spatial_A")
-    if np.ndim(x):
+    mant, exps = _sum_aliased(signal, xs.tolist(), (ms * e_q, ms * lnr_q), np.zeros(len(ms)),
+                              ctrl, "spatial_A")
+    if not scalar:
         return mant.reshape(-1, len(ms)), exps.reshape(-1, len(ms))
     return pack(mant, exps, np.ndim(m) == 0)
 
@@ -148,9 +151,9 @@ def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
     The Gaussian window beats any geometric factor, so the sum converges
     for every z != 0.
     """
-    zs, scalar = z_array(z, "G")
-    return pack(*_sum_aliased(signal, [x], log2_split(np.abs(zs)), np.angle(zs), ctrl,
-                              "G_series"), scalar)
+    zs, scalar = check_points(z, "z")
+    return pack(*_sum_aliased(signal, [check_real("x", x)], log2_split(np.abs(zs)), np.angle(zs),
+                              ctrl, "G_series"), scalar)
 
 
 def G_on_circles(radii, x: float, signal: SignalModel, count: int, offset: float = 0.0,
@@ -188,9 +191,10 @@ def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int, offset:
     z^count is the same at every sample point.  The terms are summed power by power (sum_rows)
     and taken through one laurent_on_circles FFT per circle: a circle alone is its block row.
     """
-    radii, ns = np.asarray(radii, dtype=float).reshape(-1), np.asarray(ns).reshape(-1)
-    if not (np.all(np.isfinite(radii) & (radii > 0)) and np.shape(weights[0]) == ns.shape != (0,)):
-        raise InvalidParameterError("give positive finite radii and one weight per node")
+    radii = np.array([check_real("radius", r, 0.0) for r in np.reshape(radii, -1).tolist()])
+    ns = check_indices(ns)
+    if not np.shape(weights[0]) == ns.shape != (0,):
+        raise InvalidParameterError("give one weight per node")
     if len(radii) == 0:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int64)
     e_q, hi_q, lo_q = ln_split(q)
@@ -233,8 +237,8 @@ def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
     Exactly at a node the analytic limit A_n is returned; within a 5%
     relative distance of a node it is not on, evaluation refuses.
     """
-    zs, scalar = z_array(z, "the interpolant")
-    q, ns = params.q, np.asarray(ns, dtype=np.int64).reshape(-1)
+    zs, scalar = check_points(z, "z")
+    q, ns = params.q, check_indices(ns)
     a_mant, a_exps = normalise_array(np.asarray(samples[0], dtype=complex).reshape(-1),
                                      np.asarray(samples[1], dtype=np.int64).reshape(-1))
     if len(a_mant) != len(ns):
@@ -283,7 +287,7 @@ def laurent_c0(
     coefficient is the same bits as a call with its m and circle alone.
     Every circle is validated first.
     """
-    q, ms = params.q, np.asarray(m).reshape(-1)
+    q, ms = params.q, check_indices(m, MAX_LATTICE_INDEX)
     single = contour is None or isinstance(contour, ContourSpec)
     if not single and (np.ndim(m) == 0 or len(contour) != len(ms)):
         raise InvalidParameterError("give one contour, or one per element of the array m")
@@ -355,7 +359,7 @@ def mk_trace(
             raise InvalidParameterError(f"unknown trace kind {name!r}")
     quotient = G_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
     cardinal = GTILDE_OVER_THETA in kinds or RESIDUAL_ALPHA in kinds
-    q, ks = params.q, list(k_range)
+    q, ks, x = params.q, check_indices(k_range).tolist(), check_real("x", x)
     radii = np.exp((np.array(ks, dtype=float) + 0.5) * params.ln_q)
     ln = {}  # ln|Phi| at each point, for each kind
     if quotient:

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
+from .errors import (InvalidParameterError, NonConvergenceError, SaturationError, check_counts,
+                     check_indices, check_points, check_real)
 from .scaled import (BASE_LOG2, exp_pow2, laurent_on_circles, ldexp_array, ln_split, log2_split,
                      normalise_array, pack, sum_rows, to_complex)
 
@@ -72,9 +73,7 @@ class LatticeParams:
 
 def nome_from_tau(tau: float) -> LatticeParams:
     """Build LatticeParams from a positive density parameter."""
-    if not isinstance(tau, (int, float)) or not math.isfinite(tau) or tau <= 0:
-        raise InvalidParameterError(f"tau must be a finite positive real, got {tau!r}")
-    tau = float(tau)
+    tau = check_real("tau", tau, 0.0)
     q = math.exp(-2.0 * math.pi * tau)
     if tau < CRITICAL_TAU - REGIME_TOLERANCE:
         regime = SUBCRITICAL
@@ -100,26 +99,17 @@ class SeriesControl:
     min_terms: int = 8
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < 1):
-            raise InvalidParameterError(f"abs_tol must lie in (0, 1), got {self.abs_tol!r}")
-        if self.min_terms > self.max_terms or self.min_terms < 1:
-            raise InvalidParameterError("need 1 <= min_terms <= max_terms")
+        check_real("abs_tol", self.abs_tol, 0.0, 1.0)
+        check_counts("min_terms", self.min_terms, least=1)
+        check_counts("max_terms", self.max_terms, least=self.min_terms)
 
 
 _DEFAULT_CTRL = SeriesControl()
 
 
-def _check_q_open(q) -> float:
-    """q as a float in (0, 1)."""
-    if not isinstance(q, (int, float)) or not 0 < q < 1:
-        raise InvalidParameterError(f"q must be a number in (0, 1), got {q!r:.40}")
-    return float(q)
-
-
 def euler_product(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
     """prod_{n>=1} (1 - q^n), truncated once q^n < ctrl.abs_tol."""
-    if not isinstance(q, (int, float)) or not math.isfinite(q) or not 0 <= q < 1:
-        raise InvalidParameterError(f"q must lie in [0, 1), got {q!r}")
+    q = check_real("q", q, 0.0, 1.0, closed=True)
     if q == 0:
         return 1.0
     prod = 1.0
@@ -135,17 +125,6 @@ def euler_product(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
     )
 
 
-def z_array(z, what: str = "theta") -> tuple[np.ndarray, bool]:
-    """z as a 1-d complex array and whether it was a scalar; refuses 0 and
-    non-finite entries."""
-    zs = np.asarray(z, dtype=complex)
-    if np.any(zs == 0):
-        raise DomainError(f"{what} is evaluated on C \\ {{0}}; z = 0 is not allowed")
-    if not np.all(np.isfinite(zs)):
-        raise DomainError(f"z must be finite, got {z!r}")
-    return zs.reshape(-1), zs.ndim == 0
-
-
 #: factors per column chunk of the triple product's (z, n) factor matrix, and rows
 #: per matrix of the theta series: a call's temporaries stay bounded
 _PRODUCT_CHUNK, _SERIES_ROWS = 32, 128
@@ -159,8 +138,8 @@ def theta_product_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     each factor split into a mantissa and an exact power of two; a row leaves
     the matrix once its factors are done.
     """
-    zs, scalar = z_array(z)
-    q = _check_q_open(q)
+    zs, scalar = check_points(z, "z")
+    q = check_real("q", q, 0.0, 1.0)
     ln_q, ln_big = np.log(q), np.abs(np.log(np.abs(zs)))
     last = np.maximum(np.floor((math.log(ctrl.abs_tol) - ln_big) / ln_q) + 1, ctrl.min_terms)
     if np.any(last > ctrl.max_terms):
@@ -231,8 +210,8 @@ def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split: tuple, ctrl: SeriesC
 
 def theta_series_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     """Series form sum_n (-1)^n z^n q^{n(n-1)/2} in scaled arithmetic."""
-    zs, scalar = z_array(z)
-    split = ln_split(_check_q_open(q))
+    zs, scalar = check_points(z, "z")
+    split = ln_split(check_real("q", q, 0.0, 1.0))
     parts = [_series_sum(log2_split(np.abs(zs[b])), np.angle(zs[b]), split, ctrl, "theta_series")
              for b in (slice(i, i + _SERIES_ROWS) for i in range(0, max(len(zs), 1), _SERIES_ROWS))]
     return pack(*map(np.concatenate, zip(*parts)), scalar)
@@ -242,9 +221,10 @@ def theta_on_circles(radii, q: float, count: int, offset: float = 0.0,
                      ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
     """The theta series at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each
     r of ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
+    split = ln_split(check_real("q", q, 0.0, 1.0))
     radii = np.asarray(radii, dtype=float).reshape(-1)
-    return laurent_on_circles(*_series_terms(log2_split(radii), ln_split(_check_q_open(q)), ctrl,
-                                             "theta_series"), count, offset)
+    return laurent_on_circles(*_series_terms(log2_split(radii), split, ctrl, "theta_series"),
+                              count, offset)
 
 
 def theta_series(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
@@ -259,16 +239,6 @@ def theta_prime_one(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
     return -euler_product(q, ctrl) ** 3
 
 
-def _lattice_indices(n) -> np.ndarray:
-    """An integer n, or an integer array of them, as a 1-d int64 array; each |n| is at most
-    MAX_LATTICE_INDEX (bools and floats are refused)."""
-    ns, bound = np.asarray(n), MAX_LATTICE_INDEX
-    if ns.dtype.kind not in "iu" or not np.all((-bound <= ns) & (ns <= bound)):
-        raise InvalidParameterError(
-            f"lattice indices must be integers with |n| <= {bound}, got {n!r:.40}")
-    return ns.astype(np.int64).reshape(-1)
-
-
 def theta_prime_lattice(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
     """d/dz Theta(z; q) at the lattice zero z = q^n (reference path).
 
@@ -278,11 +248,10 @@ def theta_prime_lattice(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
     :func:`lattice_derivative_candidate` are candidates to be checked
     against it.
     """
-    ns = _lattice_indices(n)
+    ns, split = check_indices(n, MAX_LATTICE_INDEX), ln_split(check_real("q", q, 0.0, 1.0))
     zero = np.zeros(len(ns), dtype=np.int64)
-    return pack(*_series_sum((zero, zero * 0.0), zero * 0.0, ln_split(_check_q_open(q)), ctrl,
-                             "theta_prime_lattice", derivative=True, lattice=ns[:, None]),
-                np.ndim(n) == 0)
+    return pack(*_series_sum((zero, zero * 0.0), zero * 0.0, split, ctrl, "theta_prime_lattice",
+                             derivative=True, lattice=ns[:, None]), np.ndim(n) == 0)
 
 
 def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL,
@@ -294,8 +263,8 @@ def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTR
     variant="printed":   (-1)^{n+1} q^{-n(n-1)/2} Theta'(1; q)  (kept for
     diagnosis; fails already at n=1, q=0.1).
     """
-    ns = _lattice_indices(n)
-    q = _check_q_open(q)
+    ns = check_indices(n, MAX_LATTICE_INDEX)
+    q = check_real("q", q, 0.0, 1.0)
     tp1 = theta_prime_one(q, ctrl)
     shift = {"corrected": 1, "printed": -1}.get(variant)
     if shift is None:
@@ -330,9 +299,9 @@ def eta(z, q):
 
 def ln_eta(z, q) -> np.ndarray:
     """ln eta(z) for the arguments of :func:`eta`, as a 1-d array: it never saturates."""
-    zs, _ = z_array(z)
+    zs, _ = check_points(z, "z")
     u = np.log(np.abs(zs))
-    return -u * u / (2.0 * np.log(_check_q_open(q))) + 0.5 * u
+    return -u * u / (2.0 * np.log(check_real("q", q, 0.0, 1.0))) + 0.5 * u
 
 
 def _coefficient_tail_sum(ns: np.ndarray, q: float, ctrl: SeriesControl) -> np.ndarray:
@@ -385,17 +354,14 @@ def coeff_E(
     differs from the corrected value by exactly q^{-m}; it is retained
     for the adjudication reports only.
     """
-    ms = _lattice_indices(m)
+    ms = check_indices(m, MAX_LATTICE_INDEX)
     shift = {"corrected": 0, "printed": 1}.get(variant)
     if shift is None:
         raise InvalidParameterError(f"unknown variant {variant!r}")
     if params.regime == SUPERCRITICAL:
-        warnings.warn(
-            f"coefficients computed at supercritical tau={params.tau:.6g}; "
-            "they cannot be used for reconstruction",
-            stacklevel=2,
-        )
-    q = _check_q_open(params.q)
+        warnings.warn(f"coefficients computed at supercritical tau={params.tau:.6g}; "
+                      "they cannot be used for reconstruction", stacklevel=2)
+    q = check_real("q", params.q, 0.0, 1.0)
     ns = np.abs(ms)
     power = ns * (ns + 1) // 2 - shift * ms
     e, hi, lo = ln_split(q)

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonConvergenceError, RegimeError, SaturationError
+from .errors import (InvalidParameterError, NonConvergenceError, RegimeError, SaturationError,
+                     check_counts, check_points, check_real)
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
 from .scaled import BASE_LOG2, exp_pow2, ldexp_array, ln_abs, masked_max
-from .signals import (GammaTable, QuadratureControl, SignalModel, check_counts, eval_signal,
-                      forward_table)
+from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
 
 #: global normalisation of the reconstruction formula (see calibrate_constant)
 RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
@@ -57,13 +57,13 @@ class ReconConfig:
     truncation: tuple[int, int] | None = None  # explicit (M, K) or None for automatic
 
     def __post_init__(self):
-        if not (0 < self.tol < 1):
-            raise InvalidParameterError("tol must lie in (0, 1)")
-        x_min, x_max, step = self.grid
-        if not (all(map(math.isfinite, self.grid)) and step > 0):
-            raise InvalidParameterError(f"bad grid {self.grid!r}")
+        check_real("tol", self.tol, 0.0, 1.0)
+        _grid(self.grid)
         if self.truncation is not None:
-            M, K = self.truncation
+            try:
+                M, K = self.truncation
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"bad truncation {self.truncation!r:.40}") from None
             check_counts("truncation orders", M, K)
 
 
@@ -99,25 +99,32 @@ class TruncationChoice:
     table: GammaTable
 
 
+def _grid(grid) -> tuple[float, float, float]:
+    """(x_min, x_max, step) as floats: finite ends and a positive step."""
+    try:
+        x_min, x_max, step = grid
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"bad grid {grid!r:.40}: need (x_min, x_max, step)") from None
+    return (check_real("grid start", x_min), check_real("grid end", x_max),
+            check_real("grid step", step, 0.0))
+
+
 def grid_points(grid: tuple[float, float, float]) -> np.ndarray:
     """Deterministic grid x_min, x_min + step, ...; empty when x_min > x_max."""
-    x_min, x_max, step = grid
+    x_min, x_max, step = _grid(grid)
     if x_min > x_max:
         return np.empty(0, dtype=float)
     count = int(math.floor((x_max - x_min) / step + 1e-9)) + 1
     if count > MAX_GRID_POINTS:  # guard before allocating anything
         raise InvalidParameterError(
-            f"grid with {count} points exceeds the desk-scale guard ({MAX_GRID_POINTS})"
-        )
+            f"grid with {count} points exceeds the desk-scale guard ({MAX_GRID_POINTS})")
     return x_min + step * np.arange(count, dtype=float)
 
 
 def _require_subcritical(params: LatticeParams):
     if params.regime != SUBCRITICAL:
-        raise RegimeError(
-            f"reconstruction requires tau < pi (subcritical lattice); "
-            f"tau = {params.tau:.12g} is {params.regime}"
-        )
+        raise RegimeError(f"reconstruction requires tau < pi (subcritical lattice); "
+                          f"tau = {params.tau:.12g} is {params.regime}")
 
 
 def _block(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,13 +140,14 @@ def _block(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def inner_fourier_sum(rows: np.ndarray, x, K: int) -> np.ndarray:
     """sum_{k=-K}^{K} gamma_{m,k} e^{ikx} for each row of a complex
     (rows, 2K+1) array and each point of a 1-d array x: the (rows, points)
-    array of sums, one matrix product with the phases e^{ikx}."""
-    if rows.shape[-1] != 2 * K + 1:
-        raise InvalidParameterError(
-            f"row must hold 2K+1 = {2 * K + 1} entries, got {rows.shape[-1]}"
-        )
-    kx = np.multiply.outer(np.arange(-K, K + 1, dtype=float), x)
-    return rows @ (np.cos(kx) + 1j * np.sin(kx))
+    array of sums, one matrix product with the phases e^{ikx}.  The phases are
+    taken for k = 0..K, and those of k < 0 are their conjugates."""
+    check_counts("K", K)
+    if np.shape(rows)[-1:] != (2 * K + 1,):
+        raise InvalidParameterError(f"rows must hold 2K+1 = {2 * K + 1} entries each")
+    kx = np.multiply.outer(np.arange(K + 1, dtype=float), check_points(x, "x", real=True)[0])
+    half = np.cos(kx) + 1j * np.sin(kx)
+    return rows @ np.concatenate([half[:0:-1].conj(), half])
 
 
 def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: int):
@@ -158,11 +166,10 @@ def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: in
     """
     _require_subcritical(params)
     check_counts("M and K", M, K)
+    flat, scalar = check_points(x, "x", real=True)
     if M > table.M or K > table.K:
-        raise InvalidParameterError(
-            f"requested truncation (M={M}, K={K}) exceeds table extents "
-            f"(M={table.M}, K={table.K})"
-        )
+        raise InvalidParameterError(f"requested truncation (M={M}, K={K}) exceeds table "
+                                    f"extents (M={table.M}, K={table.K})")
     used = np.s_[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
     gamma, gamma_exps = _block(table.mantissa[used], table.exponent[used])
     e_mant, e_exps = coeff_E(np.arange(-M, M + 1), params)
@@ -170,8 +177,6 @@ def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: in
     row_bits = ((gamma_exps + e_exps) * BASE_LOG2)[:, None]
     m_tau = params.tau * np.arange(-M, M + 1, dtype=float)[:, None]
 
-    xs = np.asarray(x, dtype=float)
-    flat = xs.reshape(-1)
     out = np.empty(len(flat), dtype=complex)
     for start in range(0, len(flat), POINT_CHUNK):
         xc = flat[start: start + POINT_CHUNK]
@@ -187,7 +192,7 @@ def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: in
             RECONSTRUCTION_CONSTANT * gauss * total, shift + gauss_bits)
     if not np.all(np.isfinite(out)):
         raise SaturationError("reconstructed value exceeds double range")
-    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    return complex(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 # --------------------------------------------------------------- truncation
@@ -283,10 +288,7 @@ def auto_truncation(
     the guard ring of an all-zero first block, cut off before returning.
     """
     _require_subcritical(params)
-    if not (0 < tol < 1):
-        raise InvalidParameterError("tol must lie in (0, 1)")
-    if not (math.isfinite(x_max) and x_max >= 0):
-        raise InvalidParameterError(f"x_max must be a finite non-negative real, got {x_max!r}")
+    tol, x_max = check_real("tol", tol, 0.0, 1.0), check_real("x_max", x_max, 0.0, closed=True)
     coeffs_ln = ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params, ctrl or SeriesControl()))
     table = held = None
 
@@ -339,16 +341,14 @@ def reconstruct_grid(
     _require_subcritical(params)
     if abs(table.tau - params.tau) > 1e-12 * max(1.0, abs(params.tau)):
         raise InvalidParameterError(
-            f"table tau {table.tau!r} does not match params tau {params.tau!r}"
-        )
+            f"table tau {table.tau!r} does not match params tau {params.tau!r}")
     xs = grid_points(config.grid)
     x_reach = float(np.max(np.abs(xs))) if len(xs) else 0.0
 
     M_cap, K_cap = config.truncation or (table.M, table.K)
     if M_cap > table.M or K_cap > table.K:
         raise InvalidParameterError(
-            f"explicit truncation (M={M_cap}, K={K_cap}) exceeds table extents"
-        )
+            f"explicit truncation (M={M_cap}, K={K_cap}) exceeds table extents")
     used = np.s_[table.M - M_cap: table.M + M_cap + 1, table.K - K_cap: table.K + K_cap + 1]
     block = (ln_abs(*coeff_E(np.arange(-M_cap, M_cap + 1), params))[:, None]
              + ln_abs(table.mantissa[used], table.exponent[used]))
@@ -361,20 +361,16 @@ def reconstruct_grid(
 
     rec = reconstruct_point(xs, table, params, M, K)
 
-    ref_values = None
-    sup_error = l2_error = None
+    ref_values = sup_error = l2_error = None
     if reference is not None:
         ref_values = eval_signal(reference, xs)
         diff = np.abs(rec - ref_values)
+        sup_error = l2_error = 0.0
         if len(xs):
-            sup_ref = float(np.max(np.abs(ref_values)))
-            l2_ref = float(np.linalg.norm(ref_values))
-            sup_error = float(np.max(diff)) / sup_ref if sup_ref > 0 else float(np.max(diff))
-            l2_error = float(np.linalg.norm(diff)) / l2_ref if l2_ref > 0 else float(
-                np.linalg.norm(diff)
-            )
-        else:
-            sup_error = l2_error = 0.0
+            sup_diff, sup_ref = float(np.max(diff)), float(np.max(np.abs(ref_values)))
+            l2_diff, l2_ref = float(np.linalg.norm(diff)), float(np.linalg.norm(ref_values))
+            sup_error = sup_diff / sup_ref if sup_ref > 0 else sup_diff
+            l2_error = l2_diff / l2_ref if l2_ref > 0 else l2_diff
 
     return ReconReport(
         xs=xs,
@@ -404,6 +400,7 @@ def round_trip(
     the original signal.  ``threads`` is accepted and ignored: the
     computation runs in one thread.
     """
+    check_counts("threads", threads)
     params = nome_from_tau(tau)
     config = config or ReconConfig()
     if config.truncation is not None:

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import SaturationError
+from .errors import SaturationError, check_counts
 
 BASE_LOG2 = 128
 LN_BASE = BASE_LOG2 * math.log(2.0)
@@ -185,6 +185,7 @@ class ScaledValue:
     __slots__ = ("mantissa", "exponent")
 
     def __init__(self, mantissa: complex = 0j, exponent: int = 0):
+        check_counts("exponent", exponent, least=-math.inf)
         with np.errstate(all="ignore"):
             mant, shift = normalise_array(np.array([complex(mantissa)]), 0)
         m = complex(mant[0])

@@ -18,13 +18,15 @@ stored as mantissa * (2**128)**exponent, entry by entry.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NonConvergenceError, SaturationError
+from .errors import (InvalidParameterError, NonConvergenceError, check_counts, check_indices,
+                     check_points, check_real)
 from .scaled import BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, sum_rows
 
 LN_TWO_PI = math.log(2.0 * math.pi)
@@ -62,20 +64,20 @@ class SignalModel:
 
     @classmethod
     def gaussian(cls, components: Sequence) -> "SignalModel":
+        """Components as GaussianComponents or (amplitude, center, modulation) triples."""
         comps = []
         for item in components:
             if isinstance(item, GaussianComponent):
-                comp = item
-            else:
+                item = (item.amplitude, item.center, item.modulation)
+            try:
                 amp, center, modulation = item
-                comp = GaussianComponent(complex(amp), float(center), float(modulation))
-            if not (
-                math.isfinite(abs(comp.amplitude))
-                and math.isfinite(comp.center)
-                and math.isfinite(comp.modulation)
-            ):
-                raise InvalidParameterError(f"non-finite Gaussian component {comp!r}")
-            comps.append(comp)
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"bad Gaussian component {item!r:.40}") from None
+            if isinstance(amp, bool) or not isinstance(amp, numbers.Complex):
+                raise InvalidParameterError(f"bad amplitude {amp!r:.40}: need a complex number")
+            check_real("amplitude modulus", abs(amp))
+            comps.append(GaussianComponent(complex(amp), check_real("center", center),
+                                           check_real("modulation", modulation)))
         if not comps:
             raise InvalidParameterError("a Gaussian-family signal needs >= 1 component")
         return cls(kind=GAUSSIAN_FAMILY, components=tuple(comps))
@@ -90,11 +92,9 @@ class SignalModel:
         """
         if not callable(sampler):
             raise InvalidParameterError("sampler must be callable")
-        if not (math.isfinite(bound) and bound >= 0):
-            raise InvalidParameterError("bound must be a finite non-negative real")
-        if not (math.isfinite(growth) and growth >= 0):
-            raise InvalidParameterError("growth must be a finite non-negative real")
-        return cls(kind=CALLBACK, sampler=sampler, bound=float(bound), growth=float(growth))
+        return cls(kind=CALLBACK, sampler=sampler,
+                   bound=check_real("bound", bound, 0.0, closed=True),
+                   growth=check_real("growth", growth, 0.0, closed=True))
 
     def envelope_ln(self) -> tuple[float, float]:
         """(ln C, alpha) with |f(x)| <= C exp(alpha |x|)."""
@@ -113,19 +113,22 @@ def _components(signal: SignalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def eval_signal(signal: SignalModel, x):
     """f(x): a complex for a float x, a complex array for an array of x.  A
-    Gaussian family is one (point, component) matrix, a callback is sampled
-    once per point; a scalar call equals the array call's element."""
-    xs = np.asarray(x, dtype=float)
-    if not np.isfinite(xs).all():
-        raise DomainError(f"x must be finite, got {x!r}")
-    flat = xs.reshape(-1, 1)
+    Gaussian family is one (point, component) matrix; a callback is sampled once
+    per point, here and nowhere else, and its first non-finite sample is refused.
+    A scalar call equals the array call's element."""
+    flat, scalar = check_points(x, "x", real=True)
     if signal.kind == GAUSSIAN_FAMILY:
         amp, centre, modulation = _components(signal)
-        terms = amp * np.exp(-(flat - centre) ** 2 / 4.0) * np.exp(1j * (modulation * flat))
+        terms = amp * np.exp(-(flat[:, None] - centre) ** 2 / 4.0) * np.exp(
+            1j * (modulation * flat[:, None]))
         values = np.cumsum(terms, axis=1)[:, -1]  # in component order
     else:
-        values = np.array([complex(signal.sampler(v)) for v in flat[:, 0].tolist()], dtype=complex)
-    return complex(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
+        values = np.array([complex(signal.sampler(v)) for v in flat.tolist()], dtype=complex)
+        if not np.isfinite(values).all():
+            i = int(np.argmin(np.isfinite(values)))  # the first non-finite sample
+            raise InvalidParameterError(
+                f"callback returned {complex(values[i])!r} at x={flat[i]:.6g}")
+    return complex(values[0]) if scalar else values.reshape(np.shape(x))
 
 
 def windowed_sample_scaled(signal: SignalModel, x):
@@ -133,20 +136,19 @@ def windowed_sample_scaled(signal: SignalModel, x):
     (mantissa, exponent) arrays for an array of x.  Terms are built in log form
     (scaled.exp_pow2), so far-tail samples never underflow to 0 * inf garbage;
     a Gaussian family is one (point, component) matrix, a callback is sampled
-    once per point."""
-    xs = np.asarray(x, dtype=float).reshape(-1, 1)
+    by eval_signal."""
+    flat, scalar = check_points(x, "x", real=True)
+    xs = flat[:, None]
     if signal.kind == GAUSSIAN_FAMILY:
         amp, centre, modulation = _components(signal)
         ln_amp = np.log(np.abs(amp), out=np.zeros(len(amp)), where=amp != 0)  # 0 where amp is 0
         ln_mag = ln_amp - (xs - centre) ** 2 / 4.0 - xs * xs / 4.0 - LN_TWO_PI
         unit = np.where(amp != 0, np.exp(1j * (modulation * xs + np.angle(amp))), 0.0)
     else:
-        unit = np.array([complex(signal.sampler(v)) for v in xs[:, 0].tolist()])[:, None]
-        if not np.all(np.isfinite(unit)):
-            raise SaturationError("callback returned a non-finite sample")
+        unit = eval_signal(signal, flat)[:, None]
         ln_mag = -xs * xs / 4.0 - LN_TWO_PI
     f, bits = exp_pow2(ln_mag)
-    return pack(*sum_rows(unit * f, bits), np.ndim(x) == 0)
+    return pack(*sum_rows(unit * f, bits), scalar)
 
 
 @dataclass(frozen=True)
@@ -164,16 +166,8 @@ class QuadratureControl:
     max_refinements: int = 12
 
     def __post_init__(self):
-        if not (0 < self.tol < 1):
-            raise InvalidParameterError("quadrature tol must lie in (0, 1)")
+        check_real("quadrature tol", self.tol, 0.0, 1.0)
         check_counts("max_refinements", self.max_refinements, least=1)
-
-
-def check_counts(what: str, *values, least: int = 0):
-    """Refuse values that are not integers >= least (a bool is refused)."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise InvalidParameterError(f"{what} must be integers >= {least}, got {value!r}")
 
 
 _DEFAULT_QUAD = QuadratureControl()
@@ -209,7 +203,8 @@ def gamma_closed_form(m: int | tuple[int, ...], k: int | tuple[int, ...], signal
     """
     if signal.kind != GAUSSIAN_FAMILY:
         raise InvalidParameterError("closed form requires a Gaussian-family signal")
-    rows, cols = np.array(m, ndmin=1)[:, None, None], np.array(k, ndmin=1)[:, None]
+    rows, cols = check_indices(m)[:, None, None], check_indices(k)[:, None]
+    tau = check_real("tau", tau)
     amp, centre, modulation = _components(signal)
     ln_amp = np.log(np.abs(amp), out=np.zeros(len(amp)), where=amp != 0)  # 0 where amp is 0
     sr, si = centre / 2.0 - tau * rows, modulation - cols
@@ -238,8 +233,8 @@ class _Lineage:
 
     def fetch(self, signal: SignalModel, lo: int, hi: int, j: int) -> np.ndarray:
         """f at x_n = n H0 / 2^j, lo <= n <= hi: the nodes not stored yet are
-        sampled in one eval_signal call; a non-finite sample is refused and
-        nothing of that call is stored."""
+        sampled in one eval_signal call; where it refuses a sample, nothing of
+        that call is stored."""
         level, top = max(j, self.level), self.lo + len(self.values) - 1
         up, step = 2 ** (level - self.level), 2 ** (level - j)
         first, last = min(lo * step, self.lo * up), max(hi * step, top * up)
@@ -250,13 +245,7 @@ class _Lineage:
         view = self.values[lo * step - self.lo: hi * step - self.lo + 1: step]
         missing = np.flatnonzero(np.isnan(view))
         if len(missing):
-            xs = (lo + missing) * (H0 / 2 ** j)
-            samples = eval_signal(signal, xs)
-            if not np.isfinite(samples).all():
-                i = int(np.argmin(np.isfinite(samples)))  # the first non-finite sample
-                raise InvalidParameterError(
-                    f"callback returned {complex(samples[i])!r} at x={xs[i]:.6g}")
-            view[missing] = samples
+            view[missing] = eval_signal(signal, (lo + missing) * (H0 / 2 ** j))
         return view
 
     def window(self, signal: SignalModel, row: int, tau: float) -> tuple[float, float, float]:
@@ -384,7 +373,7 @@ def gamma_quadrature(
     says so.  The last term covers the rounding of the scale's exponent.
     A row whose samples all vanish keeps only its tail bound.
     """
-    rows, cols = np.array(m, ndmin=1), np.array(k, ndmin=1)
+    rows, cols, tau = check_indices(m), check_indices(k), check_real("tau", tau)
     lineage = lineage or _Lineage()
     vanishes = signal.envelope_ln()[0] == -math.inf  # f = 0: no window, no sample
     windows = [(0.0, 0.0, -math.inf) if vanishes else lineage.window(signal, row, tau)
@@ -463,10 +452,8 @@ class GammaTable:
 
     def __init__(self, M: int, K: int, tau: float, mantissa, exponent,
                  errors: "GammaTable | None" = None, built_for: tuple | None = None):
-        self.M = M
-        self.K = K
-        self.tau = tau
-        self.built_for = built_for
+        check_counts("M and K", M, K)
+        self.M, self.K, self.tau, self.built_for = M, K, check_real("tau", tau), built_for
         self.mantissa = np.array(mantissa, dtype=complex).reshape(2 * M + 1, 2 * K + 1)
         self.exponent = np.array(exponent, dtype=np.int64).reshape(2 * M + 1, 2 * K + 1)
         self.mantissa.setflags(write=False)
@@ -474,10 +461,10 @@ class GammaTable:
         self.errors = errors
 
     def get(self, m: int, k: int) -> ScaledValue:
+        check_counts("m and k", m, k, least=-math.inf)
         if abs(m) > self.M or abs(k) > self.K:
             raise InvalidParameterError(
-                f"(m={m}, k={k}) outside table extents M={self.M}, K={self.K}"
-            )
+                f"(m={m}, k={k}) outside table extents M={self.M}, K={self.K}")
         i, j = m + self.M, k + self.K
         return ScaledValue(complex(self.mantissa[i, j]), int(self.exponent[i, j]))
 
@@ -513,13 +500,9 @@ class GammaTable:
     def __eq__(self, other):
         if not isinstance(other, GammaTable):
             return NotImplemented
-        return (
-            self.M == other.M
-            and self.K == other.K
-            and self.tau == other.tau
-            and np.array_equal(self.mantissa, other.mantissa)
-            and np.array_equal(self.exponent, other.exponent)
-        )
+        return ((self.M, self.K, self.tau) == (other.M, other.K, other.tau)
+                and np.array_equal(self.mantissa, other.mantissa)
+                and np.array_equal(self.exponent, other.exponent))
 
 
 def forward_table(
@@ -543,9 +526,7 @@ def forward_table(
     reuses the samples and row windows that ``base`` carries.
     """
     check_counts("M and K", M, K)
-    if not (math.isfinite(tau) and tau > 0):
-        raise InvalidParameterError(f"tau must be a finite positive real, got {tau!r}")
-    quad = quad or _DEFAULT_QUAD
+    tau, quad = check_real("tau", tau, 0.0), quad or _DEFAULT_QUAD
     built_for = (signal, tau, quad)
     if base is not None and base.built_for != built_for:
         raise InvalidParameterError(

@@ -1,0 +1,340 @@
+"""One refusal contract over the package root's public callables.
+
+Every count, lattice index, real parameter and array of evaluation points is
+fed a float for an int, a bool, NaN, +-inf, a 0-d array, a list and a string.
+Each call must raise InvalidParameterError or DomainError, or be one of the
+acceptances listed here: never a builtin exception, and never a value
+computed from a coerced input.
+"""
+
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+import gaborlattice
+from gaborlattice import (
+    ContourSpec, DomainError, G_series, GammaTable, InvalidParameterError, QuadratureControl,
+    ReconConfig, ScaledValue, SeriesControl, SignalModel, auto_truncation, balanced_contour,
+    calibrate_constant, coeff_E, eta, euler_product, eval_signal, forward_table,
+    gamma_closed_form, gamma_quadrature, grid_points, inner_fourier_sum, lagrange_interpolant,
+    lattice_derivative_candidate, laurent_c0, mk_trace, nome_from_tau, reconstruct_point,
+    round_trip, spatial_A, theta_prime_lattice, theta_prime_one, theta_product, theta_series,
+    theta_series_scaled, windowed_sample_scaled)
+from gaborlattice.cli import main
+from gaborlattice.oracle import G_OVER_THETA, cardinal_on_circles
+
+REFUSED = (InvalidParameterError, DomainError)
+SIG = SignalModel.gaussian([(1.0, 0.0, 0.0)])
+CB = SignalModel.callback(lambda x: eval_signal(SIG, x), 1.0, 0.0)
+P = nome_from_tau(1.0)
+TABLE = forward_table(SIG, 1.0, 2, 3)
+PAYLOAD = forward_table(SIG, 1.0, 0, 0).to_payload()
+ONE_SAMPLE = (np.ones(1, dtype=complex), np.zeros(1, dtype=np.int64))
+SMALL_GRID = ReconConfig(grid=(-1.0, 1.0, 0.5))
+
+#: (callable, parameter, kind, a valid value, the call with that parameter set to v)
+PARAMETERS = [
+    ("ContourSpec", "radius", "real", 1.5, lambda v: ContourSpec(v)),
+    ("ContourSpec", "nodes", "count", 64, lambda v: ContourSpec(1.5, v)),
+    ("G_series", "z", "z", 0.5, lambda v: G_series(v, 0.3, SIG, P)),
+    ("G_series", "x", "real", 0.3, lambda v: G_series(0.5, v, SIG, P)),
+    ("GammaTable", "M", "count", 0, lambda v: GammaTable(v, 0, 1.0, [1.0], [0])),
+    ("GammaTable", "K", "count", 0, lambda v: GammaTable(0, v, 1.0, [1.0], [0])),
+    ("GammaTable", "tau", "real", 1.0, lambda v: GammaTable(0, 0, v, [1.0], [0])),
+    ("GammaTable.from_payload", "M", "count", 0, lambda v: GammaTable.from_payload(v, 0, 1.0,
+                                                                                     PAYLOAD)),
+    ("GammaTable.from_payload", "tau", "real", 1.0,
+     lambda v: GammaTable.from_payload(0, 0, v, PAYLOAD)),
+    ("GammaTable.get", "m", "count", 1, lambda v: TABLE.get(v, 0)),
+    ("GammaTable.get", "k", "count", 1, lambda v: TABLE.get(0, v)),
+    ("QuadratureControl", "tol", "real", 1e-10, lambda v: QuadratureControl(tol=v)),
+    ("QuadratureControl", "max_refinements", "count", 12,
+     lambda v: QuadratureControl(max_refinements=v)),
+    ("ReconConfig", "tol", "real", 1e-8, lambda v: ReconConfig(tol=v)),
+    ("ReconConfig", "grid start", "real", -3.0, lambda v: ReconConfig(grid=(v, 3.0, 0.05))),
+    ("ReconConfig", "grid end", "real", 3.0, lambda v: ReconConfig(grid=(-3.0, v, 0.05))),
+    ("ReconConfig", "grid step", "real", 0.05, lambda v: ReconConfig(grid=(-3.0, 3.0, v))),
+    ("ReconConfig", "truncation M", "count", 2, lambda v: ReconConfig(truncation=(v, 3))),
+    ("ReconConfig", "truncation K", "count", 3, lambda v: ReconConfig(truncation=(2, v))),
+    ("ScaledValue", "exponent", "count", 1, lambda v: ScaledValue(1.0, v)),
+    ("SeriesControl", "abs_tol", "real", 1e-16, lambda v: SeriesControl(abs_tol=v)),
+    ("SeriesControl", "max_terms", "count", 4096, lambda v: SeriesControl(max_terms=v)),
+    ("SeriesControl", "min_terms", "count", 8, lambda v: SeriesControl(min_terms=v)),
+    ("SignalModel.gaussian", "amplitude", "real", 1.0,
+     lambda v: SignalModel.gaussian([(v, 0.0, 0.0)])),
+    ("SignalModel.gaussian", "center", "real", 0.0,
+     lambda v: SignalModel.gaussian([(1.0, v, 0.0)])),
+    ("SignalModel.gaussian", "modulation", "real", 0.0,
+     lambda v: SignalModel.gaussian([(1.0, 0.0, v)])),
+    ("SignalModel.callback", "bound", "real", 1.0, lambda v: SignalModel.callback(abs, v, 0.0)),
+    ("SignalModel.callback", "growth", "real", 0.0, lambda v: SignalModel.callback(abs, 1.0, v)),
+    ("auto_truncation", "tol", "real", 1e-8, lambda v: auto_truncation(SIG, P, v)),
+    ("auto_truncation", "x_max", "real", 3.0, lambda v: auto_truncation(SIG, P, 1e-8, v)),
+    ("balanced_contour", "nodes", "count", 64, lambda v: balanced_contour(P, v)),
+    ("calibrate_constant", "tau", "real", 1.0, lambda v: calibrate_constant(v, 0.0, 2, 3)),
+    ("calibrate_constant", "x", "x", 0.0, lambda v: calibrate_constant(1.0, v, 2, 3)),
+    ("calibrate_constant", "M", "count", 2, lambda v: calibrate_constant(1.0, 0.0, v, 3)),
+    ("calibrate_constant", "K", "count", 3, lambda v: calibrate_constant(1.0, 0.0, 2, v)),
+    ("coeff_E", "m", "index", 2, lambda v: coeff_E(v, P)),
+    ("eta", "z", "z", 0.5, lambda v: eta(v, P.q)),
+    ("eta", "q", "real", 0.3, lambda v: eta(0.5, v)),
+    ("euler_product", "q", "real", 0.3, lambda v: euler_product(v)),
+    ("eval_signal", "x", "x", 0.3, lambda v: eval_signal(SIG, v)),
+    ("forward_table", "tau", "real", 1.0, lambda v: forward_table(SIG, v, 1, 1)),
+    ("forward_table", "M", "count", 1, lambda v: forward_table(SIG, 1.0, v, 1)),
+    ("forward_table", "K", "count", 1, lambda v: forward_table(SIG, 1.0, 1, v)),
+    ("gamma_closed_form", "m", "index", 1, lambda v: gamma_closed_form(v, 0, SIG, 1.0)),
+    ("gamma_closed_form", "k", "index", 1, lambda v: gamma_closed_form(0, v, SIG, 1.0)),
+    ("gamma_closed_form", "tau", "real", 1.0, lambda v: gamma_closed_form(0, 0, SIG, v)),
+    ("gamma_quadrature", "m", "index", 1, lambda v: gamma_quadrature(v, 0, CB, 1.0)),
+    ("gamma_quadrature", "k", "index", 1, lambda v: gamma_quadrature(0, v, CB, 1.0)),
+    ("gamma_quadrature", "tau", "real", 1.0, lambda v: gamma_quadrature(0, 0, CB, v)),
+    ("grid_points", "grid start", "real", -1.0, lambda v: grid_points((v, 1.0, 0.5))),
+    ("grid_points", "grid end", "real", 1.0, lambda v: grid_points((-1.0, v, 0.5))),
+    ("grid_points", "grid step", "real", 0.5, lambda v: grid_points((-1.0, 1.0, v))),
+    ("inner_fourier_sum", "x", "x", 0.3, lambda v: inner_fourier_sum(np.ones((1, 7)), v, 3)),
+    ("inner_fourier_sum", "K", "count", 3,
+     lambda v: inner_fourier_sum(np.ones((1, 7)), [0.3], v)),
+    ("lagrange_interpolant", "z", "z", 0.5 + 0.5j,
+     lambda v: lagrange_interpolant(v, [0], ONE_SAMPLE, P)),
+    ("lagrange_interpolant", "ns", "index", 1,
+     lambda v: lagrange_interpolant(0.5 + 0.5j, v, ONE_SAMPLE, P)),
+    ("lattice_derivative_candidate", "n", "index", 1,
+     lambda v: lattice_derivative_candidate(v, P.q)),
+    ("lattice_derivative_candidate", "q", "real", 0.3,
+     lambda v: lattice_derivative_candidate(1, v)),
+    ("laurent_c0", "m", "index", 1, lambda v: laurent_c0(v, P)),
+    ("mk_trace", "k_range", "index", 1, lambda v: mk_trace(G_OVER_THETA, v, 0.3, SIG, P)),
+    ("mk_trace", "x", "real", 0.3, lambda v: mk_trace(G_OVER_THETA, [1], v, SIG, P)),
+    ("nome_from_tau", "tau", "real", 1.0, nome_from_tau),
+    ("reconstruct_point", "x", "x", 0.3, lambda v: reconstruct_point(v, TABLE, P, 1, 1)),
+    ("reconstruct_point", "M", "count", 1, lambda v: reconstruct_point(0.3, TABLE, P, v, 1)),
+    ("reconstruct_point", "K", "count", 1, lambda v: reconstruct_point(0.3, TABLE, P, 1, v)),
+    ("round_trip", "tau", "real", 1.0, lambda v: round_trip(SIG, v, SMALL_GRID)),
+    ("round_trip", "threads", "count", 1, lambda v: round_trip(SIG, 1.0, SMALL_GRID,
+                                                                threads=v)),
+    ("spatial_A", "m", "index", 1, lambda v: spatial_A(v, 0.3, SIG, P)),
+    ("spatial_A", "x", "x", 0.3, lambda v: spatial_A(1, v, SIG, P)),
+    ("theta_prime_lattice", "n", "index", 1, lambda v: theta_prime_lattice(v, P.q)),
+    ("theta_prime_lattice", "q", "real", 0.3, lambda v: theta_prime_lattice(1, v)),
+    ("theta_prime_one", "q", "real", 0.3, theta_prime_one),
+    ("theta_product", "z", "z", 0.5, lambda v: theta_product(v, 0.3)),
+    ("theta_product", "q", "real", 0.3, lambda v: theta_product(0.5, v)),
+    ("theta_series", "z", "z", 0.5, lambda v: theta_series(v, 0.3)),
+    ("theta_series", "q", "real", 0.3, lambda v: theta_series(0.5, v)),
+    ("theta_series_scaled", "z", "z", 0.5, lambda v: theta_series_scaled(v, 0.3)),
+    ("theta_series_scaled", "q", "real", 0.3, lambda v: theta_series_scaled(0.5, v)),
+    ("windowed_sample_scaled", "x", "x", 0.3, lambda v: windowed_sample_scaled(SIG, v)),
+]
+
+#: public callables that read no count, index or real parameter of their own
+EXEMPT = {
+    "ConfigError": "an exception class",
+    "DomainError": "an exception class",
+    "GaborLatticeError": "an exception class",
+    "InvalidParameterError": "an exception class",
+    "NonConvergenceError": "an exception class",
+    "RegimeError": "an exception class",
+    "SaturationError": "an exception class",
+    "GaussianComponent": "a record: SignalModel.gaussian reads its fields",
+    "LatticeParams": "a record: nome_from_tau builds it from tau",
+    "ReconReport": "a result record",
+    "TruncationChoice": "a result record",
+    "reconstruct_grid": "reads its numbers from ReconConfig, GammaTable and LatticeParams",
+}
+
+#: per kind: (label, input, whether it is accepted); v is the parameter's valid value
+def _inputs(kind: str, v):
+    common = [("bool", True, False), ("nan", math.nan, False), ("inf", math.inf, False),
+              ("-inf", -math.inf, False), ("string", str(v), False)]
+    if kind == "count":
+        return common + [("float for int", float(v), False), ("0-d array", np.array(v), False),
+                         ("list", [v], False), ("numpy int", np.int64(v), True)]
+    if kind == "index":
+        return common + [("float for int", float(v), False), ("0-d array", np.array(v), True),
+                         ("list", [v], True), ("numpy int", np.int64(v), True),
+                         ("int16 array", np.array([v], dtype=np.int16), True)]
+    if kind == "real":
+        return common + [("0-d array", np.array(v), False), ("list", [v], False),
+                         ("numpy float32", np.float32(v), True),
+                         ("numpy float64", np.float64(v), True)]
+    points = common + [("0-d array", np.array(v), True), ("list", [v], True)]
+    return points + ([("zero", 0.0, False)] if kind == "z" else [])
+
+
+CASES = [pytest.param(call, accepted, x, id=f"{name}-{param}-{label}")
+         for name, param, kind, v, call in PARAMETERS
+         for label, x, accepted in _inputs(kind, v)]
+
+
+@pytest.mark.parametrize("call, accepted, value", CASES)
+def test_every_parameter_refuses_or_accepts(call, accepted, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if accepted:
+            call(value)
+        else:
+            with pytest.raises(REFUSED):
+                call(value)
+
+
+def test_the_table_names_every_public_callable():
+    public = {name for name in gaborlattice.__all__ if callable(getattr(gaborlattice, name))}
+    tabled = {name.split(".")[0] for name, *_ in PARAMETERS}
+    assert tabled.isdisjoint(EXEMPT)
+    assert public == tabled | set(EXEMPT)
+
+
+def test_valid_values_run():
+    for name, param, _, v, call in PARAMETERS:
+        call(v)
+
+
+# --- the inputs that were coerced, or died with a builtin exception, before
+
+PROBED = {
+    "nome_from_tau(True)": lambda: nome_from_tau(True),
+    "round_trip(sig, True)": lambda: round_trip(SIG, True),
+    "forward_table(sig, True, 1, 1)": lambda: forward_table(SIG, True, 1, 1),
+    "forward_table(sig, '1', 1, 1)": lambda: forward_table(SIG, "1", 1, 1),
+    "SignalModel.callback(f, True, 0.0)": lambda: SignalModel.callback(abs, True, 0.0),
+    "SignalModel.callback(f, '1', 0.0)": lambda: SignalModel.callback(abs, "1", 0.0),
+    "ReconConfig(grid=(0.0, 1.0, True))": lambda: ReconConfig(grid=(0.0, 1.0, True)),
+    "ReconConfig(grid=(0.0, 1.0))": lambda: ReconConfig(grid=(0.0, 1.0)),
+    "ReconConfig(truncation=(1, 2, 3))": lambda: ReconConfig(truncation=(1, 2, 3)),
+    "SeriesControl(max_terms=100.5)": lambda: SeriesControl(max_terms=100.5),
+    "SeriesControl(min_terms=True)": lambda: SeriesControl(min_terms=True),
+    "gamma_closed_form(0.5, 0, ...)": lambda: gamma_closed_form(0.5, 0, SIG, 1.0),
+    "gamma_quadrature(0.5, 0, ...)": lambda: gamma_quadrature(0.5, 0, CB, 1.0),
+    "spatial_A(1.5, ...)": lambda: spatial_A(1.5, 0.3, SIG, P),
+    "spatial_A(True, ...)": lambda: spatial_A(True, 0.3, SIG, P),
+    "lagrange_interpolant(half-integer ns)": lambda: lagrange_interpolant(
+        0.5 + 0.5j, np.arange(-3, 4) + 0.5, (np.ones(7), np.zeros(7, dtype=np.int64)), P),
+    "mk_trace(k_range=[0.5, 1.5])": lambda: mk_trace(G_OVER_THETA, [0.5, 1.5], 0.3, SIG, P),
+    "ContourSpec(r, nodes=64.0)": lambda: ContourSpec(1.5, nodes=64.0),
+    "laurent_c0 on ContourSpec(r, nodes=64.0)": lambda: laurent_c0(
+        0, P, ContourSpec(balanced_contour(P).radius, nodes=64.0)),
+    "cardinal_on_circles(float ns)": lambda: cardinal_on_circles(
+        [1.5], np.array([0.0]), ONE_SAMPLE, P.q, 64),
+    "grid_points((0.0, 1.0, nan))": lambda: grid_points((0.0, 1.0, math.nan)),
+    "euler_product(0.5, SeriesControl(max_terms=100.5))": lambda: euler_product(
+        0.5, SeriesControl(max_terms=100.5)),
+    "spatial_A at x = nan": lambda: spatial_A(0, math.nan, SIG, P),
+    "spatial_A at x = inf": lambda: spatial_A(0, math.inf, SIG, P),
+    "G_series at x = nan": lambda: G_series(0.5, math.nan, SIG, P),
+    "mk_trace at x = inf": lambda: mk_trace(G_OVER_THETA, [0], math.inf, SIG, P),
+}
+
+
+@pytest.mark.parametrize("call", PROBED.values(), ids=PROBED.keys())
+def test_probed_inputs_are_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(REFUSED):
+            call()
+
+
+def test_documented_acceptances():
+    table = forward_table(SIG, 1.0, np.int64(5), 9)
+    assert table == forward_table(SIG, 1.0, 5, 9)
+    assert nome_from_tau(np.float32(1.0)) == nome_from_tau(1.0)
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        ms = np.arange(3, dtype=dtype)
+        assert np.array_equal(coeff_E(ms, P)[0], coeff_E([0, 1, 2], P)[0])
+        assert np.array_equal(theta_prime_lattice(ms, P.q)[0], theta_prime_lattice([0, 1, 2],
+                                                                                  P.q)[0])
+        assert np.array_equal(gamma_closed_form(ms, ms, SIG, 1.0)[0],
+                              gamma_closed_form((0, 1, 2), (0, 1, 2), SIG, 1.0)[0])
+    for empty in (np.array([], dtype=np.int64), np.array([], dtype=np.uint8), []):
+        assert coeff_E(empty, P)[0].shape == (0,)
+        assert theta_prime_lattice(empty, P.q)[0].shape == (0,)
+        assert lattice_derivative_candidate(empty, P.q)[0].shape == (0,)
+        assert laurent_c0(empty, P).shape == (0,)
+    # the MAX_LATTICE_INDEX bound is the theta layer's; rows past it stay accepted elsewhere
+    assert forward_table(SIG, 0.1, 70, 1).M == 70
+    assert gamma_closed_form(0, 4096, SIG, 1.0)[0].to_complex() == 0.0
+
+
+# --- one callback sample, one refusal, on every path that samples it
+
+
+def test_every_callback_path_refuses_a_non_finite_sample_alike():
+    cb = SignalModel.callback(lambda x: math.nan if x > 1 else 1.0, bound=1.0, growth=0.0)
+    paths = [lambda: eval_signal(cb, [0.0, 2.0]),
+             lambda: windowed_sample_scaled(cb, np.array([0.0, 2.0])),
+             lambda: spatial_A(0, 0.5, cb, P),
+             lambda: gamma_quadrature(0, 0, cb, 1.0)]
+    for path in paths:
+        with pytest.raises(InvalidParameterError, match=r"callback returned \(nan\+0j\) at x="):
+            path()
+
+
+# --- the same inputs through the CLI: exit 2, and no file
+
+
+GAUSSIAN = {"kind": "gaussian_family",
+            "components": [{"amplitude": 1.0, "center": 0.0, "modulation": 0.0}]}
+
+
+def _config(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))  # NaN and Infinity pass as Python's json writes them
+    return str(path)
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"tau": math.nan, "signal": GAUSSIAN, "truncation": {"M": 1, "K": 1}}, []),
+    ({"tau": -math.inf, "signal": GAUSSIAN, "truncation": "auto"}, []),
+    ({"tau": 1.0, "signal": GAUSSIAN, "truncation": "auto", "x_max": math.inf}, []),
+    ({"tau": 1.0, "signal": GAUSSIAN, "truncation": "auto"}, ["--tol", "nan"]),
+    ({"tau": 1.0, "signal": GAUSSIAN, "truncation": "auto", "tol": 1.5}, []),
+    ({"tau": 1.0, "truncation": "auto", "signal": {
+        "kind": "gaussian_family",
+        "components": [{"amplitude": 1.0, "center": math.nan, "modulation": 0.0}]}}, []),
+])
+def test_cli_forward_refuses_with_exit_2_and_no_file(tmp_path, config, flags):
+    out = tmp_path / "table.json"
+    cfg = _config(tmp_path, "forward.json", config)
+    assert main(["forward", "--config", cfg, "--output", str(out), *flags]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["forward.json"]
+
+
+@pytest.mark.parametrize("grid, tol, flags", [
+    ({"min": -1.0, "max": 1.0, "step": math.inf}, 1e-8, []),
+    ({"min": math.nan, "max": 1.0, "step": 0.5}, 1e-8, []),
+    ({"min": -1.0, "max": 1.0, "step": 0.5}, 1.5, []),
+    ({"min": -1.0, "max": 1.0, "step": 0.5}, 1e-8, ["--tol", "inf"]),
+])
+def test_cli_reconstruct_refuses_with_exit_2_and_no_file(tmp_path, grid, tol, flags):
+    table = tmp_path / "table.json"
+    cfg = _config(tmp_path, "forward.json",
+                  {"tau": 1.0, "signal": GAUSSIAN, "truncation": {"M": 2, "K": 3}})
+    assert main(["forward", "--config", cfg, "--output", str(table)]) == 0
+    rec = _config(tmp_path, "rec.json", {"tau": 1.0, "grid": grid, "tol": tol})
+    out = tmp_path / "points.csv"
+    assert main(["reconstruct", "--config", rec, "--table", str(table), "--output", str(out),
+                 *flags]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["forward.json", "rec.json",
+                                                          "table.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--tau", "nan"], ["coeffs", "--tau", "inf"],
+    ["coeffs", "--tau", "1", "--tol", "nan"],
+    ["verify", "--tau", "nan"], ["verify", "--tau=-inf"],
+])
+def test_cli_flags_refuse_with_exit_2_and_no_file(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_sweep_refuses_a_nan_density_with_exit_2_and_no_file(tmp_path):
+    cfg = _config(tmp_path, "sweep.json", {
+        "tau_list": [1.0, math.nan], "signal": GAUSSIAN, "truncation": {"M": 2, "K": 3},
+        "grid": {"min": -1.0, "max": 1.0, "step": 0.5}})
+    assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "sweep.csv")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]

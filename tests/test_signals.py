@@ -11,7 +11,6 @@ from gaborlattice import (
     InvalidParameterError,
     NonConvergenceError,
     QuadratureControl,
-    SaturationError,
     ScaledValue,
     SignalModel,
     eval_signal,
@@ -102,7 +101,7 @@ class TestSignalModel:
 
     def test_windowed_sample_refuses_non_finite_callback(self):
         signal = SignalModel.callback(lambda x: math.nan if x > 1 else 1.0, bound=1.0, growth=0.0)
-        with pytest.raises(SaturationError):
+        with pytest.raises(InvalidParameterError):
             windowed_sample_scaled(signal, np.array([0.0, 2.0]))
 
 
