@@ -8,6 +8,11 @@ reconstruct  evaluate the inversion on a grid from a stored table
 verify       run a named identity suite, emit a JSON report
 sweep        fixed-truncation round trips across a list of densities
 
+This module checks only a config's shape (its keys, the signal kind, the
+non-empty lists, "auto" or {M, K}) and raises ConfigError; every value goes
+as given to the routine that reads it, which checks it through
+:mod:`gaborlattice.errors` as for a library call.
+
 Contracts: exit 0 on success, 1 when a verification check fails, 2 on
 validation problems, 3 on numerical non-convergence.  Data outputs are
 byte-deterministic for a fixed config (timings live in a separate
@@ -42,6 +47,7 @@ from .errors import (
     NonConvergenceError,
     RegimeError,
     SaturationError,
+    check_real,
 )
 from .oracle import laurent_c0
 from .qtheta import SeriesControl, coeff_E, nome_from_tau
@@ -108,26 +114,6 @@ def _expect_keys(obj, where: str, required: set[str], optional: set[str] = froze
         raise ConfigError(f"{where}: missing required keys {missing}")
 
 
-def _number(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
-
-
-def _integer(obj, where: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(f"{where}: expected an integer, got {obj!r}")
-    return obj
-
-
-def _parse_amplitude(spec, where: str) -> complex:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return complex(spec)
-    if isinstance(spec, list) and len(spec) == 2:
-        return complex(_number(spec[0], where), _number(spec[1], where))
-    raise ConfigError(f"{where}: amplitude must be a number or [re, im]")
-
-
 def parse_signal(spec, where: str = "signal") -> SignalModel:
     _expect_keys(spec, where, {"kind", "components"})
     if spec["kind"] != GAUSSIAN_FAMILY:
@@ -138,17 +124,13 @@ def parse_signal(spec, where: str = "signal") -> SignalModel:
         raise ConfigError(f"{where}.components: expected a non-empty list")
     comps = []
     for i, comp in enumerate(spec["components"]):
-        cw = f"{where}.components[{i}]"
-        _expect_keys(comp, cw, {"amplitude", "center", "modulation"})
-        comps.append((
-            _parse_amplitude(comp["amplitude"], cw),
-            _number(comp["center"], cw),
-            _number(comp["modulation"], cw),
-        ))
-    try:
-        return SignalModel.gaussian(comps)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        _expect_keys(comp, f"{where}.components[{i}]", {"amplitude", "center", "modulation"})
+        amp = comp["amplitude"]
+        if isinstance(amp, list) and len(amp) == 2:  # [re, im]
+            amp = complex(check_real("amplitude real part", amp[0]),
+                          check_real("amplitude imaginary part", amp[1]))
+        comps.append((amp, comp["center"], comp["modulation"]))
+    return SignalModel.gaussian(comps)
 
 
 def signal_to_spec(signal: SignalModel) -> dict:
@@ -165,24 +147,18 @@ def signal_to_spec(signal: SignalModel) -> dict:
     }
 
 
-def parse_grid(spec, where: str = "grid") -> tuple[float, float, float]:
+def parse_grid(spec, where: str = "grid") -> tuple:
+    """(min, max, step) as given; ReconConfig checks the values."""
     _expect_keys(spec, where, {"min", "max", "step"})
-    step = _number(spec["step"], f"{where}.step")
-    if step <= 0:
-        raise ConfigError(f"{where}.step must be positive")
-    return (_number(spec["min"], f"{where}.min"),
-            _number(spec["max"], f"{where}.max"), step)
+    return (spec["min"], spec["max"], spec["step"])
 
 
-def parse_truncation(spec, where: str = "truncation") -> tuple[int, int] | None:
+def parse_truncation(spec, where: str = "truncation") -> tuple | None:
+    """None for "auto", else (M, K) as given; the routine they go to checks them."""
     if spec == "auto":
         return None
     _expect_keys(spec, where, {"M", "K"})
-    M = _integer(spec["M"], f"{where}.M")
-    K = _integer(spec["K"], f"{where}.K")
-    if M < 0 or K < 0:
-        raise ConfigError(f"{where}: M and K must be non-negative")
-    return (M, K)
+    return (spec["M"], spec["K"])
 
 
 def _load_config(path: str) -> dict:
@@ -284,31 +260,21 @@ def _table_from_document(doc: dict, where: str) -> GammaTable:
     _expect_keys(doc, where, {"meta", "data"})
     meta = doc["meta"]
     _expect_keys(meta, f"{where}.meta", {"tau", "M", "K"}, {"signal", "tool_version"})
-    data = doc["data"]
-    _expect_keys(data, f"{where}.data",
-                 {"m", "k", "mantissa_re", "mantissa_im", "exponent"})
-    try:
-        return GammaTable.from_payload(
-            _integer(meta["M"], "M"), _integer(meta["K"], "K"),
-            _number(meta["tau"], "tau"), data,
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{where}: malformed table payload: {exc}") from exc
+    return GammaTable.from_payload(meta["M"], meta["K"], meta["tau"], doc["data"])
 
 
 def cmd_forward(args) -> int:
     config = _load_config(args.config)
     _expect_keys(config, "config", {"tau", "signal", "truncation"}, {"tol", "x_max"})
-    tau = _number(config["tau"], "config.tau")
     signal = parse_signal(config["signal"])
     truncation = parse_truncation(config["truncation"])
-    tol = args.tol if args.tol is not None else _number(config.get("tol", 1e-8),
-                                                        "config.tol")
+    tol = args.tol if args.tol is not None else config.get("tol", 1e-8)
+    tol = check_real("tol", tol, 0.0, 1.0)  # read on both branches, used on one
     if truncation is None:
-        x_max = _number(config.get("x_max", 0.0), "config.x_max")
-        table = auto_truncation(signal, nome_from_tau(tau), tol, x_max=x_max).table
+        table = auto_truncation(signal, nome_from_tau(config["tau"]), tol,
+                                x_max=config.get("x_max", 0.0)).table
     else:
-        table = forward_table(signal, tau, *truncation)
+        table = forward_table(signal, config["tau"], *truncation)
     _emit(args.output, [_table_json(table, signal_to_spec(signal))])
     return 0
 
@@ -318,26 +284,14 @@ def cmd_forward(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     config = _load_config(args.config)
-    _expect_keys(config, "config", {"tau", "grid"},
-                 {"tol", "truncation", "signal"})
-    tau = _number(config["tau"], "config.tau")
-    grid = parse_grid(config["grid"])
-    tol = args.tol if args.tol is not None else _number(config.get("tol", 1e-8),
-                                                        "config.tol")
-    truncation = parse_truncation(config.get("truncation", "auto"))
+    _expect_keys(config, "config", {"tau", "grid"}, {"tol", "truncation", "signal"})
+    recon_config = ReconConfig(tol=args.tol if args.tol is not None else config.get("tol", 1e-8),
+                               grid=parse_grid(config["grid"]),
+                               truncation=parse_truncation(config.get("truncation", "auto")))
     reference = parse_signal(config["signal"]) if "signal" in config else None
-
-    doc = _load_config(args.table)
-    table = _table_from_document(doc, "table")
-    if abs(table.tau - tau) > 1e-12 * max(1.0, abs(tau)):
-        raise ConfigError(
-            f"tau mismatch: config says {tau!r}, table was built at {table.tau!r}"
-        )
-    params = nome_from_tau(tau)
-    recon_config = ReconConfig(tol=tol, grid=grid, truncation=truncation)
-    start = time.perf_counter()
+    params = nome_from_tau(config["tau"])
+    table = _table_from_document(_load_config(args.table), "table")
     report = reconstruct_grid(recon_config, table, params, reference=reference)
-    elapsed = time.perf_counter() - start
 
     rec, ref = report.reconstructed, report.reference
     if ref is not None:
@@ -356,7 +310,7 @@ def cmd_reconstruct(args) -> int:
             "sup_error": report.sup_error,
             "l2_error": report.l2_error,
         },
-        "meta": {"elapsed_seconds": elapsed, "tool_version": __version__},
+        "meta": {"elapsed_seconds": report.elapsed, "tool_version": __version__},
     }
     # imported on use, like its tables: only this command needs the formatter
     from . import fmt17
@@ -394,28 +348,26 @@ def cmd_sweep(args) -> int:
     tau_list = config["tau_list"]
     if not isinstance(tau_list, list) or not tau_list:
         raise ConfigError("config.tau_list: expected a non-empty list of numbers")
-    taus = [_number(t, "config.tau_list") for t in tau_list]
+    lattices = [nome_from_tau(tau) for tau in tau_list]  # every density before any work
     signal = parse_signal(config["signal"])
     truncation = parse_truncation(config["truncation"])
     if truncation is None:
         raise ConfigError("config.truncation: sweeps need explicit fixed (M, K)")
-    grid = parse_grid(config["grid"])
-    tol = _number(config.get("tol", 1e-8), "config.tol")
+    recon_config = ReconConfig(tol=config.get("tol", 1e-8), grid=parse_grid(config["grid"]),
+                               truncation=truncation)
 
     header = ["tau", "regime", "status", "sup_error", "l2_error", "M", "K",
               "tail_estimate", "note"]
     rows = []
-    for tau in taus:
-        params = nome_from_tau(tau)
+    for params in lattices:
         try:
-            report = round_trip(
-                signal, tau, ReconConfig(tol=tol, grid=grid, truncation=truncation))
-            rows.append([_fmt(tau), params.regime, "ok",
+            report = round_trip(signal, params.tau, recon_config)
+            rows.append([_fmt(params.tau), params.regime, "ok",
                          _fmt(report.sup_error), _fmt(report.l2_error),
                          str(report.M_used), str(report.K_used),
                          _fmt(report.tail_estimate), ""])
         except RegimeError as exc:
-            rows.append([_fmt(tau), params.regime, "refused",
+            rows.append([_fmt(params.tau), params.regime, "refused",
                          "", "", "", "", "", str(exc)])
     _emit(args.output, [_csv_dump(header, rows)])
     return 0

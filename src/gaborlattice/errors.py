@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+MAX_GRID_POINTS = 10**7  # desk-scale guard: the most grid points, or table entries, one call builds
+
 
 class GaborLatticeError(Exception):
     """Base class for all package errors."""
@@ -48,6 +50,14 @@ class RegimeError(GaborLatticeError, RuntimeError):
     the signal (tau >= pi)."""
 
 
+def as_array(values) -> np.ndarray:
+    """np.asarray(values), or for a ragged nesting an object array, which the checks refuse."""
+    try:
+        return np.asarray(values)
+    except ValueError:  # ragged nesting
+        return np.array(None)
+
+
 def check_counts(what: str, *values, least=0):
     """Refuse values that are not integers >= least (a bool is refused)."""
     for value in values:
@@ -58,7 +68,7 @@ def check_counts(what: str, *values, least=0):
 def check_indices(n, bound=None) -> np.ndarray:
     """Lattice indices, an integer or an array or list of them (empty too), as a 1-d
     int64 array; with a bound, each |n| is at most bound.  Bools and floats are refused."""
-    ns = np.asarray(n)
+    ns = as_array(n)
     if (ns.size and ns.dtype.kind not in "iu"
             or bound is not None and not ((-bound <= ns) & (ns <= bound)).all()):
         within = "" if bound is None else f" with |n| <= {bound}"
@@ -70,7 +80,7 @@ def check_points(values, what: str, real: bool = False) -> tuple[np.ndarray, boo
     """Evaluation points, a number or an array or list of numbers, as a 1-d float (real)
     or complex array, and whether they came as one number.  Each must be finite, and
     complex points lie in C \\ {0}, where the theta forms and their quotients live."""
-    arr = np.asarray(values)
+    arr = as_array(values)
     if arr.dtype.kind not in "iuf" + "c" * (not real):
         raise InvalidParameterError(f"{what} must be numbers, got {values!r:.40}")
     arr = arr.astype(float if real else complex, copy=False)

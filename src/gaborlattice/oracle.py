@@ -240,7 +240,7 @@ def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
     zs, scalar = check_points(z, "z")
     q, ns = params.q, check_indices(ns)
     a_mant, a_exps = normalise_array(np.asarray(samples[0], dtype=complex).reshape(-1),
-                                     np.asarray(samples[1], dtype=np.int64).reshape(-1))
+                                     check_indices(samples[1]))
     if len(a_mant) != len(ns):
         raise InvalidParameterError("give one sample per node index")
     node = [part[None, :] for part in _lattice_nodes(ns, q)]

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, NonConvergenceError, RegimeError, SaturationError,
-                     check_counts, check_points, check_real)
+from .errors import (MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError, RegimeError,
+                     SaturationError, check_counts, check_points, check_real)
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
 from .scaled import BASE_LOG2, exp_pow2, ldexp_array, ln_abs, masked_max
 from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
@@ -42,7 +42,6 @@ RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
 
 MAX_M = 64
 MAX_K = 4096
-MAX_GRID_POINTS = 10**7
 #: points per evaluation chunk: bounds the engine's memory at
 #: O(POINT_CHUNK * (M + K)) whatever the grid size
 POINT_CHUNK = 256
@@ -114,11 +113,11 @@ def grid_points(grid: tuple[float, float, float]) -> np.ndarray:
     x_min, x_max, step = _grid(grid)
     if x_min > x_max:
         return np.empty(0, dtype=float)
-    count = int(math.floor((x_max - x_min) / step + 1e-9)) + 1
-    if count > MAX_GRID_POINTS:  # guard before allocating anything
+    span = (x_max - x_min) / step + 1e-9  # may be inf: guard before converting or allocating
+    if span >= MAX_GRID_POINTS:
         raise InvalidParameterError(
-            f"grid with {count} points exceeds the desk-scale guard ({MAX_GRID_POINTS})")
-    return x_min + step * np.arange(count, dtype=float)
+            f"grid with {span + 1:.6g} points exceeds the desk-scale guard ({MAX_GRID_POINTS})")
+    return x_min + step * np.arange(math.floor(span) + 1, dtype=float)
 
 
 def _require_subcritical(params: LatticeParams):

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (InvalidParameterError, NonConvergenceError, check_counts, check_indices,
-                     check_points, check_real)
+from .errors import (MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError, as_array,
+                     check_counts, check_indices, check_points, check_real)
 from .scaled import BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, sum_rows
 
 LN_TWO_PI = math.log(2.0 * math.pi)
@@ -47,14 +47,26 @@ CALLBACK = "callback"
 
 @dataclass(frozen=True)
 class GaussianComponent:
+    """One term amp * exp(-(x - center)^2 / 4 + i modulation x), checked on construction."""
+
     amplitude: complex
     center: float
     modulation: float
 
+    def __post_init__(self):
+        amp = self.amplitude
+        if isinstance(amp, bool) or not isinstance(amp, numbers.Complex):
+            raise InvalidParameterError(f"bad amplitude {amp!r:.40}: need a complex number")
+        check_real("amplitude modulus", abs(amp))
+        object.__setattr__(self, "amplitude", complex(amp))
+        for name in ("center", "modulation"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class SignalModel:
-    """A reconstructible signal; build via :meth:`gaussian` or :meth:`callback`."""
+    """A reconstructible signal; build via :meth:`gaussian` or :meth:`callback`.
+    The constructor checks every field, so those and a raw call refuse alike."""
 
     kind: str
     components: tuple[GaussianComponent, ...] = ()
@@ -62,25 +74,29 @@ class SignalModel:
     bound: float = 0.0   # C  in |f(x)| <= C exp(alpha |x|)
     growth: float = 0.0  # alpha
 
+    def __post_init__(self):
+        if self.kind == GAUSSIAN_FAMILY:
+            try:
+                comps = tuple(c if isinstance(c, GaussianComponent) else GaussianComponent(*c)
+                              for c in self.components)
+            except TypeError:  # not a sequence of triples
+                raise InvalidParameterError(
+                    f"bad Gaussian components {self.components!r:.40}") from None
+            if not comps:
+                raise InvalidParameterError("a Gaussian-family signal needs >= 1 component")
+            object.__setattr__(self, "components", comps)
+        elif self.kind == CALLBACK:
+            if not callable(self.sampler):
+                raise InvalidParameterError("sampler must be callable")
+        else:
+            raise InvalidParameterError(f"unknown signal kind {self.kind!r:.40}")
+        for name in ("bound", "growth"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, closed=True))
+
     @classmethod
     def gaussian(cls, components: Sequence) -> "SignalModel":
         """Components as GaussianComponents or (amplitude, center, modulation) triples."""
-        comps = []
-        for item in components:
-            if isinstance(item, GaussianComponent):
-                item = (item.amplitude, item.center, item.modulation)
-            try:
-                amp, center, modulation = item
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"bad Gaussian component {item!r:.40}") from None
-            if isinstance(amp, bool) or not isinstance(amp, numbers.Complex):
-                raise InvalidParameterError(f"bad amplitude {amp!r:.40}: need a complex number")
-            check_real("amplitude modulus", abs(amp))
-            comps.append(GaussianComponent(complex(amp), check_real("center", center),
-                                           check_real("modulation", modulation)))
-        if not comps:
-            raise InvalidParameterError("a Gaussian-family signal needs >= 1 component")
-        return cls(kind=GAUSSIAN_FAMILY, components=tuple(comps))
+        return cls(kind=GAUSSIAN_FAMILY, components=components)
 
     @classmethod
     def callback(cls, sampler: Callable[[float], complex], bound: float,
@@ -90,11 +106,7 @@ class SignalModel:
         The metadata is mandatory: the quadrature and summation routines
         size their truncation windows from it and refuse to guess.
         """
-        if not callable(sampler):
-            raise InvalidParameterError("sampler must be callable")
-        return cls(kind=CALLBACK, sampler=sampler,
-                   bound=check_real("bound", bound, 0.0, closed=True),
-                   growth=check_real("growth", growth, 0.0, closed=True))
+        return cls(kind=CALLBACK, sampler=sampler, bound=bound, growth=growth)
 
     def envelope_ln(self) -> tuple[float, float]:
         """(ln C, alpha) with |f(x)| <= C exp(alpha |x|)."""
@@ -419,11 +431,8 @@ def gamma_quadrature(
 def _column(payload: dict, key: str, kinds: str, size: int) -> np.ndarray:
     """One payload column as a 1-d array of ``size`` finite numbers of a
     dtype kind in ``kinds``."""
-    try:
-        col = np.asarray(payload[key])
-    except ValueError:  # ragged nesting
-        col = None
-    if (col is None or col.ndim != 1 or col.dtype.kind not in kinds or len(col) != size
+    col = as_array(payload[key])
+    if (col.ndim != 1 or col.dtype.kind not in kinds or len(col) != size
             or not np.isfinite(col).all()):
         raise InvalidParameterError(
             f"payload column {key!r} must be a list of {size} "
@@ -481,9 +490,15 @@ class GammaTable:
 
     @classmethod
     def from_payload(cls, M: int, K: int, tau: float, payload: dict) -> "GammaTable":
-        """Inverse of :meth:`to_payload`.  The entries may come in any order,
-        but every (m, k) of the table exactly once; anything else is refused."""
+        """Inverse of :meth:`to_payload`: a dict of exactly its five columns.  The
+        entries may come in any order, but every (m, k) of the table exactly once;
+        anything else is refused."""
         check_counts("M and K", M, K)
+        columns = {"m", "k", "mantissa_re", "mantissa_im", "exponent"}
+        if not (isinstance(payload, dict) and payload.keys() == columns):
+            got = list(payload) if isinstance(payload, dict) else type(payload).__name__
+            raise InvalidParameterError(f"payload must be a dict of exactly the columns "
+                                        f"{sorted(columns)}, got {got!r:.80}")
         width, size = 2 * K + 1, (2 * M + 1) * (2 * K + 1)
         m, k, exps = (_column(payload, key, "iu", size) for key in ("m", "k", "exponent"))
         re, im = (_column(payload, key, "iuf", size) for key in ("mantissa_re", "mantissa_im"))
@@ -526,6 +541,9 @@ def forward_table(
     reuses the samples and row windows that ``base`` carries.
     """
     check_counts("M and K", M, K)
+    if (2 * M + 1) * (2 * K + 1) > MAX_GRID_POINTS:  # guard before allocating anything
+        raise InvalidParameterError(f"M={M!r:.40}, K={K!r:.40} exceed the desk-scale guard: "
+                                    f"(2M+1)(2K+1) > {MAX_GRID_POINTS} entries")
     tau, quad = check_real("tau", tau, 0.0), quad or _DEFAULT_QUAD
     built_for = (signal, tau, quad)
     if base is not None and base.built_for != built_for:

@@ -1,12 +1,14 @@
 """One refusal contract over the package root's public callables.
 
 Every count, lattice index, real parameter and array of evaluation points is
-fed a float for an int, a bool, NaN, +-inf, a 0-d array, a list and a string.
-Each call must raise InvalidParameterError or DomainError, or be one of the
-acceptances listed here: never a builtin exception, and never a value
-computed from a coerced input.
+fed a float for an int, a bool, NaN, +-inf, a 0-d array, a list, a ragged list
+and a string.  Each call must raise InvalidParameterError or DomainError, or be
+one of the acceptances listed here: never a builtin exception, and never a
+value computed from a coerced input.  The CLI is fed the same kinds of values
+in every leaf of its configs, and must exit 2 and write no file.
 """
 
+import copy
 import json
 import math
 import warnings
@@ -16,14 +18,14 @@ import pytest
 
 import gaborlattice
 from gaborlattice import (
-    ContourSpec, DomainError, G_series, GammaTable, InvalidParameterError, QuadratureControl,
-    ReconConfig, ScaledValue, SeriesControl, SignalModel, auto_truncation, balanced_contour,
-    calibrate_constant, coeff_E, eta, euler_product, eval_signal, forward_table,
+    ContourSpec, DomainError, G_series, GammaTable, GaussianComponent, InvalidParameterError,
+    QuadratureControl, ReconConfig, ScaledValue, SeriesControl, SignalModel, auto_truncation,
+    balanced_contour, calibrate_constant, coeff_E, eta, euler_product, eval_signal, forward_table,
     gamma_closed_form, gamma_quadrature, grid_points, inner_fourier_sum, lagrange_interpolant,
     lattice_derivative_candidate, laurent_c0, mk_trace, nome_from_tau, reconstruct_point,
     round_trip, spatial_A, theta_prime_lattice, theta_prime_one, theta_product, theta_series,
     theta_series_scaled, windowed_sample_scaled)
-from gaborlattice.cli import main
+from gaborlattice.cli import _table_document, main
 from gaborlattice.oracle import G_OVER_THETA, cardinal_on_circles
 
 REFUSED = (InvalidParameterError, DomainError)
@@ -50,6 +52,9 @@ PARAMETERS = [
      lambda v: GammaTable.from_payload(0, 0, v, PAYLOAD)),
     ("GammaTable.get", "m", "count", 1, lambda v: TABLE.get(v, 0)),
     ("GammaTable.get", "k", "count", 1, lambda v: TABLE.get(0, v)),
+    ("GaussianComponent", "amplitude", "real", 1.0, lambda v: GaussianComponent(v, 0.0, 0.0)),
+    ("GaussianComponent", "center", "real", 0.0, lambda v: GaussianComponent(1.0, v, 0.0)),
+    ("GaussianComponent", "modulation", "real", 0.0, lambda v: GaussianComponent(1.0, 0.0, v)),
     ("QuadratureControl", "tol", "real", 1e-10, lambda v: QuadratureControl(tol=v)),
     ("QuadratureControl", "max_refinements", "count", 12,
      lambda v: QuadratureControl(max_refinements=v)),
@@ -63,6 +68,9 @@ PARAMETERS = [
     ("SeriesControl", "abs_tol", "real", 1e-16, lambda v: SeriesControl(abs_tol=v)),
     ("SeriesControl", "max_terms", "count", 4096, lambda v: SeriesControl(max_terms=v)),
     ("SeriesControl", "min_terms", "count", 8, lambda v: SeriesControl(min_terms=v)),
+    ("SignalModel", "bound", "real", 1.0, lambda v: SignalModel("callback", sampler=abs, bound=v)),
+    ("SignalModel", "growth", "real", 0.0,
+     lambda v: SignalModel("callback", sampler=abs, bound=1.0, growth=v)),
     ("SignalModel.gaussian", "amplitude", "real", 1.0,
      lambda v: SignalModel.gaussian([(v, 0.0, 0.0)])),
     ("SignalModel.gaussian", "center", "real", 0.0,
@@ -139,7 +147,6 @@ EXEMPT = {
     "NonConvergenceError": "an exception class",
     "RegimeError": "an exception class",
     "SaturationError": "an exception class",
-    "GaussianComponent": "a record: SignalModel.gaussian reads its fields",
     "LatticeParams": "a record: nome_from_tau builds it from tau",
     "ReconReport": "a result record",
     "TruncationChoice": "a result record",
@@ -149,7 +156,8 @@ EXEMPT = {
 #: per kind: (label, input, whether it is accepted); v is the parameter's valid value
 def _inputs(kind: str, v):
     common = [("bool", True, False), ("nan", math.nan, False), ("inf", math.inf, False),
-              ("-inf", -math.inf, False), ("string", str(v), False)]
+              ("-inf", -math.inf, False), ("string", str(v), False),
+              ("ragged list", [[v], [v, v]], False)]
     if kind == "count":
         return common + [("float for int", float(v), False), ("0-d array", np.array(v), False),
                          ("list", [v], False), ("numpy int", np.int64(v), True)]
@@ -226,6 +234,29 @@ PROBED = {
     "spatial_A at x = inf": lambda: spatial_A(0, math.inf, SIG, P),
     "G_series at x = nan": lambda: G_series(0.5, math.nan, SIG, P),
     "mk_trace at x = inf": lambda: mk_trace(G_OVER_THETA, [0], math.inf, SIG, P),
+    "eval_signal(sig, ragged list)": lambda: eval_signal(SIG, [[0.0], [1.0, 2.0]]),
+    "coeff_E(ragged list, p)": lambda: coeff_E([[0], [1, 2]], P),
+    "raw SignalModel with a NaN growth": lambda: forward_table(
+        SignalModel(kind="callback", sampler=abs, bound=True, growth=math.nan), 1.0, 1, 1),
+    "raw SignalModel of an unknown kind": lambda: forward_table(SignalModel(kind="bogus"),
+                                                                1.0, 1, 1),
+    "raw SignalModel with no components": lambda: SignalModel(kind="gaussian_family"),
+    "raw SignalModel with a NaN centre": lambda: SignalModel(
+        kind="gaussian_family", components=((1.0, math.nan, 0.0),)),
+    "raw SignalModel whose sampler is not callable": lambda: SignalModel(kind="callback"),
+    "SignalModel.gaussian(5)": lambda: SignalModel.gaussian(5),
+    "lagrange_interpolant(float sample exponents)": lambda: lagrange_interpolant(
+        0.5 + 0.5j, [0], (np.ones(1), np.array([0.7])), P),
+    "grid_points((-1e308, 1e308, 1.0))": lambda: grid_points((-1e308, 1e308, 1.0)),
+    "grid_points((0.0, 1e300, 1e-300))": lambda: grid_points((0.0, 1e300, 1e-300)),
+    "forward_table(sig, 1.0, 10**30, 1)": lambda: forward_table(SIG, 1.0, 10**30, 1),
+    "forward_table(sig, 1.0, 1, 10**30)": lambda: forward_table(SIG, 1.0, 1, 10**30),
+    "GammaTable.from_payload(list)": lambda: GammaTable.from_payload(
+        0, 0, 1.0, list(PAYLOAD.values())),
+    "GammaTable.from_payload(missing column)": lambda: GammaTable.from_payload(
+        0, 0, 1.0, {key: v for key, v in PAYLOAD.items() if key != "exponent"}),
+    "GammaTable.from_payload(extra column)": lambda: GammaTable.from_payload(
+        0, 0, 1.0, {**PAYLOAD, "note": [0]}),
 }
 
 
@@ -256,6 +287,13 @@ def test_documented_acceptances():
     # the MAX_LATTICE_INDEX bound is the theta layer's; rows past it stay accepted elsewhere
     assert forward_table(SIG, 0.1, 70, 1).M == 70
     assert gamma_closed_form(0, 4096, SIG, 1.0)[0].to_complex() == 0.0
+    # integer sample exponents, in any integer form, read as before
+    expected = lagrange_interpolant(0.5 + 0.5j, [0], ONE_SAMPLE, P)
+    for exps in ([0], np.zeros(1, dtype=np.int8), 0):
+        assert lagrange_interpolant(0.5 + 0.5j, [0], (np.ones(1), exps), P) == expected
+    # the raw constructor keeps what the named ones build
+    assert SignalModel("gaussian_family", components=[(1.0, 0.0, 0.0)]) == SIG
+    assert SignalModel("callback", sampler=CB.sampler, bound=1, growth=0) == CB
 
 
 # --- one callback sample, one refusal, on every path that samples it
@@ -338,3 +376,98 @@ def test_cli_sweep_refuses_a_nan_density_with_exit_2_and_no_file(tmp_path):
         "grid": {"min": -1.0, "max": 1.0, "step": 0.5}})
     assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "sweep.csv")]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
+# --- every leaf of every config, and of a table file's meta, fed a bad value
+
+
+FUZZ_VALUES = {"bool": True, "string": "1.0", "null": None, "list": [1.0], "object": {},
+               "400 digits": 10 ** 400, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+TWO_PART = {"kind": "gaussian_family", "components": [
+    {"amplitude": 1.0, "center": 0.0, "modulation": 0.0},
+    {"amplitude": [0.5, -0.25], "center": 0.5, "modulation": 1.0}]}
+GRID = {"min": -1.0, "max": 1.0, "step": 0.5}
+#: per command: (argv before the config path, the valid config whose leaves are fed)
+FUZZED = {
+    "forward-auto": (["forward"], {"tau": 1.0, "signal": TWO_PART, "truncation": "auto",
+                                   "tol": 1e-8, "x_max": 1.0}),
+    "forward-fixed": (["forward"], {"tau": 1.0, "signal": TWO_PART,
+                                    "truncation": {"M": 2, "K": 3}, "tol": 1e-8}),
+    "reconstruct": (["reconstruct", "--table", "@table"], {
+        "tau": 1.0, "grid": GRID, "tol": 1e-8, "truncation": {"M": 2, "K": 3},
+        "signal": TWO_PART}),
+    "sweep": (["sweep"], {"tau_list": [0.5, 1.0], "signal": TWO_PART,
+                          "truncation": {"M": 2, "K": 3}, "grid": GRID, "tol": 1e-8}),
+    "verify": (["verify", "--tau", "1.0"], {"signal": TWO_PART}),
+    # the table file's meta: tau, M and K are read; signal and tool_version are provenance
+    "table": (["reconstruct", "--config", "@rec"], {"tau": 1.0, "M": 2, "K": 3}),
+}
+
+
+def _leaves(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _set(node, path, value):
+    node = copy.deepcopy(node)
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+FUZZ = [pytest.param(command, path, value,
+                     id=f"{command}-{'.'.join(map(str, path))}-{label}")
+        for command, (_, base) in FUZZED.items() for path in _leaves(base)
+        for label, value in FUZZ_VALUES.items()]
+
+
+def _run_cli(tmp_path, command, config, data=None) -> tuple[int, list[str]]:
+    """Write the inputs of ``command`` with ``config`` (a table's meta for
+    "table") and ``data`` as the table's columns, and run it with an output
+    path: its exit code, and the files it left."""
+    argv, _ = FUZZED[command]
+    doc = _table_document(TABLE, None)
+    if command == "table":
+        doc["meta"].update(config)
+        argv = [*argv, "--table", "@table"]
+    else:
+        argv = [*argv, "--config", "@config"]
+        _config(tmp_path, "@config", config)
+    if data is not None:
+        doc["data"] = data
+    _config(tmp_path, "@table", doc)
+    _config(tmp_path, "@rec", {"tau": 1.0, "grid": GRID})
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    code = main([str(tmp_path / arg) if arg.startswith("@") else arg for arg in argv]
+                + ["--output", str(tmp_path / "out")])
+    return code, sorted(set(p.name for p in tmp_path.iterdir()) - set(inputs))
+
+
+@pytest.mark.parametrize("command, path, value", FUZZ)
+def test_cli_refuses_every_bad_config_value_with_exit_2_and_no_file(tmp_path, command, path,
+                                                                    value):
+    assert _run_cli(tmp_path, command, _set(FUZZED[command][1], path, value)) == (2, [])
+
+
+TABLE_DATA = TABLE.to_payload()
+
+
+@pytest.mark.parametrize("data", [
+    {key: v for key, v in TABLE_DATA.items() if key != "exponent"},
+    {**TABLE_DATA, "note": TABLE_DATA["m"]},
+    list(TABLE_DATA.values()),
+], ids=["missing column", "extra column", "data as a list"])
+def test_cli_refuses_a_table_of_other_columns_with_exit_2_and_no_file(tmp_path, data):
+    assert _run_cli(tmp_path, "table", FUZZED["table"][1], data) == (2, [])
+
+
+@pytest.mark.parametrize("command", FUZZED)
+def test_the_fuzzed_configs_run(tmp_path, command):
+    code, files = _run_cli(tmp_path, command, FUZZED[command][1])
+    assert code == 0 and "out" in files
