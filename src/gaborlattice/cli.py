@@ -47,10 +47,11 @@ from .errors import (
     NonConvergenceError,
     RegimeError,
     SaturationError,
+    check_indices,
     check_real,
 )
 from .oracle import laurent_c0
-from .qtheta import SeriesControl, coeff_E, nome_from_tau
+from .qtheta import MAX_LATTICE_INDEX, SeriesControl, coeff_E, nome_from_tau
 from .recon import ReconConfig, auto_truncation, reconstruct_grid, round_trip
 from .scaled import BASE_LOG2, ldexp_array
 from .signals import GAUSSIAN_FAMILY, GammaTable, SignalModel, forward_table
@@ -177,7 +178,8 @@ def _load_config(path: str) -> dict:
 def cmd_coeffs(args) -> int:
     params = nome_from_tau(args.tau)
     ctrl = SeriesControl(abs_tol=args.tol) if args.tol is not None else SeriesControl()
-    ms = np.arange(args.m_min, args.m_max + 1)
+    m_min, m_max = check_indices([args.m_min, args.m_max], MAX_LATTICE_INDEX)
+    ms = np.arange(m_min, m_max + 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         mants, exps = coeff_E(ms, params, ctrl)

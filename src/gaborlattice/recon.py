@@ -10,17 +10,19 @@ round trip so the constant is pinned by the code, not by trust.  The
 exterior sum converges only for tau < pi, and the module refuses to
 run outside that regime.
 
-There is one evaluation path, :func:`reconstruct_point`, for a single
-point and for a grid alike.  It computes E_{-M..M} in one array call of
-:func:`~gaborlattice.qtheta.coeff_E` and holds the used block of
-E_m gamma_{m,k} as a complex128 mantissa array times an exact integer
-power of 2**128 per row: the interior sums are a matrix product with
-e^{ikx}, and the exterior sum is stabilised per point by an exact
-power-of-two shift.
-The exponents stay integers throughout (a rounded float logarithm of
-them would cost digits where the exterior sum cancels).  Points are
-processed in fixed chunks with a fixed reduction order, so results are
-bit-reproducible no matter how the caller parallelises.
+There is one evaluation path, :func:`reconstruct_point`, for a point, an
+array and a grid alike.  It takes E_{-M..M} from one :func:`coeff_E` call and
+holds the used block of E_m gamma_{m,k} as complex128 mantissas times an
+exact power of two per row.  It sums at anchors a plus offsets d, as a cell's
+weight e^{(m tau + ik)(a + d)} splits into an anchor part and an offset part:
+the offset parts are made once per call, and each block of anchors costs one
+matrix product and one exact power-of-two shift per anchor, from bounds on
+the rows.  A grid is anchors every O points and offsets step * (0..O-1), O at
+most sqrt(points) within BLOCK_ELEMENTS and OFFSET_REACH.  The exponents stay
+integers (a rounded float logarithm of them would cost digits where the
+exterior sum cancels).  A call gives the same bits every time, but a grid's
+value at x and the single-point value there come from different splits of x
+and may differ at the rounding level.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
 
 MAX_M = 64
 MAX_K = 4096
-#: points per evaluation chunk: bounds the engine's memory at
-#: O(POINT_CHUNK * (M + K)) whatever the grid size
-POINT_CHUNK = 256
+#: the most elements of any array the engine makes per block of anchors: bounds its
+#: memory whatever the grid size
+BLOCK_ELEMENTS = 2**16
+#: the most an offset d moves a row's weight e^{m tau d} from its anchor's, in ln
+OFFSET_REACH = 64.0
 
 
 @dataclass(frozen=True)
@@ -126,72 +130,75 @@ def _require_subcritical(params: LatticeParams):
                           f"tau = {params.tau:.12g} is {params.regime}")
 
 
-def _block(mant: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries mant[i, j] * B**exps[i, j] (B = 2**128) as mant'[i, j] * B**top[i].
-
-    Each row is rescaled to the exponent of its largest entry with exact
-    ldexp; an all-zero row gets exponent 0.
-    """
-    top = masked_max(exps, mant != 0, axis=1)
-    return ldexp_array(mant, (exps - top[:, None]) * BASE_LOG2), top
+def _phases(x: np.ndarray, K: int) -> np.ndarray:
+    """The (2K+1, points) phases e^{ikx}, k = -K..K; those of k < 0 conjugate k > 0."""
+    kx = np.multiply.outer(np.arange(K + 1, dtype=float), x)
+    half = np.cos(kx) + 1j * np.sin(kx)
+    return np.concatenate([half[:0:-1].conj(), half])
 
 
 def inner_fourier_sum(rows: np.ndarray, x, K: int) -> np.ndarray:
     """sum_{k=-K}^{K} gamma_{m,k} e^{ikx} for each row of a complex
     (rows, 2K+1) array and each point of a 1-d array x: the (rows, points)
-    array of sums, one matrix product with the phases e^{ikx}.  The phases are
-    taken for k = 0..K, and those of k < 0 are their conjugates."""
+    array of sums, one matrix product with the phases e^{ikx}."""
     check_counts("K", K)
     if np.shape(rows)[-1:] != (2 * K + 1,):
         raise InvalidParameterError(f"rows must hold 2K+1 = {2 * K + 1} entries each")
-    kx = np.multiply.outer(np.arange(K + 1, dtype=float), check_points(x, "x", real=True)[0])
-    half = np.cos(kx) + 1j * np.sin(kx)
-    return rows @ np.concatenate([half[:0:-1].conj(), half])
+    return rows @ _phases(check_points(x, "x", real=True)[0], K)
 
 
-def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: int):
-    """Evaluate the reconstruction at a point (complex) or at an array of
-    points (complex array).
+def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: int, offsets=None):
+    """Evaluate the reconstruction at a point (complex) or an array of points
+    (complex array); with ``offsets``, a 1-d array of reals d, at every x + d
+    (the complex (points, offsets) array).
 
-    The used block of E_m * gamma_{m,k} is taken once as a complex
-    mantissa array times an integer power of 2**128 per row, with
-    E_{-M..M} from one :func:`~gaborlattice.qtheta.coeff_E` call.  For each
-    chunk of POINT_CHUNK points the interior sums are one matrix product
-    (:func:`inner_fourier_sum`); the exterior sum weights row m by
-    e^{m tau x} and brings every term to a per-point power of two with
-    exact ldexp before summing m = -M..M, so nothing overflows and the
-    only rounded scale factors are e^{m tau x} and e^{x^2/4}.  Raises
-    SaturationError where the value itself leaves the double range.
+    The rows E_m gamma_{m,k} e^{ikd} and weights e^{m tau d} are made once;
+    for each block of anchors x (no array past BLOCK_ELEMENTS) one matrix product
+    (:func:`inner_fourier_sum`) gives the interior sums, and row m is weighted
+    by e^{m tau d} e^{m tau x} times an exact power of two per anchor from bounds
+    on the rows.  Offsets past M tau |d| <= OFFSET_REACH are refused, so every
+    term stays a normal double; SaturationError where the value leaves it.
     """
     _require_subcritical(params)
     check_counts("M and K", M, K)
-    flat, scalar = check_points(x, "x", real=True)
+    xs, scalar = check_points(x, "x", real=True)
+    ds = np.zeros(1) if offsets is None else check_points(offsets, "offsets", real=True)[0]
+    if (offsets is not None and np.ndim(offsets) != 1
+            or M * params.tau * np.abs(ds).max(initial=0) > OFFSET_REACH):
+        raise InvalidParameterError(f"offsets must be 1-d reals with M tau |d| <= {OFFSET_REACH:g}")
     if M > table.M or K > table.K:
         raise InvalidParameterError(f"requested truncation (M={M}, K={K}) exceeds table "
                                     f"extents (M={table.M}, K={table.K})")
     used = np.s_[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
-    gamma, gamma_exps = _block(table.mantissa[used], table.exponent[used])
+    mant, exps = table.mantissa[used], table.exponent[used]
+    row_exps = masked_max(exps, mant != 0, axis=1)  # each row at its largest exponent
     e_mant, e_exps = coeff_E(np.arange(-M, M + 1), params)
-    block = gamma * e_mant[:, None]
-    row_bits = ((gamma_exps + e_exps) * BASE_LOG2)[:, None]
-    m_tau = params.tau * np.arange(-M, M + 1, dtype=float)[:, None]
-
-    out = np.empty(len(flat), dtype=complex)
-    for start in range(0, len(flat), POINT_CHUNK):
-        xc = flat[start: start + POINT_CHUNK]
-        weight, weight_bits = exp_pow2(m_tau * xc)
-        terms = inner_fourier_sum(block, xc, K) * weight
-        bits = row_bits + weight_bits
-        # per-point shift: the largest term lands in [1/2, 1)
-        _, mag_bits = np.frexp(np.abs(terms))
-        shift = masked_max(bits + mag_bits, terms != 0, axis=0)
-        total = ldexp_array(terms, bits - shift).sum(axis=0)
-        gauss, gauss_bits = exp_pow2(xc * xc / 4.0)
-        out[start: start + len(xc)] = ldexp_array(
-            RECONSTRUCTION_CONSTANT * gauss * total, shift + gauss_bits)
+    block = ldexp_array(mant, (exps - row_exps[:, None]) * BASE_LOG2) * e_mant[:, None]
+    _, top = np.frexp(np.abs(block).max(axis=1))
+    block = ldexp_array(block, -top[:, None])  # row maxima in [1/2, 1)
+    row_bits, live = ((row_exps + e_exps) * BASE_LOG2 + top)[:, None], block.any(axis=1)[:, None]
+    m_tau = params.tau * np.arange(-M, M + 1, dtype=float)
+    rows = (block * np.ascontiguousarray(_phases(ds, K).T)[:, None, :]).reshape(-1, 2 * K + 1)
+    offset_weight = np.exp(np.multiply.outer(m_tau, ds))  # e^{+-OFFSET_REACH} at most
+    out = np.empty((len(xs), len(ds)), dtype=complex)
+    per_block = max(1, BLOCK_ELEMENTS // max(len(rows), 2 * K + 1))
+    for start in range(0, len(xs), per_block):
+        xa = xs[start: start + per_block]
+        weight, bits = exp_pow2(np.multiply.outer(m_tau, xa))
+        shift = masked_max(bits + row_bits, live, axis=0)
+        weight = np.ldexp(np.where(live, weight, 0.0), bits + row_bits - shift)
+        inner = inner_fourier_sum(rows, xa, K).reshape(len(ds), 2 * M + 1, len(xa))
+        # the exterior sums over m in turn: weights scale a row's sum, not its cells
+        total = np.einsum("oma,mo,ma->ao", inner, offset_weight, weight)
+        points = xa[:, None] + ds
+        gauss, gauss_bits = exp_pow2(points * points / 4.0)
+        out[start: start + len(xa)] = ldexp_array(
+            RECONSTRUCTION_CONSTANT * gauss * total, shift[:, None] + gauss_bits)
     if not np.all(np.isfinite(out)):
         raise SaturationError("reconstructed value exceeds double range")
-    return complex(out[0]) if scalar else out.reshape(np.shape(x))
+    if offsets is not None:
+        return out
+    return complex(out[0, 0]) if scalar else out.reshape(np.shape(x))
 
 
 # --------------------------------------------------------------- truncation
@@ -358,7 +365,15 @@ def reconstruct_grid(
             lambda M, K, reach: block[M_cap - M: M_cap + M + 1, K_cap - K: K_cap + K + 1],
             params.tau, x_reach, config.tol, M_cap, K_cap)
 
-    rec = reconstruct_point(xs, table, params, M, K)
+    # anchors at every O-th point (the last block ends the grid), offsets step * o
+    offsets = _grid(config.grid)[2] * np.arange(max(1, min(
+        math.isqrt(len(xs)), BLOCK_ELEMENTS // ((2 * M + 1) * (2 * K + 1)))))
+    O = int(np.searchsorted(M * params.tau * offsets, OFFSET_REACH, side="right"))
+    J, r = divmod(len(xs), O)
+    anchors = xs[list(range(0, J * O, O)) + [len(xs) - O] * (r > 0)]
+    values = reconstruct_point(anchors, table, params, M, K, offsets[:O]).reshape(-1)
+    values[J * O: len(xs)] = values[len(values) - r:]  # the last r points, in place
+    rec = values[:len(xs)]
 
     ref_values = sup_error = l2_error = None
     if reference is not None:

@@ -131,9 +131,11 @@ def eval_signal(signal: SignalModel, x):
     flat, scalar = check_points(x, "x", real=True)
     if signal.kind == GAUSSIAN_FAMILY:
         amp, centre, modulation = _components(signal)
-        terms = amp * np.exp(-(flat[:, None] - centre) ** 2 / 4.0) * np.exp(
-            1j * (modulation * flat[:, None]))
-        values = np.cumsum(terms, axis=1)[:, -1]  # in component order
+        values, step = np.empty(len(flat), dtype=complex), max(1, PHASE_CHUNK // len(amp))
+        for start in range(0, len(flat), step):  # blocks of points bound the temporaries
+            xs = flat[start: start + step, None]
+            terms = amp * np.exp(-(xs - centre) ** 2 / 4.0) * np.exp(1j * (modulation * xs))
+            values[start: start + len(xs)] = np.cumsum(terms, axis=1)[:, -1]  # component order
     else:
         values = np.array([complex(signal.sampler(v)) for v in flat.tolist()], dtype=complex)
         if not np.isfinite(values).all():
@@ -463,8 +465,13 @@ class GammaTable:
                  errors: "GammaTable | None" = None, built_for: tuple | None = None):
         check_counts("M and K", M, K)
         self.M, self.K, self.tau, self.built_for = M, K, check_real("tau", tau), built_for
-        self.mantissa = np.array(mantissa, dtype=complex).reshape(2 * M + 1, 2 * K + 1)
-        self.exponent = np.array(exponent, dtype=np.int64).reshape(2 * M + 1, 2 * K + 1)
+        mant, exps, size = as_array(mantissa), as_array(exponent), (2 * M + 1) * (2 * K + 1)
+        if not (mant.size == exps.size == size and mant.dtype.kind in "iufc"
+                and exps.dtype.kind in "iu" and np.isfinite(mant).all()):
+            raise InvalidParameterError(f"a table needs (2M+1)(2K+1) = {size} finite mantissas "
+                                        f"and integer exponents")
+        self.mantissa = mant.astype(complex).reshape(2 * M + 1, 2 * K + 1)
+        self.exponent = exps.astype(np.int64).reshape(2 * M + 1, 2 * K + 1)
         self.mantissa.setflags(write=False)
         self.exponent.setflags(write=False)
         self.errors = errors

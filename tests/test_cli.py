@@ -295,6 +295,15 @@ class TestCoeffs:
         assert rc == 0
         assert json.loads(out.read_text())["rows"] == []
 
+    @pytest.mark.parametrize("bounds", [("0", "9" * 30), ("-" + "9" * 30, "0"), ("0", "65")])
+    def test_m_bound_past_the_lattice_guard_refused(self, tmp_path, capsys, bounds):
+        out = tmp_path / "coeffs.json"
+        rc = main(["coeffs", "--tau", "1.0", "--m-min", bounds[0], "--m-max", bounds[1],
+                   "--output", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_supercritical_warning_record(self, tmp_path):
         out = tmp_path / "coeffs.json"
         rc = main(["coeffs", "--tau", "4.0", "--m-min", "0", "--m-max", "2",

@@ -121,6 +121,8 @@ PARAMETERS = [
     ("reconstruct_point", "x", "x", 0.3, lambda v: reconstruct_point(v, TABLE, P, 1, 1)),
     ("reconstruct_point", "M", "count", 1, lambda v: reconstruct_point(0.3, TABLE, P, v, 1)),
     ("reconstruct_point", "K", "count", 1, lambda v: reconstruct_point(0.3, TABLE, P, 1, v)),
+    ("reconstruct_point", "offsets", "offsets", [0.0, 0.1],
+     lambda v: reconstruct_point([0.3], TABLE, P, 1, 1, v)),
     ("round_trip", "tau", "real", 1.0, lambda v: round_trip(SIG, v, SMALL_GRID)),
     ("round_trip", "threads", "count", 1, lambda v: round_trip(SIG, 1.0, SMALL_GRID,
                                                                 threads=v)),
@@ -169,6 +171,10 @@ def _inputs(kind: str, v):
         return common + [("0-d array", np.array(v), False), ("list", [v], False),
                          ("numpy float32", np.float32(v), True),
                          ("numpy float64", np.float64(v), True)]
+    if kind == "offsets":  # a 1-d array or list of reals
+        return common + [("0-d array", np.array(0.1), False), ("2-d", [v], False),
+                         ("bool array", [True, False], False), ("complex", [0.1j], False),
+                         ("array", np.array(v), True), ("float32 array", np.float32(v), True)]
     points = common + [("0-d array", np.array(v), True), ("list", [v], True)]
     return points + ([("zero", 0.0, False)] if kind == "z" else [])
 
@@ -257,6 +263,10 @@ PROBED = {
         0, 0, 1.0, {key: v for key, v in PAYLOAD.items() if key != "exponent"}),
     "GammaTable.from_payload(extra column)": lambda: GammaTable.from_payload(
         0, 0, 1.0, {**PAYLOAD, "note": [0]}),
+    "GammaTable(1, 0, 1.0, [1.0], [0])": lambda: GammaTable(1, 0, 1.0, [1.0], [0]),
+    "GammaTable(10**30, 0, 1.0, [1.0], [0])": lambda: GammaTable(10**30, 0, 1.0, [1.0], [0]),
+    "GammaTable(ragged mantissas)": lambda: GammaTable(0, 1, 1.0, [[1.0], [1.0, 1.0]], [0] * 3),
+    "GammaTable(float exponents)": lambda: GammaTable(0, 0, 1.0, [1.0], [0.5]),
 }
 
 
@@ -291,6 +301,9 @@ def test_documented_acceptances():
     expected = lagrange_interpolant(0.5 + 0.5j, [0], ONE_SAMPLE, P)
     for exps in ([0], np.zeros(1, dtype=np.int8), 0):
         assert lagrange_interpolant(0.5 + 0.5j, [0], (np.ones(1), exps), P) == expected
+    # offsets give one row per point, one column per offset
+    assert reconstruct_point([0.3, 0.4], TABLE, P, 1, 1, [0.0, 0.1, 0.2]).shape == (2, 3)
+    assert reconstruct_point(0.3, TABLE, P, 1, 1, np.zeros(2, np.float32)).shape == (1, 2)
     # the raw constructor keeps what the named ones build
     assert SignalModel("gaussian_family", components=[(1.0, 0.0, 0.0)]) == SIG
     assert SignalModel("callback", sampler=CB.sampler, bound=1, growth=0) == CB
@@ -363,6 +376,7 @@ def test_cli_reconstruct_refuses_with_exit_2_and_no_file(tmp_path, grid, tol, fl
     ["coeffs", "--tau", "nan"], ["coeffs", "--tau", "inf"],
     ["coeffs", "--tau", "1", "--tol", "nan"],
     ["verify", "--tau", "nan"], ["verify", "--tau=-inf"],
+    ["coeffs", "--tau", "1", "--m-min", "0", "--m-max", "9" * 30],
 ])
 def test_cli_flags_refuse_with_exit_2_and_no_file(tmp_path, argv):
     out = tmp_path / "out.json"

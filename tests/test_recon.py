@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaborlattice import (
+    GammaTable,
     InvalidParameterError,
     NonConvergenceError,
     RECONSTRUCTION_CONSTANT,
@@ -55,6 +56,17 @@ class TestReconstructPoint:
         table = forward_table(zero, 1.0, 2, 2)
         for x in (-1.0, 0.0, 2.0):
             assert reconstruct_point(x, table, params_tau1, 2, 2) == 0j
+
+    def test_zero_rows_do_not_set_the_scale(self, params_tau1):
+        # one live row 2**-1152 and zero rows whose E_m e^{m tau x} is ~2**0: the shift
+        # follows the live row, so the zero rows never meet an overflowing weight
+        mantissa, exponent = np.zeros((11, 1)), np.zeros((11, 1), dtype=np.int64)
+        mantissa[5], exponent[5] = 1.0, -9
+        table = GammaTable(5, 0, 1.0, mantissa, exponent)
+        assert abs(reconstruct_point(0.0, table, params_tau1, 5, 0)) < 1e-300
+        grid = reconstruct_grid(ReconConfig(grid=(-1.0, 1.0, 0.1), truncation=(5, 0)), table,
+                                params_tau1)
+        assert np.all(np.abs(grid.reconstructed) < 1e-300)
 
     @pytest.mark.parametrize("M, K", [(-1, 2), (2, -1), (True, 2), (1.0, 2), (2, 1.5)])
     def test_orders_must_be_integers_at_least_zero(self, unit_gaussian, params_tau1, M, K):
@@ -136,6 +148,45 @@ class TestEngineAccuracy:
                 err = abs(mp.mpc(value) - mp.fsum(terms) * prefactor)
                 assert err <= 64 * eps * mp.fsum(abs(t) for t in terms) * prefactor, x
 
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-200])
+    @pytest.mark.parametrize("tau", [0.6, 1.0, 2.5])
+    def test_grid_within_double_precision_of_mpmath(self, monkeypatch, tau, amplitude):
+        # a grid is summed at anchors a plus offsets d: compare at the exact points a + d
+        mp = pytest.importorskip("mpmath")
+        eps = sys.float_info.epsilon
+        M, K = 5, 9
+        signal = SignalModel.gaussian([(amplitude * a, c, b) for a, c, b in self.FAMILY])
+        params = nome_from_tau(tau)
+        table = forward_table(signal, tau, M, K)
+        e_mant, e_exps = coeff_E(np.arange(-M, M + 1), params)
+        calls, engine = [], recon.reconstruct_point
+        monkeypatch.setattr(recon, "reconstruct_point",
+                            lambda *args: calls.append(args) or engine(*args))
+        grid = (-2.0 * math.pi, 2.0 * math.pi, 4.0 * math.pi / 60)
+        report = reconstruct_grid(ReconConfig(grid=grid, truncation=(M, K)), table, params)
+        (anchors, *_, offsets), = calls
+        O, (J, r) = len(offsets), divmod(len(report.xs), len(offsets))
+        assert O > 1 and r > 0  # several offsets per anchor, and a last block ending the grid
+        points = [(a, d) for a in anchors[:J] for d in offsets]
+        points += [(anchors[-1], d) for d in offsets[O - r:]]
+
+        def exact(mant, exp):
+            return mp.mpc(complex(mant)) * mp.mpf(2) ** (128 * int(exp))
+
+        with mp.workdps(40):
+            rows = [(m, exact(e_mant[i], e_exps[i]),
+                     [exact(*g) for g in zip(table.mantissa[i], table.exponent[i])])
+                    for i, m in enumerate(range(-M, M + 1))]
+            for (a, d), value in zip(points, report.reconstructed, strict=True):
+                X = mp.mpf(float(a)) + mp.mpf(float(d))
+                phase = mp.exp(1j * X)
+                terms = [e * mp.exp(m * mp.mpf(tau) * X)
+                         * mp.fsum(g * phase ** k for k, g in zip(range(-K, K + 1), row))
+                         for m, e, row in rows]
+                prefactor = mp.exp(X * X / 4) / (2 * mp.pi)
+                err = abs(mp.mpc(value) - mp.fsum(terms) * prefactor)
+                assert err <= 64 * eps * mp.fsum(abs(t) for t in terms) * prefactor, (a, d)
+
     def test_value_beyond_double_range_saturates(self, params_tau1):
         near_max = forward_table(SignalModel.gaussian([(1e308, 0.0, 0.0)]), 1.0, 5, 9)
         value = reconstruct_point(0.0, near_max, params_tau1, 5, 9)
@@ -146,6 +197,77 @@ class TestEngineAccuracy:
             reconstruct_point(0.0, beyond, params_tau1, 5, 9)
         with pytest.raises(SaturationError):
             reconstruct_point(np.array([-0.5, 0.0, 0.5]), beyond, params_tau1, 5, 9)
+
+
+def term_scale(table, params, M, K, xs):
+    """sum_m |E_m e^{m tau x} sum_k gamma_{m,k} e^{ikx}| e^{x^2/4} / 2pi at each x, the
+    scale of the engine's 64 eps bound, summed through logarithms."""
+    used = np.s_[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
+    mant, exps = table.mantissa[used], table.exponent[used]
+    top = exps.max(axis=1, keepdims=True)
+    inner = inner_fourier_sum(scaled.ldexp_array(mant, (exps - top) * scaled.BASE_LOG2), xs, K)
+    ms = np.arange(-M, M + 1)
+    ln_terms = (scaled.ln_abs(*coeff_E(ms, params))[:, None] + top * scaled.LN_BASE
+                + params.tau * np.outer(ms, xs) + np.log(np.abs(inner)))
+    return np.exp(np.logaddexp.reduce(ln_terms, axis=0) + xs * xs / 4) / (2 * math.pi)
+
+
+class TestGridPath:
+    """reconstruct_grid's anchors-plus-offsets sums against the pointwise path."""
+
+    def assert_grid_matches_points(self, tau, M, K, grid):
+        params = nome_from_tau(tau)
+        table = forward_table(SignalModel.gaussian(TestEngineAccuracy.FAMILY), tau, M, K)
+        report = reconstruct_grid(ReconConfig(grid=grid, truncation=(M, K)), table, params)
+        assert report.reconstructed.shape == report.xs.shape == grid_points(grid).shape
+        if len(report.xs):
+            pointwise = reconstruct_point(report.xs, table, params, M, K)
+            bound = 64 * sys.float_info.epsilon * term_scale(table, params, M, K, report.xs)
+            assert np.all(np.abs(report.reconstructed - pointwise) <= bound)
+        return report
+
+    @pytest.mark.parametrize("tau, M, K, step", [
+        (3.1, 64, 10, 0.25),  # M tau step near OFFSET_REACH: two offsets per anchor
+        (0.3, 20, 9, 0.01),  # a small step at small tau: many offsets per anchor
+    ])
+    def test_range_cases_agree_with_points(self, tau, M, K, step):
+        self.assert_grid_matches_points(tau, M, K, (-2.0 * math.pi, 2.0 * math.pi, step))
+
+    def test_length_not_a_multiple_of_the_offsets(self, monkeypatch):
+        calls, engine = [], recon.reconstruct_point
+        monkeypatch.setattr(recon, "reconstruct_point",
+                            lambda *args: calls.append(args) or engine(*args))
+        report = self.assert_grid_matches_points(1.0, 5, 9, (-3.0, 3.0, 0.03))
+        (anchors, *_, offsets), = calls
+        assert len(report.xs) % len(offsets) != 0
+        assert anchors[-1] + offsets[-1] == pytest.approx(report.xs[-1], abs=1e-12)
+
+    def test_one_point_equals_the_pointwise_value(self):
+        params = nome_from_tau(1.0)
+        table = forward_table(SignalModel.gaussian(TestEngineAccuracy.FAMILY), 1.0, 5, 9)
+        report = self.assert_grid_matches_points(1.0, 5, 9, (0.3, 0.3, 0.1))
+        assert report.reconstructed.tolist() == [reconstruct_point(0.3, table, params, 5, 9)]
+
+    def test_empty_grid(self):
+        assert len(self.assert_grid_matches_points(1.0, 5, 9, (0.3, 0.2, 0.1)).xs) == 0
+
+    def test_offsets_give_one_row_per_point(self, params_tau1):
+        table = forward_table(SignalModel.gaussian(TestEngineAccuracy.FAMILY), 1.0, 5, 9)
+        xs, offsets = np.array([-1.0, 0.5, 2.0]), np.array([0.0, 0.01, 0.02, 0.03])
+        values = reconstruct_point(xs, table, params_tau1, 5, 9, offsets)
+        assert values.shape == (3, 4)
+        assert values[:, 0].tolist() == reconstruct_point(xs, table, params_tau1, 5, 9).tolist()
+        points = (xs[:, None] + offsets).ravel()
+        bound = 64 * sys.float_info.epsilon * term_scale(table, params_tau1, 5, 9, points)
+        assert np.all(np.abs(values.ravel() - reconstruct_point(points, table, params_tau1, 5, 9))
+                      <= bound)
+
+    def test_offsets_past_the_reach_are_refused(self, params_tau1):
+        table = forward_table(SignalModel.gaussian(TestEngineAccuracy.FAMILY), 1.0, 5, 9)
+        reach = recon.OFFSET_REACH / 5
+        reconstruct_point([0.0], table, params_tau1, 5, 9, [-reach, reach])
+        with pytest.raises(InvalidParameterError, match="M tau"):
+            reconstruct_point([0.0], table, params_tau1, 5, 9, [0.0, 1.01 * reach])
 
 
 class TestAutoTruncation:

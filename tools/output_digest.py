@@ -28,7 +28,12 @@ not edited).  For each seeded Gaussian family it hashes:
   ``theta_on_circles`` on |z| = q^p, p in {-2.5, -0.5, 0.5, 3.5}, at offsets
   0 and 1/2, and Theta'(q^n) with both closed-form candidates for |n| <= 64;
   ``coeff_E`` for |m| <= 64, both variants, at tau in {0.02, 0.05, 0.3, 1, 3};
-  a refusal contributes its class name and message.
+  a refusal contributes its class name and message;
+* the pointwise engine, the same for every family: ``reconstruct_point`` at
+  M = 5, K = 9 on the two-component family of the engine's mpmath test, at
+  amplitude 1 and 1e-200 and tau in {0.6, 1, 2.5}, on 25 points across
+  [-2 pi, 2 pi] as one array and on every sixth of them as a number, so a
+  change to the pointwise path shows apart from one to the grid path.
 
 Each part's sha256 is printed on its own line, then the combined one on
 the last line.  Two checkouts whose last lines agree give these outputs
@@ -53,7 +58,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from gaborlattice import (  # noqa: E402
     GaborLatticeError, NonConvergenceError, QuadratureControl, SignalModel, auto_truncation, cli,
-    forward_table, oracle, qtheta)
+    forward_table, oracle, qtheta, reconstruct_point)
 from gaborlattice.qtheta import nome_from_tau  # noqa: E402
 
 TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
@@ -62,6 +67,8 @@ TRUNCATION_GRID = tuple((tau, tol, x_max) for tau in (0.3, 0.6, 1.0, 2.0, 3.1)
                         for tol in (1e-4, 1e-8, 1e-10) for x_max in (0.0, 0.3, 3.0, 2.0 * math.pi))
 QTHETA_NOMES = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95)
 QTHETA_TAUS = (0.02, 0.05, 0.3, 1.0, 3.0)
+ENGINE_FAMILY = ((0.648904 - 0.489038j, 0.551371, -0.824378),
+                 (0.455481 - 0.463837j, -0.989469, 0.963685))
 
 
 def verify_payloads(family) -> bytes:
@@ -180,6 +187,19 @@ def qtheta_values() -> bytes:
     return out
 
 
+@functools.cache
+def engine_values() -> bytes:
+    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 25)
+    out = b""
+    for amplitude in (1.0, 1e-200):
+        signal = SignalModel.gaussian([(amplitude * a, c, b) for a, c, b in ENGINE_FAMILY])
+        for tau in (0.6, 1.0, 2.5):
+            table, params = forward_table(signal, tau, 5, 9), nome_from_tau(tau)
+            out += call_bytes(lambda: [reconstruct_point(xs, table, params, 5, 9)] + [
+                reconstruct_point(float(x), table, params, 5, 9) for x in xs[::6]])
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="seed of the input families")
@@ -192,7 +212,8 @@ def main(argv=None) -> int:
                  "cli": lambda family: cli_outputs(family, workdir),
                  "callback_round_trip": round_trip, "callback_table": callback_tables,
                  "truncation": truncations,
-                 "qtheta": lambda family: qtheta_values()}
+                 "qtheta": lambda family: qtheta_values(),
+                 "engine": lambda family: engine_values()}
         for name, part in parts.items():
             digest = hashlib.sha256(b"".join(part(family) for family in families)).hexdigest()
             print(f"{name} {digest}")
