@@ -4,6 +4,7 @@ The CLI maps these onto its exit-code contract: validation problems
 (InvalidParameterError, DomainError, ConfigError) exit 2, numerical
 problems (NonConvergenceError, SaturationError) exit 3.  Every public routine
 reads its counts, lattice indices, real parameters and points through the checks below.
+The two sizes every module shares live here too: the desk-scale guard and the element budget.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 
 MAX_GRID_POINTS = 10**7  # desk-scale guard: the most grid points, or table entries, one call builds
+BLOCK_ELEMENTS = 2**16  # the most elements of an array one engine or quadrature block makes
 
 
 class GaborLatticeError(Exception):

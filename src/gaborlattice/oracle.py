@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, InvalidParameterError, NonConvergenceError, check_counts,
-                     check_indices, check_points, check_real)
+from .errors import (DomainError, InvalidParameterError, NonConvergenceError, as_array,
+                     check_counts, check_indices, check_points, check_real)
 from .qtheta import (MAX_LATTICE_INDEX, SUPERCRITICAL, LatticeParams, SeriesControl,
                      theta_on_circles, theta_prime_lattice, theta_series_scaled)
 from .recon import auto_truncation
@@ -239,8 +239,12 @@ def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
     """
     zs, scalar = check_points(z, "z")
     q, ns = params.q, check_indices(ns)
-    a_mant, a_exps = normalise_array(np.asarray(samples[0], dtype=complex).reshape(-1),
-                                     check_indices(samples[1]))
+    a_mant = as_array(samples[0])  # numbers, zeros too, each finite
+    if a_mant.dtype.kind not in "iufc":
+        raise InvalidParameterError(f"sample mantissas must be numbers, got {samples[0]!r:.40}")
+    if not np.isfinite(a_mant).all():
+        raise DomainError(f"sample mantissas must be finite, got {samples[0]!r:.40}")
+    a_mant, a_exps = normalise_array(a_mant.astype(complex).reshape(-1), check_indices(samples[1]))
     if len(a_mant) != len(ns):
         raise InvalidParameterError("give one sample per node index")
     node = [part[None, :] for part in _lattice_nodes(ns, q)]

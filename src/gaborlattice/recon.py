@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError, RegimeError,
-                     SaturationError, check_counts, check_points, check_real)
+from .errors import (BLOCK_ELEMENTS, MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError,
+                     RegimeError, SaturationError, check_counts, check_points, check_real)
 from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
 from .scaled import BASE_LOG2, exp_pow2, ldexp_array, ln_abs, masked_max
 from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
@@ -44,9 +44,6 @@ RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
 
 MAX_M = 64
 MAX_K = 4096
-#: the most elements of any array the engine makes per block of anchors: bounds its
-#: memory whatever the grid size
-BLOCK_ELEMENTS = 2**16
 #: the most an offset d moves a row's weight e^{m tau d} from its anchor's, in ln
 OFFSET_REACH = 64.0
 

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError, as_array,
-                     check_counts, check_indices, check_points, check_real)
+from .errors import (BLOCK_ELEMENTS, MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError,
+                     as_array, check_counts, check_indices, check_points, check_real)
 from .scaled import BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, sum_rows
 
 LN_TWO_PI = math.log(2.0 * math.pi)
@@ -38,8 +38,6 @@ LN_EPS = math.log(EPS)
 ROUNDING_C = 32.0
 #: coarsest spacing of the callback quadrature's grid x_n = n * H0 / 2**j
 H0 = 0.25
-#: complex elements in one column chunk of the phases e^{-ikx}
-PHASE_CHUNK = 1 << 18
 
 GAUSSIAN_FAMILY = "gaussian_family"
 CALLBACK = "callback"
@@ -131,7 +129,7 @@ def eval_signal(signal: SignalModel, x):
     flat, scalar = check_points(x, "x", real=True)
     if signal.kind == GAUSSIAN_FAMILY:
         amp, centre, modulation = _components(signal)
-        values, step = np.empty(len(flat), dtype=complex), max(1, PHASE_CHUNK // len(amp))
+        values, step = np.empty(len(flat), dtype=complex), max(1, BLOCK_ELEMENTS // len(amp))
         for start in range(0, len(flat), step):  # blocks of points bound the temporaries
             xs = flat[start: start + step, None]
             terms = amp * np.exp(-(xs - centre) ** 2 / 4.0) * np.exp(1j * (modulation * xs))
@@ -297,46 +295,31 @@ def _level_sums(signal: SignalModel, lineage: _Lineage, j: int, x0: np.ndarray, 
     """(len(x0), len(cols)) trapezoid sums h sum_n e^{-ik x_n} f(x_n) e^{-(x_n - x0)^2/4}
     on level j, h = H0 / 2^j, over each row's window [x0 - r, x0 + r].
 
-    Rows whose windows overlap share one fetch and one set of phases.  A
-    row's products are laid out as one run of its window's nodes and summed
-    with the rows of the same window length, so an entry's sum holds the
-    same terms in the same order whatever its block.  No temporary exceeds
-    PHASE_CHUNK elements, or one row's window where that is longer."""
+    Rows whose windows overlap share one fetch and the phases e^{-ikx}, made in
+    chunks of columns of at most BLOCK_ELEMENTS elements (one column where a run
+    is longer).  Each entry is one np.sum over its own window's products, so its
+    bits do not depend on its run or its chunk."""
     h = H0 / 2 ** j
-    lo = np.ceil((x0 - r) / h).astype(np.int64)
-    size = np.floor((x0 + r) / h).astype(np.int64) - lo + 1
-    # segments: runs of overlapping windows, cut where their nodes would pass PHASE_CHUNK
-    segments, reach, nodes = [], 0, 0
-    for a, n, i in sorted(zip(lo.tolist(), size.tolist(), range(len(lo)))):
-        if segments and a <= reach + 1 and nodes + n <= PHASE_CHUNK:
-            segments[-1].append((n, i))
-            reach, nodes = max(reach, a + n - 1), nodes + n
+    lo, hi = np.ceil((x0 - r) / h).astype(np.int64), np.floor((x0 + r) / h).astype(np.int64)
+    runs = []  # runs of overlapping windows, cut where their span would pass BLOCK_ELEMENTS
+    for a, b, i in sorted(zip(lo.tolist(), hi.tolist(), range(len(lo)))):
+        if runs and a <= reach + 1 and max(reach, b) - first < BLOCK_ELEMENTS:
+            runs[-1].append(i)
+            reach = max(reach, b)
         else:
-            segments.append([(n, i)])
-            reach, nodes = a + n - 1, n
-    est = np.zeros((len(x0), len(cols)), dtype=complex)
-    for seg in segments:
-        seg = np.array([i for _, i in sorted(seg)])  # the rows of one window length side by side
-        width, first = size[seg], int(lo[seg].min())
-        f = lineage.fetch(signal, first, int((lo + size)[seg].max()) - 1, j)
-        xs, start, end = np.arange(first, first + len(f)) * h, lo[seg] - first, np.cumsum(width)
-        # each row's window in turn: its node n at g[end - width + n] and xs[start + n]
-        at = np.arange(end[-1]) + np.repeat(start - (end - width), width)
-        g = f[at] * np.exp(-(xs[at] - np.repeat(x0[seg], width)) ** 2 / 4.0)
-        spans = list(zip(start.tolist(), (end - width).tolist(), width.tolist()))
-        groups = [b for b, span in enumerate(spans) if b == 0 or span[2] != spans[b - 1][2]]
-        chunk = max(1, PHASE_CHUNK // len(g))
+            runs.append([i])
+            first, reach = a, b
+    est = np.empty((len(x0), len(cols)), dtype=complex)
+    for run in runs:
+        first, last = int(lo[run].min()), int(hi[run].max())
+        f, xs = lineage.fetch(signal, first, last, j), np.arange(first, last + 1) * h
+        w = [slice(lo[i] - first, hi[i] - first + 1) for i in run]
+        g = [f[w_i] * np.exp(-(xs[w_i] - x0[i]) ** 2 / 4.0) for i, w_i in zip(run, w)]
+        chunk = max(1, BLOCK_ELEMENTS // len(xs))
         for c in range(0, len(cols), chunk):
             phases = np.exp(-1j * np.outer(cols[c: c + chunk], xs))
-            prod = np.empty((len(phases), len(g)), dtype=complex)
-            sums = np.empty((len(seg), len(phases)), dtype=complex)
-            for a, e, n in spans:
-                np.multiply(phases[:, a: a + n], g[e: e + n], out=prod[:, e: e + n])
-            for b, stop in zip(groups, groups[1:] + [len(spans)]):  # one sum per window length
-                _, e, n = spans[b]
-                block = prod[:, e: e + (stop - b) * n].reshape(len(phases), stop - b, n)
-                np.sum(block, axis=-1, out=sums[b: stop].T)
-            est[seg, c: c + chunk] = h * sums
+            for i, w_i, g_i in zip(run, w, g):
+                est[i, c: c + chunk] = h * np.sum(phases[:, w_i] * g_i, axis=1)
     return est
 
 

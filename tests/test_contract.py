@@ -110,6 +110,8 @@ PARAMETERS = [
      lambda v: lagrange_interpolant(v, [0], ONE_SAMPLE, P)),
     ("lagrange_interpolant", "ns", "index", 1,
      lambda v: lagrange_interpolant(0.5 + 0.5j, v, ONE_SAMPLE, P)),
+    ("lagrange_interpolant", "sample mantissas", "mantissas", 1.0,
+     lambda v: lagrange_interpolant(0.5 + 0.5j, [0], (v, [0]), P)),
     ("lattice_derivative_candidate", "n", "index", 1,
      lambda v: lattice_derivative_candidate(v, P.q)),
     ("lattice_derivative_candidate", "q", "real", 0.3,
@@ -176,6 +178,9 @@ def _inputs(kind: str, v):
                          ("bool array", [True, False], False), ("complex", [0.1j], False),
                          ("array", np.array(v), True), ("float32 array", np.float32(v), True)]
     points = common + [("0-d array", np.array(v), True), ("list", [v], True)]
+    if kind == "mantissas":  # complex numbers, zero too
+        return points + [("zero", 0.0, True), ("complex", [0.5j], True),
+                         ("bool array", np.array([True]), False)]
     return points + ([("zero", 0.0, False)] if kind == "z" else [])
 
 
@@ -307,6 +312,14 @@ def test_documented_acceptances():
     # the raw constructor keeps what the named ones build
     assert SignalModel("gaussian_family", components=[(1.0, 0.0, 0.0)]) == SIG
     assert SignalModel("callback", sampler=CB.sampler, bound=1, growth=0) == CB
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_sample_mantissa_is_a_domain_error(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="sample mantissas must be finite"):
+            lagrange_interpolant(0.5 + 0.5j, [0, 1], ([1.0, bad], [0, 0]), P)
 
 
 # --- one callback sample, one refusal, on every path that samples it

@@ -299,12 +299,15 @@ class TestQuadrature:
 
 
 class TestQuadratureBlock:
-    @pytest.mark.parametrize("chunk", [64, 1024])
-    def test_phase_chunk_changes_no_bit(self, monkeypatch, off_centre, chunk):
+    @pytest.mark.parametrize("tau, M, K", [(0.6, 5, 13), (0.3, 9, 12), (1.0, 5, 60)])
+    @pytest.mark.parametrize("budget", [64, 2**9, 2**12])
+    def test_block_elements_change_no_bit(self, monkeypatch, off_centre, tau, M, K, budget):
+        # smaller budgets cut a level's windows into more runs and its columns into
+        # more chunks; at 2^9 every table here takes several of each
         quad = QuadratureControl(tol=1e-10)
-        default = forward_table(counted(off_centre, [0], 1.5), 0.6, 5, 13, quad)
-        monkeypatch.setattr(signals, "PHASE_CHUNK", chunk)
-        small = forward_table(counted(off_centre, [0], 1.5), 0.6, 5, 13, quad)
+        default = forward_table(counted(off_centre, [0], 1.5), tau, M, K, quad)
+        monkeypatch.setattr(signals, "BLOCK_ELEMENTS", budget)
+        small = forward_table(counted(off_centre, [0], 1.5), tau, M, K, quad)
         assert small == default and small.errors == default.errors
 
     def test_no_node_between_windows_sampled(self, off_centre):

@@ -13,8 +13,14 @@ better in the metric's own direction).  The line before the result is the
 run's report: the two sides' ``digest_chain`` (one sha256 per op) are
 compared over their common prefix, and the last line says whether every
 pair gave identical outputs or names the first pair and op index where
-they diverge.  The runs write only to each checkout's ``.bench_out/``
-(bytecode writing is switched off for them).  Standard library only.
+they diverge.  Each side keeps its bytecode in its own
+``PYTHONPYCACHEPREFIX`` under a temporary directory, warmed by one untimed
+set-up run (``bench/run.py --setup-probe``) before the first pair, so that
+``setup_s`` compares imports on both sides and never a compile of whichever
+side's bytecode is stale; ``PYTHONDONTWRITEBYTECODE`` is dropped for the
+runs, since under it a cache never fills and every run compiles numpy as
+well.  The runs write only to each checkout's ``.bench_out/`` and to that
+temporary directory.  Standard library only.
 """
 
 import argparse
@@ -23,20 +29,27 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, list]:
-    """The end-to-end metrics and the digest chain of one ``bench/run.py`` run."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+def bench(checkout: str, env: dict, *args: str) -> str:
+    """The standard output of one ``bench/run.py`` run."""
+    cmd = [sys.executable, "bench/run.py", *args]
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
                          f"{done.stderr.strip()}")
-    report, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
+    return done.stdout
+
+
+def run_once(checkout: str, env: dict, workload: str, seed: int,
+             seconds: float) -> tuple[dict, list]:
+    """The end-to-end metrics and the digest chain of one ``bench/run.py`` run."""
+    out = bench(checkout, env, "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds), "--trace", "0")
+    report, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
     return ({name: metric["value"] for name, metric in result["metrics"].items()},
             report["digest_chain"])
 
@@ -78,18 +91,26 @@ def main(argv=None) -> int:
 
     runs = {side: [] for side in SIDES}
     diverged = None  # (pair, op index) of the first differing digest
-    for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
-        chains = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            metrics, chains[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
-            runs[side].append(metrics)
-        op = first_divergence(chains["parent"], chains["change"])
-        if diverged is None and op is not None:
-            diverged = (i + 1, op)
-        print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-            f"{side} ops_per_s {runs[side][-1].get('ops_per_s')}" for side in SIDES),
-            file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as caches:
+        writes = {key: value for key, value in os.environ.items()
+                  if key != "PYTHONDONTWRITEBYTECODE"}  # else the caches never fill
+        envs = {side: dict(writes, PYTHONPYCACHEPREFIX=os.path.join(caches, side))
+                for side in SIDES}
+        for side in SIDES:  # compile each side's bytecode once, untimed
+            bench(checkouts[side], envs[side], "--setup-probe", "--workload", args.workload)
+        for i in range(args.pairs):
+            seed = args.seeds[i % len(args.seeds)]
+            chains = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                metrics, chains[side] = run_once(checkouts[side], envs[side], args.workload,
+                                                 seed, args.seconds)
+                runs[side].append(metrics)
+            op = first_divergence(chains["parent"], chains["change"])
+            if diverged is None and op is not None:
+                diverged = (i + 1, op)
+            print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
+                f"{side} ops_per_s {runs[side][-1].get('ops_per_s')}" for side in SIDES),
+                file=sys.stderr, flush=True)
 
     rows = summarise(declared, runs)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seeds}, {args.seconds} s per run")

@@ -14,10 +14,12 @@ not edited).  For each seeded Gaussian family it hashes:
   and the CSV of the same reconstruction without a reference signal;
 * the callback round trip of ``callback_roundtrip``: the reconstruction,
   ``M_used``, ``K_used``, ``tail_estimate`` and ``sup_error``;
-* the callback tables, values and error bounds: ``forward_table`` at
-  M = 5, K = 14 of a sampler hiding the family moved off centre (each
-  centre + 2.5, each modulation x 6), at (tau, tol, growth) in
-  (0.6, 1e-6, 0), (1, 1e-10, 0) and (0.3, 1e-8, 0.5);
+* the callback tables, values and error bounds: ``forward_table`` of a
+  sampler hiding the family moved off centre (each centre + 2.5, each
+  modulation x 6) at M = 5, K = 14 and (tau, tol, growth) in
+  (0.6, 1e-6, 0), (1, 1e-10, 0) and (0.3, 1e-8, 0.5), then at M = 5,
+  K = 60 and (1, 1e-10, 0), whose higher levels take several column
+  chunks of the quadrature's phases;
 * the truncation choices: ``auto_truncation``'s (M, K), ``tail_estimate``,
   table values and error bounds (or the refusal's diagnostics) for the
   family and for a sampler hiding it, at tau in {0.3, 0.6, 1, 2, 3.1},
@@ -62,7 +64,9 @@ from gaborlattice import (  # noqa: E402
 from gaborlattice.qtheta import nome_from_tau  # noqa: E402
 
 TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
-CALLBACK_SETTINGS = ((0.6, 1e-6, 0.0), (1.0, 1e-10, 0.0), (0.3, 1e-8, 0.5))
+#: (tau, tol, growth, K) of the callback tables, each at M = 5
+CALLBACK_SETTINGS = ((0.6, 1e-6, 0.0, 14), (1.0, 1e-10, 0.0, 14), (0.3, 1e-8, 0.5, 14),
+                     (1.0, 1e-10, 0.0, 60))
 TRUNCATION_GRID = tuple((tau, tol, x_max) for tau in (0.3, 0.6, 1.0, 2.0, 3.1)
                         for tol in (1e-4, 1e-8, 1e-10) for x_max in (0.0, 0.3, 3.0, 2.0 * math.pi))
 QTHETA_NOMES = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95)
@@ -124,9 +128,9 @@ def callback_tables(family) -> bytes:
     moved = [(a, c + 2.5, 6.0 * b) for a, c, b in family]  # (amplitude, centre, modulation)
     sampler, bound = workloads.make_sampler(moved), sum(abs(a) for a, _, _ in moved)
     out = b""
-    for tau, tol, growth in CALLBACK_SETTINGS:
+    for tau, tol, growth, K in CALLBACK_SETTINGS:
         out += table_bytes(forward_table(SignalModel.callback(sampler, bound, growth), tau, 5,
-                                         14, QuadratureControl(tol=tol)))
+                                         K, QuadratureControl(tol=tol)))
     return out
 
 
