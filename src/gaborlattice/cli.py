@@ -115,17 +115,16 @@ def _expect_keys(obj, where: str, required: set[str], optional: set[str] = froze
         raise ConfigError(f"{where}: missing required keys {missing}")
 
 
-def parse_signal(spec, where: str = "signal") -> SignalModel:
-    _expect_keys(spec, where, {"kind", "components"})
+def parse_signal(spec) -> SignalModel:
+    _expect_keys(spec, "signal", {"kind", "components"})
     if spec["kind"] != GAUSSIAN_FAMILY:
         raise ConfigError(
-            f"{where}.kind: only {GAUSSIAN_FAMILY!r} signals are expressible in configs"
-        )
+            f"signal.kind: only {GAUSSIAN_FAMILY!r} signals are expressible in configs")
     if not isinstance(spec["components"], list) or not spec["components"]:
-        raise ConfigError(f"{where}.components: expected a non-empty list")
+        raise ConfigError("signal.components: expected a non-empty list")
     comps = []
     for i, comp in enumerate(spec["components"]):
-        _expect_keys(comp, f"{where}.components[{i}]", {"amplitude", "center", "modulation"})
+        _expect_keys(comp, f"signal.components[{i}]", {"amplitude", "center", "modulation"})
         amp = comp["amplitude"]
         if isinstance(amp, list) and len(amp) == 2:  # [re, im]
             amp = complex(check_real("amplitude real part", amp[0]),
@@ -148,17 +147,17 @@ def signal_to_spec(signal: SignalModel) -> dict:
     }
 
 
-def parse_grid(spec, where: str = "grid") -> tuple:
+def parse_grid(spec) -> tuple:
     """(min, max, step) as given; ReconConfig checks the values."""
-    _expect_keys(spec, where, {"min", "max", "step"})
+    _expect_keys(spec, "grid", {"min", "max", "step"})
     return (spec["min"], spec["max"], spec["step"])
 
 
-def parse_truncation(spec, where: str = "truncation") -> tuple | None:
+def parse_truncation(spec) -> tuple | None:
     """None for "auto", else (M, K) as given; the routine they go to checks them."""
     if spec == "auto":
         return None
-    _expect_keys(spec, where, {"M", "K"})
+    _expect_keys(spec, "truncation", {"M", "K"})
     return (spec["M"], spec["K"])
 
 
@@ -296,12 +295,8 @@ def cmd_reconstruct(args) -> int:
     report = reconstruct_grid(recon_config, table, params, reference=reference)
 
     rec, ref = report.reconstructed, report.reference
-    if ref is not None:
-        diff = rec - ref
-        # np.hypot rounds as abs(complex) does; np.abs on arrays need not
-        columns = (ref.real, ref.imag, rec.real, rec.imag, np.hypot(diff.real, diff.imag))
-    else:
-        columns = (None, None, rec.real, rec.imag, None)
+    columns = (None, None) if ref is None else (ref.real, ref.imag)
+    columns += (rec.real, rec.imag, report.abs_error)
     summary = {
         "summary": {
             "tau": params.tau,

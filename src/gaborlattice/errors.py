@@ -102,3 +102,13 @@ def check_real(what: str, value, low=-math.inf, high=math.inf, closed: bool = Fa
         raise InvalidParameterError(f"bad {what} {value!r:.40}: need a finite real in "
                                     f"{'[' if closed else '('}{low:g}, {high:g})")
     return real
+
+
+def check_circles(radii, count, offset) -> tuple[np.ndarray, float]:
+    """Uniform circles: radii, a number or an array or list of positive finite reals, as a 1-d
+    float array and the angle offset as a float; count, the points per circle, is >= 1."""
+    check_counts("count", count, least=1)
+    rs = as_array(radii)
+    if rs.dtype.kind not in "iuf" or not (np.isfinite(rs) & (rs > 0)).all():
+        raise InvalidParameterError(f"radii must be positive finite reals, got {radii!r:.40}")
+    return rs.astype(float).reshape(-1), check_real("offset", offset)

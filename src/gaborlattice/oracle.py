@@ -29,12 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, NonConvergenceError, as_array,
-                     check_counts, check_indices, check_points, check_real)
+                     check_circles, check_counts, check_indices, check_points, check_real)
 from .qtheta import (MAX_LATTICE_INDEX, SUPERCRITICAL, LatticeParams, SeriesControl,
                      theta_on_circles, theta_prime_lattice, theta_series_scaled)
 from .recon import auto_truncation
-from .scaled import (BASE_LOG2, exp_pow2, laurent_on_circles, ln_abs, ln_split, log2_split,
-                     normalise_array, pack, sub_arrays, sum_rows, to_complex)
+from .scaled import (BASE_LOG2, exact_power, exp_pow2, laurent_on_circles, ln_abs, ln_split,
+                     log2_split, normalise_array, pack, sub_arrays, sum_rows, to_complex)
 from .signals import SignalModel, windowed_sample_scaled
 
 _DEFAULT_CTRL = SeriesControl()
@@ -160,16 +160,16 @@ def G_on_circles(radii, x: float, signal: SignalModel, count: int, offset: float
                  ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
     """G_x at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each r of
     ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
-    split = log2_split(np.asarray(radii, dtype=float).reshape(-1))
-    return laurent_on_circles(*_aliased_terms(signal, x, split, ctrl, "G_series"), count, offset)
+    radii, offset = check_circles(radii, count, offset)
+    return laurent_on_circles(*_aliased_terms(signal, check_real("x", x), log2_split(radii), ctrl,
+                                              "G_series"), count, offset)
 
 
 def _lattice_nodes(ns, q: float) -> tuple[np.ndarray, np.ndarray]:
     """q^n for each node n as normalised arrays (the gaps z - q^n are then
     one sub_arrays((z, 0), nodes) call)."""
-    e, hi, lo = ln_split(q)
-    f, bits = exp_pow2(ns * hi, ns * lo)
-    return sum_rows(f[:, None], (bits + ns * e)[:, None])
+    f, bits = exact_power(ln_split(q), ns)
+    return sum_rows(f[:, None], bits[:, None])
 
 
 def cardinal_weights(ns, samples: tuple, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
@@ -191,9 +191,9 @@ def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int, offset:
     z^count is the same at every sample point.  The terms are summed power by power (sum_rows)
     and taken through one laurent_on_circles FFT per circle: a circle alone is its block row.
     """
-    radii = np.array([check_real("radius", r, 0.0) for r in np.reshape(radii, -1).tolist()])
+    radii, offset = check_circles(radii, count, offset)
     ns = check_indices(ns)
-    if not np.shape(weights[0]) == ns.shape != (0,):
+    if not np.shape(weights[0]) == np.shape(weights[1]) == ns.shape != (0,):
         raise InvalidParameterError("give one weight per node")
     if len(radii) == 0:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int64)
@@ -214,8 +214,8 @@ def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int, offset:
     # index l is -power-1 inside the circle and power outside
     l, pairs = np.where(power < 0, -power - 1, power)[:, None], -ns * (power[:, None] + 1)
     live = (inside[:, None] == (power < 0)[:, None]) & (l < length[:, None])
-    f, bits = exp_pow2(pairs * hi_q, power[:, None] * lnr + pairs * lo_q)
-    bits += power[:, None] * e_r + pairs * e_q + weights[1] * BASE_LOG2
+    f, bits = exact_power((e_q, hi_q, lo_q), pairs, (e_r, lnr), power[:, None])
+    bits += weights[1] * BASE_LOG2
     terms = np.where(live, np.where(power < 0, 1.0, -1.0)[:, None] * weights[0] * fold * f, 0.0)
     mant, exps = sum_rows(terms.reshape(-1, len(ns)), bits.reshape(-1, len(ns)))
     return laurent_on_circles(power, mant.reshape(len(radii), -1),
@@ -352,12 +352,14 @@ def mk_trace(
     circle's maximum is the same bits as its own call.
 
     ``weights`` are the interpolant's cardinal_weights at the 2N + 1 nodes
-    -N .. N, which sets its node range N; by default N is the automatic
-    truncation order for the signal plus 2 guard terms.
+    -N .. N, mantissa and exponent arrays of that odd length, which sets its node
+    range N; by default N is the automatic truncation order for the signal plus 2 guard terms.
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
     if params.regime == SUPERCRITICAL:
         raise InvalidParameterError("circle traces require tau <= pi")
+    if weights is not None and np.size(weights[0]) % 2 == 0:
+        raise InvalidParameterError("give the weights at an odd number of nodes, -N .. N")
     for name in kinds:
         if name not in TRACE_KINDS:
             raise InvalidParameterError(f"unknown trace kind {name!r}")

@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, NonConvergenceError, SaturationError, check_counts,
-                     check_indices, check_points, check_real)
-from .scaled import (BASE_LOG2, exp_pow2, laurent_on_circles, ldexp_array, ln_split, log2_split,
-                     normalise_array, pack, sum_rows, to_complex)
+from .errors import (InvalidParameterError, NonConvergenceError, SaturationError, check_circles,
+                     check_counts, check_indices, check_points, check_real)
+from .scaled import (BASE_LOG2, exact_power, laurent_on_circles, ldexp_array, ln_split,
+                     log2_split, normalise_array, pack, sum_rows, to_complex)
 
 CRITICAL_TAU = math.pi
 REGIME_TOLERANCE = 1e-12
@@ -178,11 +178,10 @@ def _series_terms(z_split: tuple, q_split: tuple, ctrl: SeriesControl, label: st
     d^2 = 2(a/8 - ln abs_tol)/a.  Each z takes n* - d - 1 .. n* + d + 1 and at
     least -min_terms .. min_terms (a side past max_terms raises
     NonConvergenceError) as one exp matrix, powers of two and of q split off
-    exactly (scaled.ln_split); a row's other columns are zeros.
+    exactly (scaled.exact_power); a row's other columns are zeros.
     """
     e_z, lnr_z = z_split[0][:, None], z_split[1][:, None]
-    e_q, hi_q, lo_q = q_split
-    a = -(e_q * math.log(2.0) + hi_q + lo_q)
+    a = -(q_split[0] * math.log(2.0) + q_split[1] + q_split[2])
     u = e_z * math.log(2.0) + lnr_z - lattice * a
     centre = u / a + 0.5
     reach = math.sqrt(2.0 * (a / 8.0 - math.log(ctrl.abs_tol)) / a) + 1.0
@@ -195,8 +194,7 @@ def _series_terms(z_split: tuple, q_split: tuple, ctrl: SeriesControl, label: st
     n = np.arange(int(lo.min(initial=0)), int(hi.max(initial=0)) + 1)
     power = n - 1 if derivative else n
     pairs = n * (n - 1) // 2 + lattice * power  # the power of q in z^power q^{n(n-1)/2}
-    f, bits = exp_pow2(pairs * hi_q, power * lnr_z + pairs * lo_q)
-    bits += power * e_z + pairs * e_q
+    f, bits = exact_power(q_split, pairs, (e_z, lnr_z), power)
     weight = np.where(n % 2, -1.0, 1.0) * (n if derivative else 1.0)
     return power, np.where((n >= lo) & (n <= hi), weight * f, 0.0), bits
 
@@ -221,8 +219,8 @@ def theta_on_circles(radii, q: float, count: int, offset: float = 0.0,
                      ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
     """The theta series at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each
     r of ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
+    radii, offset = check_circles(radii, count, offset)
     split = ln_split(check_real("q", q, 0.0, 1.0))
-    radii = np.asarray(radii, dtype=float).reshape(-1)
     return laurent_on_circles(*_series_terms(log2_split(radii), split, ctrl, "theta_series"),
                               count, offset)
 
@@ -269,12 +267,9 @@ def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTR
     shift = {"corrected": 1, "printed": -1}.get(variant)
     if shift is None:
         raise InvalidParameterError(f"unknown variant {variant!r}")
-    power = -(ns * (ns + shift)) // 2
-    e, hi, lo = ln_split(q)
-    f, bits = exp_pow2(power * hi, power * lo)
+    f, bits = exact_power(ln_split(q), -(ns * (ns + shift)) // 2)
     sign = np.where(ns % 2, -shift, shift)
-    return pack(*sum_rows((sign * tp1 * f)[:, None], (bits + power * e)[:, None]),
-                np.ndim(n) == 0)
+    return pack(*sum_rows((sign * tp1 * f)[:, None], bits[:, None]), np.ndim(n) == 0)
 
 
 def eta(z, q):
@@ -347,8 +342,7 @@ def coeff_E(
     raw j-series for m < 0 hides that symmetry behind exactly
     cancelling pairs; the reflection S_{-n} = q^n S_n is used instead
     so no catastrophic cancellation ever occurs.  The power of q is
-    raised from the split logarithm of scaled.ln_split by scaled.exp_pow2,
-    with its power of two kept exact.
+    raised by scaled.exact_power, with its power of two kept exact.
 
     variant="printed" evaluates the slipped exponent m(m-1)/2, which
     differs from the corrected value by exactly q^{-m}; it is retained
@@ -363,11 +357,8 @@ def coeff_E(
                       "they cannot be used for reconstruction", stacklevel=2)
     q = check_real("q", params.q, 0.0, 1.0)
     ns = np.abs(ms)
-    power = ns * (ns + 1) // 2 - shift * ms
-    e, hi, lo = ln_split(q)
-    f, bits = exp_pow2(power * hi, power * lo)
+    f, bits = exact_power(ln_split(q), ns * (ns + 1) // 2 - shift * ms)
     cube = euler_product(q, ctrl) ** 3
     value = np.where(ns % 2, -1.0, 1.0) * _coefficient_tail_sum(ns, q, ctrl) / cube * f
-    bits += power * e
     return pack(*normalise_array(ldexp_array(value, bits % BASE_LOG2), bits // BASE_LOG2),
                 np.ndim(m) == 0)

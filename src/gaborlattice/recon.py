@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (BLOCK_ELEMENTS, MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError,
                      RegimeError, SaturationError, check_counts, check_points, check_real)
-from .qtheta import SUBCRITICAL, LatticeParams, SeriesControl, coeff_E, nome_from_tau
+from .qtheta import SUBCRITICAL, LatticeParams, coeff_E, nome_from_tau
 from .scaled import BASE_LOG2, exp_pow2, ldexp_array, ln_abs, masked_max
 from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
 
@@ -71,16 +71,17 @@ class ReconConfig:
 class ReconReport:
     """Grid reconstruction output plus error metrics against a reference.
 
-    sup_error is sup|rec - ref| / sup|ref| and l2_error the relative
-    l2 norm of the pointwise difference, so l2_error <=
-    sup_error * sqrt(len(xs)) always holds.  Both are None without a
-    reference.  tail_estimate is the (dimensionless) weight of the
-    outermost retained ring relative to the dominant term.
+    abs_error is |rec - ref| at each point, rounded as abs(complex) rounds it;
+    sup_error is its max over sup|ref| and l2_error its l2 norm over that of
+    ref, so l2_error <= sup_error * sqrt(len(xs)) always holds.  All three are
+    None without a reference.  tail_estimate is the (dimensionless) weight of
+    the outermost retained ring relative to the dominant term.
     """
 
     xs: np.ndarray
     reconstructed: np.ndarray
     reference: np.ndarray | None
+    abs_error: np.ndarray | None
     sup_error: float | None
     l2_error: float | None
     M_used: int
@@ -274,7 +275,6 @@ def auto_truncation(
     params: LatticeParams,
     tol: float,
     x_max: float = 0.0,
-    ctrl: SeriesControl | None = None,
     quad: QuadratureControl | None = None,
 ) -> TruncationChoice:
     """Choose truncation orders (M, K) for a target relative accuracy on
@@ -292,7 +292,7 @@ def auto_truncation(
     """
     _require_subcritical(params)
     tol, x_max = check_real("tol", tol, 0.0, 1.0), check_real("x_max", x_max, 0.0, closed=True)
-    coeffs_ln = ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params, ctrl or SeriesControl()))
+    coeffs_ln = ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params))
     table = held = None
 
     def cells(M: int, K: int, reach: tuple[int, int]) -> np.ndarray:
@@ -372,21 +372,21 @@ def reconstruct_grid(
     values[J * O: len(xs)] = values[len(values) - r:]  # the last r points, in place
     rec = values[:len(xs)]
 
-    ref_values = sup_error = l2_error = None
+    ref_values = abs_error = sup_error = l2_error = None
     if reference is not None:
         ref_values = eval_signal(reference, xs)
-        diff = np.abs(rec - ref_values)
-        sup_error = l2_error = 0.0
-        if len(xs):
-            sup_diff, sup_ref = float(np.max(diff)), float(np.max(np.abs(ref_values)))
-            l2_diff, l2_ref = float(np.linalg.norm(diff)), float(np.linalg.norm(ref_values))
-            sup_error = sup_diff / sup_ref if sup_ref > 0 else sup_diff
-            l2_error = l2_diff / l2_ref if l2_ref > 0 else l2_diff
+        # |rec - ref| by parts, rounded as abs(complex) rounds (np.abs on arrays need not)
+        abs_error = np.hypot(rec.real - ref_values.real, rec.imag - ref_values.imag)
+        sup_diff, sup_ref = (float(np.max(v, initial=0.0)) for v in (abs_error, np.abs(ref_values)))
+        l2_diff, l2_ref = float(np.linalg.norm(abs_error)), float(np.linalg.norm(ref_values))
+        sup_error = sup_diff / sup_ref if sup_ref > 0 else sup_diff
+        l2_error = l2_diff / l2_ref if l2_ref > 0 else l2_diff
 
     return ReconReport(
         xs=xs,
         reconstructed=rec,
         reference=ref_values,
+        abs_error=abs_error,
         sup_error=sup_error,
         l2_error=l2_error,
         M_used=M,

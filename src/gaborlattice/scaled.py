@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import SaturationError, check_counts
+from .errors import SaturationError, check_circles, check_counts
 
 BASE_LOG2 = 128
 LN_BASE = BASE_LOG2 * math.log(2.0)
@@ -65,6 +65,14 @@ def masked_max(values: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
     return np.where(top == _INT64_MIN, 0, top)
 
 
+def _align_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of mant * 2**bits (2-d) shifted by exact ldexp to the power of B of its
+    largest term: (terms, exps), the row's values being terms * B**exps."""
+    _, mag = np.frexp(np.abs(mant))
+    exps = masked_max(bits + mag, mant != 0, axis=1) // BASE_LOG2
+    return ldexp_array(mant, bits - (exps * BASE_LOG2)[:, None]), exps
+
+
 def sum_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of mant * 2**bits (2-d, integer bits) as normalised arrays.
 
@@ -73,10 +81,7 @@ def sum_rows(mant: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
     two-sum): cancellation costs a few ulp of the sum at most, and a row's
     sum depends neither on other rows nor on zeros around its terms.
     """
-    _, mag = np.frexp(np.abs(mant))
-    top = masked_max(bits + mag, mant != 0, axis=1)
-    exps = top // BASE_LOG2
-    terms = ldexp_array(mant, bits - (exps * BASE_LOG2)[:, None])
+    terms, exps = _align_rows(mant, bits)
     totals = np.cumsum(terms, axis=1)  # adds in column order: the running sums
     before = np.empty_like(totals)
     before[:, 0], before[:, 1:] = 0.0, totals[:, :-1]
@@ -93,9 +98,8 @@ def laurent_on_circles(power: np.ndarray, mant: np.ndarray, bits: np.ndarray, co
     z = r), as normalised arrays, row after row: each row shifted as sum_rows shifts it,
     folded by n mod count from a zero start (zero columns leave its bits alone) and taken
     through one inverse FFT, accurate to a few ulp of the row's sum of |c_n|."""
-    _, mag = np.frexp(np.abs(mant))
-    exps = masked_max(bits + mag, mant != 0, axis=1) // BASE_LOG2
-    terms = ldexp_array(mant, bits - (exps * BASE_LOG2)[:, None])
+    _, offset = check_circles((), count, offset)  # the count and offset, as the callers read them
+    terms, exps = _align_rows(mant, bits)
     first = power[0] - power[0] % count  # a multiple of count: the fold keeps n mod count
     padded = np.zeros((len(terms), (power[-1] - first) // count * count + count), dtype=complex)
     padded[:, power - first] = terms * np.exp(2j * math.pi * offset / count * power)
@@ -163,6 +167,19 @@ def ln_split(x: float) -> tuple[int, float, float]:
         return e, hi, float(ln_r - decimal.Decimal(hi))
 
 
+def exact_power(q_split: tuple, p, r_split: tuple = (0, 0.0), s=0):
+    """q^p r^s as (f, bits), q^p r^s = f * 2**bits, for integer arrays p and s (broadcast),
+    q_split = ln_split(q) and r_split = log2_split(r) (r = 1 when omitted).
+
+    The powers of two p e_q + s e_r are exact integers.  p * hi is exact while |p| < 2**26
+    (hi has 26 significant bits), and the small rest p * lo + s ln r' (r = 2**e_r r') goes in
+    as exp_pow2's t_lo: only f is rounded, to ~1 ulp.
+    """
+    e_q, hi, lo = q_split
+    f, bits = exp_pow2(p * hi, s * r_split[1] + p * lo)
+    return f, bits + s * r_split[0] + p * e_q
+
+
 def exp_pow2(t: np.ndarray, t_lo=0.0) -> tuple[np.ndarray, np.ndarray]:
     """e^{t + t_lo} as (f, n) with e^{t + t_lo} = f * 2**n, n an exact integer
     and f in [1, 2) up to rounding.
@@ -200,10 +217,6 @@ class ScaledValue:
     # ---------------------------------------------------------------- factories
 
     @classmethod
-    def from_complex(cls, value) -> "ScaledValue":
-        return cls(complex(value), 0)
-
-    @classmethod
     def from_ln(cls, ln_magnitude: float, phase: float = 0.0) -> "ScaledValue":
         """exp(ln_magnitude) * exp(i*phase), raised by :func:`exp_pow2`; 0 for
         ln_magnitude = -inf."""
@@ -237,27 +250,17 @@ class ScaledValue:
 
     # ---------------------------------------------------------------- arithmetic
 
-    @staticmethod
-    def _coerce(other) -> "ScaledValue | None":
-        if isinstance(other, ScaledValue):
-            return other
-        if isinstance(other, (int, float, complex)):
-            return ScaledValue.from_complex(other)
-        return None
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, ScaledValue):
             return NotImplemented
-        return ScaledValue(self.mantissa * o.mantissa, self.exponent + o.exponent)
+        return ScaledValue(self.mantissa * other.mantissa, self.exponent + other.exponent)
 
     # ---------------------------------------------------------------- misc
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, ScaledValue):
             return NotImplemented
-        return self.mantissa == o.mantissa and self.exponent == o.exponent
+        return self.mantissa == other.mantissa and self.exponent == other.exponent
 
     def __hash__(self):
         return hash((self.mantissa, self.exponent))

@@ -37,7 +37,6 @@ from .oracle import (
 from .qtheta import (
     SUPERCRITICAL,
     LatticeParams,
-    SeriesControl,
     coeff_E,
     eta,
     lattice_derivative_candidate,
@@ -48,7 +47,7 @@ from .qtheta import (
     theta_product,
     theta_series_scaled,
 )
-from .scaled import (BASE_LOG2, exp_pow2, ldexp_array, ln_split, log2_split,
+from .scaled import (BASE_LOG2, exact_power, exp_pow2, ldexp_array, ln_split, log2_split,
                      normalise_array, sub_arrays, to_complex)
 from .signals import GammaTable, SignalModel, forward_table
 from .recon import TruncationChoice, auto_truncation, inner_fourier_sum
@@ -56,8 +55,6 @@ from .recon import TruncationChoice, auto_truncation, inner_fourier_sum
 SUITES = ("theta", "coeffs", "poisson", "interpolation", "all")
 #: the point x at which the interpolation suite samples G_x
 _INTERPOLATION_X = 0.3
-
-_DEFAULT_CTRL = SeriesControl()
 
 
 @dataclass
@@ -128,14 +125,14 @@ def _over_eta(theta: tuple, zs: np.ndarray, q: float) -> np.ndarray:
     return np.ldexp(np.abs(theta[0]) * f, theta[1] * BASE_LOG2 + bits)
 
 
-def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
+def theta_suite(params: LatticeParams) -> list[CheckRecord]:
     """The theta identities at the nome of ``params``; only the printed-candidate
     adjudication sits at its own (n=1, q=0.1)."""
     checks: list[CheckRecord] = []
     q = params.q
     # product vs series on the circles |z| = q^{1/2}, 1, q^{-1/2}
     radii, zs = _circles([0.5, 0.0, -0.5], params.ln_q, 32, 0.5)
-    ts, tp = to_complex(theta_on_circles(radii, q, 32, 0.5, ctrl)), theta_product(zs, q, ctrl)
+    ts, tp = to_complex(theta_on_circles(radii, q, 32, 0.5)), theta_product(zs, q)
     _record(checks, "triple_product_identity", np.max(np.abs(ts - tp) / (1.0 + np.abs(ts))), 1e-12,
             "|z| in {sqrt(q), 1, 1/sqrt(q)}, 32 angles, at the given tau")
 
@@ -155,7 +152,7 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
               np.concatenate([z_iter, (q ** n * z_iter[:, None]).ravel()]),
               np.concatenate([z_conj.conjugate(), z_conj]), zeros,
               (q ** ns + np.outer([1.0, -1.0, 0.5, -0.5], h)).ravel()]
-    mant, exps = theta_series_scaled(np.concatenate(points), q, ctrl)
+    mant, exps = theta_series_scaled(np.concatenate(points), q)
     at = np.cumsum([len(p) for p in points])[:-1]
     step, iterated, conj, on_zeros, fd_values = zip(np.split(mant, at), np.split(exps, at))
 
@@ -173,15 +170,11 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     # q^{-n(n-1)/2}, Theta in scaled arithmetic and compared in the frame of z: since
     # eta(q^n z) = |factor| eta(z), |Theta(q^n z) / factor - Theta(z)| / (eta(z) + |Theta(z)|)
     # is the eta-relative residual at q^n z.  1/factor = (-z/|z|)^n |z|^n q^{n(n-1)/2} comes
-    # from the split logarithms of |z| and q, as in the theta series: it never leaves the
-    # double range.
+    # from scaled.exact_power, as the theta series' terms do: it never leaves the double range.
     z, (mant, exps) = z_iter, iterated
     theta_z = mant[:len(z), None], exps[:len(z), None]
-    e_z, lnr_z = (part[:, None] for part in log2_split(np.abs(z)))
-    e_q, hi_q, lo_q = ln_split(q)
-    pairs = n * (n - 1) // 2
-    f, bits = exp_pow2(pairs * hi_q, n * lnr_z + pairs * lo_q)
-    bits += n * e_z + pairs * e_q
+    z_split = tuple(part[:, None] for part in log2_split(np.abs(z)))
+    f, bits = exact_power(ln_split(q), n * (n - 1) // 2, z_split, n)
     phase = np.exp(1j * n * np.angle(-z)[:, None])
     quotient = normalise_array(
         ldexp_array(mant[len(z):].reshape(-1, len(n)) * f * phase, bits % BASE_LOG2),
@@ -201,7 +194,7 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
             1e-10, "n in [-5, 5] at the given tau")
 
     # derivative contract + adjudication of the closed-form candidates
-    ref = theta_prime_lattice(ns, q, ctrl)
+    ref = theta_prime_lattice(ns, q)
     ref_c = to_complex(ref)
     # independent estimate: Richardson-extrapolated central differences
     up, down, up2, down2 = to_complex(fd_values).reshape(4, -1)
@@ -209,12 +202,12 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
     _record(checks, "lattice_derivative_vs_finite_difference",
             np.max(np.abs(ref_c - fd) / np.abs(ref_c)), 1e-6,
             "Richardson-extrapolated central differences, n in [-4, 4] at the given tau")
-    corr = lattice_derivative_candidate(ns, q, ctrl, "corrected")
+    corr = lattice_derivative_candidate(ns, q)
     _record(checks, "lattice_derivative_corrected_candidate",
             np.max(np.abs(to_complex(sub_arrays(ref, corr))) / np.abs(ref_c)), 1e-10,
             "(-1)^n q^{-n(n+1)/2} Theta'(1;q) matches the reference")
-    ref_1 = to_complex(theta_prime_lattice([1], 0.1, ctrl))[0]
-    printed = to_complex(lattice_derivative_candidate([1], 0.1, ctrl, "printed"))[0]
+    ref_1 = to_complex(theta_prime_lattice([1], 0.1))[0]
+    printed = to_complex(lattice_derivative_candidate([1], 0.1, variant="printed"))[0]
     miss = abs(ref_1 - printed) / abs(ref_1)
     checks.append(CheckRecord(
         "lattice_derivative_printed_candidate_rejected", miss, math.inf, miss > 1e-2,
@@ -223,7 +216,7 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
 
     # circle maxima of |Theta| / eta are k-independent
     radii, zs = _circles(np.arange(-5, 6) + 0.5, params.ln_q, 64)
-    maxima = _over_eta(theta_on_circles(radii, q, 64, ctrl=ctrl), zs, q).reshape(11, -1).max(1)
+    maxima = _over_eta(theta_on_circles(radii, q, 64), zs, q).reshape(11, -1).max(1)
     spread = (maxima.max() - maxima.min()) / maxima.min()
     _record(checks, "envelope_circle_maxima_constant", spread, 1e-8, "k in [-5, 5]")
     return checks
@@ -232,7 +225,7 @@ def theta_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> l
 # --------------------------------------------------------------------- coeffs
 
 
-def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> list[CheckRecord]:
+def coeffs_suite(params: LatticeParams) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     ms, balanced = np.arange(-8, 9), balanced_contour(params)
     # Laurent coefficients are annulus-constant: compare admissible radii.
@@ -254,7 +247,7 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
             refused[c] = str(exc)
     usable = [(m, c) for m, c in pairs if c not in refused]
     values = dict(zip(usable, laurent_c0(np.array([m for m, _ in usable], dtype=np.int64),
-                                         params, [c for _, c in usable], ctrl))) if usable else {}
+                                         params, [c for _, c in usable]))) if usable else {}
     left_out = "".join(f"; left out: {reason}" for reason in refused.values())
 
     oracles = None if balanced in refused else np.array([values[int(m), balanced] for m in ms])
@@ -267,9 +260,9 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
                                 ("coefficient_printed_exponent_rejected", math.inf)):
             checks.append(CheckRecord(name, math.inf, threshold, False, reason + left_out))
     else:
-        fast = to_complex(coeff_E(ms, params, ctrl))
+        fast = to_complex(coeff_E(ms, params))
         worst = np.max(np.abs(fast - oracles) / np.abs(oracles))
-        printed = to_complex(coeff_E(ms[ms != 0], params, ctrl, variant="printed"))
+        printed = to_complex(coeff_E(ms[ms != 0], params, variant="printed"))
         worst_printed = np.max(np.abs(printed - oracles[ms != 0]) / np.abs(oracles[ms != 0]))
         _record(checks, "coefficient_vs_contour_oracle", worst, 1e-9,
                 "exponent m(m+1)/2 candidate, m in [-8, 8]")
@@ -294,7 +287,6 @@ def coeffs_suite(params: LatticeParams, ctrl: SeriesControl = _DEFAULT_CTRL) -> 
 
 
 def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
-                  ctrl: SeriesControl = _DEFAULT_CTRL,
                   base: GammaTable | None = None) -> list[CheckRecord]:
     """``base`` lends its entries to the Poisson table (forward_table's base=)."""
     checks: list[CheckRecord] = []
@@ -306,7 +298,7 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
     K = 12
     table = forward_table(signal, params.tau, 3, K, base=base)
     ms, xs = np.arange(-3, 4), np.array([0.0, 0.3, 1.1])
-    rhs = to_complex(spatial_A(ms, xs, signal, params, ctrl)).T
+    rhs = to_complex(spatial_A(ms, xs, signal, params)).T
     # rows |m| <= 3 grow at most like e^{9 tau^2} < e^{89} times the signal's size, so they
     # are down-converted whole (to_complex raises beyond the double range)
     inner = inner_fourier_sum(to_complex((table.mantissa, table.exponent)), xs, K)
@@ -322,7 +314,6 @@ def poisson_suite(params: LatticeParams, signal: SignalModel | None = None,
 
 
 def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None,
-                        ctrl: SeriesControl = _DEFAULT_CTRL,
                         truncation: TruncationChoice | None = None) -> list[CheckRecord]:
     """``truncation``: auto_truncation(signal, params, 1e-10, 0.3), if already made."""
     checks: list[CheckRecord] = []
@@ -334,21 +325,21 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     x = _INTERPOLATION_X
     extent = (truncation or auto_truncation(signal, params, 1e-10, x_max=x)).M + 2
     ns = np.arange(-extent, extent + 1)
-    samples = spatial_A(ns, x, signal, params, ctrl)
+    samples = spatial_A(ns, x, signal, params)
 
     zs = params.q ** np.array([-2, 0, 3])
-    values = to_complex(lagrange_interpolant(zs, ns, samples, params, ctrl))
-    refs = to_complex(G_series(zs, x, signal, params, ctrl))
+    values = to_complex(lagrange_interpolant(zs, ns, samples, params))
+    refs = to_complex(G_series(zs, x, signal, params))
     worst = np.max(np.abs(values - refs) / np.abs(refs))
     _record(checks, "interpolation_node_samples_vs_G_series", worst, 1e-10,
             "spatial_A's A_n (the interpolant at q^n, n in {-2, 0, 3}) against G_series' G_x(q^n)")
 
     # off-node identity on |z| = q^{1/2}, q^{-1/2}, one FFT per circle; the traces share the weights
-    weights = cardinal_weights(ns, samples, params.q, ctrl)
+    weights = cardinal_weights(ns, samples, params.q)
     radii, _ = _circles([0.5, -0.5], params.ln_q, 32, 0.5)
-    g = to_complex(G_on_circles(radii, x, signal, 32, 0.5, ctrl)).reshape(2, -1)
-    theta = theta_on_circles(radii, params.q, 32, 0.5, ctrl)
-    cardinal = cardinal_on_circles(radii, ns, weights, params.q, 32, 0.5, ctrl)
+    g = to_complex(G_on_circles(radii, x, signal, 32, 0.5)).reshape(2, -1)
+    theta = theta_on_circles(radii, params.q, 32, 0.5)
+    cardinal = cardinal_on_circles(radii, ns, weights, params.q, 32, 0.5)
     gt = to_complex(normalise_array(theta[0] * cardinal[0], theta[1] + cardinal[1])).reshape(2, -1)
     worst = float(np.max(np.max(np.abs(g - gt), axis=1) / np.max(np.abs(g), axis=1)))
     _record(checks, "interpolation_global_identity", worst, 1e-8,
@@ -360,7 +351,7 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
     # terms down to a quotient of ~1e-19 there, an 18-digit cancellation,
     # so its noise floor sits far above 1e-8 of that circle's quotient.)
     # All three traces come from one pass over k in [-6, 6].
-    traces = mk_trace(TRACE_KINDS, range(-6, 7), x, signal, params, ctrl, weights=weights)
+    traces = mk_trace(TRACE_KINDS, range(-6, 7), x, signal, params, weights=weights)
     gq = traces[G_OVER_THETA]
     scale = max(ref for k, ref in gq if -4 <= k <= 4)
     note = "residual maxima relative to the quotient scale, k in [-4, 4]"
@@ -391,21 +382,18 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
 # --------------------------------------------------------------------- driver
 
 
-def run_suite(
-    suite: str,
-    tau: float,
-    signal: SignalModel | None = None,
-    ctrl: SeriesControl = _DEFAULT_CTRL,
-) -> SuiteReport:
+def run_suite(suite: str, tau: float, signal: SignalModel | None = None) -> SuiteReport:
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise InvalidParameterError(f"unknown suite {suite!r:.40}; choose from {SUITES}")
+    if not isinstance(signal, (SignalModel, type(None))):
+        raise InvalidParameterError(f"signal must be a SignalModel, got {signal!r:.40}")
     params = nome_from_tau(tau)
     signal = signal or _default_signal()
     report = SuiteReport(suite=suite, tau=params.tau)
     if suite in ("theta", "all"):
-        report.checks += theta_suite(params, ctrl)
+        report.checks += theta_suite(params)
     if suite in ("coeffs", "all"):
-        report.checks += coeffs_suite(params, ctrl)
+        report.checks += coeffs_suite(params)
     if params.regime == SUPERCRITICAL and suite in ("poisson", "interpolation", "all"):
         report.checks.append(CheckRecord(
             "supercritical_gate", 0.0, 1.0, True,
@@ -416,7 +404,7 @@ def run_suite(
     if suite == "all" and not _is_zero_signal(signal):  # one table for both suites
         truncation = auto_truncation(signal, params, 1e-10, x_max=_INTERPOLATION_X)
     if suite in ("poisson", "all"):
-        report.checks += poisson_suite(params, signal, ctrl, truncation and truncation.table)
+        report.checks += poisson_suite(params, signal, truncation and truncation.table)
     if suite in ("interpolation", "all"):
-        report.checks += interpolation_suite(params, signal, ctrl, truncation)
+        report.checks += interpolation_suite(params, signal, truncation)
     return report

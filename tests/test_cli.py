@@ -144,6 +144,18 @@ class TestReconstruct:
         assert lines[0] == "x,f_ref_re,f_ref_im,f_rec_re,f_rec_im,abs_err"
         assert len(lines) == 122
 
+    def test_summary_errors_come_from_the_abs_err_column(self, tmp_path, table_path,
+                                                         reconstruct_config):
+        out = tmp_path / "pts.csv"
+        assert main(["reconstruct", "--config", reconstruct_config,
+                     "--table", table_path, "--output", str(out)]) == 0
+        summary = json.loads((tmp_path / "pts.csv.summary.json").read_text())["summary"]
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)  # '%.17g' reads back exactly
+        ref, abs_err = rows[:, 1] + 1j * rows[:, 2], rows[:, 5]
+        assert abs_err.tolist() == [abs(complex(*r[3:5]) - complex(*r[1:3])) for r in rows]
+        assert summary["sup_error"] == abs_err.max() / np.abs(ref).max()
+        assert summary["l2_error"] == np.linalg.norm(abs_err) / np.linalg.norm(ref)
+
     def test_stdout_is_the_csv_alone(self, capsys, table_path, reconstruct_config):
         # with no --output and no --summary the summary goes to stderr
         assert main(["reconstruct", "--config", reconstruct_config, "--table", table_path]) == 0
@@ -312,6 +324,14 @@ class TestCoeffs:
         doc = json.loads(out.read_text())
         assert doc["meta"]["regime"] == "supercritical"
         assert any("supercritical" in w for w in doc["meta"]["warnings"])
+
+    def test_supercritical_warning_on_stderr_with_csv(self, tmp_path, capsys):
+        out = tmp_path / "coeffs.csv"
+        rc = main(["coeffs", "--tau", "4.0", "--m-min", "0", "--m-max", "2",
+                   "--format", "csv", "--output", str(out)])
+        assert rc == 0 and out.read_text().startswith("m,mantissa_re,")
+        assert capsys.readouterr().err.startswith(
+            "warning: coefficients computed at supercritical tau=4")
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "coeffs.csv"

@@ -26,7 +26,10 @@ from gaborlattice import (
     round_trip, spatial_A, theta_prime_lattice, theta_prime_one, theta_product, theta_series,
     theta_series_scaled, windowed_sample_scaled)
 from gaborlattice.cli import _table_document, main
-from gaborlattice.oracle import G_OVER_THETA, cardinal_on_circles
+from gaborlattice.oracle import G_OVER_THETA, GTILDE_OVER_THETA, G_on_circles, cardinal_on_circles
+from gaborlattice.qtheta import theta_on_circles
+from gaborlattice.scaled import laurent_on_circles
+from gaborlattice.verify import run_suite
 
 REFUSED = (InvalidParameterError, DomainError)
 SIG = SignalModel.gaussian([(1.0, 0.0, 0.0)])
@@ -212,7 +215,8 @@ def test_valid_values_run():
         call(v)
 
 
-# --- the inputs that were coerced, or died with a builtin exception, before
+# --- the inputs that were coerced, died with a builtin exception or gave a value before,
+#     and the refusals that no other test reaches
 
 PROBED = {
     "nome_from_tau(True)": lambda: nome_from_tau(True),
@@ -272,6 +276,29 @@ PROBED = {
     "GammaTable(10**30, 0, 1.0, [1.0], [0])": lambda: GammaTable(10**30, 0, 1.0, [1.0], [0]),
     "GammaTable(ragged mantissas)": lambda: GammaTable(0, 1, 1.0, [[1.0], [1.0, 1.0]], [0] * 3),
     "GammaTable(float exponents)": lambda: GammaTable(0, 0, 1.0, [1.0], [0.5]),
+    "laurent_on_circles(count=0)": lambda: laurent_on_circles(
+        np.arange(2), np.ones((1, 2), dtype=complex), np.zeros((1, 2), dtype=np.int64), 0),
+    "laurent_on_circles(count=2.5)": lambda: laurent_on_circles(
+        np.arange(2), np.ones((1, 2), dtype=complex), np.zeros((1, 2), dtype=np.int64), 2.5),
+    "laurent_on_circles(offset=nan)": lambda: laurent_on_circles(
+        np.arange(2), np.ones((1, 2), dtype=complex), np.zeros((1, 2), dtype=np.int64), 4,
+        math.nan),
+    "mk_trace with weights at 2 nodes": lambda: mk_trace(
+        GTILDE_OVER_THETA, [0], 0.3, SIG, P, weights=(np.ones(2), np.zeros(2, dtype=np.int64))),
+    "mk_trace with 3 weight mantissas and 2 exponents": lambda: mk_trace(
+        GTILDE_OVER_THETA, [0], 0.3, SIG, P, weights=(np.ones(3), np.zeros(2, dtype=np.int64))),
+    "run_suite('bogus', 1.0)": lambda: run_suite("bogus", 1.0),
+    "run_suite('poisson', 1.0, signal='x')": lambda: run_suite("poisson", 1.0, signal="x"),
+    "reconstruct_point with M past the table": lambda: reconstruct_point(0.3, TABLE, P, 3, 1),
+    "reconstruct_point with K past the table": lambda: reconstruct_point(0.3, TABLE, P, 1, 4),
+    "spatial_A(9, ...) at supercritical tau": lambda: spatial_A(9, 0.3, SIG, nome_from_tau(4.0)),
+    "lagrange_interpolant with 1 sample at 2 nodes": lambda: lagrange_interpolant(
+        0.5 + 0.5j, [0, 1], ONE_SAMPLE, P),
+    "mk_trace at supercritical tau": lambda: mk_trace(G_OVER_THETA, [0], 0.3, SIG,
+                                                      nome_from_tau(4.0)),
+    "lattice_derivative_candidate(variant='bogus')": lambda: lattice_derivative_candidate(
+        1, P.q, variant="bogus"),
+    "coeff_E(variant='bogus')": lambda: coeff_E(1, P, variant="bogus"),
 }
 
 
@@ -281,6 +308,43 @@ def test_probed_inputs_are_refused(call):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(REFUSED):
             call()
+
+
+#: the routines on uniform circles, each called with (radii, count, offset)
+CIRCLE_ROUTINES = {
+    "theta_on_circles": lambda r, n, o: theta_on_circles(r, P.q, n, o),
+    "G_on_circles": lambda r, n, o: G_on_circles(r, 0.3, SIG, n, o),
+    "cardinal_on_circles": lambda r, n, o: cardinal_on_circles(r, [0], ONE_SAMPLE, P.q, n, o),
+}
+#: (label, radii, count, offset) that every circle routine refuses
+BAD_CIRCLES = [
+    ("offset nan", [1.5], 8, math.nan), ("offset inf", [1.5], 8, math.inf),
+    ("offset -inf", [1.5], 8, -math.inf), ("offset string", [1.5], 8, "0.5"),
+    ("count 0", [1.5], 0, 0.0), ("count 2.5", [1.5], 2.5, 0.0), ("count bool", [1.5], True, 0.0),
+    ("radius 0", [0.0], 8, 0.0), ("radius -1", [-1.0], 8, 0.0), ("radius nan", [math.nan], 8, 0.0),
+    ("radius inf", [math.inf], 8, 0.0), ("radius bool", [True], 8, 0.0),
+    ("radius complex", [1.5j], 8, 0.0), ("radius string", "1.5", 8, 0.0),
+    ("ragged radii", [[1.5], [1.5, 2.0]], 8, 0.0),
+]
+
+
+@pytest.mark.parametrize("call", CIRCLE_ROUTINES.values(), ids=CIRCLE_ROUTINES.keys())
+@pytest.mark.parametrize("radii, count, offset", [case[1:] for case in BAD_CIRCLES],
+                         ids=[case[0] for case in BAD_CIRCLES])
+def test_circle_routines_refuse_bad_circles(call, radii, count, offset):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParameterError):
+            call(radii, count, offset)
+
+
+@pytest.mark.parametrize("call", CIRCLE_ROUTINES.values(), ids=CIRCLE_ROUTINES.keys())
+def test_circle_routines_accept_any_form_of_real_radii(call):
+    expected = call([1.5, 2.0], 8, 0.5)
+    for radii in (np.array([1.5, 2.0], dtype=np.float32), (1.5, 2)):
+        assert all(np.array_equal(a, b) for a, b in zip(call(radii, np.int64(8), 0.5), expected))
+    assert all(np.array_equal(a, b[:8]) for a, b in zip(call(1.5, 8, np.float64(0.5)), expected))
+    assert call([], 8, 0.0)[0].shape == (0,)
 
 
 def test_documented_acceptances():
@@ -358,6 +422,8 @@ def _config(tmp_path, name, payload):
     ({"tau": 1.0, "truncation": "auto", "signal": {
         "kind": "gaussian_family",
         "components": [{"amplitude": 1.0, "center": math.nan, "modulation": 0.0}]}}, []),
+    ({"tau": 1.0, "truncation": "auto", "signal": {"kind": "gaussian_family", "components": []}},
+     []),
 ])
 def test_cli_forward_refuses_with_exit_2_and_no_file(tmp_path, config, flags):
     out = tmp_path / "table.json"
@@ -400,6 +466,15 @@ def test_cli_flags_refuse_with_exit_2_and_no_file(tmp_path, argv):
 def test_cli_sweep_refuses_a_nan_density_with_exit_2_and_no_file(tmp_path):
     cfg = _config(tmp_path, "sweep.json", {
         "tau_list": [1.0, math.nan], "signal": GAUSSIAN, "truncation": {"M": 2, "K": 3},
+        "grid": {"min": -1.0, "max": 1.0, "step": 0.5}})
+    assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "sweep.csv")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
+@pytest.mark.parametrize("tau_list", [1.0, "1.0", [], {"tau": 1.0}])
+def test_cli_sweep_refuses_a_tau_list_that_is_no_list_with_exit_2_and_no_file(tmp_path, tau_list):
+    cfg = _config(tmp_path, "sweep.json", {
+        "tau_list": tau_list, "signal": GAUSSIAN, "truncation": {"M": 2, "K": 3},
         "grid": {"min": -1.0, "max": 1.0, "step": 0.5}})
     assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "sweep.csv")]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]

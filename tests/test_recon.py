@@ -546,6 +546,16 @@ class TestGridDriver:
         report = reconstruct_grid(cfg, table, params_tau1, reference=unit_gaussian)
         assert report.sup_error <= 1e-8
 
+    def test_error_metrics_come_from_abs_error(self, two_component, params_tau1):
+        table, config = forward_table(two_component, 1.0, 5, 9), ReconConfig(grid=(-3.0, 3.0, 0.01))
+        report = reconstruct_grid(config, table, params_tau1, reference=two_component)
+        rec, ref = report.reconstructed, report.reference
+        exact = [abs(complex(a) - complex(b)) for a, b in zip(rec.tolist(), ref.tolist())]
+        assert report.abs_error.tolist() == exact  # each rounded as abs(complex) rounds it
+        assert report.sup_error == max(exact) / np.max(np.abs(ref))
+        assert report.l2_error == np.linalg.norm(report.abs_error) / np.linalg.norm(ref)
+        assert reconstruct_grid(config, table, params_tau1).abs_error is None
+
     def test_empty_grid(self, unit_gaussian, params_tau1):
         table = forward_table(unit_gaussian, 1.0, 2, 2)
         cfg = ReconConfig(grid=(1.0, -1.0, 0.5), truncation=(2, 2))

@@ -28,14 +28,14 @@ def test_roundtrip_exact_bits():
     for _ in range(200):
         scale = 10.0 ** int(rng.integers(-250, 250))
         value = complex(rng.normal() * scale, rng.normal() * scale)
-        assert ScaledValue.from_complex(value).to_complex() == value
+        assert ScaledValue(value).to_complex() == value
 
 
 def test_extreme_component_aspect_ratio_keeps_machine_precision():
     # components >2^128 apart fall outside the mantissa's dynamic range;
     # the value survives to |value| * eps even though bits may not
     value = complex(1e246, 1e-114)
-    back = ScaledValue.from_complex(value).to_complex()
+    back = ScaledValue(value).to_complex()
     assert abs(back - value) <= 1e-15 * abs(value)
 
 
@@ -44,7 +44,7 @@ def test_arithmetic_matches_plain_complex():
     for _ in range(200):
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal()) or 1.0
-        sa, sb = ScaledValue.from_complex(a), ScaledValue.from_complex(b)
+        sa, sb = ScaledValue(a), ScaledValue(b)
         assert (sa * sb).to_complex() == pytest.approx(a * b, rel=1e-15)
 
 
@@ -138,8 +138,8 @@ def test_mantissa_without_a_finite_modulus_rejected(mantissa):
 
 
 def test_equality_is_exact_representation():
-    assert ScaledValue.from_complex(1.5) == ScaledValue(1.5 + 0j, 0)
-    assert ScaledValue.from_complex(1.5) != ScaledValue.from_complex(1.5000000001)
+    assert ScaledValue(1.5) == ScaledValue(1.5 + 0j, 0)
+    assert ScaledValue(1.5) != ScaledValue(1.5000000001)
 
 
 def _two_column_difference(a, b):

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborlattice import (SeriesControl, SignalModel, eta, nome_from_tau, qtheta, signals,
-                          theta_series, verify)
+from gaborlattice import (InvalidParameterError, SeriesControl, SignalModel, eta, nome_from_tau,
+                          qtheta, signals, theta_series, verify)
 from gaborlattice.verify import CheckRecord, SUITES, run_suite, theta_suite
 
 
@@ -48,6 +48,13 @@ def test_zero_signal_vacuous_pass():
     assert "degenerate" in report.checks[0].note
 
 
+def test_zero_signal_vacuous_pass_of_the_interpolation_suite():
+    zero = SignalModel.gaussian([(0.0, 0.0, 0.0)])
+    report = run_suite("interpolation", 1.0, signal=zero)
+    assert report.passed and [c.name for c in report.checks] == ["interpolation_lemma"]
+    assert "degenerate" in report.checks[0].note
+
+
 def test_supercritical_gates_spatial_suites():
     report = run_suite("poisson", 4.0)
     assert report.passed
@@ -65,7 +72,7 @@ def test_payload_shape():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         run_suite("bogus", 1.0)
     assert "all" in SUITES
 

@@ -9,11 +9,14 @@ not edited).  For each seeded Gaussian family it hashes:
 * the ``verify_all`` check payloads (``run_suite("all", 1.0)``);
 * the ``mk_trace`` traces of all three kinds, k in [-6, 6], at x = 0.3 and
   tau in {0.6, 1};
-* the CLI forward/reconstruct outputs of ``cli_grid`` on 201 points: the
-  summary without ``meta``, then the raw bytes of the table file, the CSV
-  and the CSV of the same reconstruction without a reference signal;
-* the callback round trip of ``callback_roundtrip``: the reconstruction,
-  ``M_used``, ``K_used``, ``tail_estimate`` and ``sup_error``;
+* the CLI forward/reconstruct outputs of ``cli_grid`` on 201 points, as two
+  parts: ``cli_data``, the raw bytes of the table file, the CSV and the CSV
+  of the same reconstruction without a reference signal, and
+  ``cli_summary``, the summary without ``meta``;
+* the callback round trip of ``callback_roundtrip``, as two parts:
+  ``callback_round_trip``, its ``M_used``, ``K_used``, ``tail_estimate`` and
+  reconstruction, and ``callback_errors``, its ``sup_error`` and
+  ``l2_error``;
 * the callback tables, values and error bounds: ``forward_table`` of a
   sampler hiding the family moved off centre (each centre + 2.5, each
   modulation x 6) at M = 5, K = 14 and (tau, tol, growth) in
@@ -39,7 +42,9 @@ not edited).  For each seeded Gaussian family it hashes:
 
 Each part's sha256 is printed on its own line, then the combined one on
 the last line.  Two checkouts whose last lines agree give these outputs
-bit for bit.  Standard library plus the package and numpy.
+bit for bit; a change that moves only the error metrics shows in
+``cli_summary`` and ``callback_errors`` alone.  Standard library plus the
+package and numpy.
 """
 
 import argparse
@@ -92,9 +97,11 @@ def traces(family) -> bytes:
     return out
 
 
-def cli_outputs(family, workdir: str) -> bytes:
+@functools.cache
+def cli_outputs(family: tuple, workdir: str) -> tuple[bytes, bytes]:
+    """The data files' bytes and the summary's, of one forward/reconstruct run."""
     workload = workloads.CliGrid(workdir)
-    state = workload.prepare(family, step=10 * workload.step)
+    state = workload.prepare(list(family), step=10 * workload.step)
     if workload.run(state) != (0, 0):
         raise SystemExit("error: the CLI forward/reconstruct run failed")
     with open(workload.paths["reconstruct.json"], encoding="utf-8") as fh:
@@ -109,19 +116,21 @@ def cli_outputs(family, workdir: str) -> bytes:
     with open(workload.paths["points.csv.summary.json"], encoding="utf-8") as fh:
         summary = json.load(fh)
     summary.pop("meta", None)
-    out = json.dumps(summary, sort_keys=True).encode()
+    data = b""
     for path in (workload.paths["table.json"], workload.paths["points.csv"], no_ref["points.csv"]):
         with open(path, "rb") as fh:
-            out += fh.read()
-    return out
+            data += fh.read()
+    return data, json.dumps(summary, sort_keys=True).encode()
 
 
-def round_trip(family) -> bytes:
+@functools.cache
+def round_trip(family: tuple) -> tuple[bytes, bytes]:
+    """The reconstruction's bytes and the error metrics', of one callback round trip."""
     workload = workloads.CallbackRoundTrip("")
-    report = workload.run(workload.prepare(family))
-    head = struct.pack("<2q2d", report.M_used, report.K_used, report.tail_estimate,
-                       report.sup_error)
-    return head + np.ascontiguousarray(report.reconstructed, dtype="<c16").tobytes()
+    report = workload.run(workload.prepare(list(family)))
+    head = struct.pack("<2qd", report.M_used, report.K_used, report.tail_estimate)
+    return (head + np.ascontiguousarray(report.reconstructed, dtype="<c16").tobytes(),
+            struct.pack("<2d", report.sup_error, report.l2_error))
 
 
 def callback_tables(family) -> bytes:
@@ -213,8 +222,11 @@ def main(argv=None) -> int:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
         parts = {"verify_all": verify_payloads, "mk_trace": traces,
-                 "cli": lambda family: cli_outputs(family, workdir),
-                 "callback_round_trip": round_trip, "callback_table": callback_tables,
+                 "cli_data": lambda family: cli_outputs(tuple(family), workdir)[0],
+                 "cli_summary": lambda family: cli_outputs(tuple(family), workdir)[1],
+                 "callback_round_trip": lambda family: round_trip(tuple(family))[0],
+                 "callback_errors": lambda family: round_trip(tuple(family))[1],
+                 "callback_table": callback_tables,
                  "truncation": truncations,
                  "qtheta": lambda family: qtheta_values(),
                  "engine": lambda family: engine_values()}
