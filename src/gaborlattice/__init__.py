@@ -30,7 +30,6 @@ from .qtheta import (
     SUBCRITICAL,
     SUPERCRITICAL,
     LatticeParams,
-    SeriesControl,
     coeff_E,
     eta,
     euler_product,
@@ -59,7 +58,6 @@ from .scaled import ScaledValue
 from .signals import (
     GammaTable,
     GaussianComponent,
-    QuadratureControl,
     SignalModel,
     eval_signal,
     forward_table,
@@ -83,14 +81,12 @@ __all__ = [
     "LatticeParams",
     "MAX_LATTICE_INDEX",
     "NonConvergenceError",
-    "QuadratureControl",
     "RECONSTRUCTION_CONSTANT",
     "ReconConfig",
     "ReconReport",
     "RegimeError",
     "SaturationError",
     "ScaledValue",
-    "SeriesControl",
     "SignalModel",
     "SUBCRITICAL",
     "SUPERCRITICAL",

@@ -51,7 +51,7 @@ from .errors import (
     check_real,
 )
 from .oracle import laurent_c0
-from .qtheta import MAX_LATTICE_INDEX, SeriesControl, coeff_E, nome_from_tau
+from .qtheta import MAX_LATTICE_INDEX, coeff_E, nome_from_tau
 from .recon import ReconConfig, auto_truncation, reconstruct_grid, round_trip
 from .scaled import BASE_LOG2, ldexp_array
 from .signals import GAUSSIAN_FAMILY, GammaTable, SignalModel, forward_table
@@ -176,14 +176,13 @@ def _load_config(path: str) -> dict:
 
 def cmd_coeffs(args) -> int:
     params = nome_from_tau(args.tau)
-    ctrl = SeriesControl(abs_tol=args.tol) if args.tol is not None else SeriesControl()
     m_min, m_max = check_indices([args.m_min, args.m_max], MAX_LATTICE_INDEX)
     ms = np.arange(m_min, m_max + 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mants, exps = coeff_E(ms, params, ctrl)
+        mants, exps = coeff_E(ms, params)
     recorded = list(dict.fromkeys(str(w.message) for w in caught))
-    oracles = laurent_c0(ms, params, ctrl=ctrl)
+    oracles = laurent_c0(ms, params)
     # down-converted once; None where a value leaves the double range
     plains = [v if cmath.isfinite(v) else None
               for v in ldexp_array(mants, exps * BASE_LOG2).tolist()]
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-min", type=int, default=-4)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p, tol_help="series term-magnitude stopping threshold")
+    add_common(p)
     p.set_defaults(func="cmd_coeffs")
 
     p = sub.add_parser("forward", help="compute and store a coefficient table")

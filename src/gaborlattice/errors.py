@@ -3,7 +3,7 @@
 The CLI maps these onto its exit-code contract: validation problems
 (InvalidParameterError, DomainError, ConfigError) exit 2, numerical
 problems (NonConvergenceError, SaturationError) exit 3.  Every public routine
-reads its counts, lattice indices, real parameters and points through the checks below.
+reads its counts, lattice indices, real parameters, points and models through the checks below.
 The two sizes every module shares live here too: the desk-scale guard and the element budget.
 """
 
@@ -102,6 +102,13 @@ def check_real(what: str, value, low=-math.inf, high=math.inf, closed: bool = Fa
         raise InvalidParameterError(f"bad {what} {value!r:.40}: need a finite real in "
                                     f"{'[' if closed else '('}{low:g}, {high:g})")
     return real
+
+
+def check_type(what: str, value, cls: type):
+    """value, refused unless it is an instance of cls (a SignalModel, LatticeParams, ...)."""
+    if not isinstance(value, cls):
+        raise InvalidParameterError(f"{what} must be a {cls.__name__}, got {value!r:.40}")
+    return value
 
 
 def check_circles(radii, count, offset) -> tuple[np.ndarray, float]:

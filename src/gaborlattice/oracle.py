@@ -29,15 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, NonConvergenceError, as_array,
-                     check_circles, check_counts, check_indices, check_points, check_real)
-from .qtheta import (MAX_LATTICE_INDEX, SUPERCRITICAL, LatticeParams, SeriesControl,
-                     theta_on_circles, theta_prime_lattice, theta_series_scaled)
+                     check_circles, check_counts, check_indices, check_points, check_real,
+                     check_type)
+from .qtheta import (MAX_LATTICE_INDEX, MAX_TERMS, MIN_TERMS, SERIES_TOL, SUPERCRITICAL,
+                     LatticeParams, theta_on_circles, theta_prime_lattice, theta_series_scaled)
 from .recon import auto_truncation
 from .scaled import (BASE_LOG2, exact_power, exp_pow2, laurent_on_circles, ln_abs, ln_split,
                      log2_split, normalise_array, pack, sub_arrays, sum_rows, to_complex)
 from .signals import SignalModel, windowed_sample_scaled
-
-_DEFAULT_CTRL = SeriesControl()
 
 
 @dataclass(frozen=True)
@@ -76,39 +75,39 @@ def balanced_contour(params: LatticeParams, nodes: int = 128) -> ContourSpec:
     return ContourSpec(radius=math.exp(-0.5 * params.ln_q), nodes=nodes)
 
 
-def _aliased_terms(signal: SignalModel, x: float, w_split: tuple, ctrl: SeriesControl,
+def _aliased_terms(signal: SignalModel, x: float, w_split: tuple,
                    label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms of sum_j g(x + 2 pi j) w^j at each w = 2**e r > 0, w_split = (e, ln r)
     (scaled.log2_split): (j, mant, bits), the term with w^j being mant * 2**bits.
 
     Termination is driven by the declared signal envelope: for each w, j
-    runs at least min_terms per side and one term past the last whose
-    envelope bound is within abs_tol of that w's largest (other columns are
+    runs at least MIN_TERMS per side and one term past the last whose
+    envelope bound is within SERIES_TOL of that w's largest (other columns are
     zeros).  The envelope is log-concave in j per side, so this is safe for
     oscillating callbacks whose samples may vanish.  Each g(x + 2 pi j) is
     sampled once per call.
     """
-    ln_c, alpha = signal.envelope_ln()
+    ln_c, alpha = check_type("signal", signal, SignalModel).envelope_ln()
     if ln_c == -math.inf:  # identically zero signal
         return (np.zeros(1, dtype=np.int64), np.zeros((len(w_split[0]), 1), dtype=complex),
                 np.zeros((len(w_split[0]), 1), dtype=np.int64))
     e_w, lnr_w = w_split[0][:, None], w_split[1][:, None]
     ln_w = e_w * math.log(2.0) + lnr_w
-    reach = ctrl.min_terms
+    reach = MIN_TERMS
     while True:
         j = np.arange(-reach, reach + 1)
         X = x + 2.0 * math.pi * j
         env = ln_c + alpha * np.abs(X) - X * X / 4.0 + j * ln_w
-        keep = env >= env.max(axis=1, keepdims=True) + math.log(ctrl.abs_tol)
+        keep = env >= env.max(axis=1, keepdims=True) + math.log(SERIES_TOL)
         # the window is wide enough once both edges are dropped and fall away outward
         if not (keep[:, [0, -1]].any() or np.any(env[:, [0, -1]] >= env[:, [1, -2]])):
             break
-        if reach >= ctrl.max_terms:
+        if reach >= MAX_TERMS:
             raise NonConvergenceError(f"{label}: aliased sum did not terminate within "
-                                      f"{ctrl.max_terms} terms per side", diagnostics={"x": x})
-        reach = min(2 * reach, ctrl.max_terms)
-    lo = np.minimum(j[np.argmax(keep, axis=1)] - 1, -ctrl.min_terms)[:, None]
-    hi = np.maximum(j[::-1][np.argmax(keep[:, ::-1], axis=1)] + 1, ctrl.min_terms)[:, None]
+                                      f"{MAX_TERMS} terms per side", diagnostics={"x": x})
+        reach = min(2 * reach, MAX_TERMS)
+    lo = np.minimum(j[np.argmax(keep, axis=1)] - 1, -MIN_TERMS)[:, None]
+    hi = np.maximum(j[::-1][np.argmax(keep[:, ::-1], axis=1)] + 1, MIN_TERMS)[:, None]
     j = np.arange(lo.min(initial=0), hi.max(initial=0) + 1)
     g_mant, g_exps = windowed_sample_scaled(signal, x + 2.0 * math.pi * j)
     f, bits = exp_pow2(j * lnr_w)
@@ -116,9 +115,9 @@ def _aliased_terms(signal: SignalModel, x: float, w_split: tuple, ctrl: SeriesCo
 
 
 def _sum_aliased(signal: SignalModel, xs, w_split: tuple, arg_w: np.ndarray,
-                 ctrl: SeriesControl, label: str) -> tuple[np.ndarray, np.ndarray]:
+                 label: str) -> tuple[np.ndarray, np.ndarray]:
     """The _aliased_terms sums at w = 2**e r e^{i arg_w} for each x of xs: one sum_rows."""
-    parts = [_aliased_terms(signal, x, w_split, ctrl, label) for x in xs]
+    parts = [_aliased_terms(signal, x, w_split, label) for x in xs]
     first = min(j[0] for j, _, _ in parts)
     width = max(j[-1] for j, _, _ in parts) + 1 - first
     mant, bits = (np.zeros((len(parts), len(arg_w), width), dtype=t) for t in (complex, np.int64))
@@ -127,41 +126,41 @@ def _sum_aliased(signal: SignalModel, xs, w_split: tuple, arg_w: np.ndarray,
     return sum_rows(mant.reshape(-1, width), bits.reshape(-1, width))
 
 
-def spatial_A(m, x, signal: SignalModel, params: LatticeParams,
-              ctrl: SeriesControl = _DEFAULT_CTRL):
+def spatial_A(m, x, signal: SignalModel, params: LatticeParams):
     """A_m(x) = sum_j g(x + 2 pi j) q^{m j} with g = (1/2pi) f e^{-x^2/4}: a
     ScaledValue for an integer m and a float x, (mantissa, exponent) arrays for an
     array of m, and (x, m) arrays for a 1-d array of x."""
     ms, (xs, scalar) = check_indices(m), check_points(x, "x", real=True)
+    params = check_type("params", params, LatticeParams)
     if params.regime == SUPERCRITICAL and np.any(np.abs(ms) > 8):
         raise InvalidParameterError("spatial sums with |m| > 8 diverge when tau is supercritical")
     e_q, lnr_q = log2_split(params.q)
     mant, exps = _sum_aliased(signal, xs.tolist(), (ms * e_q, ms * lnr_q), np.zeros(len(ms)),
-                              ctrl, "spatial_A")
+                              "spatial_A")
     if not scalar:
         return mant.reshape(-1, len(ms)), exps.reshape(-1, len(ms))
     return pack(mant, exps, np.ndim(m) == 0)
 
 
-def G_series(z, x: float, signal: SignalModel, params: LatticeParams,
-             ctrl: SeriesControl = _DEFAULT_CTRL):
+def G_series(z, x: float, signal: SignalModel, params: LatticeParams):
     """G_x(z) = sum_j g(x + 2 pi j) z^j: a ScaledValue for a scalar z,
     (mantissa, exponent) arrays for a 1-d array of z.
 
     The Gaussian window beats any geometric factor, so the sum converges
-    for every z != 0.
+    for every z != 0.  ``params`` is checked and not otherwise read.
     """
     zs, scalar = check_points(z, "z")
+    check_type("params", params, LatticeParams)
     return pack(*_sum_aliased(signal, [check_real("x", x)], log2_split(np.abs(zs)), np.angle(zs),
-                              ctrl, "G_series"), scalar)
+                              "G_series"), scalar)
 
 
-def G_on_circles(radii, x: float, signal: SignalModel, count: int, offset: float = 0.0,
-                 ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
+def G_on_circles(radii, x: float, signal: SignalModel, count: int,
+                 offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """G_x at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each r of
     ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
     radii, offset = check_circles(radii, count, offset)
-    return laurent_on_circles(*_aliased_terms(signal, check_real("x", x), log2_split(radii), ctrl,
+    return laurent_on_circles(*_aliased_terms(signal, check_real("x", x), log2_split(radii),
                                               "G_series"), count, offset)
 
 
@@ -172,21 +171,21 @@ def _lattice_nodes(ns, q: float) -> tuple[np.ndarray, np.ndarray]:
     return sum_rows(f[:, None], bits[:, None])
 
 
-def cardinal_weights(ns, samples: tuple, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+def cardinal_weights(ns, samples: tuple, q: float):
     """w_n = A_n / Theta'(q^n; q) for each node n of ``ns``, ``samples`` the (mantissa,
     exponent) arrays of A_n as spatial_A(ns, ...) gives them; the derivatives in one call."""
-    d_mant, d_exps = theta_prime_lattice(ns, q, ctrl)
+    d_mant, d_exps = theta_prime_lattice(ns, q)
     return normalise_array(samples[0] / d_mant, samples[1] - d_exps)
 
 
-def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int, offset: float = 0.0,
-                        ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
+def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int,
+                        offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """sum_n w_n / (z - q^n) at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for
     each r of ``radii``, circle after circle; ``weights`` are w_n at the nodes ``ns``.
 
     Each 1/(z - q^n) is its geometric Laurent series on |z| = r, sum_l q^{nl} z^{-l-1} for a
     node inside the circle, -sum_l z^l q^{-n(l+1)} outside, cut where its tail falls below
-    abs_tol of its largest term (NonConvergenceError past max_terms terms); past count terms
+    SERIES_TOL of its largest term (NonConvergenceError past MAX_TERMS terms); past count terms
     it folds onto the first count with the factor 1 / (1 - rho^count e^{-+2 pi i offset}), as
     z^count is the same at every sample point.  The terms are summed power by power (sum_rows)
     and taken through one laurent_on_circles FFT per circle: a circle alone is its block row.
@@ -203,9 +202,9 @@ def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int, offset:
     ln_ratio = ns * (e_q * math.log(2.0) + hi_q + lo_q) - (e_r * math.log(2.0) + lnr)[:, 0]
     inside, ln_rho = ln_ratio < 0, -np.abs(ln_ratio)
     with np.errstate(divide="ignore"):  # a node on the circle needs inf terms
-        length = np.ceil((math.log(ctrl.abs_tol) + np.log1p(-np.exp(ln_rho))) / ln_rho)
-    if not np.all(length <= ctrl.max_terms):
-        raise NonConvergenceError(f"cardinal_on_circles: a series passes {ctrl.max_terms} terms")
+        length = np.ceil((math.log(SERIES_TOL) + np.log1p(-np.exp(ln_rho))) / ln_rho)
+    if not np.all(length <= MAX_TERMS):
+        raise NonConvergenceError(f"cardinal_on_circles: a series passes {MAX_TERMS} terms")
     fold = np.where(length > count, 1.0 / (1.0 - np.exp(
         count * ln_rho + 2j * math.pi * offset * np.where(inside, -1, 1))), 1.0)[:, None]
     length = np.clip(length, 1, count).astype(np.int64)
@@ -222,8 +221,7 @@ def cardinal_on_circles(radii, ns, weights: tuple, q: float, count: int, offset:
                               exps.reshape(len(radii), -1) * BASE_LOG2, count, offset)
 
 
-def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
-                         ctrl: SeriesControl = _DEFAULT_CTRL):
+def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams):
     """Cardinal-function interpolant through the lattice samples A_n at the nodes n of
     ``ns``, ``samples`` their (mantissa, exponent) arrays as spatial_A(ns, ...) gives them:
 
@@ -238,7 +236,7 @@ def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
     relative distance of a node it is not on, evaluation refuses.
     """
     zs, scalar = check_points(z, "z")
-    q, ns = params.q, check_indices(ns)
+    q, ns = check_type("params", params, LatticeParams).q, check_indices(ns)
     a_mant = as_array(samples[0])  # numbers, zeros too, each finite
     if a_mant.dtype.kind not in "iufc":
         raise InvalidParameterError(f"sample mantissas must be numbers, got {samples[0]!r:.40}")
@@ -260,20 +258,16 @@ def lagrange_interpolant(z, ns, samples: tuple, params: LatticeParams,
     mant, exps = a_mant[node], a_exps[node]
     off = ~on_node.any(axis=1)
     if off.any():
-        t_mant, t_exps = theta_series_scaled(zs[off], q, ctrl)
-        weights = cardinal_weights(ns, (a_mant, a_exps), q, ctrl)
+        t_mant, t_exps = theta_series_scaled(zs[off], q)
+        weights = cardinal_weights(ns, (a_mant, a_exps), q)
         s_mant, s_exps = sum_rows(weights[0] / diff[0][off],
                                   (weights[1] - diff[1][off]) * BASE_LOG2)
         mant[off], exps[off] = normalise_array(t_mant * s_mant, t_exps + s_exps)
     return pack(mant, exps, scalar)
 
 
-def laurent_c0(
-    m,
-    params: LatticeParams,
-    contour: ContourSpec | Sequence[ContourSpec] | None = None,
-    ctrl: SeriesControl = _DEFAULT_CTRL,
-):
+def laurent_c0(m, params: LatticeParams,
+               contour: ContourSpec | Sequence[ContourSpec] | None = None):
     """z^0 Laurent coefficient of Theta(z;q) / ((z - q^m) Theta'(q^m;q))
     by an averaged contour integral -- the definitional oracle for coeff_E;
     a complex for an int m, a complex array for an array of m.
@@ -291,7 +285,7 @@ def laurent_c0(
     coefficient is the same bits as a call with its m and circle alone.
     Every circle is validated first.
     """
-    q, ms = params.q, check_indices(m, MAX_LATTICE_INDEX)
+    q, ms = check_type("params", params, LatticeParams).q, check_indices(m, MAX_LATTICE_INDEX)
     single = contour is None or isinstance(contour, ContourSpec)
     if not single and (np.ndim(m) == 0 or len(contour) != len(ms)):
         raise InvalidParameterError("give one contour, or one per element of the array m")
@@ -304,11 +298,11 @@ def laurent_c0(
         c.validate(params)
     angles = np.exp(2j * math.pi * np.arange(width) / width)
     zs = np.concatenate([c.radius * angles for c in circles])
-    t_mant, t_exps = theta_on_circles([c.radius for c in circles], q, width, ctrl=ctrl)
+    t_mant, t_exps = theta_on_circles([c.radius for c in circles], q, width)
     which = np.zeros(len(ms), dtype=np.int64) if single else \
         np.array([circles.index(c) for c in contours], dtype=np.int64)
     at = which[:, None] * width + np.arange(width)  # row i: the nodes of m_i's circle
-    w_mant, w_exps = cardinal_weights(ms, (np.ones(1), np.zeros(1, dtype=np.int64)), q, ctrl)
+    w_mant, w_exps = cardinal_weights(ms, (np.ones(1), np.zeros(1, dtype=np.int64)), q)
     node = _lattice_nodes(ms, q)
     d_mant, d_exps = sub_arrays((zs[at], 0), (node[0][:, None], node[1][:, None]))
     total = sum_rows(t_mant[at] * (w_mant[:, None] / d_mant),
@@ -332,7 +326,6 @@ def mk_trace(
     x: float,
     signal: SignalModel,
     params: LatticeParams,
-    ctrl: SeriesControl = _DEFAULT_CTRL,
     weights: tuple | None = None,
 ):
     """Circle maxima max_{|z| = q^{k+1/2}} |Phi(z)| for each k, as a list
@@ -356,7 +349,7 @@ def mk_trace(
     range N; by default N is the automatic truncation order for the signal plus 2 guard terms.
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
-    if params.regime == SUPERCRITICAL:
+    if check_type("params", params, LatticeParams).regime == SUPERCRITICAL:
         raise InvalidParameterError("circle traces require tau <= pi")
     if weights is not None and np.size(weights[0]) % 2 == 0:
         raise InvalidParameterError("give the weights at an odd number of nodes, -N .. N")
@@ -369,8 +362,8 @@ def mk_trace(
     radii = np.exp((np.array(ks, dtype=float) + 0.5) * params.ln_q)
     ln = {}  # ln|Phi| at each point, for each kind
     if quotient:
-        g = G_on_circles(radii, x, signal, _TRACE_ANGLES, ctrl=ctrl)
-        theta = theta_on_circles(radii, q, _TRACE_ANGLES, ctrl=ctrl)
+        g = G_on_circles(radii, x, signal, _TRACE_ANGLES)
+        theta = theta_on_circles(radii, q, _TRACE_ANGLES)
         zero = theta[0] == 0
         divisor = np.where(zero, 1.0, theta[0])
         ln[G_OVER_THETA] = np.where(zero, np.inf, ln_abs(g[0] / divisor, g[1] - theta[1]))
@@ -378,9 +371,9 @@ def mk_trace(
         if weights is None:
             extent = auto_truncation(signal, params, 1e-10, x_max=abs(x)).M + 2
             ns = np.arange(-extent, extent + 1)
-            weights = cardinal_weights(ns, spatial_A(ns, x, signal, params, ctrl), q, ctrl)
+            weights = cardinal_weights(ns, spatial_A(ns, x, signal, params), q)
         ns = np.arange(len(weights[0])) - len(weights[0]) // 2  # the nodes -N .. N
-        total = cardinal_on_circles(radii, ns, weights, q, _TRACE_ANGLES, ctrl=ctrl)
+        total = cardinal_on_circles(radii, ns, weights, q, _TRACE_ANGLES)
         ln[GTILDE_OVER_THETA] = ln_abs(*total)
     if RESIDUAL_ALPHA in kinds:
         gap = sub_arrays(g, normalise_array(theta[0] * total[0], theta[1] + total[1]))

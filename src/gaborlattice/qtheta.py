@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidParameterError, NonConvergenceError, SaturationError, check_circles,
-                     check_counts, check_indices, check_points, check_real)
+                     check_indices, check_points, check_real, check_type)
 from .scaled import (BASE_LOG2, exact_power, laurent_on_circles, ldexp_array, ln_split,
                      log2_split, normalise_array, pack, sum_rows, to_complex)
 
@@ -84,43 +84,26 @@ def nome_from_tau(tau: float) -> LatticeParams:
     return LatticeParams(tau=tau, q=q, regime=regime)
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping policy for the truncated products and two-sided sums.
-
-    A term (or product deviation) below ``abs_tol`` relative to the
-    running dominant magnitude ends a sum, but never before
-    ``min_terms`` terms per side; ``max_terms`` is the hard cap that
-    turns a stall into NonConvergenceError.
-    """
-
-    abs_tol: float = 1e-16
-    max_terms: int = 4096
-    min_terms: int = 8
-
-    def __post_init__(self):
-        check_real("abs_tol", self.abs_tol, 0.0, 1.0)
-        check_counts("min_terms", self.min_terms, least=1)
-        check_counts("max_terms", self.max_terms, least=self.min_terms)
+#: stopping policy of the truncated products and two-sided sums: a term (or product
+#: deviation) below SERIES_TOL relative to the dominant magnitude ends a sum, but never
+#: before MIN_TERMS terms per side; past MAX_TERMS it raises NonConvergenceError
+SERIES_TOL, MIN_TERMS, MAX_TERMS = 1e-16, 8, 4096
 
 
-_DEFAULT_CTRL = SeriesControl()
-
-
-def euler_product(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
-    """prod_{n>=1} (1 - q^n), truncated once q^n < ctrl.abs_tol."""
+def euler_product(q: float) -> float:
+    """prod_{n>=1} (1 - q^n), truncated once q^n < SERIES_TOL."""
     q = check_real("q", q, 0.0, 1.0, closed=True)
     if q == 0:
         return 1.0
     prod = 1.0
     qn = 1.0
-    for n in range(1, ctrl.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         qn *= q
         prod *= 1.0 - qn
-        if n >= ctrl.min_terms and qn < ctrl.abs_tol:
+        if n >= MIN_TERMS and qn < SERIES_TOL:
             return prod
     raise NonConvergenceError(
-        f"euler_product: q^n still {qn:.3e} after {ctrl.max_terms} factors",
+        f"euler_product: q^n still {qn:.3e} after {MAX_TERMS} factors",
         diagnostics={"q": q, "last_factor_deviation": qn},
     )
 
@@ -130,21 +113,21 @@ def euler_product(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
 _PRODUCT_CHUNK, _SERIES_ROWS = 32, 128
 
 
-def theta_product_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
+def theta_product_scaled(z, q):
     """Product form of Theta(z; q) in scaled arithmetic.
 
-    Each z takes the factors n = 1 .. N, N the first n >= min_terms with
-    q^n max(|z|, 1/|z|) < abs_tol, as fixed column chunks of a (z, n) matrix,
+    Each z takes the factors n = 1 .. N, N the first n >= MIN_TERMS with
+    q^n max(|z|, 1/|z|) < SERIES_TOL, as fixed column chunks of a (z, n) matrix,
     each factor split into a mantissa and an exact power of two; a row leaves
     the matrix once its factors are done.
     """
     zs, scalar = check_points(z, "z")
     q = check_real("q", q, 0.0, 1.0)
     ln_q, ln_big = np.log(q), np.abs(np.log(np.abs(zs)))
-    last = np.maximum(np.floor((math.log(ctrl.abs_tol) - ln_big) / ln_q) + 1, ctrl.min_terms)
-    if np.any(last > ctrl.max_terms):
+    last = np.maximum(np.floor((math.log(SERIES_TOL) - ln_big) / ln_q) + 1, MIN_TERMS)
+    if np.any(last > MAX_TERMS):
         raise NonConvergenceError(f"theta_product: {int(last.max())} factors needed, more than "
-                                  f"max_terms={ctrl.max_terms}", diagnostics={"q": q})
+                                  f"{MAX_TERMS}", diagnostics={"q": q})
     zinv = 1.0 / zs
     acc, bits = 1.0 - zs, np.zeros(len(zs), dtype=np.int64)
     for first in range(1, int(last.max(initial=0)) + 1, _PRODUCT_CHUNK):
@@ -161,22 +144,22 @@ def theta_product_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
     return pack(*sum_rows(acc[:, None], bits[:, None]), scalar)
 
 
-def theta_product(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
-    """Truncated triple product; relative accuracy O(abs_tol) away from zeros."""
-    return to_complex(theta_product_scaled(z, q, ctrl))
+def theta_product(z, q):
+    """Truncated triple product; relative accuracy O(SERIES_TOL) away from zeros."""
+    return to_complex(theta_product_scaled(z, q))
 
 
-def _series_terms(z_split: tuple, q_split: tuple, ctrl: SeriesControl, label: str,
-                  derivative: bool = False, lattice=0):
+def _series_terms(z_split: tuple, q_split: tuple, label: str, derivative: bool = False,
+                  lattice=0):
     """The terms of sum_n (-1)^n z^n q^{n(n-1)/2} (with derivative=True of its z-derivative
     sum_n (-1)^n n z^{n-1} q^{n(n-1)/2}) at each z = q^lattice 2**e r > 0, z_split = (e, ln r)
     (scaled.log2_split), q_split the scaled.ln_split of q and lattice an int or a
     (rows, 1) column: (power, mant, bits), the term with z^power being mant * 2**bits.
 
     ln|z^n q^{n(n-1)/2}| = n ln|z| - a n(n-1)/2 (a = -ln q) peaks at
-    n* = ln|z|/a + 1/2 and is below abs_tol of its top for |n - n*| > d,
-    d^2 = 2(a/8 - ln abs_tol)/a.  Each z takes n* - d - 1 .. n* + d + 1 and at
-    least -min_terms .. min_terms (a side past max_terms raises
+    n* = ln|z|/a + 1/2 and is below SERIES_TOL of its top for |n - n*| > d,
+    d^2 = 2(a/8 - ln SERIES_TOL)/a.  Each z takes n* - d - 1 .. n* + d + 1 and at
+    least -MIN_TERMS .. MIN_TERMS (a side past MAX_TERMS raises
     NonConvergenceError) as one exp matrix, powers of two and of q split off
     exactly (scaled.exact_power); a row's other columns are zeros.
     """
@@ -184,13 +167,13 @@ def _series_terms(z_split: tuple, q_split: tuple, ctrl: SeriesControl, label: st
     a = -(q_split[0] * math.log(2.0) + q_split[1] + q_split[2])
     u = e_z * math.log(2.0) + lnr_z - lattice * a
     centre = u / a + 0.5
-    reach = math.sqrt(2.0 * (a / 8.0 - math.log(ctrl.abs_tol)) / a) + 1.0
-    lo = np.minimum(np.floor(centre - reach), -ctrl.min_terms)
-    hi = np.maximum(np.ceil(centre + reach), ctrl.min_terms)
+    reach = math.sqrt(2.0 * (a / 8.0 - math.log(SERIES_TOL)) / a) + 1.0
+    lo = np.minimum(np.floor(centre - reach), -MIN_TERMS)
+    hi = np.maximum(np.ceil(centre + reach), MIN_TERMS)
     terms = max(hi.max(initial=0), -lo.min(initial=0))
-    if terms > ctrl.max_terms:
-        raise NonConvergenceError(f"{label}: no convergence within {ctrl.max_terms} terms "
-                                  f"per side", diagnostics={"terms": int(terms)})
+    if terms > MAX_TERMS:
+        raise NonConvergenceError(f"{label}: no convergence within {MAX_TERMS} terms per side",
+                                  diagnostics={"terms": int(terms)})
     n = np.arange(int(lo.min(initial=0)), int(hi.max(initial=0)) + 1)
     power = n - 1 if derivative else n
     pairs = n * (n - 1) // 2 + lattice * power  # the power of q in z^power q^{n(n-1)/2}
@@ -199,45 +182,45 @@ def _series_terms(z_split: tuple, q_split: tuple, ctrl: SeriesControl, label: st
     return power, np.where((n >= lo) & (n <= hi), weight * f, 0.0), bits
 
 
-def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split: tuple, ctrl: SeriesControl,
-                label: str, derivative: bool = False, lattice=0):
+def _series_sum(z_split: tuple, arg_z: np.ndarray, q_split: tuple, label: str,
+                derivative: bool = False, lattice=0):
     """The _series_terms sum at each z = q^lattice 2**e r e^{i arg_z}, by scaled.sum_rows."""
-    power, mant, bits = _series_terms(z_split, q_split, ctrl, label, derivative, lattice)
+    power, mant, bits = _series_terms(z_split, q_split, label, derivative, lattice)
     return sum_rows(mant * np.exp(1j * power * arg_z[:, None]), bits)
 
 
-def theta_series_scaled(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
+def theta_series_scaled(z, q):
     """Series form sum_n (-1)^n z^n q^{n(n-1)/2} in scaled arithmetic."""
     zs, scalar = check_points(z, "z")
     split = ln_split(check_real("q", q, 0.0, 1.0))
-    parts = [_series_sum(log2_split(np.abs(zs[b])), np.angle(zs[b]), split, ctrl, "theta_series")
+    parts = [_series_sum(log2_split(np.abs(zs[b])), np.angle(zs[b]), split, "theta_series")
              for b in (slice(i, i + _SERIES_ROWS) for i in range(0, max(len(zs), 1), _SERIES_ROWS))]
     return pack(*map(np.concatenate, zip(*parts)), scalar)
 
 
-def theta_on_circles(radii, q: float, count: int, offset: float = 0.0,
-                     ctrl: SeriesControl = _DEFAULT_CTRL) -> tuple[np.ndarray, np.ndarray]:
+def theta_on_circles(radii, q: float, count: int,
+                     offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The theta series at z = r e^{2 pi i (t + offset) / count}, t = 0 .. count-1, for each
     r of ``radii``, circle after circle: one scaled.laurent_on_circles FFT per circle."""
     radii, offset = check_circles(radii, count, offset)
     split = ln_split(check_real("q", q, 0.0, 1.0))
-    return laurent_on_circles(*_series_terms(log2_split(radii), split, ctrl, "theta_series"),
-                              count, offset)
+    return laurent_on_circles(*_series_terms(log2_split(radii), split, "theta_series"), count,
+                              offset)
 
 
-def theta_series(z, q, ctrl: SeriesControl = _DEFAULT_CTRL):
+def theta_series(z, q):
     """Series form of Theta(z; q) (complex, or a complex array for an array
     of z); overflow-safe internally for log|z| up to at least 10 * |log q|
     (and far beyond)."""
-    return to_complex(theta_series_scaled(z, q, ctrl))
+    return to_complex(theta_series_scaled(z, q))
 
 
-def theta_prime_one(q: float, ctrl: SeriesControl = _DEFAULT_CTRL) -> float:
+def theta_prime_one(q: float) -> float:
     """Theta'(1; q) = -prod_{n>=1} (1 - q^n)^3."""
-    return -euler_product(q, ctrl) ** 3
+    return -euler_product(q) ** 3
 
 
-def theta_prime_lattice(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
+def theta_prime_lattice(n, q: float):
     """d/dz Theta(z; q) at the lattice zero z = q^n (reference path).
 
     Sums the term-by-term differentiated series
@@ -248,12 +231,11 @@ def theta_prime_lattice(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL):
     """
     ns, split = check_indices(n, MAX_LATTICE_INDEX), ln_split(check_real("q", q, 0.0, 1.0))
     zero = np.zeros(len(ns), dtype=np.int64)
-    return pack(*_series_sum((zero, zero * 0.0), zero * 0.0, split, ctrl, "theta_prime_lattice",
+    return pack(*_series_sum((zero, zero * 0.0), zero * 0.0, split, "theta_prime_lattice",
                              derivative=True, lattice=ns[:, None]), np.ndim(n) == 0)
 
 
-def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTRL,
-                                 variant: str = "corrected"):
+def lattice_derivative_candidate(n, q: float, variant: str = "corrected"):
     """Closed-form candidates for Theta'(q^n; q).
 
     variant="corrected": (-1)^n  q^{-n(n+1)/2} Theta'(1; q)  (passes the
@@ -263,7 +245,7 @@ def lattice_derivative_candidate(n, q: float, ctrl: SeriesControl = _DEFAULT_CTR
     """
     ns = check_indices(n, MAX_LATTICE_INDEX)
     q = check_real("q", q, 0.0, 1.0)
-    tp1 = theta_prime_one(q, ctrl)
+    tp1 = theta_prime_one(q)
     shift = {"corrected": 1, "printed": -1}.get(variant)
     if shift is None:
         raise InvalidParameterError(f"unknown variant {variant!r}")
@@ -299,34 +281,29 @@ def ln_eta(z, q) -> np.ndarray:
     return -u * u / (2.0 * np.log(check_real("q", q, 0.0, 1.0))) + 0.5 * u
 
 
-def _coefficient_tail_sum(ns: np.ndarray, q: float, ctrl: SeriesControl) -> np.ndarray:
+def _coefficient_tail_sum(ns: np.ndarray, q: float) -> np.ndarray:
     """S_n = sum_{j>=0} (-1)^j q^{j(j+2n+1)/2} for each n >= 0.
 
     Term j+1 is -term_j q^{j+n+1}: a running product along each row, so the
     terms decay monotonically from 1 and the plain float sum is safe.  A row
-    adds its terms in order up to the last one that is at least abs_tol or
-    among the first min_terms; columns past that are zeros.
+    adds its terms in order up to the last one that is at least SERIES_TOL or
+    among the first MIN_TERMS; columns past that are zeros.
     """
-    width = ctrl.min_terms + 1
+    width = MIN_TERMS + 1
     while True:
         j = np.arange(width)
         factors = np.where(j == 0, 1.0, -(q ** (j + ns[:, None])))
         terms = np.cumprod(factors, axis=1)
-        keep = (j < ctrl.min_terms) | (np.abs(terms) >= ctrl.abs_tol)
+        keep = (j < MIN_TERMS) | (np.abs(terms) >= SERIES_TOL)
         if not keep[:, -1].any():
             return np.cumsum(np.where(keep, terms, 0.0), axis=1)[:, -1]
-        if width >= ctrl.max_terms:
+        if width >= MAX_TERMS:
             raise NonConvergenceError("coefficient tail sum stalled",
                                       diagnostics={"n": ns[keep[:, -1]].tolist()})
-        width = min(2 * width, ctrl.max_terms)
+        width = min(2 * width, MAX_TERMS)
 
 
-def coeff_E(
-    m,
-    params: LatticeParams,
-    ctrl: SeriesControl = _DEFAULT_CTRL,
-    variant: str = "corrected",
-):
+def coeff_E(m, params: LatticeParams, variant: str = "corrected"):
     """Reconstruction coefficients E_m: the z^0 Laurent coefficient of
     Theta(z; q) / ((z - q^m) Theta'(q^m; q)).  A ScaledValue for an int m,
     normalised (mantissa, exponent) arrays for an integer array of m.
@@ -348,7 +325,7 @@ def coeff_E(
     differs from the corrected value by exactly q^{-m}; it is retained
     for the adjudication reports only.
     """
-    ms = check_indices(m, MAX_LATTICE_INDEX)
+    ms, params = check_indices(m, MAX_LATTICE_INDEX), check_type("params", params, LatticeParams)
     shift = {"corrected": 0, "printed": 1}.get(variant)
     if shift is None:
         raise InvalidParameterError(f"unknown variant {variant!r}")
@@ -358,7 +335,7 @@ def coeff_E(
     q = check_real("q", params.q, 0.0, 1.0)
     ns = np.abs(ms)
     f, bits = exact_power(ln_split(q), ns * (ns + 1) // 2 - shift * ms)
-    cube = euler_product(q, ctrl) ** 3
-    value = np.where(ns % 2, -1.0, 1.0) * _coefficient_tail_sum(ns, q, ctrl) / cube * f
+    cube = euler_product(q) ** 3
+    value = np.where(ns % 2, -1.0, 1.0) * _coefficient_tail_sum(ns, q) / cube * f
     return pack(*normalise_array(ldexp_array(value, bits % BASE_LOG2), bits // BASE_LOG2),
                 np.ndim(m) == 0)

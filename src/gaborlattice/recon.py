@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BLOCK_ELEMENTS, MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError,
-                     RegimeError, SaturationError, check_counts, check_points, check_real)
+                     RegimeError, SaturationError, check_counts, check_points, check_real,
+                     check_type)
 from .qtheta import SUBCRITICAL, LatticeParams, coeff_E, nome_from_tau
 from .scaled import BASE_LOG2, exp_pow2, ldexp_array, ln_abs, masked_max
-from .signals import GammaTable, QuadratureControl, SignalModel, eval_signal, forward_table
+from .signals import GammaTable, SignalModel, eval_signal, forward_table
 
 #: global normalisation of the reconstruction formula (see calibrate_constant)
 RECONSTRUCTION_CONSTANT = 1.0 / (2.0 * math.pi)
@@ -123,7 +124,7 @@ def grid_points(grid: tuple[float, float, float]) -> np.ndarray:
 
 
 def _require_subcritical(params: LatticeParams):
-    if params.regime != SUBCRITICAL:
+    if check_type("params", params, LatticeParams).regime != SUBCRITICAL:
         raise RegimeError(f"reconstruction requires tau < pi (subcritical lattice); "
                           f"tau = {params.tau:.12g} is {params.regime}")
 
@@ -275,7 +276,6 @@ def auto_truncation(
     params: LatticeParams,
     tol: float,
     x_max: float = 0.0,
-    quad: QuadratureControl | None = None,
 ) -> TruncationChoice:
     """Choose truncation orders (M, K) for a target relative accuracy on
     |x| <= x_max, and return the table at exactly those orders.
@@ -298,7 +298,7 @@ def auto_truncation(
     def cells(M: int, K: int, reach: tuple[int, int]) -> np.ndarray:
         nonlocal table, held
         if table is None or M > table.M or K > table.K:
-            table = forward_table(signal, params.tau, *reach, quad, base=table)
+            table = forward_table(signal, params.tau, *reach, base=table)
             held = (coeffs_ln[MAX_M - table.M: MAX_M + table.M + 1, None]
                     + ln_abs(table.mantissa, table.exponent))
         return held[table.M - M: table.M + M + 1, table.K - K: table.K + K + 1]
@@ -310,7 +310,7 @@ def auto_truncation(
             diagnostics={"M": M, "K": K, "tail_ln": math.log(tail)},
         )
     if (table.M, table.K) != (M, K):  # an all-zero first block: cut the guard ring off
-        table = forward_table(signal, params.tau, M, K, quad, base=table)
+        table = forward_table(signal, params.tau, M, K, base=table)
     return TruncationChoice(M, K, tail, table)
 
 
@@ -337,8 +337,10 @@ def reconstruct_grid(
     the weighted terms are O(g(x mod 2pi)), so the exterior sum cancels
     many digits deep and its truncation must reach far below the
     largest cell, which tail_estimate does not measure.  For the unit
-    Gaussian at tau = 1 with automatic truncation the error relative to
-    sup|f| reaches ~2e2 at |x| = 12, with no sign in tail_estimate.
+    Gaussian at tau = 1 with automatic truncation on [-12, 12] the error
+    relative to sup|f| reaches 83.6 at x = -12, while tail_estimate reads
+    2.6e-18 at (M, K) = (6, 9).  ROADMAP §18 (recentring every point) is
+    the planned remedy.
     """
     start = time.perf_counter()
     _require_subcritical(params)
@@ -400,7 +402,6 @@ def round_trip(
     signal: SignalModel,
     tau: float,
     config: ReconConfig | None = None,
-    quad: QuadratureControl | None = None,
     threads: int = 1,
 ) -> ReconReport:
     """Forward transform a known signal and reconstruct it on the grid.
@@ -415,25 +416,26 @@ def round_trip(
     params = nome_from_tau(tau)
     config = config or ReconConfig()
     if config.truncation is not None:
-        table = forward_table(signal, params.tau, *config.truncation, quad)
+        table = forward_table(signal, params.tau, *config.truncation)
     else:
         xs = grid_points(config.grid)
         x_reach = float(np.max(np.abs(xs))) if len(xs) else 0.0
-        table = auto_truncation(signal, params, config.tol, x_max=x_reach, quad=quad).table
+        table = auto_truncation(signal, params, config.tol, x_max=x_reach).table
     pinned = ReconConfig(tol=config.tol, grid=config.grid, truncation=(table.M, table.K))
     return reconstruct_grid(pinned, table, params, reference=signal)
 
 
-def calibrate_constant(tau: float = 1.0, x: float = 0.0, M: int = 8, K: int = 16) -> float:
+def calibrate_constant() -> float:
     """Fit the global constant C0 from one tight round trip.
 
-    Reconstructs the unit Gaussian at ``x`` with the constant left out
-    and solves f(x) = C0 * raw for C0.  The shipped
-    RECONSTRUCTION_CONSTANT must equal the fitted value (1/(2 pi)) to
-    ~1e-8 relative; the acceptance suite asserts exactly that.
+    Reconstructs the unit Gaussian at x = 0 from its tau = 1 table at
+    (M, K) = (8, 16) with the constant left out and solves f(0) = C0 * raw
+    for C0.  The shipped RECONSTRUCTION_CONSTANT must equal the fitted
+    value (1/(2 pi)) to ~1e-8 relative; the acceptance suite asserts
+    exactly that.
     """
-    params = nome_from_tau(tau)
+    params = nome_from_tau(1.0)
     signal = SignalModel.gaussian([(1.0, 0.0, 0.0)])
-    table = forward_table(signal, params.tau, M, K)
-    raw = reconstruct_point(x, table, params, M, K) / RECONSTRUCTION_CONSTANT
-    return (eval_signal(signal, x) / raw).real
+    table = forward_table(signal, params.tau, 8, 16)
+    raw = reconstruct_point(0.0, table, params, 8, 16) / RECONSTRUCTION_CONSTANT
+    return (eval_signal(signal, 0.0) / raw).real

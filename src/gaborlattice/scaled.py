@@ -214,18 +214,6 @@ class ScaledValue:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("ScaledValue is immutable")
 
-    # ---------------------------------------------------------------- factories
-
-    @classmethod
-    def from_ln(cls, ln_magnitude: float, phase: float = 0.0) -> "ScaledValue":
-        """exp(ln_magnitude) * exp(i*phase), raised by :func:`exp_pow2`; 0 for
-        ln_magnitude = -inf."""
-        if ln_magnitude == -math.inf:
-            return cls()
-        f, n = exp_pow2(np.array([ln_magnitude]))
-        unit = complex(math.cos(phase), math.sin(phase))
-        return cls(complex(np.ldexp(f[0], n[0] % BASE_LOG2)) * unit, int(n[0] // BASE_LOG2))
-
     # ---------------------------------------------------------------- queries
 
     @property

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (BLOCK_ELEMENTS, MAX_GRID_POINTS, InvalidParameterError, NonConvergenceError,
-                     as_array, check_counts, check_indices, check_points, check_real)
+                     as_array, check_counts, check_indices, check_points, check_real, check_type)
 from .scaled import BASE_LOG2, LN_BASE, ScaledValue, exp_pow2, normalise_array, pack, sum_rows
 
 LN_TWO_PI = math.log(2.0 * math.pi)
@@ -38,6 +38,11 @@ LN_EPS = math.log(EPS)
 ROUNDING_C = 32.0
 #: coarsest spacing of the callback quadrature's grid x_n = n * H0 / 2**j
 H0 = 0.25
+#: stopping rule of the callback quadrature: an entry halves its spacing until two
+#: successive sums agree to QUAD_TOL relative (or to its row's roundoff floor), QUAD_TOL
+#: is also the relative part of its bound, and past MAX_REFINEMENTS halvings beyond its
+#: start level it raises NonConvergenceError (see gamma_quadrature)
+QUAD_TOL, MAX_REFINEMENTS = 1e-10, 12
 
 GAUSSIAN_FAMILY = "gaussian_family"
 CALLBACK = "callback"
@@ -127,7 +132,7 @@ def eval_signal(signal: SignalModel, x):
     per point, here and nowhere else, and its first non-finite sample is refused.
     A scalar call equals the array call's element."""
     flat, scalar = check_points(x, "x", real=True)
-    if signal.kind == GAUSSIAN_FAMILY:
+    if check_type("signal", signal, SignalModel).kind == GAUSSIAN_FAMILY:
         amp, centre, modulation = _components(signal)
         values, step = np.empty(len(flat), dtype=complex), max(1, BLOCK_ELEMENTS // len(amp))
         for start in range(0, len(flat), step):  # blocks of points bound the temporaries
@@ -151,7 +156,7 @@ def windowed_sample_scaled(signal: SignalModel, x):
     by eval_signal."""
     flat, scalar = check_points(x, "x", real=True)
     xs = flat[:, None]
-    if signal.kind == GAUSSIAN_FAMILY:
+    if check_type("signal", signal, SignalModel).kind == GAUSSIAN_FAMILY:
         amp, centre, modulation = _components(signal)
         ln_amp = np.log(np.abs(amp), out=np.zeros(len(amp)), where=amp != 0)  # 0 where amp is 0
         ln_mag = ln_amp - (xs - centre) ** 2 / 4.0 - xs * xs / 4.0 - LN_TWO_PI
@@ -161,28 +166,6 @@ def windowed_sample_scaled(signal: SignalModel, x):
         ln_mag = -xs * xs / 4.0 - LN_TWO_PI
     f, bits = exp_pow2(ln_mag)
     return pack(*sum_rows(unit * f, bits), scalar)
-
-
-@dataclass(frozen=True)
-class QuadratureControl:
-    """Stopping rule of the shared-grid trapezoid for callback signals.
-
-    An entry halves its spacing until two successive sums agree to ``tol``
-    relative (or to its row's roundoff floor); ``tol`` is also the relative
-    part of its bound (see :func:`gamma_quadrature`).  ``max_refinements``,
-    an integer >= 1, caps the halvings past the entry's start level: a
-    sampler too rough to converge within it raises NonConvergenceError.
-    """
-
-    tol: float = 1e-10
-    max_refinements: int = 12
-
-    def __post_init__(self):
-        check_real("quadrature tol", self.tol, 0.0, 1.0)
-        check_counts("max_refinements", self.max_refinements, least=1)
-
-
-_DEFAULT_QUAD = QuadratureControl()
 
 
 def _entries(mant: np.ndarray, exps: np.ndarray, scalar: bool):
@@ -213,7 +196,7 @@ def gamma_closed_form(m: int | tuple[int, ...], k: int | tuple[int, ...], signal
     rel_c = ROUNDING_C + LN_BASE + 2 pieces_c (exp_pow2 rounds to ~1 ulp,
     so the LN_BASE allowance is slack).
     """
-    if signal.kind != GAUSSIAN_FAMILY:
+    if check_type("signal", signal, SignalModel).kind != GAUSSIAN_FAMILY:
         raise InvalidParameterError("closed form requires a Gaussian-family signal")
     rows, cols = check_indices(m)[:, None, None], check_indices(k)[:, None]
     tau = check_real("tau", tau)
@@ -328,7 +311,6 @@ def gamma_quadrature(
     k: int | tuple[int, ...],
     signal: SignalModel,
     tau: float,
-    quad: QuadratureControl = _DEFAULT_QUAD,
     lineage: _Lineage | None = None,
 ):
     """gamma_{m,k} by trapezoid sums on one shared grid, with absolute error bounds.
@@ -336,7 +318,7 @@ def gamma_quadrature(
     For int ``m`` and ``k``, ``(value, abs_err)`` as ScaledValues; for
     tuples of rows and columns, ``(mantissa, exponent)`` arrays of shape
     (2, len(m), len(k)) holding [0] the values and [1] their bounds.  An
-    entry depends only on (m, k, signal, tau, quad), never on its block.
+    entry depends only on (m, k, signal, tau), never on its block.
     ``lineage`` (from :func:`forward_table`) keeps the samples and row
     windows of the calls before it for this signal and tau, so each node is
     sampled and each row's window derived once across them.
@@ -349,7 +331,7 @@ def gamma_quadrature(
     below eps S_m, with S_m = H0 sum_n |f(x_n)| exp(-(x_n - x0)^2/4) on
     level 0.  Entry (m, k) starts at the coarsest level resolving e^{-ikx}
     and halves the spacing, reusing every sample, until successive sums
-    agree to quad.tol or to 1e-15 S_m; an analytic, Gaussian-windowed
+    agree to QUAD_TOL or to 1e-15 S_m; an analytic, Gaussian-windowed
     integrand converges geometrically, so usually at the first halving.
     Agreement is no proof: content of f at frequency nu = k +- 2 pi / h_{j+1}
     aliases identically into levels j and j+1 (nu = k +- 50.27 for the columns
@@ -357,21 +339,22 @@ def gamma_quadrature(
     with a small bound, and nothing in the envelope metadata flags it.
     The levels run over the whole block: level j sums every row with an
     entry left there, with one fetch and one e^{-ikx} per run of
-    overlapping windows.  An entry that reaches quad.max_refinements
+    overlapping windows.  An entry that reaches MAX_REFINEMENTS
     halvings raises NonConvergenceError naming the first such row, in row
     order, at the first level where any entry does.  With S = e^{tau^2 m^2} S_m,
 
-        abs_err = max(quad.tol * |value|, ROUNDING_C * eps * S)
+        abs_err = max(QUAD_TOL * |value|, ROUNDING_C * eps * S)
                   + eps (2 tau^2 m^2 + LN_BASE) |value|.
 
     The second term of the max is the roundoff floor of summing
     double-precision samples: where oscillation cancels |gamma| far below
-    S, no double-precision rule meets quad.tol relative, and the bound
+    S, no double-precision rule meets QUAD_TOL relative, and the bound
     says so.  The last term covers the rounding of the scale's exponent.
     A row whose samples all vanish keeps only its tail bound.
     """
     rows, cols, tau = check_indices(m), check_indices(k), check_real("tau", tau)
     lineage = lineage or _Lineage()
+    signal = check_type("signal", signal, SignalModel)
     vanishes = signal.envelope_ln()[0] == -math.inf  # f = 0: no window, no sample
     windows = [(0.0, 0.0, -math.inf) if vanishes else lineage.window(signal, row, tau)
                for row in rows.tolist()]
@@ -381,7 +364,7 @@ def gamma_quadrature(
     start = np.maximum(0, np.ceil(np.log2(2.0 * H0 * (np.abs(cols) + 1) / math.pi))).astype(int)
     value, prev = np.zeros((2, len(rows), len(cols)), dtype=complex)
     todo = np.repeat((s > 0)[:, None], len(cols), axis=1)  # a row whose samples vanish keeps 0
-    for j in range(start.min(), start.max() + quad.max_refinements + 1):
+    for j in range(start.min(), start.max() + MAX_REFINEMENTS + 1):
         live = todo & (start <= j)
         act = np.flatnonzero(live.any(axis=1))
         if len(act):
@@ -389,12 +372,12 @@ def gamma_quadrature(
             est = np.zeros((len(act), len(cols)), dtype=complex)
             est[:, cut] = _level_sums(signal, lineage, j, x0[act], r[act], cols[cut])
             done = todo[act] & (start < j) & (
-                np.abs(est - prev[act]) <= quad.tol * np.abs(est) + 1e-15 * s[act, None])
+                np.abs(est - prev[act]) <= QUAD_TOL * np.abs(est) + 1e-15 * s[act, None])
             i, c = np.nonzero(done)
             value[act[i], c], todo[act[i], c], prev[act] = est[i, c], False, est
         if not todo.any():
             break
-        capped = np.flatnonzero((todo[act] & (j - start >= quad.max_refinements)).any(axis=1))
+        capped = np.flatnonzero((todo[act] & (j - start >= MAX_REFINEMENTS)).any(axis=1))
         if len(capped):  # the first row, in row order, at the first level any entry is capped
             row = act[capped[0]]
             raise NonConvergenceError(
@@ -404,7 +387,7 @@ def gamma_quadrature(
     ln_tail = np.where(s > 0, 0.0, tail_ln)
     ln_scale, vanished = tau * tau * rows * rows, (s == 0)[:, None]
     err = np.where(vanished, 1.0,
-                   np.maximum(quad.tol * np.abs(value), ROUNDING_C * EPS * s[:, None])
+                   np.maximum(QUAD_TOL * np.abs(value), ROUNDING_C * EPS * s[:, None])
                    + EPS * (2.0 * ln_scale[:, None] + LN_BASE) * np.abs(value))
     # each row's scale as f 2**bits; f = 0 scales every row to 0
     f, bits = exp_pow2(np.where(vanishes, 0.0, ln_scale + ln_tail))
@@ -436,7 +419,7 @@ class GammaTable:
     ``errors`` is the GammaTable of each entry's absolute error bound when
     the table was computed here (:func:`forward_table`), and None for a
     table read back from a payload, which carries the values only.
-    ``built_for`` is then the ``(signal, tau, quad)`` the entries were
+    ``built_for`` is then the ``(signal, tau)`` the entries were
     computed for, and None for a payload table.  A callback table computed
     here also carries the quadrature's samples and row windows (private),
     shared with the tables grown from it by ``base=``; a payload table none.
@@ -515,7 +498,6 @@ def forward_table(
     tau: float,
     M: int,
     K: int,
-    quad: QuadratureControl | None = _DEFAULT_QUAD,
     base: GammaTable | None = None,
 ) -> GammaTable:
     """Fill the full coefficient table, closed form where available.
@@ -524,7 +506,7 @@ def forward_table(
     rounding bound of the closed form, or the bound returned by
     :func:`gamma_quadrature`.  The entries that ``base`` holds are copied
     with their bounds, not computed again; ``base`` must have been built
-    here for the same signal, tau and quad (a table read from a payload
+    here for the same signal and tau (a table read from a payload
     carries no bounds and is refused too).  The entries left form at most
     two rectangles, the rows and the columns beyond ``base``; for a
     callback, each is one block call of :func:`gamma_quadrature`, which
@@ -534,11 +516,11 @@ def forward_table(
     if (2 * M + 1) * (2 * K + 1) > MAX_GRID_POINTS:  # guard before allocating anything
         raise InvalidParameterError(f"M={M!r:.40}, K={K!r:.40} exceed the desk-scale guard: "
                                     f"(2M+1)(2K+1) > {MAX_GRID_POINTS} entries")
-    tau, quad = check_real("tau", tau, 0.0), quad or _DEFAULT_QUAD
-    built_for = (signal, tau, quad)
+    signal, tau = check_type("signal", signal, SignalModel), check_real("tau", tau, 0.0)
+    built_for = (signal, tau)
     if base is not None and base.built_for != built_for:
         raise InvalidParameterError(
-            "base table was built for another signal, tau or quad, or read from a payload")
+            "base table was built for another signal or tau, or read from a payload")
     # [0] the values, [1] their error bounds
     mant = np.zeros((2, 2 * M + 1, 2 * K + 1), dtype=complex)
     exps = np.zeros(mant.shape, dtype=np.int64)
@@ -560,7 +542,7 @@ def forward_table(
         if signal.kind == GAUSSIAN_FAMILY:
             block = gamma_closed_form(rows, cols, signal, tau)
         else:
-            block = gamma_quadrature(rows, cols, signal, tau, quad, lineage)
+            block = gamma_quadrature(rows, cols, signal, tau, lineage)
         index = (slice(None),) + np.ix_(in_rows, in_cols)
         mant[index], exps[index] = block
     table = GammaTable(M, K, tau, mant[0], exps[0], errors=GammaTable(M, K, tau, mant[1], exps[1]),

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_type
 from .oracle import (
     TRACE_KINDS,
     ContourSpec,
@@ -385,10 +385,8 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
 def run_suite(suite: str, tau: float, signal: SignalModel | None = None) -> SuiteReport:
     if suite not in SUITES:
         raise InvalidParameterError(f"unknown suite {suite!r:.40}; choose from {SUITES}")
-    if not isinstance(signal, (SignalModel, type(None))):
-        raise InvalidParameterError(f"signal must be a SignalModel, got {signal!r:.40}")
+    signal = _default_signal() if signal is None else check_type("signal", signal, SignalModel)
     params = nome_from_tau(tau)
-    signal = signal or _default_signal()
     report = SuiteReport(suite=suite, tau=params.tau)
     if suite in ("theta", "all"):
         report.checks += theta_suite(params)

@@ -1,11 +1,6 @@
 import pytest
 
-from gaborlattice import SeriesControl, SignalModel, nome_from_tau
-
-
-@pytest.fixture
-def ctrl():
-    return SeriesControl()
+from gaborlattice import SignalModel, nome_from_tau
 
 
 @pytest.fixture

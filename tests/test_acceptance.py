@@ -15,7 +15,6 @@ import pytest
 
 from gaborlattice import (
     ReconConfig,
-    SeriesControl,
     SignalModel,
     calibrate_constant,
     coeff_E,
@@ -39,9 +38,6 @@ from gaborlattice.cli import main
 from gaborlattice.oracle import cardinal_weights
 from gaborlattice.scaled import normalise_array, sub_arrays, to_complex
 
-CTRL = SeriesControl()
-
-
 def report(number, label, residual, threshold, passed, extra=""):
     flag = "PASS" if passed else "FAIL"
     line = (f"ACCEPTANCE {number:>2} {flag}: {label}: "
@@ -62,8 +58,8 @@ def test_criterion_01_triple_product_identity():
             for t in range(32):
                 angle = 2.0 * math.pi * (t + 0.5) / 32
                 z = radius * complex(math.cos(angle), math.sin(angle))
-                ts = theta_series(z, q, CTRL)
-                tp = theta_product(z, q, CTRL)
+                ts = theta_series(z, q)
+                tp = theta_product(z, q)
                 worst = max(worst, abs(ts - tp) / (1.0 + abs(ts)))
     elapsed = time.perf_counter() - start
     report(1, "product and series theta forms agree", worst, 1e-12,
@@ -79,10 +75,10 @@ def test_criterion_02_iterated_quasi_periodicity():
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
         z = (q ** float(rng.uniform(-0.5, 0.5))) * complex(math.cos(angle),
                                                            math.sin(angle))
-        base = theta_series_scaled(z, q, CTRL)
+        base = theta_series_scaled(z, q)
         for n in range(-6, 7):
             zn = (q ** n) * z
-            lhs = theta_series_scaled(zn, q, CTRL)
+            lhs = theta_series_scaled(zn, q)
             factor = complex(-z) ** -n * q ** (-(n * (n - 1)) // 2)
             rhs = normalise_array(base.mantissa * factor, base.exponent)
             gap = sub_arrays((lhs.mantissa, lhs.exponent), rhs)
@@ -99,16 +95,16 @@ def test_criterion_03_lattice_derivative_adjudication():
         for n in range(-4, 5):
             z0 = q ** n
             h = abs(z0) * 1e-3
-            d1 = (theta_series(z0 + h, q, CTRL) - theta_series(z0 - h, q, CTRL)) / (2 * h)
-            d2 = (theta_series(z0 + h / 2, q, CTRL)
-                  - theta_series(z0 - h / 2, q, CTRL)) / h
+            d1 = (theta_series(z0 + h, q) - theta_series(z0 - h, q)) / (2 * h)
+            d2 = (theta_series(z0 + h / 2, q)
+                  - theta_series(z0 - h / 2, q)) / h
             fd = (4.0 * d2 - d1) / 3.0
-            ref = theta_prime_lattice(n, q, CTRL).to_complex()
+            ref = theta_prime_lattice(n, q).to_complex()
             worst = max(worst, abs(fd - ref) / abs(ref))
 
-    ref = theta_prime_lattice(1, 0.1, CTRL).to_complex().real
-    printed = lattice_derivative_candidate(1, 0.1, CTRL, "printed").to_complex().real
-    corrected = lattice_derivative_candidate(1, 0.1, CTRL, "corrected").to_complex().real
+    ref = theta_prime_lattice(1, 0.1).to_complex().real
+    printed = lattice_derivative_candidate(1, 0.1, "printed").to_complex().real
+    corrected = lattice_derivative_candidate(1, 0.1, "corrected").to_complex().real
     printed_miss = abs(printed - ref) / abs(ref)
     corrected_miss = abs(corrected - ref) / abs(ref)
     ok = (worst <= 1e-6 and printed_miss > 1e-2 and corrected_miss <= 1e-10
@@ -126,11 +122,11 @@ def test_criterion_04_coefficient_contract():
     for tau in (0.5, 1.0, 2.0):
         params = nome_from_tau(tau)
         for m in range(-8, 9):
-            oracle = laurent_c0(m, params, ctrl=CTRL)
-            fast = coeff_E(m, params, CTRL).to_complex()
+            oracle = laurent_c0(m, params)
+            fast = coeff_E(m, params).to_complex()
             worst = max(worst, abs(fast - oracle) / abs(oracle))
             if m != 0:
-                printed = coeff_E(m, params, CTRL, variant="printed").to_complex()
+                printed = coeff_E(m, params, variant="printed").to_complex()
                 printed_best = min(printed_best, abs(printed - oracle) / abs(oracle))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and printed_best > 1e-2 and elapsed < 60.0
@@ -174,7 +170,7 @@ def test_criterion_07_poisson_consistency():
     ms, xs = np.arange(-3, 4), np.array([0.0, 0.3, 1.1])
     inner = inner_fourier_sum(to_complex((table.mantissa, table.exponent)), xs, K)
     lhs = inner * np.exp(1.0 * np.outer(ms, xs))
-    rhs = np.stack([to_complex(spatial_A(ms, x, gauss, params, CTRL)) for x in xs], axis=1)
+    rhs = np.stack([to_complex(spatial_A(ms, x, gauss, params)) for x in xs], axis=1)
     ratios = lhs / rhs
     mean = ratios.mean()
     spread = float(np.max(np.abs(ratios - mean)) / abs(mean))
@@ -188,19 +184,19 @@ def test_criterion_08_interpolation_lemma():
     x = 0.3
     extent = 7
     ns = np.arange(-extent, extent + 1)
-    samples = spatial_A(ns, x, gauss, params, CTRL)
+    samples = spatial_A(ns, x, gauss, params)
 
     node_worst = 0.0
     for n in (-3, 0, 2):
         node = params.q ** n
-        got = lagrange_interpolant(node, ns, samples, params, CTRL)
-        want = spatial_A(n, x, gauss, params, CTRL)
+        got = lagrange_interpolant(node, ns, samples, params)
+        want = spatial_A(n, x, gauss, params)
         gap = sub_arrays((got.mantissa, got.exponent), (want.mantissa, want.exponent))
         node_worst = max(node_worst, abs(to_complex(gap)) / abs(want.to_complex()))
 
-    trace = mk_trace("residual_alpha", range(-4, 5), x, gauss, params, CTRL,
-                     weights=cardinal_weights(ns, samples, params.q, CTRL))
-    quot = mk_trace("G_over_theta", range(-4, 5), x, gauss, params, CTRL)
+    trace = mk_trace("residual_alpha", range(-4, 5), x, gauss, params,
+                     weights=cardinal_weights(ns, samples, params.q))
+    quot = mk_trace("G_over_theta", range(-4, 5), x, gauss, params)
     alpha_worst = max(v for _, v in trace) / max(v for _, v in quot)
 
     ok = node_worst <= 1e-10 and alpha_worst <= 1e-8

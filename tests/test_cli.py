@@ -293,11 +293,12 @@ class TestCoeffs:
         assert all(row["rel_diff_vs_oracle"] <= 1e-9 for row in doc["rows"])
         assert doc["meta"]["warnings"] == []
 
-    @pytest.mark.parametrize("tol", ["inf", "2.0", "1e300", "1.0"])
-    def test_series_tol_outside_the_unit_interval_refused(self, tmp_path, tol):
+    def test_no_series_tol_flag(self, tmp_path):
+        # the series stopping rule is fixed; an argparse error exits 2
         out = tmp_path / "coeffs.json"
-        rc = main(["coeffs", "--tau", "0.05", "--tol", tol, "--output", str(out)])
-        assert rc == 2
+        with pytest.raises(SystemExit) as info:
+            main(["coeffs", "--tau", "0.05", "--tol", "1e-8", "--output", str(out)])
+        assert info.value.code == 2
         assert not out.exists()
 
     def test_empty_range(self, tmp_path):

@@ -19,12 +19,11 @@ import pytest
 import gaborlattice
 from gaborlattice import (
     ContourSpec, DomainError, G_series, GammaTable, GaussianComponent, InvalidParameterError,
-    QuadratureControl, ReconConfig, ScaledValue, SeriesControl, SignalModel, auto_truncation,
-    balanced_contour, calibrate_constant, coeff_E, eta, euler_product, eval_signal, forward_table,
-    gamma_closed_form, gamma_quadrature, grid_points, inner_fourier_sum, lagrange_interpolant,
-    lattice_derivative_candidate, laurent_c0, mk_trace, nome_from_tau, reconstruct_point,
-    round_trip, spatial_A, theta_prime_lattice, theta_prime_one, theta_product, theta_series,
-    theta_series_scaled, windowed_sample_scaled)
+    ReconConfig, ScaledValue, SignalModel, auto_truncation, balanced_contour, coeff_E, eta,
+    euler_product, eval_signal, forward_table, gamma_closed_form, gamma_quadrature, grid_points,
+    inner_fourier_sum, lagrange_interpolant, lattice_derivative_candidate, laurent_c0, mk_trace,
+    nome_from_tau, reconstruct_grid, reconstruct_point, round_trip, spatial_A, theta_prime_lattice,
+    theta_prime_one, theta_product, theta_series, theta_series_scaled, windowed_sample_scaled)
 from gaborlattice.cli import _table_document, main
 from gaborlattice.oracle import G_OVER_THETA, GTILDE_OVER_THETA, G_on_circles, cardinal_on_circles
 from gaborlattice.qtheta import theta_on_circles
@@ -58,9 +57,6 @@ PARAMETERS = [
     ("GaussianComponent", "amplitude", "real", 1.0, lambda v: GaussianComponent(v, 0.0, 0.0)),
     ("GaussianComponent", "center", "real", 0.0, lambda v: GaussianComponent(1.0, v, 0.0)),
     ("GaussianComponent", "modulation", "real", 0.0, lambda v: GaussianComponent(1.0, 0.0, v)),
-    ("QuadratureControl", "tol", "real", 1e-10, lambda v: QuadratureControl(tol=v)),
-    ("QuadratureControl", "max_refinements", "count", 12,
-     lambda v: QuadratureControl(max_refinements=v)),
     ("ReconConfig", "tol", "real", 1e-8, lambda v: ReconConfig(tol=v)),
     ("ReconConfig", "grid start", "real", -3.0, lambda v: ReconConfig(grid=(v, 3.0, 0.05))),
     ("ReconConfig", "grid end", "real", 3.0, lambda v: ReconConfig(grid=(-3.0, v, 0.05))),
@@ -68,9 +64,6 @@ PARAMETERS = [
     ("ReconConfig", "truncation M", "count", 2, lambda v: ReconConfig(truncation=(v, 3))),
     ("ReconConfig", "truncation K", "count", 3, lambda v: ReconConfig(truncation=(2, v))),
     ("ScaledValue", "exponent", "count", 1, lambda v: ScaledValue(1.0, v)),
-    ("SeriesControl", "abs_tol", "real", 1e-16, lambda v: SeriesControl(abs_tol=v)),
-    ("SeriesControl", "max_terms", "count", 4096, lambda v: SeriesControl(max_terms=v)),
-    ("SeriesControl", "min_terms", "count", 8, lambda v: SeriesControl(min_terms=v)),
     ("SignalModel", "bound", "real", 1.0, lambda v: SignalModel("callback", sampler=abs, bound=v)),
     ("SignalModel", "growth", "real", 0.0,
      lambda v: SignalModel("callback", sampler=abs, bound=1.0, growth=v)),
@@ -85,10 +78,6 @@ PARAMETERS = [
     ("auto_truncation", "tol", "real", 1e-8, lambda v: auto_truncation(SIG, P, v)),
     ("auto_truncation", "x_max", "real", 3.0, lambda v: auto_truncation(SIG, P, 1e-8, v)),
     ("balanced_contour", "nodes", "count", 64, lambda v: balanced_contour(P, v)),
-    ("calibrate_constant", "tau", "real", 1.0, lambda v: calibrate_constant(v, 0.0, 2, 3)),
-    ("calibrate_constant", "x", "x", 0.0, lambda v: calibrate_constant(1.0, v, 2, 3)),
-    ("calibrate_constant", "M", "count", 2, lambda v: calibrate_constant(1.0, 0.0, v, 3)),
-    ("calibrate_constant", "K", "count", 3, lambda v: calibrate_constant(1.0, 0.0, 2, v)),
     ("coeff_E", "m", "index", 2, lambda v: coeff_E(v, P)),
     ("eta", "z", "z", 0.5, lambda v: eta(v, P.q)),
     ("eta", "q", "real", 0.3, lambda v: eta(0.5, v)),
@@ -157,6 +146,7 @@ EXEMPT = {
     "LatticeParams": "a record: nome_from_tau builds it from tau",
     "ReconReport": "a result record",
     "TruncationChoice": "a result record",
+    "calibrate_constant": "takes no argument",
     "reconstruct_grid": "reads its numbers from ReconConfig, GammaTable and LatticeParams",
 }
 
@@ -228,8 +218,6 @@ PROBED = {
     "ReconConfig(grid=(0.0, 1.0, True))": lambda: ReconConfig(grid=(0.0, 1.0, True)),
     "ReconConfig(grid=(0.0, 1.0))": lambda: ReconConfig(grid=(0.0, 1.0)),
     "ReconConfig(truncation=(1, 2, 3))": lambda: ReconConfig(truncation=(1, 2, 3)),
-    "SeriesControl(max_terms=100.5)": lambda: SeriesControl(max_terms=100.5),
-    "SeriesControl(min_terms=True)": lambda: SeriesControl(min_terms=True),
     "gamma_closed_form(0.5, 0, ...)": lambda: gamma_closed_form(0.5, 0, SIG, 1.0),
     "gamma_quadrature(0.5, 0, ...)": lambda: gamma_quadrature(0.5, 0, CB, 1.0),
     "spatial_A(1.5, ...)": lambda: spatial_A(1.5, 0.3, SIG, P),
@@ -243,8 +231,6 @@ PROBED = {
     "cardinal_on_circles(float ns)": lambda: cardinal_on_circles(
         [1.5], np.array([0.0]), ONE_SAMPLE, P.q, 64),
     "grid_points((0.0, 1.0, nan))": lambda: grid_points((0.0, 1.0, math.nan)),
-    "euler_product(0.5, SeriesControl(max_terms=100.5))": lambda: euler_product(
-        0.5, SeriesControl(max_terms=100.5)),
     "spatial_A at x = nan": lambda: spatial_A(0, math.nan, SIG, P),
     "spatial_A at x = inf": lambda: spatial_A(0, math.inf, SIG, P),
     "G_series at x = nan": lambda: G_series(0.5, math.nan, SIG, P),
@@ -299,6 +285,27 @@ PROBED = {
     "lattice_derivative_candidate(variant='bogus')": lambda: lattice_derivative_candidate(
         1, P.q, variant="bogus"),
     "coeff_E(variant='bogus')": lambda: coeff_E(1, P, variant="bogus"),
+    # a signal or lattice of the wrong type
+    "forward_table('x', 1.0, 1, 1)": lambda: forward_table("x", 1.0, 1, 1),
+    "round_trip('x', 1.0)": lambda: round_trip("x", 1.0),
+    "auto_truncation('x', p, 1e-8)": lambda: auto_truncation("x", P, 1e-8),
+    "auto_truncation(sig, 1.0, 1e-8)": lambda: auto_truncation(SIG, 1.0, 1e-8),
+    "coeff_E(1, 1.0)": lambda: coeff_E(1, 1.0),
+    "reconstruct_point(0.0, table, 1.0, 1, 1)": lambda: reconstruct_point(0.0, TABLE, 1.0, 1, 1),
+    "reconstruct_grid(config, table, 1.0)": lambda: reconstruct_grid(SMALL_GRID, TABLE, 1.0),
+    "spatial_A(0, 0.0, 'x', p)": lambda: spatial_A(0, 0.0, "x", P),
+    "spatial_A(0, 0.0, sig, 1.0)": lambda: spatial_A(0, 0.0, SIG, 1.0),
+    "G_series(0.5, 0.0, 'x', p)": lambda: G_series(0.5, 0.0, "x", P),
+    "G_series(0.5, 0.0, sig, 1.0)": lambda: G_series(0.5, 0.0, SIG, 1.0),
+    "laurent_c0(0, 1.0)": lambda: laurent_c0(0, 1.0),
+    "lagrange_interpolant(z, ns, samples, 1.0)": lambda: lagrange_interpolant(
+        0.5 + 0.5j, [0], ONE_SAMPLE, 1.0),
+    "mk_trace(kind, k, x, sig, 1.0)": lambda: mk_trace(G_OVER_THETA, [0], 0.3, SIG, 1.0),
+    "mk_trace(kind, k, x, 'x', p)": lambda: mk_trace(G_OVER_THETA, [0], 0.3, "x", P),
+    "eval_signal('x', 0.0)": lambda: eval_signal("x", 0.0),
+    "windowed_sample_scaled('x', 0.0)": lambda: windowed_sample_scaled("x", 0.0),
+    "gamma_closed_form(0, 0, 'x', 1.0)": lambda: gamma_closed_form(0, 0, "x", 1.0),
+    "gamma_quadrature(0, 0, 'x', 1.0)": lambda: gamma_quadrature(0, 0, "x", 1.0),
 }
 
 
@@ -453,7 +460,6 @@ def test_cli_reconstruct_refuses_with_exit_2_and_no_file(tmp_path, grid, tol, fl
 
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--tau", "nan"], ["coeffs", "--tau", "inf"],
-    ["coeffs", "--tau", "1", "--tol", "nan"],
     ["verify", "--tau", "nan"], ["verify", "--tau=-inf"],
     ["coeffs", "--tau", "1", "--m-min", "0", "--m-max", "9" * 30],
 ])

@@ -10,7 +10,6 @@ from gaborlattice import (
     InvalidParameterError,
     NonConvergenceError,
     ScaledValue,
-    SeriesControl,
     SignalModel,
     auto_truncation,
     balanced_contour,
@@ -67,15 +66,15 @@ class TestGSeries:
         assert G_series(1.3, 0.0, zero, params_tau1).is_zero
 
     def test_oversampled_self_consistency(self, unit_gaussian, params_tau1):
-        # doubling the stopping stringency must not move the value
-        from gaborlattice import SeriesControl
-
-        tight = SeriesControl(abs_tol=1e-20, min_terms=16)
-        loose = SeriesControl()
+        # the stopping rule must not move the value: the same series, g = e^{-t^2/2} / (2 pi),
+        # summed over |j| <= 60 (far past where its terms fall below 1e-16) at 40 digits
+        mp = pytest.importorskip("mpmath")
         for z in (1.0, 0.2 + 0.1j, 3.0j):
-            a = G_series(z, 0.0, unit_gaussian, params_tau1, loose).to_complex()
-            b = G_series(z, 0.0, unit_gaussian, params_tau1, tight).to_complex()
-            assert a == pytest.approx(b, rel=1e-12)
+            with mp.workdps(40):
+                want = mp.fsum(mp.exp(-(2 * mp.pi * j) ** 2 / 2) / (2 * mp.pi) * mp.mpc(z) ** j
+                               for j in range(-60, 61))
+            got = G_series(z, 0.0, unit_gaussian, params_tau1).to_complex()
+            assert got == pytest.approx(complex(want), rel=1e-14)
 
     def test_domain(self, unit_gaussian, params_tau1):
         with pytest.raises(DomainError):
@@ -328,14 +327,16 @@ class TestArrayPath:
             lagrange_interpolant(zs, *self.samples(unit_gaussian, params_tau1), params_tau1)
 
     def test_non_convergence(self, unit_gaussian, params_tau1):
-        # the weight e^{300 j} moves the peak of the aliased sum past 8 terms
+        # an envelope of growth 1e5 keeps the aliased sum's terms rising past MAX_TERMS
+        steep = SignalModel.callback(lambda x: 0j, 1.0, 1e5)
         with pytest.raises(NonConvergenceError):
-            G_series(np.array([1.0, math.exp(300.0)]), 0.0, unit_gaussian, params_tau1,
-                     SeriesControl(max_terms=8))
+            G_series(np.array([1.0, 2.0j]), 0.0, steep, params_tau1)
+        with pytest.raises(NonConvergenceError):
+            spatial_A(np.array([0, 1]), 0.0, steep, params_tau1)
+        # at q = 0.999999 the theta series needs more than MAX_TERMS terms per side
         samples = self.samples(unit_gaussian, params_tau1)
         with pytest.raises(NonConvergenceError):
-            lagrange_interpolant(_circles(params_tau1), *samples, params_tau1,
-                                 SeriesControl(max_terms=4, min_terms=4))
+            lagrange_interpolant(_circles(params_tau1), *samples, nome_from_tau(1.6e-7))
 
 
 class TestCardinalOnCircles:
@@ -389,8 +390,8 @@ class TestCardinalOnCircles:
         q = params_tau1.q
         with pytest.raises(NonConvergenceError):  # a circle through a node
             cardinal_on_circles([q ** 3], ns, weights, q, 64)
-        with pytest.raises(NonConvergenceError):
-            cardinal_on_circles([q ** 0.5], ns, weights, q, 64, ctrl=SeriesControl(max_terms=8))
+        with pytest.raises(NonConvergenceError):  # and one 1e-13 off a node
+            cardinal_on_circles([q ** 3 * (1.0 + 1e-13)], ns, weights, q, 64)
         with pytest.raises(InvalidParameterError):
             cardinal_on_circles([q ** 0.5], ns[1:], weights, q, 64)
         with pytest.raises(InvalidParameterError):

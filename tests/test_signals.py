@@ -10,7 +10,6 @@ from gaborlattice import (
     GammaTable,
     InvalidParameterError,
     NonConvergenceError,
-    QuadratureControl,
     ScaledValue,
     SignalModel,
     eval_signal,
@@ -177,22 +176,20 @@ class TestQuadrature:
 
         cb = SignalModel.callback(f, bound=1.0, growth=0.0)
         ga = SignalModel.gaussian([(1.0, 0.7, 2.0)])
-        quad = QuadratureControl(tol=1e-10)
         for m in range(-3, 4):
             for k in range(-3, 4):
-                got, _ = gamma_quadrature(m, k, cb, 1.0, quad)
+                got, _ = gamma_quadrature(m, k, cb, 1.0)
                 ref = gamma_closed_form(m, k, ga, 1.0)[0].to_complex()
                 rel = abs(got.to_complex() - ref) / abs(ref)
-                assert rel <= 10.0 * quad.tol, (m, k, rel)
+                assert rel <= 10.0 * signals.QUAD_TOL, (m, k, rel)
 
     def test_random_families_cross_check(self):
         # Where oscillation cancels |gamma| far below the integrand's L1
-        # scale S, double-precision sampling cannot reach tol relative;
-        # the returned bound must hold everywhere and be tol-relative
+        # scale S, double-precision sampling cannot reach QUAD_TOL relative;
+        # the returned bound must hold everywhere and be QUAD_TOL-relative
         # except where such cancellation limits it.
         eps = np.finfo(float).eps
         rng = np.random.default_rng(7)
-        quad = QuadratureControl(tol=1e-10)
         for _ in range(20):
             comps = [
                 (complex(rng.normal(), rng.normal()), float(rng.normal() * 1.5),
@@ -209,7 +206,7 @@ class TestQuadrature:
             csig = SignalModel.callback(f, bound=bound, growth=0.0)
             for m in range(-3, 4):
                 for k in range(-3, 4):
-                    got, err = gamma_quadrature(m, k, csig, 1.0, quad)
+                    got, err = gamma_quadrature(m, k, csig, 1.0)
                     ref = gamma_closed_form(m, k, gsig, 1.0)[0].to_complex()
                     s_ref = sum(
                         abs(a) * math.exp(-c * c / 4) * SQRT_2PI
@@ -218,7 +215,8 @@ class TestQuadrature:
                     )
                     bound = err.to_complex().real
                     assert abs(got.to_complex() - ref) <= bound, (m, k)
-                    assert bound <= max(10.0 * quad.tol * abs(ref), 64 * eps * s_ref), (m, k)
+                    tol_part = 10.0 * signals.QUAD_TOL * abs(ref)
+                    assert bound <= max(tol_part, 64 * eps * s_ref), (m, k)
 
     def test_envelope_spot_check_fires(self):
         lying = SignalModel.callback(lambda x: cmath.exp(abs(x)), bound=1.0, growth=0.0)
@@ -239,22 +237,20 @@ class TestQuadrature:
         # refused within the first pass over the level-0 grid on |x| < 13
         assert calls[0] <= 2 * 13 / 0.25 + 1
 
-    @pytest.mark.parametrize("tau, M, K, tol, growth", [
-        (1.0, 9, 6, 1e-10, 0.0),   # rows scaled up to e^{81}
-        (0.6, 4, 6, 1e-6, 0.0),    # a loose tol must keep its bound too
-        (1.0, 3, 3, 1e-10, 0.5),   # a growing declared envelope widens the windows
+    @pytest.mark.parametrize("tau, M, K, growth", [
+        (1.0, 9, 6, 0.0),   # rows scaled up to e^{81}
+        (1.0, 3, 3, 0.5),   # a growing declared envelope widens the windows
     ])
-    def test_bounds_hold_across_regimes(self, tau, M, K, tol, growth):
+    def test_bounds_hold_across_regimes(self, tau, M, K, growth):
         eps = np.finfo(float).eps
         rng = np.random.default_rng(11)
-        quad = QuadratureControl(tol=tol)
         for _ in range(3):
             comps = [(complex(rng.normal(), rng.normal()), float(rng.normal() * 1.5),
                       float(rng.normal() * 2.0)) for _ in range(2)]
             gsig = SignalModel.gaussian(comps)
             csig = SignalModel.callback(lambda x, g=gsig: eval_signal(g, x),
                                         bound=sum(abs(a) for a, _, _ in comps), growth=growth)
-            table = forward_table(csig, tau, M, K, quad)
+            table = forward_table(csig, tau, M, K)
             for m in range(-M, M + 1):
                 s_ref = sum(abs(a) * math.exp(-c * c / 4) * SQRT_2PI
                             * math.exp((c / 2 - tau * m) ** 2 / 2) for a, c, _ in comps)
@@ -262,7 +258,8 @@ class TestQuadrature:
                     ref = gamma_closed_form(m, k, gsig, tau)[0].to_complex()
                     bound = table.errors.get(m, k).to_complex().real
                     assert abs(table.get(m, k).to_complex() - ref) <= bound, (m, k)
-                    assert bound <= max(10.0 * tol * abs(ref), 64 * eps * s_ref), (m, k)
+                    tol_part = 10.0 * signals.QUAD_TOL * abs(ref)
+                    assert bound <= max(tol_part, 64 * eps * s_ref), (m, k)
 
     def test_block_equals_single_entries(self, two_component, off_centre):
         # |k| >= 6 starts past level 0; the off-centre rows have three window radii
@@ -277,24 +274,19 @@ class TestQuadrature:
                     assert (err.mantissa, err.exponent) == (mant[1, i, j], exps[1, i, j])
         assert len({radius for radius, _, _ in lineage.rows.values()}) == len(rows)
 
-    @pytest.mark.parametrize("bad", [-1, -3, 0, 2.5, True])
-    def test_refinement_cap_must_be_a_positive_integer(self, bad):
-        # a negative cap once ran no level at all and gave every entry as 0
-        with pytest.raises(InvalidParameterError, match="max_refinements"):
-            QuadratureControl(max_refinements=bad)
-
-    def test_refinement_cap_names_the_first_capped_row(self):
+    def test_refinement_cap_names_the_first_capped_row(self, monkeypatch):
+        # a cap of 2 halvings pins the diagnostics at level 2 within milliseconds
+        monkeypatch.setattr(signals, "MAX_REFINEMENTS", 2)
         jump = SignalModel.callback(lambda x: 1.0 if x > 0.1 else 0.0, bound=1.0, growth=0.0)
-        quad = QuadratureControl(max_refinements=2)
         with pytest.raises(NonConvergenceError) as info:
-            forward_table(jump, 1.0, 2, 8, quad)
+            forward_table(jump, 1.0, 2, 8)
         assert info.value.diagnostics == {"m": -2, "k": list(range(-8, 9)), "level": 2}
         # a step of 1e-5 at x = 4.1 leaves row 2 (window centre -4) rough only at k = 12,
         # capped at level 4, but row -2 (centre 4) at every k, capped at level 2
         step = SignalModel.callback(lambda x: 1.0 + (1e-5 if x > 4.1 else 0.0),
                                     bound=1.0 + 1e-5, growth=0.0)
         with pytest.raises(NonConvergenceError) as info:
-            gamma_quadrature((2, -2), (0, 3, 12), step, 1.0, quad)
+            gamma_quadrature((2, -2), (0, 3, 12), step, 1.0)
         assert info.value.diagnostics == {"m": -2, "k": [0, 3, 12], "level": 2}
 
 
@@ -304,10 +296,9 @@ class TestQuadratureBlock:
     def test_block_elements_change_no_bit(self, monkeypatch, off_centre, tau, M, K, budget):
         # smaller budgets cut a level's windows into more runs and its columns into
         # more chunks; at 2^9 every table here takes several of each
-        quad = QuadratureControl(tol=1e-10)
-        default = forward_table(counted(off_centre, [0], 1.5), tau, M, K, quad)
+        default = forward_table(counted(off_centre, [0], 1.5), tau, M, K)
         monkeypatch.setattr(signals, "BLOCK_ELEMENTS", budget)
-        small = forward_table(counted(off_centre, [0], 1.5), tau, M, K, quad)
+        small = forward_table(counted(off_centre, [0], 1.5), tau, M, K)
         assert small == default and small.errors == default.errors
 
     def test_no_node_between_windows_sampled(self, off_centre):
@@ -400,14 +391,13 @@ class TestForwardTable:
             GammaTable.from_payload(1, 2, 0.8, payload)
 
     def test_base_changes_nothing(self, two_component):
-        quad = QuadratureControl(tol=1e-10)
         cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
         for signal in (two_component, cb):
-            alone = forward_table(signal, 0.6, 2, 4, quad)
+            alone = forward_table(signal, 0.6, 2, 4)
             # a smaller base, and one wider in m than the table it seeds
             for M, K in ((1, 2), (3, 1)):
-                base = forward_table(signal, 0.6, M, K, quad)
-                grown = forward_table(signal, 0.6, 2, 4, quad, base=base)
+                base = forward_table(signal, 0.6, M, K)
+                grown = forward_table(signal, 0.6, 2, 4, base=base)
                 assert grown == alone
                 assert grown.errors == alone.errors
 
@@ -447,23 +437,21 @@ class TestForwardTable:
             forward_table(cb, 0.6, 3, 2)
 
     def test_foreign_or_payload_base_refused(self, two_component, unit_gaussian):
-        quad = QuadratureControl(tol=1e-10)
-        base = forward_table(two_component, 0.6, 1, 1, quad)
-        for args in ((unit_gaussian, 0.6, 2, 2, quad), (two_component, 0.8, 2, 2, quad),
-                     (two_component, 0.6, 2, 2, QuadratureControl(tol=1e-8))):
+        base = forward_table(two_component, 0.6, 1, 1)
+        for args in ((unit_gaussian, 0.6, 2, 2), (two_component, 0.8, 2, 2)):
             with pytest.raises(InvalidParameterError, match="another signal"):
                 forward_table(*args, base=base)
         payload = GammaTable.from_payload(1, 1, 0.6, base.to_payload())
         assert payload == base
         with pytest.raises(InvalidParameterError, match="from a payload"):
-            forward_table(two_component, 0.6, 2, 2, quad, base=payload)
+            forward_table(two_component, 0.6, 2, 2, base=payload)
 
     def test_entries_keep_their_bounds(self, two_component):
         cb = SignalModel.callback(lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
-        table = forward_table(cb, 0.8, 1, 2, QuadratureControl(tol=1e-8))
+        table = forward_table(cb, 0.8, 1, 2)
         for m in range(-1, 2):
             for k in range(-2, 3):
-                value, err = gamma_quadrature(m, k, cb, 0.8, QuadratureControl(tol=1e-8))
+                value, err = gamma_quadrature(m, k, cb, 0.8)
                 assert table.get(m, k) == value
                 assert table.errors.get(m, k) == err
         closed = forward_table(two_component, 0.8, 1, 2)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborlattice import (InvalidParameterError, SeriesControl, SignalModel, eta, nome_from_tau,
+from gaborlattice import (InvalidParameterError, SignalModel, eta, nome_from_tau,
                           qtheta, signals, theta_series, verify)
 from gaborlattice.verify import CheckRecord, SUITES, run_suite, theta_suite
 
@@ -156,19 +156,18 @@ def test_theta_suite_small_tau_shows_the_derivative_hole():
 
 
 def test_theta_records_follow_the_nome():
-    ctrl = SeriesControl()
     records = {tau: {c.name: c.residual for c in theta_suite(nome_from_tau(tau))}
                for tau in (0.5, 2.0)}
     assert records[0.5] != records[2.0]
     for tau, residuals in records.items():
         q = nome_from_tau(tau).q
         zs = q ** np.arange(-5.0, 6.0)
-        zero_set = max(abs(theta_series(z, q, ctrl)) / eta(z, q) for z in zs)
+        zero_set = max(abs(theta_series(z, q)) / eta(z, q) for z in zs)
         assert residuals["lattice_zero_set"] == pytest.approx(zero_set, rel=1e-12)
         power, angle = np.random.default_rng(2026).uniform(
             [-0.5, 0.0], [0.5, 2.0 * math.pi], (100, 2)).T
         one_step = max(
-            abs(theta_series(q * z, q, ctrl) + theta_series(z, q, ctrl) / z)
+            abs(theta_series(q * z, q) + theta_series(z, q) / z)
             / (eta(q * z, q) + eta(z, q) / abs(z))
             for z in (q ** p * complex(math.cos(a), math.sin(a)) for p, a in zip(power, angle)))
         assert residuals["one_step_quasi_periodicity"] == pytest.approx(one_step, rel=1e-12)

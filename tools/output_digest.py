@@ -19,10 +19,9 @@ not edited).  For each seeded Gaussian family it hashes:
   ``l2_error``;
 * the callback tables, values and error bounds: ``forward_table`` of a
   sampler hiding the family moved off centre (each centre + 2.5, each
-  modulation x 6) at M = 5, K = 14 and (tau, tol, growth) in
-  (0.6, 1e-6, 0), (1, 1e-10, 0) and (0.3, 1e-8, 0.5), then at M = 5,
-  K = 60 and (1, 1e-10, 0), whose higher levels take several column
-  chunks of the quadrature's phases;
+  modulation x 6) at M = 5, K = 14 and (tau, growth) in (0.6, 0), (1, 0)
+  and (0.3, 0.5), then at M = 5, K = 60 and (1, 0), whose higher levels
+  take several column chunks of the quadrature's phases;
 * the truncation choices: ``auto_truncation``'s (M, K), ``tail_estimate``,
   table values and error bounds (or the refusal's diagnostics) for the
   family and for a sampler hiding it, at tau in {0.3, 0.6, 1, 2, 3.1},
@@ -64,14 +63,13 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from gaborlattice import (  # noqa: E402
-    GaborLatticeError, NonConvergenceError, QuadratureControl, SignalModel, auto_truncation, cli,
-    forward_table, oracle, qtheta, reconstruct_point)
+    GaborLatticeError, NonConvergenceError, SignalModel, auto_truncation, cli, forward_table,
+    oracle, qtheta, reconstruct_point)
 from gaborlattice.qtheta import nome_from_tau  # noqa: E402
 
 TRACE_KINDS = (oracle.G_OVER_THETA, oracle.GTILDE_OVER_THETA, oracle.RESIDUAL_ALPHA)
-#: (tau, tol, growth, K) of the callback tables, each at M = 5
-CALLBACK_SETTINGS = ((0.6, 1e-6, 0.0, 14), (1.0, 1e-10, 0.0, 14), (0.3, 1e-8, 0.5, 14),
-                     (1.0, 1e-10, 0.0, 60))
+#: (tau, growth, K) of the callback tables, each at M = 5
+CALLBACK_SETTINGS = ((0.6, 0.0, 14), (1.0, 0.0, 14), (0.3, 0.5, 14), (1.0, 0.0, 60))
 TRUNCATION_GRID = tuple((tau, tol, x_max) for tau in (0.3, 0.6, 1.0, 2.0, 3.1)
                         for tol in (1e-4, 1e-8, 1e-10) for x_max in (0.0, 0.3, 3.0, 2.0 * math.pi))
 QTHETA_NOMES = (0.05, 0.3, 0.5, 0.8, 0.9, 0.95)
@@ -137,9 +135,8 @@ def callback_tables(family) -> bytes:
     moved = [(a, c + 2.5, 6.0 * b) for a, c, b in family]  # (amplitude, centre, modulation)
     sampler, bound = workloads.make_sampler(moved), sum(abs(a) for a, _, _ in moved)
     out = b""
-    for tau, tol, growth, K in CALLBACK_SETTINGS:
-        out += table_bytes(forward_table(SignalModel.callback(sampler, bound, growth), tau, 5,
-                                         K, QuadratureControl(tol=tol)))
+    for tau, growth, K in CALLBACK_SETTINGS:
+        out += table_bytes(forward_table(SignalModel.callback(sampler, bound, growth), tau, 5, K))
     return out
 
 

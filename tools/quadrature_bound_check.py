@@ -19,7 +19,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from gaborlattice import QuadratureControl, SignalModel, eval_signal, forward_table
+from gaborlattice import SignalModel, eval_signal, forward_table
 
 EPS = np.finfo(float).eps
 CASES = ((0.6, 8, 8), (1.0, 9, 8), (3.0, 4, 8))  # tau, M, K
@@ -44,7 +44,6 @@ def ln_l1_scale(signal, tau: float, m: int) -> float:
 def main():
     mp.mp.dps = 40
     rng = np.random.default_rng(2024)
-    quad = QuadratureControl(tol=1e-10)
     print("tau   entries  max err/abs_err  cancelling  max err/(eps S)")
     for tau, M, K in CASES:
         worst_floor = worst_bound = 0.0
@@ -55,7 +54,7 @@ def main():
             gsig = SignalModel.gaussian(comps)
             csig = SignalModel.callback(lambda x, g=gsig: eval_signal(g, x),
                                         bound=sum(abs(a) for a, _, _ in comps), growth=0.0)
-            table = forward_table(csig, tau, M, K, quad)
+            table = forward_table(csig, tau, M, K)
             for m in range(-M, M + 1):
                 ln_s = ln_l1_scale(gsig, tau, m)
                 for k in range(-K, K + 1):
