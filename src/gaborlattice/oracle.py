@@ -72,7 +72,8 @@ def balanced_contour(params: LatticeParams, nodes: int = 128) -> ContourSpec:
     """The circle |z| = q^{-1/2}, where the Laurent modes of every
     cardinal function fall off symmetrically (like q^{l^2/2}), making
     the z^0 extraction well conditioned for every m."""
-    return ContourSpec(radius=math.exp(-0.5 * params.ln_q), nodes=nodes)
+    ln_q = check_type("params", params, LatticeParams).ln_q
+    return ContourSpec(radius=math.exp(-0.5 * ln_q), nodes=nodes)
 
 
 def _aliased_terms(signal: SignalModel, x: float, w_split: tuple,

@@ -159,6 +159,7 @@ def reconstruct_point(x, table: GammaTable, params: LatticeParams, M: int, K: in
     term stays a normal double; SaturationError where the value leaves it.
     """
     _require_subcritical(params)
+    check_type("table", table, GammaTable)
     check_counts("M and K", M, K)
     xs, scalar = check_points(x, "x", real=True)
     ds = np.zeros(1) if offsets is None else check_points(offsets, "offsets", real=True)[0]
@@ -344,6 +345,10 @@ def reconstruct_grid(
     """
     start = time.perf_counter()
     _require_subcritical(params)
+    check_type("config", config, ReconConfig)
+    check_type("table", table, GammaTable)
+    if reference is not None:
+        check_type("reference", reference, SignalModel)
     if abs(table.tau - params.tau) > 1e-12 * max(1.0, abs(params.tau)):
         raise InvalidParameterError(
             f"table tau {table.tau!r} does not match params tau {params.tau!r}")
@@ -414,7 +419,7 @@ def round_trip(
     """
     check_counts("threads", threads)
     params = nome_from_tau(tau)
-    config = config or ReconConfig()
+    config = ReconConfig() if config is None else check_type("config", config, ReconConfig)
     if config.truncation is not None:
         table = forward_table(signal, params.tau, *config.truncation)
     else:

@@ -2,7 +2,8 @@
 
 Every count, lattice index, real parameter and array of evaluation points is
 fed a float for an int, a bool, NaN, +-inf, a 0-d array, a list, a ragged list
-and a string.  Each call must raise InvalidParameterError or DomainError, or be
+and a string; every signal, lattice, table and config parameter is fed those
+and None, a number, a dict and a record of another type.  Each call must raise InvalidParameterError or DomainError, or be
 one of the acceptances listed here: never a builtin exception, and never a
 value computed from a coerced input.  The CLI is fed the same kinds of values
 in every leaf of its configs, and must exit 2 and write no file.
@@ -45,6 +46,8 @@ PARAMETERS = [
     ("ContourSpec", "nodes", "count", 64, lambda v: ContourSpec(1.5, v)),
     ("G_series", "z", "z", 0.5, lambda v: G_series(v, 0.3, SIG, P)),
     ("G_series", "x", "real", 0.3, lambda v: G_series(0.5, v, SIG, P)),
+    ("G_series", "signal", "signal", SIG, lambda v: G_series(0.5, 0.3, v, P)),
+    ("G_series", "params", "lattice", P, lambda v: G_series(0.5, 0.3, SIG, v)),
     ("GammaTable", "M", "count", 0, lambda v: GammaTable(v, 0, 1.0, [1.0], [0])),
     ("GammaTable", "K", "count", 0, lambda v: GammaTable(0, v, 1.0, [1.0], [0])),
     ("GammaTable", "tau", "real", 1.0, lambda v: GammaTable(0, 0, v, [1.0], [0])),
@@ -77,21 +80,29 @@ PARAMETERS = [
     ("SignalModel.callback", "growth", "real", 0.0, lambda v: SignalModel.callback(abs, 1.0, v)),
     ("auto_truncation", "tol", "real", 1e-8, lambda v: auto_truncation(SIG, P, v)),
     ("auto_truncation", "x_max", "real", 3.0, lambda v: auto_truncation(SIG, P, 1e-8, v)),
+    ("auto_truncation", "signal", "signal", SIG, lambda v: auto_truncation(v, P, 1e-8)),
+    ("auto_truncation", "params", "lattice", P, lambda v: auto_truncation(SIG, v, 1e-8)),
     ("balanced_contour", "nodes", "count", 64, lambda v: balanced_contour(P, v)),
+    ("balanced_contour", "params", "lattice", P, balanced_contour),
     ("coeff_E", "m", "index", 2, lambda v: coeff_E(v, P)),
+    ("coeff_E", "params", "lattice", P, lambda v: coeff_E(2, v)),
     ("eta", "z", "z", 0.5, lambda v: eta(v, P.q)),
     ("eta", "q", "real", 0.3, lambda v: eta(0.5, v)),
     ("euler_product", "q", "real", 0.3, lambda v: euler_product(v)),
     ("eval_signal", "x", "x", 0.3, lambda v: eval_signal(SIG, v)),
+    ("eval_signal", "signal", "signal", SIG, lambda v: eval_signal(v, 0.3)),
     ("forward_table", "tau", "real", 1.0, lambda v: forward_table(SIG, v, 1, 1)),
     ("forward_table", "M", "count", 1, lambda v: forward_table(SIG, 1.0, v, 1)),
     ("forward_table", "K", "count", 1, lambda v: forward_table(SIG, 1.0, 1, v)),
+    ("forward_table", "signal", "signal", SIG, lambda v: forward_table(v, 1.0, 1, 1)),
     ("gamma_closed_form", "m", "index", 1, lambda v: gamma_closed_form(v, 0, SIG, 1.0)),
     ("gamma_closed_form", "k", "index", 1, lambda v: gamma_closed_form(0, v, SIG, 1.0)),
     ("gamma_closed_form", "tau", "real", 1.0, lambda v: gamma_closed_form(0, 0, SIG, v)),
+    ("gamma_closed_form", "signal", "signal", SIG, lambda v: gamma_closed_form(0, 0, v, 1.0)),
     ("gamma_quadrature", "m", "index", 1, lambda v: gamma_quadrature(v, 0, CB, 1.0)),
     ("gamma_quadrature", "k", "index", 1, lambda v: gamma_quadrature(0, v, CB, 1.0)),
     ("gamma_quadrature", "tau", "real", 1.0, lambda v: gamma_quadrature(0, 0, CB, v)),
+    ("gamma_quadrature", "signal", "signal", CB, lambda v: gamma_quadrature(0, 0, v, 1.0)),
     ("grid_points", "grid start", "real", -1.0, lambda v: grid_points((v, 1.0, 0.5))),
     ("grid_points", "grid end", "real", 1.0, lambda v: grid_points((-1.0, v, 0.5))),
     ("grid_points", "grid step", "real", 0.5, lambda v: grid_points((-1.0, 1.0, v))),
@@ -104,24 +115,43 @@ PARAMETERS = [
      lambda v: lagrange_interpolant(0.5 + 0.5j, v, ONE_SAMPLE, P)),
     ("lagrange_interpolant", "sample mantissas", "mantissas", 1.0,
      lambda v: lagrange_interpolant(0.5 + 0.5j, [0], (v, [0]), P)),
+    ("lagrange_interpolant", "params", "lattice", P,
+     lambda v: lagrange_interpolant(0.5 + 0.5j, [0], ONE_SAMPLE, v)),
     ("lattice_derivative_candidate", "n", "index", 1,
      lambda v: lattice_derivative_candidate(v, P.q)),
     ("lattice_derivative_candidate", "q", "real", 0.3,
      lambda v: lattice_derivative_candidate(1, v)),
     ("laurent_c0", "m", "index", 1, lambda v: laurent_c0(v, P)),
+    ("laurent_c0", "params", "lattice", P, lambda v: laurent_c0(1, v)),
     ("mk_trace", "k_range", "index", 1, lambda v: mk_trace(G_OVER_THETA, v, 0.3, SIG, P)),
     ("mk_trace", "x", "real", 0.3, lambda v: mk_trace(G_OVER_THETA, [1], v, SIG, P)),
+    ("mk_trace", "signal", "signal", SIG, lambda v: mk_trace(G_OVER_THETA, [1], 0.3, v, P)),
+    ("mk_trace", "params", "lattice", P, lambda v: mk_trace(G_OVER_THETA, [1], 0.3, SIG, v)),
     ("nome_from_tau", "tau", "real", 1.0, nome_from_tau),
     ("reconstruct_point", "x", "x", 0.3, lambda v: reconstruct_point(v, TABLE, P, 1, 1)),
     ("reconstruct_point", "M", "count", 1, lambda v: reconstruct_point(0.3, TABLE, P, v, 1)),
     ("reconstruct_point", "K", "count", 1, lambda v: reconstruct_point(0.3, TABLE, P, 1, v)),
     ("reconstruct_point", "offsets", "offsets", [0.0, 0.1],
      lambda v: reconstruct_point([0.3], TABLE, P, 1, 1, v)),
+    ("reconstruct_point", "table", "table", TABLE, lambda v: reconstruct_point(0.3, v, P, 1, 1)),
+    ("reconstruct_point", "params", "lattice", P,
+     lambda v: reconstruct_point(0.3, TABLE, v, 1, 1)),
+    ("reconstruct_grid", "config", "config", SMALL_GRID,
+     lambda v: reconstruct_grid(v, TABLE, P)),
+    ("reconstruct_grid", "table", "table", TABLE, lambda v: reconstruct_grid(SMALL_GRID, v, P)),
+    ("reconstruct_grid", "params", "lattice", P,
+     lambda v: reconstruct_grid(SMALL_GRID, TABLE, v)),
+    ("reconstruct_grid", "reference", "optional signal", SIG,
+     lambda v: reconstruct_grid(SMALL_GRID, TABLE, P, v)),
     ("round_trip", "tau", "real", 1.0, lambda v: round_trip(SIG, v, SMALL_GRID)),
     ("round_trip", "threads", "count", 1, lambda v: round_trip(SIG, 1.0, SMALL_GRID,
                                                                 threads=v)),
+    ("round_trip", "signal", "signal", SIG, lambda v: round_trip(v, 1.0, SMALL_GRID)),
+    ("round_trip", "config", "optional config", SMALL_GRID, lambda v: round_trip(SIG, 1.0, v)),
     ("spatial_A", "m", "index", 1, lambda v: spatial_A(v, 0.3, SIG, P)),
     ("spatial_A", "x", "x", 0.3, lambda v: spatial_A(1, v, SIG, P)),
+    ("spatial_A", "signal", "signal", SIG, lambda v: spatial_A(1, 0.3, v, P)),
+    ("spatial_A", "params", "lattice", P, lambda v: spatial_A(1, 0.3, SIG, v)),
     ("theta_prime_lattice", "n", "index", 1, lambda v: theta_prime_lattice(v, P.q)),
     ("theta_prime_lattice", "q", "real", 0.3, lambda v: theta_prime_lattice(1, v)),
     ("theta_prime_one", "q", "real", 0.3, theta_prime_one),
@@ -132,6 +162,8 @@ PARAMETERS = [
     ("theta_series_scaled", "z", "z", 0.5, lambda v: theta_series_scaled(v, 0.3)),
     ("theta_series_scaled", "q", "real", 0.3, lambda v: theta_series_scaled(0.5, v)),
     ("windowed_sample_scaled", "x", "x", 0.3, lambda v: windowed_sample_scaled(SIG, v)),
+    ("windowed_sample_scaled", "signal", "signal", SIG,
+     lambda v: windowed_sample_scaled(v, 0.3)),
 ]
 
 #: public callables that read no count, index or real parameter of their own
@@ -147,14 +179,25 @@ EXEMPT = {
     "ReconReport": "a result record",
     "TruncationChoice": "a result record",
     "calibrate_constant": "takes no argument",
-    "reconstruct_grid": "reads its numbers from ReconConfig, GammaTable and LatticeParams",
 }
+
+#: per record kind (a parameter that must be one SignalModel, LatticeParams, GammaTable or
+#: ReconConfig): a record of another type, and the number it is most often mistaken for
+OTHER_RECORD = {"signal": (P, 1.0), "lattice": (SIG, 1.0), "table": (P, 1.0),
+                "config": (TABLE, 0.5)}
+
 
 #: per kind: (label, input, whether it is accepted); v is the parameter's valid value
 def _inputs(kind: str, v):
     common = [("bool", True, False), ("nan", math.nan, False), ("inf", math.inf, False),
               ("-inf", -math.inf, False), ("string", str(v), False),
               ("ragged list", [[v], [v, v]], False)]
+    record = kind.removeprefix("optional ")
+    if record in OTHER_RECORD:  # None is the default of an optional record
+        other, number = OTHER_RECORD[record]
+        return common + [("None", None, record != kind), ("number", number, False),
+                         ("list", [v], False), ("dict", {}, False),
+                         ("other record", other, False)]
     if kind == "count":
         return common + [("float for int", float(v), False), ("0-d array", np.array(v), False),
                          ("list", [v], False), ("numpy int", np.int64(v), True)]
