@@ -77,7 +77,7 @@ worst = 0.0
 for t in range(8):
     angle = 2 * math.pi * (t + 0.5) / 8
     z = radius * complex(math.cos(angle), math.sin(angle))
-    g = G_series(z, x, signal, params).to_complex()
+    g = G_series(z, x, signal).to_complex()
     it = lagrange_interpolant(z, ns, samples, params).to_complex()
     worst = max(worst, abs(g - it) / abs(g))
     print(f"  angle {angle:4.2f}: direct series {g:.6e}   interpolant {it:.6e}")

@@ -143,15 +143,14 @@ def spatial_A(m, x, signal: SignalModel, params: LatticeParams):
     return pack(mant, exps, np.ndim(m) == 0)
 
 
-def G_series(z, x: float, signal: SignalModel, params: LatticeParams):
+def G_series(z, x: float, signal: SignalModel):
     """G_x(z) = sum_j g(x + 2 pi j) z^j: a ScaledValue for a scalar z,
     (mantissa, exponent) arrays for a 1-d array of z.
 
     The Gaussian window beats any geometric factor, so the sum converges
-    for every z != 0.  ``params`` is checked and not otherwise read.
+    for every z != 0.
     """
     zs, scalar = check_points(z, "z")
-    check_type("params", params, LatticeParams)
     return pack(*_sum_aliased(signal, [check_real("x", x)], log2_split(np.abs(zs)), np.angle(zs),
                               "G_series"), scalar)
 

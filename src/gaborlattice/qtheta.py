@@ -32,6 +32,7 @@ kept only as diagnostic candidates:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,6 +70,16 @@ class LatticeParams:
     @property
     def ln_q(self) -> float:
         return -2.0 * math.pi * self.tau
+
+    @functools.cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """E_m for |m| <= MAX_LATTICE_INDEX as read-only (mantissa, exponent) arrays,
+        index m + MAX_LATTICE_INDEX: computed on first use, once per object."""
+        ms = np.arange(-MAX_LATTICE_INDEX, MAX_LATTICE_INDEX + 1)
+        arrays = _coefficients(ms, check_real("q", self.q, 0.0, 1.0), 0)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
 
 def nome_from_tau(tau: float) -> LatticeParams:
@@ -303,6 +314,16 @@ def _coefficient_tail_sum(ns: np.ndarray, q: float) -> np.ndarray:
         width = min(2 * width, MAX_TERMS)
 
 
+def _coefficients(ms: np.ndarray, q: float, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """E_m for an index array, the exponent of q being n(n+1)/2 - shift m (n = |m|), as
+    normalised arrays; an entry does not depend on the other indices."""
+    ns = np.abs(ms)
+    f, bits = exact_power(ln_split(q), ns * (ns + 1) // 2 - shift * ms)
+    cube = euler_product(q) ** 3
+    value = np.where(ns % 2, -1.0, 1.0) * _coefficient_tail_sum(ns, q) / cube * f
+    return normalise_array(ldexp_array(value, bits % BASE_LOG2), bits // BASE_LOG2)
+
+
 def coeff_E(m, params: LatticeParams, variant: str = "corrected"):
     """Reconstruction coefficients E_m: the z^0 Laurent coefficient of
     Theta(z; q) / ((z - q^m) Theta'(q^m; q)).  A ScaledValue for an int m,
@@ -321,9 +342,14 @@ def coeff_E(m, params: LatticeParams, variant: str = "corrected"):
     so no catastrophic cancellation ever occurs.  The power of q is
     raised by scaled.exact_power, with its power of two kept exact.
 
+    The corrected E_m are computed for every |m| <= MAX_LATTICE_INDEX once per
+    LatticeParams object (its ``coefficients``) and sliced here, so every call
+    on one lattice after the first is an index lookup; an entry has the same
+    bits as when computed alone.
+
     variant="printed" evaluates the slipped exponent m(m-1)/2, which
     differs from the corrected value by exactly q^{-m}; it is retained
-    for the adjudication reports only.
+    for the adjudication reports only, and computed afresh on every call.
     """
     ms, params = check_indices(m, MAX_LATTICE_INDEX), check_type("params", params, LatticeParams)
     shift = {"corrected": 0, "printed": 1}.get(variant)
@@ -333,9 +359,8 @@ def coeff_E(m, params: LatticeParams, variant: str = "corrected"):
         warnings.warn(f"coefficients computed at supercritical tau={params.tau:.6g}; "
                       "they cannot be used for reconstruction", stacklevel=2)
     q = check_real("q", params.q, 0.0, 1.0)
-    ns = np.abs(ms)
-    f, bits = exact_power(ln_split(q), ns * (ns + 1) // 2 - shift * ms)
-    cube = euler_product(q) ** 3
-    value = np.where(ns % 2, -1.0, 1.0) * _coefficient_tail_sum(ns, q) / cube * f
-    return pack(*normalise_array(ldexp_array(value, bits % BASE_LOG2), bits // BASE_LOG2),
-                np.ndim(m) == 0)
+    if shift:
+        mant, exps = _coefficients(ms, q, shift)
+    else:
+        mant, exps = (a[ms + MAX_LATTICE_INDEX] for a in params.coefficients)
+    return pack(mant, exps, np.ndim(m) == 0)

@@ -238,7 +238,10 @@ def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
     exp(-eps M^2) < tol/10.
     Because that rate is a worst-case envelope, the estimate is then
     verified against the weighted boundary ring and grown until the ring
-    drops below tol; K is extended the same way column-wise.  One guard
+    drops below tol; K is extended the same way column-wise.  Every test
+    weighs the boundary against the largest cell of the block as it stands
+    then, so content that peaks past the first block's columns sets the
+    scale as soon as the block reaches it.  One guard
     ring is added at the end, clipped to the caps.  Returns (M, K), the
     tail estimate there, and whether the boundary met tol before the guard
     ring (it cannot when the caps stop the growth).
@@ -251,17 +254,16 @@ def _truncate(cells, tau: float, x_max: float, tol: float, M_cap: int,
     K = min(2, K_cap)
     ln_tol = math.log(tol)
     block = cells(M, K, ring(M, K))
+    if block.max() == -math.inf:  # identically zero signal
+        return M, K, 0.0, True
     # terminates: every pass that does not break grows M or K, both capped
     while True:
-        scale = block.max()
-        if scale == -math.inf:  # identically zero signal
-            return M, K, 0.0, True
         grew = False
-        while K < K_cap and block[:, [0, -1]].max() >= ln_tol + scale:
+        while K < K_cap and block[:, [0, -1]].max() >= ln_tol + block.max():
             K += 1
             block = cells(M, K, ring(M, K))
             grew = True
-        while M < M_cap and block[[0, -1]].max() + M * tau * x_max >= ln_tol + scale:
+        while M < M_cap and block[[0, -1]].max() + M * tau * x_max >= ln_tol + block.max():
             M += 1
             block = cells(M, K, ring(M, K))
             grew = True
@@ -285,20 +287,28 @@ def auto_truncation(
     coefficients up to the hard caps MAX_M, MAX_K, and refuses when the
     weighted tail is still above tol there; ln|E_m| comes from one
     :func:`~gaborlattice.qtheta.coeff_E` call over |m| <= MAX_M.  The
-    table grows in guard-ring steps: a block it does not hold makes it grow
-    straight to that step's ``reach`` (one :func:`forward_table` call with
-    ``base=``), and the steps up to there are slices of its cells.  So each
-    entry of ``choice.table`` is computed once and no other entry is, except
-    the guard ring of an all-zero first block, cut off before returning.
+    table grows geometrically: when the loop asks for a block it does not
+    hold, it grows (one :func:`forward_table` call with ``base=``) in each
+    direction the block outruns, to the larger of that step's guard ring and
+    twice its old half-width plus one, clipped to the caps; the steps up to
+    there are slices of its cells.  The last request, the chosen (M, K),
+    grows the table to exactly that, and a table that holds more is cut to
+    it.  So each entry of ``choice.table`` is computed once; the entries
+    past it that a growth overshot are computed but never returned.
     """
     _require_subcritical(params)
     tol, x_max = check_real("tol", tol, 0.0, 1.0), check_real("x_max", x_max, 0.0, closed=True)
     coeffs_ln = ln_abs(*coeff_E(np.arange(-MAX_M, MAX_M + 1), params))
     table = held = None
 
+    def size(need: int, ring: int, old: int, cap: int) -> int:
+        return old if need <= old else min(max(ring, 2 * old + 1), cap)
+
     def cells(M: int, K: int, reach: tuple[int, int]) -> np.ndarray:
         nonlocal table, held
         if table is None or M > table.M or K > table.K:
+            if table is not None and reach != (M, K):  # a step of the loop, not the last call
+                reach = size(M, reach[0], table.M, MAX_M), size(K, reach[1], table.K, MAX_K)
             table = forward_table(signal, params.tau, *reach, base=table)
             held = (coeffs_ln[MAX_M - table.M: MAX_M + table.M + 1, None]
                     + ln_abs(table.mantissa, table.exponent))
@@ -310,8 +320,8 @@ def auto_truncation(
             "auto_truncation: weighted tail still above tol at the hard caps",
             diagnostics={"M": M, "K": K, "tail_ln": math.log(tail)},
         )
-    if (table.M, table.K) != (M, K):  # an all-zero first block: cut the guard ring off
-        table = forward_table(signal, params.tau, M, K, base=table)
+    if (table.M, table.K) != (M, K):  # cut what the growth overshot, or an all-zero
+        table = forward_table(signal, params.tau, M, K, base=table)  # first block's ring
     return TruncationChoice(M, K, tail, table)
 
 

@@ -217,6 +217,22 @@ def gamma_closed_form(m: int | tuple[int, ...], k: int | tuple[int, ...], signal
     return _entries(mant.reshape(shape), exps.reshape(shape), np.ndim(m) == np.ndim(k) == 0)
 
 
+def _runs(lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
+    """Runs of overlapping (or touching) node windows [lo_i, hi_i], as lists of window
+    indices in order of lo, cut where a run's windows times its span would pass
+    BLOCK_ELEMENTS (a window longer than that alone is a run of one)."""
+    runs = []
+    for a, b, i in sorted(zip(lo.tolist(), hi.tolist(), range(len(lo)))):
+        if (runs and a <= reach + 1
+                and (len(runs[-1]) + 1) * (max(reach, b) - first + 1) <= BLOCK_ELEMENTS):
+            runs[-1].append(i)
+            reach = max(reach, b)
+        else:
+            runs.append([i])
+            first, reach = a, b
+    return runs
+
+
 class _Lineage:
     """The callback quadrature's state, shared by a table and every table grown
     from it with ``base=``: f on the grid x_n = n H0 / 2^level (NaN where not
@@ -243,34 +259,50 @@ class _Lineage:
             view[missing] = eval_signal(signal, (lo + missing) * (H0 / 2 ** j))
         return view
 
-    def window(self, signal: SignalModel, row: int, tau: float) -> tuple[float, float, float]:
-        """Row m's (R_m, S_m, tail), set up on level 0 once per lineage: a
-        half-width R_m whose envelope tail is below eps S_m, the window's
-        S_m = H0 sum_n |f(x_n)| exp(-(x_n - x0)^2/4) and the tail's log.
-        The envelope is checked at the window's ends."""
-        if row not in self.rows:
+    def windows(self, signal: SignalModel, rows: list[int], tau: float) -> np.ndarray:
+        """The (len(rows), 3) array of each row's (R_m, S_m, tail), set up on level 0
+        once per lineage: a half-width R_m whose envelope tail is below eps S_m, the
+        window's S_m = H0 sum_n |f(x_n)| exp(-(x_n - x0)^2/4) and the tail's log.
+        The rows not set up yet are sampled with one fetch per run of overlapping
+        windows; the envelope is checked at each window's ends."""
+        new = [row for row in dict.fromkeys(rows) if row not in self.rows]
+        if new:
             ln_c, alpha = signal.envelope_ln()
-            x0 = -2.0 * tau * row
+            x0 = [-2.0 * tau * row for row in new]
 
-            def level0(ln_target: float) -> tuple[float, float, float]:
-                r = 2.0 * alpha + 2.0 * math.sqrt(
-                    max(1.0, alpha * alpha + ln_c + alpha * abs(x0) + LN_FOUR - ln_target))
-                lo, hi = math.ceil((x0 - r) / H0), math.floor((x0 + r) / H0)
-                xs, f = np.arange(lo, hi + 1) * H0, self.fetch(signal, lo, hi, 0)
-                for x, observed in zip(xs[[0, -1]].tolist(), np.abs(f[[0, -1]]).tolist()):
-                    allowed = 10.0 * math.exp(ln_c + alpha * abs(x))
-                    if observed > allowed:
-                        raise InvalidParameterError(
-                            f"callback exceeds its declared envelope at x={x:.6g}: "
-                            f"|f| = {observed:.3e} > {allowed:.3e}")
-                s_m = H0 * float(np.sum(np.abs(f * np.exp(-(xs - x0) ** 2 / 4.0))))
-                return r, s_m, ln_c + alpha * (abs(x0) + r) - r * r / 4.0 + LN_FOUR
+            def level0(x0: list[float], ln_target: list[float]) -> list[tuple]:
+                r = [2.0 * alpha + 2.0 * math.sqrt(
+                    max(1.0, alpha * alpha + ln_c + alpha * abs(c) + LN_FOUR - t))
+                    for c, t in zip(x0, ln_target)]
+                lo = np.array([math.ceil((c - w) / H0) for c, w in zip(x0, r)], dtype=np.int64)
+                hi = np.array([math.floor((c + w) / H0) for c, w in zip(x0, r)], dtype=np.int64)
+                out = [None] * len(x0)
+                for run in _runs(lo, hi):
+                    first = int(lo[run].min())
+                    f_run = self.fetch(signal, first, int(hi[run].max()), 0)
+                    for i in run:
+                        xs = np.arange(lo[i], hi[i] + 1) * H0
+                        f = f_run[lo[i] - first: hi[i] - first + 1]
+                        for x, seen in zip(xs[[0, -1]].tolist(), np.abs(f[[0, -1]]).tolist()):
+                            allowed = 10.0 * math.exp(ln_c + alpha * abs(x))
+                            if seen > allowed:
+                                raise InvalidParameterError(
+                                    f"callback exceeds its declared envelope at x={x:.6g}: "
+                                    f"|f| = {seen:.3e} > {allowed:.3e}")
+                        s_m = H0 * float(np.sum(np.abs(f * np.exp(-(xs - x0[i]) ** 2 / 4.0))))
+                        out[i] = (r[i], s_m,
+                                  ln_c + alpha * (abs(x0[i]) + r[i]) - r[i] * r[i] / 4.0 + LN_FOUR)
+                return out
 
-            r, s_m, tail_ln = level0(ln_c + LN_EPS)
-            if s_m > 0 and tail_ln > LN_EPS + math.log(s_m):  # f is far below its envelope here
-                r, s_m, tail_ln = level0(LN_EPS + math.log(s_m))  # S_m only grows with r
-            self.rows[row] = r, s_m, tail_ln
-        return self.rows[row]
+            found = level0(x0, [ln_c + LN_EPS] * len(new))
+            # f is far below its envelope here: widen (S_m only grows with r)
+            wide = [i for i, (_, s_m, tail_ln) in enumerate(found)
+                    if s_m > 0 and tail_ln > LN_EPS + math.log(s_m)]
+            for i, w in zip(wide, level0([x0[i] for i in wide],
+                                         [LN_EPS + math.log(found[i][1]) for i in wide])):
+                found[i] = w
+            self.rows.update(zip(new, found))
+        return np.array([self.rows[row] for row in rows], dtype=float).reshape(-1, 3)
 
 
 def _level_sums(signal: SignalModel, lineage: _Lineage, j: int, x0: np.ndarray, r: np.ndarray,
@@ -278,31 +310,29 @@ def _level_sums(signal: SignalModel, lineage: _Lineage, j: int, x0: np.ndarray, 
     """(len(x0), len(cols)) trapezoid sums h sum_n e^{-ik x_n} f(x_n) e^{-(x_n - x0)^2/4}
     on level j, h = H0 / 2^j, over each row's window [x0 - r, x0 + r].
 
-    Rows whose windows overlap share one fetch and the phases e^{-ikx}, made in
-    chunks of columns of at most BLOCK_ELEMENTS elements (one column where a run
-    is longer).  Each entry is one np.sum over its own window's products, so its
-    bits do not depend on its run or its chunk."""
+    Rows whose windows overlap form a run (see _runs): one fetch, one (rows, nodes)
+    array of the windowed samples, and the phases e^{-ikx} in chunks of columns of
+    at most BLOCK_ELEMENTS elements (one column where a run is longer), each made
+    once per |k| and conjugated for -k (bit for bit what e^{-ikx} gives).  Each
+    entry is one np.sum over its own window's products, so its bits do not depend
+    on its run or its chunk."""
     h = H0 / 2 ** j
     lo, hi = np.ceil((x0 - r) / h).astype(np.int64), np.floor((x0 + r) / h).astype(np.int64)
-    runs = []  # runs of overlapping windows, cut where their span would pass BLOCK_ELEMENTS
-    for a, b, i in sorted(zip(lo.tolist(), hi.tolist(), range(len(lo)))):
-        if runs and a <= reach + 1 and max(reach, b) - first < BLOCK_ELEMENTS:
-            runs[-1].append(i)
-            reach = max(reach, b)
-        else:
-            runs.append([i])
-            first, reach = a, b
     est = np.empty((len(x0), len(cols)), dtype=complex)
-    for run in runs:
+    for run in _runs(lo, hi):
         first, last = int(lo[run].min()), int(hi[run].max())
         f, xs = lineage.fetch(signal, first, last, j), np.arange(first, last + 1) * h
         w = [slice(lo[i] - first, hi[i] - first + 1) for i in run]
-        g = [f[w_i] * np.exp(-(xs[w_i] - x0[i]) ** 2 / 4.0) for i, w_i in zip(run, w)]
+        g = f * np.exp(-(xs - x0[run, None]) ** 2 / 4.0)
         chunk = max(1, BLOCK_ELEMENTS // len(xs))
         for c in range(0, len(cols), chunk):
-            phases = np.exp(-1j * np.outer(cols[c: c + chunk], xs))
-            for i, w_i, g_i in zip(run, w, g):
-                est[i, c: c + chunk] = h * np.sum(phases[:, w_i] * g_i, axis=1)
+            ks = cols[c: c + chunk]
+            mags = {}  # each |k| once, in order of first appearance
+            at = [mags.setdefault(k, len(mags)) for k in np.abs(ks).tolist()]
+            phases = np.exp(-1j * np.outer(list(mags), xs))[at]
+            np.conjugate(phases, out=phases, where=(ks < 0)[:, None])
+            for row, (i, w_i) in enumerate(zip(run, w)):
+                est[i, c: c + chunk] = h * np.sum(phases[:, w_i] * g[row, w_i], axis=1)
     return est
 
 
@@ -356,9 +386,8 @@ def gamma_quadrature(
     lineage = lineage or _Lineage()
     signal = check_type("signal", signal, SignalModel)
     vanishes = signal.envelope_ln()[0] == -math.inf  # f = 0: no window, no sample
-    windows = [(0.0, 0.0, -math.inf) if vanishes else lineage.window(signal, row, tau)
-               for row in rows.tolist()]
-    r, s, tail_ln = np.array(windows).reshape(-1, 3).T
+    r, s, tail_ln = (np.tile([0.0, 0.0, -math.inf], (len(rows), 1)) if vanishes
+                     else lineage.windows(signal, rows.tolist(), tau)).T
     x0 = -2.0 * tau * rows
     # coarsest level j with H0 / 2^j <= pi / (2 (|k| + 1))
     start = np.maximum(0, np.ceil(np.log2(2.0 * H0 * (np.abs(cols) + 1) / math.pi))).astype(int)

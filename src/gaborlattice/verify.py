@@ -329,7 +329,7 @@ def interpolation_suite(params: LatticeParams, signal: SignalModel | None = None
 
     zs = params.q ** np.array([-2, 0, 3])
     values = to_complex(lagrange_interpolant(zs, ns, samples, params))
-    refs = to_complex(G_series(zs, x, signal, params))
+    refs = to_complex(G_series(zs, x, signal))
     worst = np.max(np.abs(values - refs) / np.abs(refs))
     _record(checks, "interpolation_node_samples_vs_G_series", worst, 1e-10,
             "spatial_A's A_n (the interpolant at q^n, n in {-2, 0, 3}) against G_series' G_x(q^n)")

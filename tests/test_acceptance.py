@@ -33,7 +33,6 @@ from gaborlattice import (
     theta_series,
     theta_series_scaled,
 )
-from gaborlattice import G_series
 from gaborlattice.cli import main
 from gaborlattice.oracle import cardinal_weights
 from gaborlattice.scaled import normalise_array, sub_arrays, to_complex

@@ -44,10 +44,9 @@ SMALL_GRID = ReconConfig(grid=(-1.0, 1.0, 0.5))
 PARAMETERS = [
     ("ContourSpec", "radius", "real", 1.5, lambda v: ContourSpec(v)),
     ("ContourSpec", "nodes", "count", 64, lambda v: ContourSpec(1.5, v)),
-    ("G_series", "z", "z", 0.5, lambda v: G_series(v, 0.3, SIG, P)),
-    ("G_series", "x", "real", 0.3, lambda v: G_series(0.5, v, SIG, P)),
-    ("G_series", "signal", "signal", SIG, lambda v: G_series(0.5, 0.3, v, P)),
-    ("G_series", "params", "lattice", P, lambda v: G_series(0.5, 0.3, SIG, v)),
+    ("G_series", "z", "z", 0.5, lambda v: G_series(v, 0.3, SIG)),
+    ("G_series", "x", "real", 0.3, lambda v: G_series(0.5, v, SIG)),
+    ("G_series", "signal", "signal", SIG, lambda v: G_series(0.5, 0.3, v)),
     ("GammaTable", "M", "count", 0, lambda v: GammaTable(v, 0, 1.0, [1.0], [0])),
     ("GammaTable", "K", "count", 0, lambda v: GammaTable(0, v, 1.0, [1.0], [0])),
     ("GammaTable", "tau", "real", 1.0, lambda v: GammaTable(0, 0, v, [1.0], [0])),
@@ -276,7 +275,7 @@ PROBED = {
     "grid_points((0.0, 1.0, nan))": lambda: grid_points((0.0, 1.0, math.nan)),
     "spatial_A at x = nan": lambda: spatial_A(0, math.nan, SIG, P),
     "spatial_A at x = inf": lambda: spatial_A(0, math.inf, SIG, P),
-    "G_series at x = nan": lambda: G_series(0.5, math.nan, SIG, P),
+    "G_series at x = nan": lambda: G_series(0.5, math.nan, SIG),
     "mk_trace at x = inf": lambda: mk_trace(G_OVER_THETA, [0], math.inf, SIG, P),
     "eval_signal(sig, ragged list)": lambda: eval_signal(SIG, [[0.0], [1.0, 2.0]]),
     "coeff_E(ragged list, p)": lambda: coeff_E([[0], [1, 2]], P),
@@ -338,8 +337,7 @@ PROBED = {
     "reconstruct_grid(config, table, 1.0)": lambda: reconstruct_grid(SMALL_GRID, TABLE, 1.0),
     "spatial_A(0, 0.0, 'x', p)": lambda: spatial_A(0, 0.0, "x", P),
     "spatial_A(0, 0.0, sig, 1.0)": lambda: spatial_A(0, 0.0, SIG, 1.0),
-    "G_series(0.5, 0.0, 'x', p)": lambda: G_series(0.5, 0.0, "x", P),
-    "G_series(0.5, 0.0, sig, 1.0)": lambda: G_series(0.5, 0.0, SIG, 1.0),
+    "G_series(0.5, 0.0, 'x')": lambda: G_series(0.5, 0.0, "x"),
     "laurent_c0(0, 1.0)": lambda: laurent_c0(0, 1.0),
     "lagrange_interpolant(z, ns, samples, 1.0)": lambda: lagrange_interpolant(
         0.5 + 0.5j, [0], ONE_SAMPLE, 1.0),

@@ -22,6 +22,7 @@ from gaborlattice import (
     theta_series,
     theta_series_scaled,
 )
+from gaborlattice import qtheta
 from gaborlattice.qtheta import ln_eta, theta_on_circles, theta_product_scaled
 from gaborlattice.scaled import normalise_array, sub_arrays, to_complex
 
@@ -337,6 +338,22 @@ class TestCoefficients:
             mant, exps = coeff_E(ms, params, variant=variant)
             assert [ScaledValue(m, int(e)) for m, e in zip(mant, exps)] == \
                 [coeff_E(int(m), params, variant=variant) for m in ms]
+
+    @pytest.mark.parametrize("tau", [0.05, 0.6, 1.0, 3.0])
+    def test_cached_block_is_a_fresh_computation_bit_for_bit(self, tau):
+        # coeff_E slices E_m, |m| <= 64, computed once per LatticeParams object
+        params = nome_from_tau(tau)
+        ms = np.array([5, -3, 64, 0, -64, 17, 5])
+        for got, fresh in zip(coeff_E(ms, params), qtheta._coefficients(ms, params.q, 0)):
+            assert got.tobytes() == fresh.tobytes()
+        for m in range(-64, 65):
+            got = coeff_E(m, params)
+            mant, exps = qtheta._coefficients(np.array([m]), params.q, 0)
+            assert np.array([got.mantissa]).tobytes() == mant.tobytes()
+            assert got.exponent == int(exps[0])
+        block = params.coefficients
+        assert params.coefficients is block
+        assert not any(a.flags.writeable for a in block)
 
     @pytest.mark.parametrize("tau", [0.3, 1.0, 3.0])
     def test_within_a_few_ulp_of_mpmath(self, tau):

@@ -1,5 +1,7 @@
+import cmath
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -333,10 +335,10 @@ def stepwise_truncation(signal, params, tol, x_max):
     if block.max() == -math.inf:
         return M, K, 0.0, table
     while True:
-        scale, grew = block.max(), False
-        while K < K_cap and block[:, [0, -1]].max() >= ln_tol + scale:
+        grew = False
+        while K < K_cap and block[:, [0, -1]].max() >= ln_tol + block.max():
             K, block, grew = K + 1, cells(M, K + 1), True
-        while M < M_cap and block[[0, -1]].max() + M * tau * x_max >= ln_tol + scale:
+        while M < M_cap and block[[0, -1]].max() + M * tau * x_max >= ln_tol + block.max():
             M, block, grew = M + 1, cells(M + 1, K), True
         if not grew:
             break
@@ -410,7 +412,7 @@ class TestGuardRingGrowth:
 
     def test_forward_table_calls_pinned(self, monkeypatch, unit_gaussian, params_tau1):
         # the loop visits (4, 2), (4, 3), ..., (4, 7), then the guard ring
-        # (5, 9): tables grown to (5, 4), (5, 7) and (5, 9)
+        # (5, 9): the table is grown to (5, 4), then for (4, 5) to K = 2 * 4 + 1
         calls = []
         grow = recon.forward_table
 
@@ -421,7 +423,27 @@ class TestGuardRingGrowth:
         monkeypatch.setattr(recon, "forward_table", counting)
         choice = auto_truncation(unit_gaussian, params_tau1, 1e-8, x_max=3.0)
         assert (choice.M, choice.K) == (5, 9)
-        assert calls == [(5, 4), (5, 7), (5, 9)]
+        assert calls == [(5, 4), (5, 9)]
+
+    def test_content_past_the_first_block_sets_the_scale(self, monkeypatch):
+        # content at k = 10 lies past the first block's K = 2: the boundary is weighed
+        # against the largest cell of each grown block, so K stops near the content
+        signal, params = SignalModel.gaussian([(1.0, 0.3, 10.0)]), nome_from_tau(0.6)
+        calls = []
+        grow = recon.forward_table
+
+        def counting(signal, tau, M, K, base=None):
+            calls.append((M, K, None if base is None else (base.M, base.K)))
+            return grow(signal, tau, M, K, base=base)
+
+        monkeypatch.setattr(recon, "forward_table", counting)
+        choice = auto_truncation(signal, params, 1e-6, x_max=3.0)
+        monkeypatch.undo()
+        assert (choice.M, choice.K) == (5, 18)
+        assert_same_choice(choice, stepwise_truncation(signal, params, 1e-6, 3.0))
+        assert len(calls) <= 4
+        M, K, held = calls[-1]  # the last call only cuts the table to the choice
+        assert held is not None and M <= held[0] and K <= held[1]
 
 
 class TestRoundTrip:
@@ -494,6 +516,33 @@ class TestRoundTrip:
         cb = SignalModel.callback(f, bound=1.5, growth=0.0)
         choice = auto_truncation(cb, nome_from_tau(0.6), 1e-6, x_max=3.0)
         assert (choice.M, choice.K, calls[0]) == (5, 17, 1214)
+
+    def test_modulated_callback_meets_tol_fast(self):
+        # content at nu = 10: the truncation loop once ran K toward MAX_K here
+        def f(x):
+            return cmath.exp(10j * x) * math.exp(-(x - 0.3) ** 2 / 4.0)
+
+        start = time.perf_counter()
+        report = round_trip(SignalModel.callback(f, 1.0, 0.0), 0.6,
+                            ReconConfig(tol=1e-6, grid=(-3.0, 3.0, 0.05)))
+        assert time.perf_counter() - start < 1.0
+        assert (report.M_used, report.K_used) == (5, 18)
+        assert report.sup_error <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["family", "callback"])
+    def test_coefficient_block_built_once(self, monkeypatch, two_component, kind):
+        # auto_truncation, reconstruct_grid and reconstruct_point each call coeff_E
+        # on the round trip's one LatticeParams, which computes E_m once
+        from gaborlattice import qtheta
+
+        built = []
+        fresh = qtheta._coefficients
+        monkeypatch.setattr(qtheta, "_coefficients", lambda *args: built.append(args) or
+                            fresh(*args))
+        signal = two_component if kind == "family" else SignalModel.callback(
+            lambda x: eval_signal(two_component, x), bound=2.0, growth=0.0)
+        round_trip(signal, 0.6, ReconConfig(tol=1e-6, grid=(-3.0, 3.0, 0.05)))
+        assert len(built) == 1
 
     def test_monotone_truncation(self, unit_gaussian):
         errors = []

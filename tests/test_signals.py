@@ -261,17 +261,22 @@ class TestQuadrature:
                     tol_part = 10.0 * signals.QUAD_TOL * abs(ref)
                     assert bound <= max(tol_part, 64 * eps * s_ref), (m, k)
 
-    def test_block_equals_single_entries(self, two_component, off_centre):
-        # |k| >= 6 starts past level 0; the off-centre rows have three window radii
-        rows, cols = (-2, 0, 3), (-7, -1, 0, 4, 9)
+    @pytest.mark.parametrize("cols", [(-7, -1, 0, 4, 9), (-7, -3, 5), (-9, -5, -2, 2, 7)],
+                             ids=str)
+    def test_block_equals_single_entries(self, two_component, off_centre, cols):
+        # |k| >= 6 starts past level 0; the off-centre rows have three window radii.  A
+        # block makes e^{-ikx} once per |k| and conjugates it for -k: each entry keeps
+        # the bits of its single-entry call, signs of zeros included
+        rows = (-2, 0, 3)
         for signal in (counted(two_component, [0], 2.0), counted(off_centre, [0], 1.5)):
             lineage = signals._Lineage()
             mant, exps = gamma_quadrature(rows, cols, signal, 0.7, lineage=lineage)
             for i, m in enumerate(rows):
                 for j, k in enumerate(cols):
                     value, err = gamma_quadrature(m, k, signal, 0.7)
-                    assert (value.mantissa, value.exponent) == (mant[0, i, j], exps[0, i, j])
-                    assert (err.mantissa, err.exponent) == (mant[1, i, j], exps[1, i, j])
+                    alone = np.array([value.mantissa, err.mantissa])
+                    assert alone.tobytes() == mant[:, i, j].tobytes(), (m, k)
+                    assert (value.exponent, err.exponent) == tuple(exps[:, i, j])
         assert len({radius for radius, _, _ in lineage.rows.values()}) == len(rows)
 
     def test_refinement_cap_names_the_first_capped_row(self, monkeypatch):
@@ -300,6 +305,19 @@ class TestQuadratureBlock:
         monkeypatch.setattr(signals, "BLOCK_ELEMENTS", budget)
         small = forward_table(counted(off_centre, [0], 1.5), tau, M, K)
         assert small == default and small.errors == default.errors
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_level_sums_are_the_direct_sums_bit_for_bit(self, off_centre, j):
+        # a run's windowed samples as one array, and e^{-ikx} made once per |k| and
+        # conjugated for -k, give the bits of each window's own direct sum
+        x0, r, cols = np.array([1.4, -0.6]), np.array([9.0, 11.5]), np.array([-9, -5, 0, 2, 5, 7])
+        got = signals._level_sums(counted(off_centre, [0], 1.5), signals._Lineage(), j, x0, r, cols)
+        h = signals.H0 / 2 ** j
+        for i in range(len(x0)):
+            xs = np.arange(math.ceil((x0[i] - r[i]) / h), math.floor((x0[i] + r[i]) / h) + 1) * h
+            g = eval_signal(off_centre, xs) * np.exp(-(xs - x0[i]) ** 2 / 4.0)
+            want = h * np.sum(np.exp(-1j * np.outer(cols, xs)) * g, axis=1)
+            assert got[i].tobytes() == want.tobytes()
 
     def test_no_node_between_windows_sampled(self, off_centre):
         # at tau = 2 the windows of rows -6 and 6 are far apart: the block
